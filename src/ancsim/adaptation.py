@@ -37,10 +37,13 @@ WEIGHT_GUARD = 1e6
 CONDITION_LIMIT = 1e12
 
 
-def _check_weights(weights: np.ndarray, step: int, coords=None) -> None:
-    if not (np.all(np.isfinite(weights)) and np.max(np.abs(weights)) <= WEIGHT_GUARD):
-        raise DivergenceError(
-            f"adaptive weights exceeded guard at step {step}", index=step, coords=coords)
+def check_weights(weights: np.ndarray, step: int, coords=None) -> None:
+    """Raise DivergenceError unless every weight is finite and within the
+    guard. NaN compares false, so the one reduction catches it too."""
+    if not (np.abs(weights).max() <= WEIGHT_GUARD):
+        what = ("adaptive weights exceeded guard" if coords is None
+                else f"filter {coords} exceeded weight guard")
+        raise DivergenceError(f"{what} at step {step}", index=step, coords=coords)
 
 
 class LmsFilter:
@@ -90,7 +93,7 @@ class LmsFilter:
         e = d - y
         if self.mu != 0.0:
             v += (2.0 * self.mu * e) * window
-            _check_weights(v, self._step_count)
+            check_weights(v, self._step_count)
         self._step_count += 1
         return y, e
 
@@ -197,7 +200,7 @@ class FxlmsFilter:
         self._xf_line.push(xf)
         if self.mu != 0.0:
             self._v += (-2.0 * self.mu * e_measured) * self._xf_line.window()
-            _check_weights(self._v, self._step_count)
+            check_weights(self._v, self._step_count)
         self._step_count += 1
         return u
 

@@ -21,6 +21,7 @@ from .errors import AncError, ConfigError, DivergenceError, WavError
 from .mcanc import ChannelConfig, mac_count, mac_measure
 from .reporting import export_report, summary_dict
 from .scenario import (
+    _aligned_estimates,
     build_plant,
     build_reference,
     build_training_signal,
@@ -91,8 +92,7 @@ def cmd_pretrain(args) -> int:
     cfg = _load(args)
     reference = build_reference(cfg)
     raw_est, _ = resolve_estimates(cfg)
-    aligned = np.zeros(raw_est.shape[:2] + (raw_est.shape[2] + 1,))
-    aligned[:, :, 1:] = raw_est
+    aligned = _aligned_estimates(raw_est)
     mu = resolve_mu(cfg, reference, aligned)
     training = build_training_signal(cfg)
     weights, info = pretrain_fixed_filter(cfg, aligned, mu, training)
@@ -111,7 +111,7 @@ def cmd_pretrain(args) -> int:
 
 def cmd_run(args) -> int:
     cfg = _load(args)
-    result = run_scenario(cfg, parallel_arms=args.parallel_arms)
+    result = run_scenario(cfg)
     export_report(result, args.out)
     for name, arm in result.arms.items():
         snr = arm.reports[0].snr_db
@@ -208,8 +208,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="run the full scenario and export reports")
     common(p, out_required=True)
-    p.add_argument("--parallel-arms", action="store_true",
-                   help="run the three arms concurrently (identical results)")
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("report", help="re-run deterministically with metric overrides")

@@ -96,16 +96,20 @@ class FirFilter:
         return float(np.dot(self._w_rev, self._line.window()))
 
     def process(self, samples) -> np.ndarray:
-        """Filter an array of samples, advancing state."""
+        """Filter an array of samples, advancing state.
+
+        Each output is the same dot product `process_sample` forms, taken
+        over a flat copy of the history instead of the ring buffer.
+        """
         x = as_samples(samples)
-        line, w_rev = self._line, self._w_rev
+        size = self._w_rev.size
+        history = np.concatenate([self._line.window(), x])
         out = np.empty_like(x)
-        window = line.window  # bound methods hoisted out of the loop
-        push = line.push
-        dot = np.dot
+        fir_dot = self._w_rev.dot
         for n in range(x.size):
-            push(x[n])
-            out[n] = dot(w_rev, window())
+            out[n] = fir_dot(history[n + 1:n + 1 + size])
+        for sample in x[-size:]:
+            self._line.push(sample)
         return out
 
     def process_signal(self, sig: Signal) -> Signal:

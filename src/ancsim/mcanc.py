@@ -27,10 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, DivergenceError
+from .adaptation import check_weights
+from .errors import DataError
 from .filters import DelayLine
-
-WEIGHT_GUARD = 1e6
 
 
 @dataclass(frozen=True)
@@ -192,12 +191,7 @@ class McAncController:
                     fx_ij = fx_i[j]
                     for k in range(K):
                         v_ij += (-mu * e[k]) * fx_ij[k].window()
-                    if not (np.all(np.isfinite(v_ij))
-                            and np.max(np.abs(v_ij)) <= WEIGHT_GUARD):
-                        raise DivergenceError(
-                            f"filter ({i}, {j}) exceeded weight guard at step "
-                            f"{self._step_count}",
-                            index=self._step_count, coords=(i, j))
+                    check_weights(v_ij, self._step_count, coords=(i, j))
         self.last_cost = float(np.dot(e, e))
         if counter is not None:
             counter.update += I * J * K * L + K

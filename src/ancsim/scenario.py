@@ -5,8 +5,10 @@ secondary-path estimates (offline identification or the true paths),
 pre-trains the fixed control filter on its designated training source,
 and then runs three arms over the identical disturbance realization:
 uncontrolled, adaptive from zero weights, and the frozen pre-trained
-filter. Every arm gets a freshly built plant from the same seed, so the
-disturbance and measurement noise realizations match across arms.
+filter. The disturbance and the measurement noise do not depend on the
+control, so the uncontrolled run computes them once and the two
+controlled arms reuse that one realization; each controlled arm starts
+from silent secondary paths and fresh controller state.
 
 Step sizes: `auto` resolves to `mu_scale` times the stability limit of
 the update actually applied (which carries a factor 2 in front of mu),
@@ -26,6 +28,7 @@ from .config import ExperimentConfig, config_hash
 from .errors import ConfigError
 from .filters import FirFilter
 from .loops import (
+    PlantSplit,
     run_adaptive,
     run_fixed,
     run_multichannel,
@@ -190,9 +193,11 @@ def pretrain_fixed_filter(cfg: ExperimentConfig, aligned_est: np.ndarray,
     n_blocks = len(training) // block
     if n_blocks < 1:
         raise ConfigError("training signal shorter than one second")
-    d_plant = build_plant(cfg)
-    d_all = d_plant.run_uncontrolled(training.samples[:n_blocks * block])
-    c_plant = build_plant(cfg)
+    # The disturbance is computed block by block, only for the blocks that
+    # train. Each block's loop starts from a silent loudspeaker, so the
+    # block's first sample does not hear the previous block's last output;
+    # the recorded exports depend on that.
+    split = PlantSplit(build_plant(cfg))
     ctl_cfg = cfg.controller
     single = ctl_cfg.kind == "single"
     if single:
@@ -207,16 +212,16 @@ def pretrain_fixed_filter(cfg: ExperimentConfig, aligned_est: np.ndarray,
     diverged_at = None
     for b in range(n_blocks):
         seg = training.samples[b * block:(b + 1) * block]
+        dist = split.disturbance(seg)
         if single:
-            res = run_adaptive(c_plant, controller, seg)
+            res = run_adaptive(split, controller, seg, disturbance=dist)
         else:
-            res = run_multichannel(c_plant, controller, seg)
+            res = run_multichannel(split, controller, seg, disturbance=dist)
         if res.diverged_at is not None:
             diverged_at = b * block + res.diverged_at
             break
         e_power = float(np.sum(res.error**2))
-        d_seg = d_all[b * block:(b + 1) * block]
-        d_power = float(np.sum(d_seg**2))
+        d_power = float(np.sum(dist.uncontrolled()**2))
         nr = 10.0 * np.log10(d_power / e_power) if e_power > 0 else np.inf
         nr_history.append(nr)
         if b >= 1 and nr - nr_history[-2] < cfg.fixed_filter.min_improvement_db:
@@ -289,13 +294,8 @@ def _reports_for(d: np.ndarray, e: np.ndarray, cfg: ExperimentConfig) -> list:
     return reports
 
 
-def run_scenario(cfg: ExperimentConfig, parallel_arms: bool = False) -> ScenarioResult:
-    """Execute sysid, pre-training, and the three comparison arms.
-
-    Each arm owns a freshly built plant and controller, so with
-    `parallel_arms` the loops may execute concurrently; results are
-    identical to the sequential order either way.
-    """
+def run_scenario(cfg: ExperimentConfig) -> ScenarioResult:
+    """Execute sysid, pre-training, and the three comparison arms."""
     cfg.validate()
     reference = build_reference(cfg)
     raw_est, sysid_summaries = resolve_estimates(cfg)
@@ -308,36 +308,23 @@ def run_scenario(cfg: ExperimentConfig, parallel_arms: bool = False) -> Scenario
     rate = cfg.sample_rate_hz
     stride = max(cfg.export.error_decimation, 1)
     snapshot_stride = int(round(rate))  # one weight snapshot per second
-    chan = ChannelConfig(1, cfg.plant.n_sources, cfg.plant.n_mics,
-                         cfg.controller.taps, aligned.shape[2])
 
-    def arm_uncontrolled():
-        return run_uncontrolled_signal(build_plant(cfg), reference.samples)
-
-    def arm_adaptive():
-        if single:
-            controller = FxlmsFilter(cfg.controller.taps, mu, aligned[0, 0])
-            return run_adaptive(build_plant(cfg), controller, reference.samples,
-                                weight_stride=snapshot_stride)
-        controller = McAncController(chan, mu, aligned)
-        return run_multichannel(build_plant(cfg), controller, reference.samples)
-
-    def arm_fixed():
-        if single:
-            return run_fixed(build_plant(cfg), FirFilter(fixed_weights),
-                             reference.samples)
-        frozen = McAncController(chan, 0.0, aligned)
-        frozen.weights = fixed_weights
-        return run_multichannel(build_plant(cfg), frozen, reference.samples)
-
-    if parallel_arms:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=3) as pool:
-            futures = [pool.submit(f) for f in (arm_uncontrolled, arm_adaptive,
-                                                arm_fixed)]
-            d, res, fixed_res = (f.result() for f in futures)
+    plant = build_plant(cfg)
+    dist = run_uncontrolled_signal(plant, reference.samples)
+    d = dist.uncontrolled()
+    if single:
+        d = d[:, 0]
+        controller = FxlmsFilter(cfg.controller.taps, mu, aligned[0, 0])
+        res = run_adaptive(plant, controller, reference.samples,
+                           weight_stride=snapshot_stride, disturbance=dist)
     else:
-        d, res, fixed_res = arm_uncontrolled(), arm_adaptive(), arm_fixed()
+        chan = ChannelConfig(1, cfg.plant.n_sources, cfg.plant.n_mics,
+                             cfg.controller.taps, aligned.shape[2])
+        controller = McAncController(chan, mu, aligned)
+        res = run_multichannel(plant, controller, reference.samples,
+                               disturbance=dist)
+    fixed_res = run_fixed(plant, fixed_weights, reference.samples,
+                          disturbance=dist)
 
     uncontrolled = ArmResult(
         name="uncontrolled",

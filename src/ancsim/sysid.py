@@ -69,6 +69,9 @@ def identify_path(plant: Plant, j: int, k: int, n_taps: int,
     loudspeakers silent) and the microphone-k response is fitted by a
     length-`n_taps` LMS filter. Warns about undermodeling when the true
     path's tail beyond `n_taps` carries over 1% of its energy.
+
+    The response is that of the freshly built (or reset) plant; the
+    plant's own state is neither read nor advanced.
     """
     if not (0 <= j < plant.n_sources):
         raise DataError(f"source index {j} outside [0, {plant.n_sources})")
@@ -77,11 +80,16 @@ def identify_path(plant: Plant, j: int, k: int, n_taps: int,
     rng = np.random.default_rng(seed)
     excitation = rng.standard_normal(n_samples)
 
-    u = np.zeros(plant.n_sources)
-    response = np.empty(n_samples)
-    for n in range(n_samples):
-        u[j] = excitation[n]
-        response[n] = plant.step(0.0, u)[k]
+    # Plant.step(0.0, u) term by term, in the order it adds them: the
+    # muted primary path and every silent secondary path give constants,
+    # path (j, k) filters the excitation, then the noise
+    response = np.full(n_samples, plant.primaries[k].clone().process_sample(0.0))
+    for jj, row in enumerate(plant.secondaries):
+        path = row[k].clone()
+        response += path.process(excitation) if jj == j else path.process_sample(0.0)
+    if plant.measurement_noise_std > 0.0:
+        noise = np.random.default_rng(plant.seed).standard_normal((n_samples, plant.n_mics))
+        response += plant.measurement_noise_std * noise[:, k]
 
     lms = LmsFilter(n_taps, mu)
     run = lms.run(excitation, response)

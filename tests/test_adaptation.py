@@ -223,6 +223,19 @@ class TestFxlmsStep:
             for n in range(10_000):
                 fx.step(1.0, 1e3)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_guard_catches_non_finite_weights(self, bad):
+        fx = FxlmsFilter(4, 0.01, [0.0, 0.5])
+        for _ in range(3):
+            fx.step(0.1, 0.2)
+        w = fx.weights
+        w[2] = bad
+        fx.weights = w
+        with pytest.raises(DivergenceError) as exc_info:
+            fx.step(0.1, 0.2)
+        assert exc_info.value.index == 3
+        assert exc_info.value.coords is None
+
     def test_freeze_matches_zero_mu_run(self):
         rng = np.random.default_rng(12)
         fx = FxlmsFilter(8, 0.01, [0.0, 0.5])

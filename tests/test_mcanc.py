@@ -161,6 +161,21 @@ class TestErrors:
                 ctrl.step([1.0], [100.0])
         assert exc_info.value.coords in [(0, 0), (0, 1)]
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_guard_catches_non_finite_weights(self, bad):
+        rng = np.random.default_rng(4)
+        ctrl = McAncController(ChannelConfig(1, 2, 2, 4, 3), 0.01,
+                               rng.standard_normal((2, 2, 3)) * 0.1)
+        for _ in range(5):
+            ctrl.step([rng.standard_normal()], rng.standard_normal(2) * 0.1)
+        w = ctrl.weights
+        w[0, 1, 2] = bad
+        ctrl.weights = w
+        with pytest.raises(DivergenceError) as exc_info:
+            ctrl.step([0.3], [0.1, -0.2])
+        assert exc_info.value.index == 5
+        assert exc_info.value.coords == (0, 1)
+
     def test_estimate_shape_enforced(self):
         with pytest.raises(DataError):
             McAncController(ChannelConfig(1, 2, 2, 4, 3), 0.01, np.zeros((2, 2, 4)))

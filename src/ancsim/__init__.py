@@ -41,7 +41,7 @@ from .errors import (
     WavError,
 )
 from .filters import FirFilter, IirFilter
-from .loops import loop_aligned_path, run_adaptive, run_fixed, run_multichannel
+from .loops import loop_aligned_path, run_adaptive, run_fixed
 from .mcanc import ChannelConfig, MacCount, McAncController, mac_count, mac_measure
 from .metrics import (
     RunReport,
@@ -71,8 +71,8 @@ __all__ = [
     "energy_density", "export_report", "fxlms_mu_bound", "identify_path",
     "lms_mu_bound", "load_config", "loop_aligned_path", "mac_count",
     "mac_measure", "noise_reduction_per_interval", "power_spectrum",
-    "read_wav", "run_adaptive", "run_fixed", "run_multichannel",
-    "run_scenario", "save_config", "snr_overall", "spectrogram", "spl_delta",
+    "read_wav", "run_adaptive", "run_fixed", "run_scenario", "save_config",
+    "snr_overall", "spectrogram", "spl_delta",
     "superposed_energy_density", "synthesize_noise", "synthetic_plant",
     "wiener_solve", "write_wav",
 ]

@@ -12,6 +12,11 @@ with the opposite sign and replaces X(n) by the reference filtered
 through the secondary-path estimate:
 
     W(n+1) = W(n) - 2 mu e(n) X_f(n),   x_f(n) = sum_i s_hat_i x(n-i).
+
+`FxlmsFilter` has no recursion of its own: it is the 1x1x1 case of the
+multichannel controller in `mcanc`, whose bare-mu update with coefficient
+2 mu is this one exactly (doubling is exact). The weight guard lives in
+`mcanc` beside that recursion; `LmsFilter` imports it from there.
 """
 
 from __future__ import annotations
@@ -29,21 +34,10 @@ from .errors import (
     UndefinedBoundError,
 )
 from .filters import DelayLine, FirFilter
+from .mcanc import ChannelConfig, McAncController, check_weights
 from .signals import as_samples
 
-# Any adapted weight beyond this magnitude flags the run as diverged.
-WEIGHT_GUARD = 1e6
-
 CONDITION_LIMIT = 1e12
-
-
-def check_weights(weights: np.ndarray, step: int, coords=None) -> None:
-    """Raise DivergenceError unless every weight is finite and within the
-    guard. NaN compares false, so the one reduction catches it too."""
-    if not (np.abs(weights).max() <= WEIGHT_GUARD):
-        what = ("adaptive weights exceeded guard" if coords is None
-                else f"filter {coords} exceeded weight guard")
-        raise DivergenceError(f"{what} at step {step}", index=step, coords=coords)
 
 
 class LmsFilter:
@@ -137,11 +131,12 @@ class LmsFilter:
 class FxlmsFilter:
     """Filtered-x LMS controller for one reference / one source / one mic.
 
-    `step(x, e)` implements one pass of the algorithm's execution order:
-    push x, emit u = W^T X for the loudspeaker, push the filtered
-    reference x_f = s_hat * x, then update W by -2 mu e X_f. The error
-    sample must come from the plant for the current instant, i.e. it was
-    produced by control output emitted on earlier steps.
+    The 1x1x1 `McAncController` with update coefficient 2 mu, behind a
+    scalar interface. `step(x, e)` implements one pass of the algorithm's
+    execution order: push x, emit u = W^T X for the loudspeaker, push the
+    filtered reference x_f = s_hat * x, then update W by -2 mu e X_f. The
+    error sample must come from the plant for the current instant, i.e. it
+    was produced by control output emitted on earlier steps.
 
     The reference history is sized max(n_taps, len(s_hat)) so the
     filtered-reference generation stays correct when the path estimate is
@@ -157,57 +152,52 @@ class FxlmsFilter:
         if not np.all(np.isfinite(s)):
             raise DataError("secondary path estimate must be finite")
         self.n_taps = n_taps
-        self.mu = float(mu)
-        self._s_rev = s[::-1].copy()
-        self._s = s.copy()
-        self._hist = max(n_taps, s.size)
-        self._x_line = DelayLine(self._hist)
-        self._xf_line = DelayLine(n_taps)
-        self._v = np.zeros(n_taps)
-        self._step_count = 0
+        # the 1x1x1 controller this filter is; `loops.run_adaptive` runs it
+        self.controller = McAncController(
+            ChannelConfig(1, 1, 1, n_taps, s.size), 2.0 * float(mu), s.reshape(1, 1, -1))
+
+    @property
+    def mu(self) -> float:
+        """Single-channel step size: half the controller's coefficient."""
+        return self.controller.mu / 2.0
+
+    @mu.setter
+    def mu(self, mu: float) -> None:
+        self.controller.mu = 2.0 * float(mu)
 
     @property
     def weights(self) -> np.ndarray:
-        return self._v[::-1].copy()
+        return self.controller.weights[0, 0]
 
     @weights.setter
     def weights(self, w) -> None:
         w = np.asarray(w, dtype=np.float64)
         if w.shape != (self.n_taps,):
             raise DataError(f"expected {self.n_taps} weights, got shape {w.shape}")
-        self._v = w[::-1].copy()
+        self.controller.weights = w.reshape(1, 1, -1)
 
     @property
     def sec_path_estimate(self) -> np.ndarray:
-        return self._s.copy()
+        return self.controller.sec_estimates[0, 0]
 
     @property
     def filtered_reference_window(self) -> np.ndarray:
         """X_f(n) = [x_f(n), ..., x_f(n-N+1)] as of the last step."""
-        return self._xf_line.window()[::-1].copy()
+        return self.controller._fx[0, 0, 0, ::-1].copy()
 
     @property
     def reference_window(self) -> np.ndarray:
-        return self._x_line.last(self.n_taps)[::-1].copy()
+        return self.controller._x[0, -self.n_taps:][::-1].copy()
 
     def step(self, x: float, e_measured: float) -> float:
         if not (math.isfinite(x) and math.isfinite(e_measured)):
             raise DataError("non-finite input to FxLMS step")
-        self._x_line.push(x)
-        x_win = self._x_line.last(self.n_taps)
-        u = float(np.dot(self._v, x_win))
-        xf = float(np.dot(self._s_rev, self._x_line.last(self._s_rev.size)))
-        self._xf_line.push(xf)
-        if self.mu != 0.0:
-            self._v += (-2.0 * self.mu * e_measured) * self._xf_line.window()
-            check_weights(self._v, self._step_count)
-        self._step_count += 1
-        return u
-
-    def filtered_reference_power(self) -> float:
-        """||X_f(n)||^2 for the current window (used for bound estimates)."""
-        w = self._xf_line.window()
-        return float(np.dot(w, w))
+        try:
+            return float(self.controller._advance((x,), (e_measured,))[0])
+        except DivergenceError as err:
+            # one filter: no grid coordinates to report
+            raise DivergenceError(f"adaptive weights exceeded guard at step {err.index}",
+                                  index=err.index) from None
 
     def freeze(self) -> FirFilter:
         """Immutable FIR snapshot of the current weights.
@@ -218,10 +208,7 @@ class FxlmsFilter:
         return FirFilter(self.weights)
 
     def reset(self) -> None:
-        self._v[:] = 0.0
-        self._x_line.reset()
-        self._xf_line.reset()
-        self._step_count = 0
+        self.controller.reset()
 
 
 @dataclass

@@ -191,8 +191,12 @@ class ExperimentConfig:
                 f"index noise_sources")
         if self.metrics.interval_s <= 0:
             raise ConfigError("metrics.interval_s must be positive")
-        if self.export.error_decimation < 1:
-            raise ConfigError("export.error_decimation must be >= 1")
+        for section, name in (("controller", "taps"), ("sysid", "taps"),
+                              ("sysid", "n_samples"), ("export", "error_decimation")):
+            value = getattr(getattr(self, section), name)
+            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+                raise ConfigError(
+                    f"{section}.{name} must be a positive integer, got {value!r}")
         return self
 
 

@@ -18,6 +18,11 @@ that `Plant.step` forms, added in the order `Plant.step` adds it, so each
 loop reproduces a per-sample `Plant.step` run bit for bit. Do not replace
 these dots by a matrix product or an FFT convolution: those sum in another
 order and change the last bits.
+
+There is one adaptive loop, `run_adaptive`, for the single-channel
+`FxlmsFilter` and every 1xJxK `McAncController` alike: it inlines
+`McAncController.step` over flat histories in its operand order.
+`run_fixed` runs frozen weights, for which the loop is LTI end to end.
 """
 
 from __future__ import annotations
@@ -27,10 +32,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .acoustics import Plant
-from .adaptation import FxlmsFilter, check_weights
+from .adaptation import FxlmsFilter
 from .errors import DataError, DivergenceError
 from .filters import FirFilter
-from .mcanc import McAncController
+from .mcanc import McAncController, check_weights
 from .signals import as_samples
 
 
@@ -143,128 +148,120 @@ def run_uncontrolled_signal(plant, x) -> Disturbance:
 
 @dataclass
 class LoopResult:
-    """Artifacts of one control-loop run: error (T,) for one microphone,
-    else (T, K), and the matching controller outputs."""
+    """Artifacts of one control-loop run: error (T,) for an `FxlmsFilter`
+    or a frozen (L,) filter, else (T, K), and the matching controller
+    outputs. A diverged run ends at the step whose update tripped the
+    guard: its error includes that sample, its output does not."""
 
     error: np.ndarray
     output: np.ndarray
-    weight_snapshots: np.ndarray | None = None
-    snapshot_steps: np.ndarray | None = None
-    final_weights: np.ndarray | None = None
-    xf_norm_sq: np.ndarray | None = None
-    diverged_at: int | None = None
-
-
-@dataclass
-class McLoopResult:
-    """Artifacts of one multichannel run: errors (T, K), outputs (T, J),
-    per-sample cost sum_k e_k^2."""
-
-    error: np.ndarray
-    output: np.ndarray
-    cost: np.ndarray
     final_weights: np.ndarray | None = None
     diverged_at: int | None = None
     diverged_coords: tuple | None = None
 
 
-def run_adaptive(plant, controller: FxlmsFilter, x, weight_stride: int = 0,
-                 record_xf_norm: bool = False,
+def run_adaptive(plant, controller: FxlmsFilter | McAncController, x,
                  disturbance: Disturbance | None = None) -> LoopResult:
-    """Adaptive FxLMS run over a reference signal (plant must be 1x1).
+    """Adaptive FxLMS run over a reference signal.
 
-    `plant` is a `Plant`, split afresh, or a `PlantSplit` whose state
-    carries over from earlier calls. `disturbance`, when given, holds the
-    plant's control-independent terms over x. The controller's state
-    advances exactly as repeated `controller.step` calls would advance it.
+    `controller` is an `FxlmsFilter` on a 1x1 plant, giving (T,) error and
+    output, or a `McAncController` with one reference on a plant with its
+    J sources and K mics, giving (T, K) errors and (T, J) outputs. `plant`
+    is a `Plant`, split afresh, or a `PlantSplit` whose state carries over
+    from earlier calls. `disturbance`, when given, holds the plant's
+    control-independent terms over x. The controller's state advances
+    exactly as repeated `step` calls would advance it.
 
     Divergence truncates the run at the failing step instead of
     propagating, so partial traces remain available for diagnostics.
     """
     xs = as_samples(x)
+    single = isinstance(controller, FxlmsFilter)
+    ctl = controller.controller if single else controller
+    if ctl.n_refs != 1:
+        raise DataError("plant accepts a single reference input; use I=1 here")
     split, dist = _split_and_disturbance(plant, xs, disturbance)
-    if split.n_sources != 1 or split.n_mics != 1:
-        raise DataError("single-channel loop needs a 1x1 plant")
-    T = xs.size
-    err = np.empty(T)
-    out = np.empty(T)
-    xf_norm = np.empty(T) if record_xf_norm else None
-    snaps, snap_steps = [], []
-    diverged_at = None
+    if (split.n_sources, split.n_mics) != (ctl.n_sources, ctl.n_mics):
+        raise DataError(
+            f"plant has {split.n_sources} sources and {split.n_mics} mics, "
+            f"controller drives {ctl.n_sources} and listens to {ctl.n_mics}")
+    T, J, K, H = xs.size, split.n_sources, split.n_mics, split.hist
+    v, est_rev, mu = ctl._v[0], ctl._est_rev, ctl.mu
+    L, M, hx = v.shape[1], est_rev.shape[2], ctl._x.shape[1]
+    step0 = ctl._step_count
 
-    # Python floats: the same IEEE arithmetic as the plant's, less overhead
-    p = dist.primary[:, 0].tolist()
-    noise = None if dist.noise is None else dist.noise[:, 0].tolist()
-    H = split.hist
-    plant_dot = split.sec_rev[0][0].dot
-    # loudspeaker history, then u(n-1) at index H+n; the first sample of
+    # flat histories: the controller's stored windows, then this call's
+    # samples; x(n) sits at index hx+n and x_f(n) at L+n
+    x_buf = np.concatenate([ctl._x[0], xs])
+    fx_buf = np.empty((J, K, L + T))
+    fx_buf[:, :, :L] = ctl._fx[0]
+    # loudspeaker history, then u_j(n-1) at column H+n; the first sample of
     # every call reaches the paths as silence
-    u_buf = np.zeros(H + T + 1)
-    u_buf[:H] = split.u_hist[0]
+    u_buf = np.zeros((J, H + T + 1))
+    u_buf[:, :H] = split.u_hist
 
-    # FxlmsFilter.step, inlined over flat histories in its operand order
-    N, hx, mu = controller.n_taps, controller._hist, controller.mu
-    v = controller._v
-    control_dot, filter_dot = v.dot, controller._s_rev.dot
-    M = controller._s_rev.size
-    x_buf = np.concatenate([controller._x_line.window(), xs])
-    xf_buf = np.empty(N + T)
-    xf_buf[:N] = controller._xf_line.window()
-    step0 = controller._step_count
-    done = T
+    # Python floats: the same IEEE arithmetic as the plant's, less overhead.
+    # Flat, row after row: err[n*K + k] becomes e_k(n) in place.
+    err = dist.primary.ravel().tolist()
+    noise = None if dist.noise is None else dist.noise.ravel().tolist()
+    # flattened in Plant.step's (j, k) order: mic, loudspeaker row, lag
+    paths = [(k, u_buf[j], H - s.size, s.dot)
+             for j, paths_j in enumerate(split.sec_rev) for k, s in enumerate(paths_j)]
+    controls = [(u_buf[j], v[j].dot) for j in range(J)]
+    filters = [(fx_buf[j, k], est_rev[j, k].dot) for j in range(J) for k in range(K)]
+    # each filter's update terms in mic order; the guard checks the filter
+    # right after its last term, so it carries coordinates only there
+    updates = [(v[j], k, fx_buf[j, k], (0, j) if k == K - 1 else None)
+               for j in range(J) for k in range(K)]
+    diverged_at = diverged_coords = None
+    steps = T
     for n in range(T):
-        e = p[n] + plant_dot(u_buf[n + 1:n + 1 + H])
+        at, n1 = n * K, n + 1
+        for k, u_row, lag, path_dot in paths:
+            err[at + k] += path_dot(u_row[n1 + lag:n1 + H])
         if noise is not None:
-            e += noise[n]
-        err[n] = e
-        end = n + 1 + hx
-        u = control_dot(x_buf[end - N:end])
-        xf_buf[N + n] = filter_dot(x_buf[end - M:end])
+            for i in range(at, at + K):
+                err[i] += noise[i]
+        end = n1 + hx
+        x_win = x_buf[end - L:end]
+        for u_row, control_dot in controls:
+            u_row[H + n1] = control_dot(x_win)
+        x_win_m = x_buf[end - M:end]
+        for fx_row, filter_dot in filters:
+            fx_row[L + n] = filter_dot(x_win_m)
         if mu != 0.0:
-            v += (-2.0 * mu * e) * xf_buf[n + 1:n + 1 + N]
             try:
-                check_weights(v, step0 + n)
-            except DivergenceError:
-                diverged_at, done = n, n + 1
-                err, out = err[:n + 1], out[:n]
-                if xf_norm is not None:
-                    xf_norm = xf_norm[:n]
+                for v_j, k, fx_row, coords in updates:
+                    v_j += (-mu * err[at + k]) * fx_row[n1:n1 + L]
+                    if coords is not None:
+                        check_weights(v_j, step0 + n, coords)
+            except DivergenceError as exc:
+                diverged_at, diverged_coords, steps = n, exc.coords, n
                 break
-        out[n] = u
-        u_buf[H + n + 1] = u
-        if xf_norm is not None:
-            w = xf_buf[n + 1:n + 1 + N]
-            xf_norm[n] = float(w.dot(w))
-        if weight_stride and (n + 1) % weight_stride == 0:
-            snaps.append(controller.weights)
-            snap_steps.append(n)
 
-    split.u_hist[0] = u_buf[done:done + H]
-    for sample in xs[max(done - hx, 0):done]:
-        controller._x_line.push(sample)
-    for sample in xf_buf[N + max(done - N, 0):N + done]:
-        controller._xf_line.push(sample)
-    # a step that trips the guard does not count, as in FxlmsFilter.step
-    controller._step_count = step0 + (done if diverged_at is None else diverged_at)
-    return LoopResult(
-        error=err, output=out,
-        weight_snapshots=np.array(snaps) if snaps else None,
-        snapshot_steps=np.array(snap_steps, dtype=int) if snaps else None,
-        final_weights=controller.weights,
-        xf_norm_sq=xf_norm,
-        diverged_at=diverged_at,
-    )
+    done = T if diverged_at is None else steps + 1
+    err = np.array(err[:done * K], dtype=np.float64).reshape(done, K)
+    out = u_buf[:, H + 1:H + 1 + steps].T.copy()
+    split.u_hist[:] = u_buf[:, done:done + H]
+    ctl._x[0] = x_buf[done:done + hx]
+    ctl._fx[0] = fx_buf[:, :, done:done + L]
+    # a step that trips the guard does not count, as in McAncController.step
+    ctl._step_count = step0 + steps
+    if steps:
+        ctl.last_cost = float(np.dot(err[steps - 1], err[steps - 1]))
+    if single:
+        err, out, diverged_coords = err[:, 0], out[:, 0], None
+    return LoopResult(error=err, output=out, final_weights=controller.weights,
+                      diverged_at=diverged_at, diverged_coords=diverged_coords)
 
 
 def run_fixed(plant, weights, x, disturbance: Disturbance | None = None) -> LoopResult:
     """Run frozen FIR controllers through the same loop ordering.
 
     `weights` has controller shape: (L,) drives the single loudspeaker of
-    a 1x1 plant; (1, J, L) is a frozen multichannel grid, whose outputs
-    start from the 0.0 that McAncController sums references onto. With
-    nothing adapting the loop is LTI end to end, so it runs as FIR passes:
-    the controller over x, then the secondary paths over its delayed
-    output.
+    a 1x1 plant; (1, J, L) is a frozen multichannel grid. With nothing
+    adapting the loop is LTI end to end, so it runs as FIR passes: the
+    controller over x, then the secondary paths over its delayed output.
     """
     xs = as_samples(x)
     split, dist = _split_and_disturbance(plant, xs, disturbance)
@@ -281,61 +278,6 @@ def run_fixed(plant, weights, x, disturbance: Disturbance | None = None) -> Loop
                 f"got {w.shape}")
         out = np.empty((xs.size, split.n_sources))
         for j in range(split.n_sources):
-            out[:, j] = 0.0 + FirFilter(w[0, j]).process(xs)
+            out[:, j] = FirFilter(w[0, j]).process(xs)
         err = split.drive(dist, out)
     return LoopResult(error=err, output=out, final_weights=w.copy())
-
-
-def run_multichannel(plant, controller: McAncController, x_refs,
-                     disturbance: Disturbance | None = None) -> McLoopResult:
-    """Adaptive multichannel run. `x_refs` is (T,) for one reference sensor
-    or (T, I); plant geometry must match the controller's J and K.
-    `plant` and `disturbance` are as for `run_adaptive`."""
-    xr = np.asarray(x_refs, dtype=np.float64)
-    if xr.ndim == 1:
-        xr = xr[:, None]
-    if xr.shape[1] != controller.n_refs:
-        raise DataError(
-            f"reference stream has {xr.shape[1]} channels, controller expects "
-            f"{controller.n_refs}")
-    if xr.shape[1] != 1:
-        raise DataError("plant accepts a single reference input; use I=1 here")
-    split, dist = _split_and_disturbance(plant, xr[:, 0], disturbance)
-    if split.n_sources != controller.n_sources or split.n_mics != controller.n_mics:
-        raise DataError("plant geometry does not match controller")
-    T, J, K, H = xr.shape[0], split.n_sources, split.n_mics, split.hist
-    err = np.empty((T, K))
-    out = np.empty((T, J))
-    cost = np.empty(T)
-    diverged_at = None
-    diverged_coords = None
-    p, noise = dist.primary, dist.noise
-    paths = [[(H - s.size, s.dot) for s in row] for row in split.sec_rev]
-    u_buf = np.zeros((J, H + T + 1))
-    u_buf[:, :H] = split.u_hist
-    done = T
-    for n in range(T):
-        e = p[n].copy()
-        for j in range(J):
-            win = u_buf[j, n + 1:n + 1 + H]
-            for k, (lag, path_dot) in enumerate(paths[j]):
-                e[k] += path_dot(win[lag:])
-        if noise is not None:
-            e += noise[n]
-        err[n] = e
-        try:
-            u = controller.step(xr[n], e)
-        except DivergenceError as exc:
-            diverged_at, done = n, n + 1
-            diverged_coords = exc.coords
-            err, out, cost = err[:n + 1], out[:n], cost[:n]
-            break
-        out[n] = u
-        u_buf[:, H + n + 1] = u
-        cost[n] = controller.last_cost
-    split.u_hist[:] = u_buf[:, done:done + H]
-    return McLoopResult(
-        error=err, output=out, cost=cost,
-        final_weights=controller.weights,
-        diverged_at=diverged_at, diverged_coords=diverged_coords,
-    )

@@ -11,9 +11,18 @@ and each (i, j) filter updates with the error summed over microphones,
     w_(i,j)(n+1) = w_(i,j)(n) - mu sum_k e_k(n) fx_(i,j,k)(n),
 
 where fx_(i,j,k) is reference i filtered through the (j, k) path
-estimate. Note the update carries a bare mu where the single-channel
-derivation carries 2 mu: a 1x1x1 controller with step size 2*mu_sc is
-update-for-update identical to a single-channel FxlmsFilter with mu_sc.
+estimate: the multiple-error LMS of Elliott, Stothers & Nelson (IEEE
+TASSP 35(10), 1987). Note the update carries a bare mu where the
+single-channel derivation carries 2 mu: `adaptation.FxlmsFilter` is the
+1x1x1 controller with update coefficient 2*mu_sc.
+
+This is the library's one FxLMS recursion. `McAncController.step` runs it
+one sample at a time and `loops.run_adaptive` inlines it over flat
+histories, in the same operand order, for every 1xJxK geometry. Each
+output and each filtered reference is its own `np.dot`, and each (i, j)
+filter adds its K update terms one at a time in microphone order: a
+matrix product or einsum would sum in another order and change the last
+bits that the bit-exactness tests pin.
 
 The filtered-reference sum runs over all M estimate taps (m = 0..M-1);
 the complexity table's per-step charge of I*J*K*M multiply-accumulates
@@ -27,9 +36,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adaptation import check_weights
-from .errors import DataError
-from .filters import DelayLine
+from .errors import DataError, DivergenceError
+
+# Any adapted weight beyond this magnitude flags the run as diverged.
+WEIGHT_GUARD = 1e6
+
+
+def check_weights(weights: np.ndarray, step: int, coords=None) -> None:
+    """Raise DivergenceError unless every weight is finite and within the
+    guard. NaN compares false, so the one reduction catches it too."""
+    if not (np.abs(weights).max() <= WEIGHT_GUARD):
+        what = ("adaptive weights exceeded guard" if coords is None
+                else f"filter {coords} exceeded weight guard")
+        raise DivergenceError(f"{what} at step {step}", index=step, coords=coords)
 
 
 @dataclass(frozen=True)
@@ -72,7 +91,8 @@ def mac_count(cfg: ChannelConfig) -> MacCount:
 
 
 class MacCounter:
-    """Tallies multiply-accumulate operations reported by an instrumented run."""
+    """Tallies the multiply-accumulate operations `McAncController.step`
+    performs, from the sizes of the operands it multiplies."""
 
     def __init__(self):
         self.output = 0
@@ -89,9 +109,11 @@ class McAncController:
 
     `step(x, e)` consumes one sample from every reference sensor plus the
     current error-microphone vector, returns the J source outputs, and
-    updates every adaptive filter. Reference histories are shared per
-    sensor and sized max(L, M) so both the control filters and the
-    filtered-reference generation see enough past samples.
+    updates every adaptive filter. The state is three stacked arrays of
+    chronological windows, newest sample last: the weights (I, J, L), the
+    reference histories (I, max(L, M)), long enough for both the control
+    filters and the filtered-reference generation, and the filtered
+    references (I, J, K, L).
     """
 
     def __init__(self, cfg: ChannelConfig, mu: float, sec_estimates):
@@ -109,12 +131,9 @@ class McAncController:
             raise DataError("secondary estimates must be finite")
         self._est = est.copy()
         self._est_rev = est[:, :, ::-1].copy()
-        # chronologically aligned weights, one vector per (i, j)
         self._v = np.zeros((I, J, L))
-        hist = max(L, M)
-        self._x_lines = [DelayLine(hist) for _ in range(I)]
-        self._fx_lines = [[[DelayLine(L) for _ in range(K)] for _ in range(J)]
-                          for _ in range(I)]
+        self._x = np.zeros((I, max(L, M)))
+        self._fx = np.zeros((I, J, K, L))
         self.last_cost = 0.0
         self._step_count = 0
 
@@ -147,65 +166,68 @@ class McAncController:
         return self._est.copy()
 
     def step(self, x_samples, e_samples, counter: MacCounter | None = None) -> np.ndarray:
-        cfg = self.cfg
-        I, J, K, L, M = (cfg.n_refs, cfg.n_sources, cfg.n_mics,
-                         cfg.control_taps, cfg.estimate_taps)
+        I, K = self.cfg.n_refs, self.cfg.n_mics
         x = np.atleast_1d(np.asarray(x_samples, dtype=np.float64))
         e = np.atleast_1d(np.asarray(e_samples, dtype=np.float64))
         if x.size != I:
             raise DataError(f"expected {I} reference samples, got {x.size}")
         if e.size != K:
             raise DataError(f"expected {K} error samples, got {e.size}")
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(e))):
+        if not (np.isfinite(x).all() and np.isfinite(e).all()):
             raise DataError("non-finite input to multichannel step")
+        return self._advance(x, e, counter)
 
-        for i in range(I):
-            self._x_lines[i].push(x[i])
+    def _advance(self, x, e, counter: MacCounter | None = None) -> np.ndarray:
+        """`step` on inputs already checked: I and K finite samples."""
+        cfg = self.cfg
+        I, J, K = cfg.n_refs, cfg.n_sources, cfg.n_mics
+        L, M = cfg.control_taps, cfg.estimate_taps
+        v, xh, fx, est_rev = self._v, self._x, self._fx, self._est_rev
+        xh[:, :-1] = xh[:, 1:]
+        xh[:, -1] = x
+        fx[..., :-1] = fx[..., 1:]
+        n_output = n_filtered_x = n_update = 0
 
-        u = np.zeros(J)
+        u = np.empty(J)
         for j in range(J):
-            acc = 0.0
             for i in range(I):
-                acc += float(np.dot(self._v[i, j], self._x_lines[i].last(L)))
-            u[j] = acc
-        if counter is not None:
-            counter.output += I * J * L
+                w = v[i, j]
+                y = float(np.dot(w, xh[i, -L:]))
+                # no leading 0.0: it would turn a -0.0 output into +0.0
+                u[j] = y if i == 0 else u[j] + y
+                n_output += w.size
 
         for i in range(I):
-            x_win_m = self._x_lines[i].last(M)
-            fx_i = self._fx_lines[i]
+            x_win_m = xh[i, -M:]
             for j in range(J):
-                fx_ij = fx_i[j]
-                est_rev_j = self._est_rev[j]
                 for k in range(K):
-                    fx_ij[k].push(float(np.dot(est_rev_j[k], x_win_m)))
-        if counter is not None:
-            counter.filtered_x += I * J * K * M
+                    s = est_rev[j, k]
+                    fx[i, j, k, -1] = float(np.dot(s, x_win_m))
+                    n_filtered_x += s.size
 
         if self.mu != 0.0:
             mu = self.mu
             for i in range(I):
-                fx_i = self._fx_lines[i]
                 for j in range(J):
-                    v_ij = self._v[i, j]
-                    fx_ij = fx_i[j]
+                    v_ij = v[i, j]
                     for k in range(K):
-                        v_ij += (-mu * e[k]) * fx_ij[k].window()
+                        fx_ijk = fx[i, j, k]
+                        v_ij += (-mu * e[k]) * fx_ijk
+                        n_update += fx_ijk.size
                     check_weights(v_ij, self._step_count, coords=(i, j))
         self.last_cost = float(np.dot(e, e))
+        n_update += len(e)
         if counter is not None:
-            counter.update += I * J * K * L + K
+            counter.output += n_output
+            counter.filtered_x += n_filtered_x
+            counter.update += n_update
         self._step_count += 1
         return u
 
     def reset(self) -> None:
         self._v[:] = 0.0
-        for line in self._x_lines:
-            line.reset()
-        for plane in self._fx_lines:
-            for row in plane:
-                for line in row:
-                    line.reset()
+        self._x[:] = 0.0
+        self._fx[:] = 0.0
         self.last_cost = 0.0
         self._step_count = 0
 
@@ -213,8 +235,10 @@ class McAncController:
 def mac_measure(cfg: ChannelConfig, n_samples: int, seed: int = 0) -> int:
     """Measured MACs per sample from an instrumented run on synthetic data.
 
-    The counter must reproduce `mac_count` exactly; white-noise inputs and
-    a small nonzero mu keep every step on its normal path.
+    The counter tallies the operands `step` multiplies, so it reproduces
+    `mac_count` only while the step does the work the complexity table
+    charges; white-noise inputs and a small nonzero mu keep every step on
+    its normal path.
     """
     if n_samples < 1:
         raise DataError("need at least one sample")

@@ -27,13 +27,7 @@ from .adaptation import FxlmsFilter
 from .config import ExperimentConfig, config_hash
 from .errors import ConfigError
 from .filters import FirFilter
-from .loops import (
-    PlantSplit,
-    run_adaptive,
-    run_fixed,
-    run_multichannel,
-    run_uncontrolled_signal,
-)
+from .loops import PlantSplit, run_adaptive, run_fixed, run_uncontrolled_signal
 from .mcanc import ChannelConfig, McAncController
 from .metrics import build_run_report
 from .signals import Signal
@@ -170,6 +164,18 @@ def resolve_mu(cfg: ExperimentConfig, reference: Signal, aligned_est: np.ndarray
     return ctl.mu_scale / (ctl.taps * p_xf)
 
 
+def build_controller(cfg: ExperimentConfig, aligned_est: np.ndarray, mu: float):
+    """The configured controller with zero weights: an FxlmsFilter, or a
+    1xJxK McAncController over the plant's sources and mics."""
+    ctl = cfg.controller
+    if ctl.kind == "single":
+        return FxlmsFilter(ctl.taps, mu, aligned_est[0, 0])
+    return McAncController(
+        ChannelConfig(1, cfg.plant.n_sources, cfg.plant.n_mics, ctl.taps,
+                      aligned_est.shape[2]),
+        mu, aligned_est)
+
+
 @dataclass
 class PretrainInfo:
     seconds_trained: int
@@ -198,25 +204,14 @@ def pretrain_fixed_filter(cfg: ExperimentConfig, aligned_est: np.ndarray,
     # block's first sample does not hear the previous block's last output;
     # the recorded exports depend on that.
     split = PlantSplit(build_plant(cfg))
-    ctl_cfg = cfg.controller
-    single = ctl_cfg.kind == "single"
-    if single:
-        controller = FxlmsFilter(ctl_cfg.taps, mu, aligned_est[0, 0])
-    else:
-        controller = McAncController(
-            ChannelConfig(1, cfg.plant.n_sources, cfg.plant.n_mics,
-                          ctl_cfg.taps, aligned_est.shape[2]),
-            mu, aligned_est)
+    controller = build_controller(cfg, aligned_est, mu)
     nr_history: list[float] = []
     plateau = False
     diverged_at = None
     for b in range(n_blocks):
         seg = training.samples[b * block:(b + 1) * block]
         dist = split.disturbance(seg)
-        if single:
-            res = run_adaptive(split, controller, seg, disturbance=dist)
-        else:
-            res = run_multichannel(split, controller, seg, disturbance=dist)
+        res = run_adaptive(split, controller, seg, disturbance=dist)
         if res.diverged_at is not None:
             diverged_at = b * block + res.diverged_at
             break
@@ -266,8 +261,6 @@ class ScenarioResult:
     mu: float
     mse_trace: np.ndarray           # decimated adaptive-arm squared cost
     mse_stride: int
-    weight_snapshots: np.ndarray | None
-    snapshot_steps: np.ndarray | None
     provenance: dict = field(default_factory=dict)
 
     @property
@@ -304,25 +297,16 @@ def run_scenario(cfg: ExperimentConfig) -> ScenarioResult:
     training = build_training_signal(cfg)
     fixed_weights, pretrain = pretrain_fixed_filter(cfg, aligned, mu, training)
 
-    single = cfg.controller.kind == "single"
-    rate = cfg.sample_rate_hz
     stride = max(cfg.export.error_decimation, 1)
-    snapshot_stride = int(round(rate))  # one weight snapshot per second
 
     plant = build_plant(cfg)
     dist = run_uncontrolled_signal(plant, reference.samples)
     d = dist.uncontrolled()
+    single = cfg.controller.kind == "single"
     if single:
         d = d[:, 0]
-        controller = FxlmsFilter(cfg.controller.taps, mu, aligned[0, 0])
-        res = run_adaptive(plant, controller, reference.samples,
-                           weight_stride=snapshot_stride, disturbance=dist)
-    else:
-        chan = ChannelConfig(1, cfg.plant.n_sources, cfg.plant.n_mics,
-                             cfg.controller.taps, aligned.shape[2])
-        controller = McAncController(chan, mu, aligned)
-        res = run_multichannel(plant, controller, reference.samples,
-                               disturbance=dist)
+    res = run_adaptive(plant, build_controller(cfg, aligned, mu), reference.samples,
+                       disturbance=dist)
     fixed_res = run_fixed(plant, fixed_weights, reference.samples,
                           disturbance=dist)
 
@@ -330,22 +314,18 @@ def run_scenario(cfg: ExperimentConfig) -> ScenarioResult:
         name="uncontrolled",
         reports=_reports_for(d, d, cfg),
         error=d, output=None)
-    if single:
-        adaptive = ArmResult(
-            name="adaptive",
-            reports=_reports_for(d, res.error, cfg),
-            error=res.error, output=res.output, diverged_at=res.diverged_at)
-        mse_trace = res.error[::stride] ** 2
-        weight_snaps, snap_steps = res.weight_snapshots, res.snapshot_steps
-    else:
-        adaptive = ArmResult(
-            name="adaptive",
-            reports=_reports_for(d, res.error, cfg),
-            error=res.error, output=res.output,
-            diverged_at=res.diverged_at, diverged_coords=res.diverged_coords)
-        mse_trace = res.cost[::stride].copy()
-        weight_snaps, snap_steps = None, None
-    adaptive_weights = res.final_weights
+    adaptive = ArmResult(
+        name="adaptive",
+        reports=_reports_for(d, res.error, cfg),
+        error=res.error, output=res.output,
+        diverged_at=res.diverged_at, diverged_coords=res.diverged_coords)
+    # the cost e(n).e(n) as McAncController.step forms it, at the exported
+    # samples. On divergence the single-channel trace keeps the sample whose
+    # update tripped the guard and the multichannel one leaves it out;
+    # exports keep that difference byte for byte.
+    kept = res.error if single else res.error[:len(res.output)]
+    rows = kept.reshape(len(kept), -1)[::stride]
+    mse_trace = np.array([float(e.dot(e)) for e in rows])
     fixed = ArmResult(
         name="fixed",
         reports=_reports_for(d, fixed_res.error, cfg),
@@ -360,9 +340,8 @@ def run_scenario(cfg: ExperimentConfig) -> ScenarioResult:
     return ScenarioResult(
         config=cfg, reference=reference,
         arms={"uncontrolled": uncontrolled, "adaptive": adaptive, "fixed": fixed},
-        adaptive_weights=adaptive_weights, fixed_weights=fixed_weights,
+        adaptive_weights=res.final_weights, fixed_weights=fixed_weights,
         installed_estimates=aligned, sysid_summaries=sysid_summaries,
         pretrain=pretrain, mu=mu,
         mse_trace=mse_trace, mse_stride=stride,
-        weight_snapshots=weight_snaps, snapshot_steps=snap_steps,
         provenance=provenance)

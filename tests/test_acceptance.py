@@ -188,8 +188,11 @@ def test_c05_multichannel_reduction():
             for _ in range(1000):
                 x = rng.standard_normal()
                 e = rng.standard_normal() * 0.3
-                assert single.step(x, e) == multi.step([x], [e])[0]
+                u_s, u_m = single.step(x, e), multi.step([x], [e])[0]
+                assert u_s == u_m and np.signbit(u_s) == np.signbit(u_m)
                 assert np.array_equal(single.weights, multi.weights[0, 0])
+                assert np.array_equal(np.signbit(single.weights),
+                                      np.signbit(multi.weights[0, 0]))
 
 
 def test_c06_mac_formulas():

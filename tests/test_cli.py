@@ -113,6 +113,17 @@ class TestExitCodes:
         assert proc.returncode == 2
         assert "config error" in proc.stderr
 
+    def test_zero_taps_is_two(self, tmp_path):
+        cfg_path = tmp_path / "bad.yaml"
+        write_small_config(cfg_path)
+        doc = yaml.safe_load(cfg_path.read_text())
+        doc["controller"]["taps"] = 0
+        cfg_path.write_text(yaml.safe_dump(doc))
+        proc = run_cli("run", "--config", str(cfg_path), "--out", str(tmp_path / "o"))
+        assert proc.returncode == 2
+        assert "controller.taps" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_divergence_is_three(self, tmp_path):
         cfg_path = tmp_path / "c.yaml"
         write_small_config(cfg_path, **{"controller.mu": 5.0})

@@ -97,6 +97,17 @@ class TestValidation:
         with pytest.raises(ConfigError, match="1x1"):
             config_from_dict(doc)
 
+    @pytest.mark.parametrize("section, name", [
+        ("controller", "taps"), ("sysid", "taps"), ("sysid", "n_samples"),
+        ("export", "error_decimation"),
+    ])
+    @pytest.mark.parametrize("bad", [0, -4, "abc", 2.5, True, None])
+    def test_integer_fields_must_be_positive_ints(self, section, name, bad):
+        doc = minimal_doc()
+        doc[section] = {name: bad}
+        with pytest.raises(ConfigError, match=rf"{section}\.{name}"):
+            config_from_dict(doc)
+
     def test_multichannel_plant_accepted(self):
         doc = minimal_doc()
         doc["plant"] = {"n_sources": 2, "n_mics": 2}

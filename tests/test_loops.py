@@ -185,24 +185,73 @@ def test_signed_zeros_survive_every_loop():
     assert_same_bits(res.output, out[:, 0])
 
 
+def loop_cases(primary, secondary, s_hat, taps, mu, **plant_kw):
+    """The same taps as a 1x1 plant with an FxlmsFilter, and scaled by a
+    different positive gain on every path of a 2x2 plant with a 1x2x2
+    McAncController: (plant factory, controller factory, per-sample
+    control) pairs. The multichannel step size is 2 mu, the single-channel
+    controller's update coefficient."""
+    primary, secondary, s_hat = (np.asarray(a, dtype=np.float64)
+                                 for a in (primary, secondary, s_hat))
+    mic_gain = [1.0, 0.7]
+    path_gain = [[1.0, 0.6], [0.8, 1.2]]
+
+    def single_plant():
+        return Plant([FirFilter(primary)], [[FirFilter(secondary)]], **plant_kw)
+
+    def multi_plant():
+        return Plant([FirFilter(primary * g) for g in mic_gain],
+                     [[FirFilter(secondary * g) for g in row] for row in path_gain],
+                     **plant_kw)
+
+    def single_ctl():
+        return FxlmsFilter(taps, mu, s_hat)
+
+    def multi_ctl():
+        est = np.array([[s_hat * g for g in row] for row in path_gain])
+        return McAncController(ChannelConfig(1, 2, 2, taps, s_hat.size), 2.0 * mu, est)
+
+    return [(single_plant, single_ctl, single_control),
+            (multi_plant, multi_ctl, multi_control)]
+
+
+def assert_same_state(got, want):
+    got = getattr(got, "controller", got)
+    want = getattr(want, "controller", want)
+    assert got._step_count == want._step_count
+    for a, b in ((got._v, want._v), (got._x, want._x), (got._fx, want._fx)):
+        np.testing.assert_array_equal(a, b)     # NaN equals NaN here
+        assert np.array_equal(np.signbit(a), np.signbit(b))
+
+
 def test_split_carries_state_across_calls():
     # one split over consecutive blocks equals one plant stepped across
     # them, each block starting from a silent loudspeaker
     rng = np.random.default_rng(9)
     x = rng.standard_normal(900)
-    plant = Plant([FirFilter([0.0, 0.8, -0.3])], [[FirFilter([0.0, 0.5, 0.2])]],
-                  measurement_noise_std=0.05, seed=4)
-    split = PlantSplit(plant)
-    ctl = FxlmsFilter(8, 0.01, [0.0, 0.0, 0.5, 0.2])
-    got = [run_adaptive(split, ctl, x[a:a + 300]).error for a in range(0, 900, 300)]
+    cases = loop_cases([0.0, 0.8, -0.3], [0.0, 0.5, 0.2], [0.0, 0.0, 0.5, 0.2], 8, 0.01,
+                       measurement_noise_std=0.05, seed=4)
+    for make_plant, make_ctl, control in cases:
+        plant = make_plant()
+        split = PlantSplit(plant)
+        ctl = make_ctl()
+        got = [run_adaptive(split, ctl, x[a:a + 300]) for a in range(0, 900, 300)]
+        assert all(res.diverged_at is None for res in got)
 
-    ref_ctl = FxlmsFilter(8, 0.01, [0.0, 0.0, 0.5, 0.2])
-    want = [plant_loop(plant, single_control(ref_ctl), x[a:a + 300])[0][:, 0]
-            for a in range(0, 900, 300)]
-    assert_same_bits(np.concatenate(got), np.concatenate(want))
-    assert_same_bits(ctl.weights, ref_ctl.weights)
-    assert_same_bits(ctl.filtered_reference_window, ref_ctl.filtered_reference_window)
-    assert_same_bits(ctl.reference_window, ref_ctl.reference_window)
+        ref_ctl = make_ctl()
+        want = [plant_loop(plant, control(ref_ctl), x[a:a + 300])
+                for a in range(0, 900, 300)]
+        squeeze = np.squeeze if isinstance(ctl, FxlmsFilter) else np.asarray
+        assert_same_bits(np.concatenate([res.error for res in got]),
+                         squeeze(np.concatenate([err for err, _ in want])))
+        assert_same_bits(np.concatenate([res.output for res in got]),
+                         squeeze(np.concatenate([out for _, out in want])))
+        assert_same_bits(ctl.weights, ref_ctl.weights)
+        assert_same_state(ctl, ref_ctl)
+        if isinstance(ctl, FxlmsFilter):
+            assert_same_bits(ctl.filtered_reference_window,
+                             ref_ctl.filtered_reference_window)
+            assert_same_bits(ctl.reference_window, ref_ctl.reference_window)
 
 
 @pytest.mark.parametrize("bad, primary, s_tap", [
@@ -214,22 +263,30 @@ def test_split_carries_state_across_calls():
                             "ignore:invalid value:RuntimeWarning")
 def test_guard_stops_the_lean_loop_where_the_controller_raises(bad, primary, s_tap):
     # x(7) overflows the filtered reference, so the update at step 7 puts
-    # a non-finite value into the weights
+    # a non-finite value into the weights: for the grid, into filter (0, 0)
+    # first, where the guard stops the step before filter (0, 1) updates
     x = np.zeros(20)
     x[7] = 1e308
-    res = run_adaptive(Plant([FirFilter([primary])], [[FirFilter([0.0, 0.5])]]),
-                       FxlmsFilter(4, 0.01, [s_tap]), x)
-    assert res.diverged_at == 7
-    assert {"nan": np.isnan, "-inf": np.isneginf, "+inf": np.isposinf}[bad](
-        res.final_weights).any()
+    for make_plant, make_ctl, control in loop_cases([primary], [0.0, 0.5], [s_tap], 4, 0.01):
+        ctl = make_ctl()
+        res = run_adaptive(make_plant(), ctl, x)
+        single = isinstance(ctl, FxlmsFilter)
+        assert res.diverged_at == 7
+        assert res.diverged_coords == (None if single else (0, 0))
+        assert {"nan": np.isnan, "-inf": np.isneginf, "+inf": np.isposinf}[bad](
+            res.final_weights).any()
 
-    plant = Plant([FirFilter([primary])], [[FirFilter([0.0, 0.5])]])
-    ref = FxlmsFilter(4, 0.01, [s_tap])
-    err, u = [], np.zeros(1)
-    with pytest.raises(DivergenceError) as exc_info:
-        for n in range(x.size):
-            err.append(plant.step(x[n], u)[0])
-            u[0] = ref.step(x[n], err[-1])
-    assert exc_info.value.index == 7
-    assert_same_bits(res.error, err)
-    assert res.output.size == 7
+        plant = make_plant()
+        ref = make_ctl()
+        step = control(ref)
+        err, u = [], np.zeros(plant.n_sources)
+        with pytest.raises(DivergenceError) as exc_info:
+            for n in range(x.size):
+                err.append(plant.step(x[n], u))
+                u = np.atleast_1d(step(x[n], err[-1]))
+        assert exc_info.value.index == 7
+        assert exc_info.value.coords == res.diverged_coords
+        assert_same_bits(res.error, np.squeeze(err) if single else err)
+        assert len(res.output) == 7
+        np.testing.assert_array_equal(res.final_weights, ref.weights)
+        assert_same_state(ctl, ref)

@@ -6,6 +6,7 @@ import pytest
 from ancsim.adaptation import FxlmsFilter, reference_matrix
 from ancsim.errors import DataError, DivergenceError
 from ancsim.filters import FirFilter
+from ancsim.loops import run_adaptive
 from ancsim.mcanc import ChannelConfig, MacCounter, McAncController, mac_count, mac_measure
 
 
@@ -53,6 +54,20 @@ class TestMacMeasure:
                       counter=counter)
         assert counter.total == 100 * mac_count(cfg).total
 
+    def test_counter_follows_the_step_not_the_table(self):
+        # a step that skips the update (mu = 0) multiplies only e.e there,
+        # which a counter fed from the closed form would miss
+        cfg = ChannelConfig(1, 2, 3, 4, 5)
+        rng = np.random.default_rng(1)
+        ctrl = McAncController(cfg, 0.0, rng.standard_normal((2, 3, 5)))
+        counter = MacCounter()
+        for _ in range(10):
+            ctrl.step(rng.standard_normal(1), rng.standard_normal(3), counter=counter)
+        table = mac_count(cfg)
+        assert (counter.output, counter.filtered_x) == (10 * table.output,
+                                                        10 * table.filtered_x)
+        assert counter.update == 10 * cfg.n_mics
+
     def test_matches_closed_form_2222(self):
         assert mac_measure(ChannelConfig(2, 2, 2, 4, 4), 10) == 82
 
@@ -92,6 +107,29 @@ class TestReductionToSingleChannel:
             assert u_m.shape == (1,)
             assert u_s == u_m[0]
             assert np.array_equal(single.weights, multi.weights[0, 0])
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_one_tap_outputs_keep_their_signed_zeros(self, seed):
+        # with one tap, zero weights make u = 0 * x, which is -0.0 for
+        # negative x; the multichannel output must not add it to +0.0.
+        # The first ten errors are zero, so the weights start at zero.
+        rng = np.random.default_rng(seed)
+        mu_sc = 0.01
+        s_hat = rng.standard_normal(3) * 0.5
+        single = FxlmsFilter(1, mu_sc, s_hat)
+        multi = McAncController(ChannelConfig(1, 1, 1, 1, 3), 2.0 * mu_sc,
+                                s_hat.reshape(1, 1, 3))
+        negative_zeros = 0
+        for n in range(200):
+            x = rng.standard_normal()
+            e = 0.0 if n < 10 or n % 3 else rng.standard_normal() * 0.3
+            u_s = single.step(x, e)
+            u_m = multi.step([x], [e])[0]
+            assert u_s == u_m
+            assert np.signbit(u_s) == np.signbit(u_m)
+            negative_zeros += u_s == 0.0 and np.signbit(u_s)
+            assert np.array_equal(np.signbit(single.weights), np.signbit(multi.weights[0, 0]))
+        assert negative_zeros > 0
 
     def test_zero_mu_zero_weights_passthrough(self):
         rng = np.random.default_rng(5)
@@ -217,8 +255,7 @@ class TestMultichannelConvergence:
 
         L = 24
         ctrl = McAncController(ChannelConfig(1, 2, 2, L, m_taps), 2e-3, est)
-        from ancsim.loops import run_multichannel
-        res = run_multichannel(build_plant(), ctrl, x)
+        res = run_adaptive(build_plant(), ctrl, x)
         assert res.diverged_at is None
 
         tail = slice(T // 2, None)

@@ -9,8 +9,11 @@ capped at 95% of Nyquist when the rate cannot carry it.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
+import math
+import numbers
 import os
 from dataclasses import asdict, dataclass, field
 
@@ -142,10 +145,19 @@ class ExperimentConfig:
             raise ConfigError(
                 f"schema_version {self.schema_version} unsupported; this build "
                 f"reads version {SCHEMA_VERSION}")
-        if self.sample_rate_hz <= 0:
-            raise ConfigError("sample_rate_hz must be positive")
-        if self.duration_s <= 0:
-            raise ConfigError("duration_s must be positive")
+        for path, kind in _NUMBER_FIELDS:
+            value = functools.reduce(getattr, path.split("."), self)
+            if kind is int:
+                ok = isinstance(value, int) and not isinstance(value, bool) and value >= 1
+            else:
+                ok = _is_real(value) and value > 0
+            if not ok:
+                what = "integer" if kind is int else "finite number"
+                raise ConfigError(f"{path} must be a positive {what}, got {value!r}")
+        if self.metrics.interval_s > self.duration_s:
+            raise ConfigError(
+                f"metrics.interval_s {self.metrics.interval_s} is longer than "
+                f"duration_s {self.duration_s}; no interval would complete")
         if not self.noise_sources:
             raise ConfigError("at least one noise source is required")
         if self.composition.mode not in ("concatenate", "mix"):
@@ -180,24 +192,36 @@ class ExperimentConfig:
             raise ConfigError("single-channel controller needs a 1x1 plant")
         if self.controller.kind == "multichannel" and self.controller.n_refs != 1:
             raise ConfigError("scenario runs feed one composed reference; n_refs must be 1")
-        if isinstance(self.controller.mu, str) and self.controller.mu != "auto":
-            raise ConfigError(f"controller mu must be a number or 'auto', got "
-                              f"{self.controller.mu!r}")
+        mu = self.controller.mu
+        if not (mu == "auto" if isinstance(mu, str) else _is_real(mu) and mu >= 0):
+            raise ConfigError(f"controller.mu must be a non-negative number or 'auto', "
+                              f"got {mu!r}")
         if self.sysid.mode not in ("identify", "exact"):
             raise ConfigError(f"unknown sysid mode {self.sysid.mode!r}")
         if not (0 <= self.fixed_filter.train_source < len(self.noise_sources)):
             raise ConfigError(
                 f"fixed_filter.train_source {self.fixed_filter.train_source} does not "
                 f"index noise_sources")
-        if self.metrics.interval_s <= 0:
-            raise ConfigError("metrics.interval_s must be positive")
-        for section, name in (("controller", "taps"), ("sysid", "taps"),
-                              ("sysid", "n_samples"), ("export", "error_decimation")):
-            value = getattr(getattr(self, section), name)
-            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-                raise ConfigError(
-                    f"{section}.{name} must be a positive integer, got {value!r}")
+        if not (_is_real(self.metrics.overlap) and 0 <= self.metrics.overlap < 1):
+            raise ConfigError(
+                f"metrics.overlap must be a number in [0, 1), got {self.metrics.overlap!r}")
         return self
+
+
+def _is_real(value) -> bool:
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
+# scalar fields checked before any rule compares or computes with them
+_NUMBER_FIELDS = (
+    ("sample_rate_hz", float), ("duration_s", float),
+    ("controller.taps", int), ("controller.mu_scale", float),
+    ("sysid.taps", int), ("sysid.n_samples", int), ("sysid.mu", float),
+    ("fixed_filter.max_train_s", float),
+    ("metrics.interval_s", float), ("metrics.segment_len", int), ("metrics.hop", int),
+    ("export.error_decimation", int),
+)
 
 
 _SECTION_TYPES = {

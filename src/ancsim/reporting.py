@@ -22,6 +22,7 @@ import json
 import math
 import os
 import tempfile
+from itertools import chain, islice, repeat
 
 import numpy as np
 
@@ -32,17 +33,22 @@ from .serialization import (
     save_weights_json,
 )
 
-
-def _fmt(v) -> str:
-    return repr(float(v))
+_CSV_BLOCK_ROWS = 8192
 
 
-def _atomic_write(path, text: str) -> None:
+def _fmts(values):
+    """`repr(float(v))` of every element, lazily, after one conversion to
+    Python floats."""
+    return map(repr, np.asarray(values, dtype=np.float64).ravel().tolist())
+
+
+def _atomic_write(path, chunks) -> None:
+    """Write the text chunks to a temporary name and rename it into place."""
     directory = os.path.dirname(os.fspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -50,10 +56,13 @@ def _atomic_write(path, text: str) -> None:
         raise
 
 
-def _csv(header: str, rows) -> str:
-    lines = [header]
-    lines.extend(",".join(row) for row in rows)
-    return "\n".join(lines) + "\n"
+def _csv(header: str, *columns):
+    """Yield the header line, then one line per row of the string columns,
+    a block of rows per chunk so that no file's full text is held at once."""
+    rows = map(",".join, zip(*columns))
+    yield header + "\n"
+    while block := list(islice(rows, _CSV_BLOCK_ROWS)):
+        yield "\n".join(block) + "\n"
 
 
 def _json_safe(value):
@@ -76,39 +85,59 @@ def _json_safe(value):
 
 
 def _arm_files(arm, rate: float, decimation: int, reference: np.ndarray):
-    files = {}
+    """Yield (file name, text chunks) for each of the arm's CSVs."""
     err = np.atleast_2d(arm.error.T).T          # (T, K)
     ref = np.atleast_2d(reference.T).T
     n_mics = err.shape[1]
+    idx = np.arange(0, err.shape[0], decimation)
+    sample_col = list(map(str, idx.tolist()))
+    time_col = list(_fmts(idx / rate))
     for k in range(n_mics):
         suffix = f"_mic{k}" if n_mics > 1 else ""
-        idx = np.arange(0, err.shape[0], decimation)
-        rows = ((str(int(n)), _fmt(n / rate), _fmt(ref[n, k]), _fmt(err[n, k]))
-                for n in idx)
-        files[f"{arm.name}_error{suffix}.csv"] = _csv(
-            "sample_index,time_s,reference,error", rows)
+        yield f"{arm.name}_error{suffix}.csv", _csv(
+            "sample_index,time_s,reference,error", sample_col, time_col,
+            _fmts(ref[::decimation, k]), _fmts(err[::decimation, k]))
 
         report = arm.reports[k]
-        nr_rows = ((str(i), _fmt(i * report.interval_s), _fmt(v))
-                   for i, v in enumerate(report.nr_per_interval_db))
-        files[f"{arm.name}_nr{suffix}.csv"] = _csv("interval_index,start_s,nr_db", nr_rows)
+        nr = report.nr_per_interval_db
+        yield f"{arm.name}_nr{suffix}.csv", _csv(
+            "interval_index,start_s,nr_db", map(str, range(len(nr))),
+            _fmts(np.arange(len(nr)) * report.interval_s), _fmts(nr))
 
-        if report.psd is not None:
-            psd_rows = ((_fmt(f), _fmt(p))
-                        for f, p in zip(report.psd.freq_hz, report.psd.power_db))
-        else:
-            psd_rows = ()
-        files[f"{arm.name}_psd{suffix}.csv"] = _csv("freq_hz,power_db", psd_rows)
+        psd_cols = () if report.psd is None else (
+            _fmts(report.psd.freq_hz), _fmts(report.psd.power_db))
+        yield f"{arm.name}_psd{suffix}.csv", _csv("freq_hz,power_db", *psd_cols)
 
-        def spec_rows(rep):
-            if rep.spectro is None:
-                return
-            for fi, t in enumerate(rep.spectro.times_s):
-                for bi, f in enumerate(rep.spectro.freq_hz):
-                    yield (str(fi), _fmt(t), _fmt(f), _fmt(rep.spectro.power_db[fi, bi]))
-        files[f"{arm.name}_spectrogram{suffix}.csv"] = _csv(
-            "frame_index,time_s,freq_hz,power_db", spec_rows(report))
-    return files
+        spec_cols = () if report.spectro is None else _spectrogram_columns(report.spectro)
+        yield f"{arm.name}_spectrogram{suffix}.csv", _csv(
+            "frame_index,time_s,freq_hz,power_db", *spec_cols)
+
+
+def _spectrogram_columns(spectro):
+    """Frame-major columns; each frame's time and each bin's frequency is
+    formatted once and repeated."""
+    n_bins = len(spectro.freq_hz)
+    times = list(_fmts(spectro.times_s))
+    freqs = list(_fmts(spectro.freq_hz))
+    return (chain.from_iterable(repeat(str(fi), n_bins) for fi in range(len(times))),
+            chain.from_iterable(repeat(t, n_bins) for t in times),
+            chain.from_iterable(repeat(freqs, len(times))),
+            _fmts(spectro.power_db))
+
+
+def _text_files(result):
+    """Yield (file name, text chunks) for every CSV and the JSON summary."""
+    rate = result.config.sample_rate_hz
+    decimation = result.config.export.error_decimation
+    d = np.atleast_2d(result.arms["uncontrolled"].error.T).T
+    for arm in result.arms.values():
+        yield from _arm_files(arm, rate, decimation, d[:arm.error.shape[0]])
+
+    stride = result.mse_stride
+    yield "mse_trace.csv", _csv("sample_index,mse",
+                                map(str, range(0, len(result.mse_trace) * stride, stride)),
+                                _fmts(result.mse_trace))
+    yield "summary.json", (json.dumps(summary_dict(result), indent=1, sort_keys=True) + "\n",)
 
 
 def summary_dict(result) -> dict:
@@ -149,24 +178,10 @@ def summary_dict(result) -> dict:
 def export_report(result, out_dir) -> list:
     """Write all artifacts into out_dir; returns the created file names."""
     os.makedirs(out_dir, exist_ok=True)
-    rate = result.config.sample_rate_hz
-    decimation = result.config.export.error_decimation
-
-    files = {}
-    d = result.arms["uncontrolled"].error
-    for arm in result.arms.values():
-        n = np.atleast_2d(arm.error.T).T.shape[0]
-        files.update(_arm_files(arm, rate, decimation, np.atleast_2d(d.T).T[:n]))
-
-    mse_rows = ((str(int(i * result.mse_stride)), _fmt(v))
-                for i, v in enumerate(result.mse_trace))
-    files["mse_trace.csv"] = _csv("sample_index,mse", mse_rows)
-
-    files["summary.json"] = json.dumps(summary_dict(result), indent=1,
-                                       sort_keys=True) + "\n"
-
-    for name, text in files.items():
-        _atomic_write(os.path.join(out_dir, name), text)
+    written = []
+    for name, chunks in _text_files(result):
+        _atomic_write(os.path.join(out_dir, name), chunks)
+        written.append(name)
 
     est = result.installed_estimates
     if result.config.controller.kind == "single":
@@ -175,7 +190,6 @@ def export_report(result, out_dir) -> list:
     else:
         adaptive_snap = GridSnapshot(result.adaptive_weights, est)
         fixed_snap = GridSnapshot(result.fixed_weights, est)
-    written = sorted(files)
     for stem, snap in (("adaptive_weights", adaptive_snap), ("fixed_weights", fixed_snap)):
         for ext, saver in ((".anw", save_weights_binary), (".json", save_weights_json)):
             path = os.path.join(out_dir, stem + ext)

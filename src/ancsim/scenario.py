@@ -302,8 +302,7 @@ def run_scenario(cfg: ExperimentConfig) -> ScenarioResult:
     plant = build_plant(cfg)
     dist = run_uncontrolled_signal(plant, reference.samples)
     d = dist.uncontrolled()
-    single = cfg.controller.kind == "single"
-    if single:
+    if cfg.controller.kind == "single":
         d = d[:, 0]
     res = run_adaptive(plant, build_controller(cfg, aligned, mu), reference.samples,
                        disturbance=dist)
@@ -320,11 +319,9 @@ def run_scenario(cfg: ExperimentConfig) -> ScenarioResult:
         error=res.error, output=res.output,
         diverged_at=res.diverged_at, diverged_coords=res.diverged_coords)
     # the cost e(n).e(n) as McAncController.step forms it, at the exported
-    # samples. On divergence the single-channel trace keeps the sample whose
-    # update tripped the guard and the multichannel one leaves it out;
-    # exports keep that difference byte for byte.
-    kept = res.error if single else res.error[:len(res.output)]
-    rows = kept.reshape(len(kept), -1)[::stride]
+    # samples; on divergence it keeps the sample whose update tripped the
+    # guard, as the error CSVs do
+    rows = res.error.reshape(len(res.error), -1)[::stride]
     mse_trace = np.array([float(e.dot(e)) for e in rows])
     fixed = ArmResult(
         name="fixed",

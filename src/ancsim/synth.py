@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import signal as sp_signal
 
 from .errors import ConfigError, DataError
 from .signals import Signal, require_same_rate
@@ -61,9 +60,8 @@ def synthesize_noise(spec, seed, duration_s: float, sample_rate_hz: float) -> Si
                 f"band edges must satisfy 0 < low < high, got [{spec.low_hz}, {spec.high_hz}]")
         rng = np.random.default_rng(seed)
         white = rng.standard_normal(n + BANDPASS_TAPS)
-        bp = sp_signal.firwin(BANDPASS_TAPS, [spec.low_hz, spec.high_hz],
-                              pass_zero=False, window="hann", fs=sample_rate_hz)
-        shaped = sp_signal.lfilter(bp, 1.0, white)[BANDPASS_TAPS:]
+        bp = _bandpass(spec.low_hz, spec.high_hz, sample_rate_hz)
+        shaped = np.convolve(bp, white)[BANDPASS_TAPS:len(white)]
         shaped /= np.sqrt(np.mean(shaped**2))
         for tone in spec.tones:
             _check_band_edge(tone.freq_hz, sample_rate_hz)
@@ -83,6 +81,25 @@ def synthesize_noise(spec, seed, duration_s: float, sample_rate_hz: float) -> Si
         return Signal(sig.samples[:n], sample_rate_hz)
 
     raise ConfigError(f"unknown noise source spec {type(spec).__name__}")
+
+
+def _bandpass(low_hz: float, high_hz: float, fs: float) -> np.ndarray:
+    """Hann-windowed linear-phase band-pass, unit gain at the band centre.
+
+    The window method of `scipy.signal.firwin(BANDPASS_TAPS, [low_hz, high_hz],
+    pass_zero=False, window="hann", fs=fs)`, written with its operations in
+    its order so the taps come out bit for bit the same.
+    """
+    left, right = np.asarray([low_hz, high_hz], dtype=np.float64) / float(0.5 * fs)
+    m = np.arange(BANDPASS_TAPS, dtype=np.float64) - 0.5 * (BANDPASS_TAPS - 1)
+    h = 0                       # as scipy: 0 + x maps a -0.0 tap to +0.0
+    h += right * np.sinc(right * m)
+    h -= left * np.sinc(left * m)
+    # scipy accumulates the Hann window as 0 + 0.5*cos(0) + 0.5*cos(fac);
+    # the first two terms sum to exactly 0.5
+    h *= 0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, BANDPASS_TAPS))
+    h /= np.sum(h * np.cos(np.pi * m * (0.5 * (left + right))))
+    return h
 
 
 def _check_band_edge(freq_hz: float, sample_rate_hz: float) -> None:

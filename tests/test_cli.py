@@ -124,6 +124,23 @@ class TestExitCodes:
         assert "controller.taps" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("section, name, bad", [
+        (None, "sample_rate_hz", "8k"), (None, "duration_s", "abc"),
+        ("metrics", "hop", "x"), ("controller", "mu_scale", "abc"),
+        ("metrics", "interval_s", 5.0),
+    ])
+    def test_bad_scalar_is_two(self, tmp_path, section, name, bad):
+        cfg_path = tmp_path / "bad.yaml"
+        write_small_config(cfg_path)
+        doc = yaml.safe_load(cfg_path.read_text())
+        (doc[section] if section else doc)[name] = bad
+        cfg_path.write_text(yaml.safe_dump(doc))
+        proc = run_cli("run", "--config", str(cfg_path), "--out", str(tmp_path / "o"))
+        assert proc.returncode == 2
+        assert (f"{section}.{name}" if section else name) in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "o").exists()
+
     def test_divergence_is_three(self, tmp_path):
         cfg_path = tmp_path / "c.yaml"
         write_small_config(cfg_path, **{"controller.mu": 5.0})

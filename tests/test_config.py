@@ -99,7 +99,7 @@ class TestValidation:
 
     @pytest.mark.parametrize("section, name", [
         ("controller", "taps"), ("sysid", "taps"), ("sysid", "n_samples"),
-        ("export", "error_decimation"),
+        ("export", "error_decimation"), ("metrics", "segment_len"), ("metrics", "hop"),
     ])
     @pytest.mark.parametrize("bad", [0, -4, "abc", 2.5, True, None])
     def test_integer_fields_must_be_positive_ints(self, section, name, bad):
@@ -107,6 +107,49 @@ class TestValidation:
         doc[section] = {name: bad}
         with pytest.raises(ConfigError, match=rf"{section}\.{name}"):
             config_from_dict(doc)
+
+    @pytest.mark.parametrize("path", [
+        "sample_rate_hz", "duration_s", "controller.mu_scale", "sysid.mu",
+        "fixed_filter.max_train_s", "metrics.interval_s",
+    ])
+    @pytest.mark.parametrize("bad", [0, -1.5, "8k", "abc", True, None,
+                                     float("nan"), float("inf")])
+    def test_real_fields_must_be_finite_and_positive(self, path, bad):
+        doc = minimal_doc()
+        if "." in path:
+            section, name = path.split(".")
+            doc[section] = {name: bad}
+        else:
+            doc[path] = bad
+        with pytest.raises(ConfigError, match=path.replace(".", r"\.")):
+            config_from_dict(doc)
+
+    @pytest.mark.parametrize("bad", [-0.1, 1.0, "half", None])
+    def test_overlap_is_a_fraction(self, bad):
+        doc = minimal_doc()
+        doc["metrics"] = {"overlap": bad}
+        with pytest.raises(ConfigError, match=r"metrics\.overlap"):
+            config_from_dict(doc)
+
+    @pytest.mark.parametrize("bad", [-0.01, float("nan"), True, [0.1]])
+    def test_numeric_mu_is_finite_and_non_negative(self, bad):
+        doc = minimal_doc()
+        doc["controller"] = {"mu": bad}
+        with pytest.raises(ConfigError, match=r"controller\.mu"):
+            config_from_dict(doc)
+
+    def test_integral_sample_rate_is_accepted(self):
+        doc = minimal_doc()
+        doc["sample_rate_hz"] = 8000
+        assert config_from_dict(doc).sample_rate_hz == 8000
+
+    def test_interval_longer_than_run(self):
+        doc = minimal_doc()
+        doc["metrics"] = {"interval_s": 5.0}
+        with pytest.raises(ConfigError, match=r"metrics\.interval_s"):
+            config_from_dict(doc)
+        doc["metrics"] = {"interval_s": doc["duration_s"]}
+        assert config_from_dict(doc).metrics.interval_s == 2.0
 
     def test_multichannel_plant_accepted(self):
         doc = minimal_doc()

@@ -1,0 +1,145 @@
+"""Export formatting: the column writer against a per-element oracle.
+
+The oracle below is the writer that formats one `repr(float(v))` per CSV
+cell. The column writer must reproduce its bytes on every value repr can
+print: signed zeros, nan, infinities, subnormals, and both sides of the
+switch to scientific notation.
+"""
+
+import numpy as np
+import pytest
+
+from ancsim.config import default_config
+from ancsim.metrics import PowerSpectrum, RunReport, Spectrogram
+from ancsim.reporting import _CSV_BLOCK_ROWS, export_report
+from ancsim.scenario import ArmResult, PretrainInfo, ScenarioResult
+from ancsim.signals import Signal
+
+SPECIALS = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -2.5e-310,
+            2.2250738585072014e-308, 1e-05, 9.999999999999999e-06, 1.0000000000000002e-05,
+            0.0001, 1e16, 9999999999999998.0, 1.0000000000000002e16, -1e16,
+            0.1, 0.30000000000000004, 1 / 3, -2.5, 123456789.0, 1.7976931348623157e308]
+
+
+def oracle_fmt(v) -> str:
+    return repr(float(v))
+
+
+def oracle_csv(header, rows) -> str:
+    lines = [header]
+    lines.extend(",".join(row) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
+def oracle_arm_files(arm, rate, decimation, reference):
+    files = {}
+    err = np.atleast_2d(arm.error.T).T
+    ref = np.atleast_2d(reference.T).T
+    n_mics = err.shape[1]
+    for k in range(n_mics):
+        suffix = f"_mic{k}" if n_mics > 1 else ""
+        idx = np.arange(0, err.shape[0], decimation)
+        rows = ((str(int(n)), oracle_fmt(n / rate), oracle_fmt(ref[n, k]),
+                 oracle_fmt(err[n, k])) for n in idx)
+        files[f"{arm.name}_error{suffix}.csv"] = oracle_csv(
+            "sample_index,time_s,reference,error", rows)
+        report = arm.reports[k]
+        nr_rows = ((str(i), oracle_fmt(i * report.interval_s), oracle_fmt(v))
+                   for i, v in enumerate(report.nr_per_interval_db))
+        files[f"{arm.name}_nr{suffix}.csv"] = oracle_csv("interval_index,start_s,nr_db",
+                                                         nr_rows)
+        psd_rows = () if report.psd is None else (
+            (oracle_fmt(f), oracle_fmt(p))
+            for f, p in zip(report.psd.freq_hz, report.psd.power_db))
+        files[f"{arm.name}_psd{suffix}.csv"] = oracle_csv("freq_hz,power_db", psd_rows)
+        spec_rows = []
+        if report.spectro is not None:
+            for fi, t in enumerate(report.spectro.times_s):
+                for bi, f in enumerate(report.spectro.freq_hz):
+                    spec_rows.append((str(fi), oracle_fmt(t), oracle_fmt(f),
+                                      oracle_fmt(report.spectro.power_db[fi, bi])))
+        files[f"{arm.name}_spectrogram{suffix}.csv"] = oracle_csv(
+            "frame_index,time_s,freq_hz,power_db", spec_rows)
+    return files
+
+
+def oracle_mse_csv(trace, stride) -> str:
+    return oracle_csv("sample_index,mse", ((str(int(i * stride)), oracle_fmt(v))
+                                           for i, v in enumerate(trace)))
+
+
+def awkward(rng, shape):
+    """Values over the whole float64 exponent range, a third of them special."""
+    with np.errstate(over="ignore"):
+        values = rng.standard_normal(shape) * 10.0 ** rng.integers(-320, 300, shape)
+    pick = rng.random(shape) < 1 / 3
+    values[pick] = rng.choice(SPECIALS, size=int(pick.sum()))
+    return values
+
+
+def report(rng, n, frames, bins, with_spectra=True):
+    psd = spectro = None
+    if with_spectra:
+        psd = PowerSpectrum(freq_hz=awkward(rng, bins), power_db=awkward(rng, bins),
+                            power_linear=np.zeros(bins))
+        spectro = Spectrogram(times_s=awkward(rng, frames), freq_hz=awkward(rng, bins),
+                              power_db=awkward(rng, (frames, bins)),
+                              power_linear=np.zeros((frames, bins)))
+    return RunReport(reference=Signal(np.zeros(n), 1.0), error=Signal(np.zeros(n), 1.0),
+                     interval_s=0.1, nr_per_interval_db=awkward(rng, 7),
+                     snr_db=1.0, psd=psd, spectro=spectro)
+
+
+def hand_built_result(n_mics, decimation, n=50, frames=4, bins=5):
+    rng = np.random.default_rng(100 * n_mics + decimation)
+    cut = n - 13
+    shape = (n,) if n_mics == 1 else (n, n_mics)
+    d = awkward(rng, shape)
+    arms = {
+        "uncontrolled": ArmResult("uncontrolled",
+                                  [report(rng, n, frames, bins) for _ in range(n_mics)], d, None),
+        # a diverged arm: shorter record, spectra skipped on its first mic
+        "adaptive": ArmResult("adaptive",
+                              [report(rng, cut, frames, bins, with_spectra=k > 0)
+                               for k in range(n_mics)],
+                              awkward(rng, (cut,) + shape[1:]), None, diverged_at=cut - 1),
+        "fixed": ArmResult("fixed", [report(rng, n, frames, bins) for _ in range(n_mics)],
+                           awkward(rng, shape), None),
+    }
+    cfg = default_config("combined")
+    cfg.sample_rate_hz = 7.0 if n_mics == 1 else 8000.0   # 7 makes long time_s reprs
+    cfg.export.error_decimation = decimation
+    pretrain = PretrainInfo(seconds_trained=1, nr_per_second_db=[0.5],
+                            plateau_reached=False, mu=0.01)
+    return ScenarioResult(
+        config=cfg, reference=Signal(np.zeros(n), cfg.sample_rate_hz), arms=arms,
+        adaptive_weights=np.zeros(4), fixed_weights=np.zeros(4),
+        installed_estimates=np.zeros((1, 1, 3)), sysid_summaries=[], pretrain=pretrain,
+        mu=0.01, mse_trace=awkward(rng, -(-cut // decimation)), mse_stride=decimation)
+
+
+def assert_matches_oracle(result, tmp_path):
+    decimation = result.mse_stride
+    d = np.atleast_2d(result.arms["uncontrolled"].error.T).T
+    expected = {"mse_trace.csv": oracle_mse_csv(result.mse_trace, decimation)}
+    for arm in result.arms.values():
+        expected.update(oracle_arm_files(arm, result.config.sample_rate_hz, decimation,
+                                         d[:arm.error.shape[0]]))
+    written = export_report(result, tmp_path)
+    assert sorted(n for n in written if n.endswith(".csv")) == sorted(expected)
+    for name, text in expected.items():
+        assert (tmp_path / name).read_bytes() == text.encode("utf-8"), name
+    return written
+
+
+@pytest.mark.parametrize("decimation", [1, 3, 8])
+@pytest.mark.parametrize("n_mics", [1, 3])
+def test_csvs_match_per_element_oracle(n_mics, decimation, tmp_path):
+    written = assert_matches_oracle(hand_built_result(n_mics, decimation), tmp_path)
+    assert ("fixed_spectrogram_mic2.csv" in written) == (n_mics == 3)
+
+
+def test_files_longer_than_a_row_block_match_oracle(tmp_path):
+    # error and spectrogram files that end past the second block boundary
+    result = hand_built_result(1, 1, n=2 * _CSV_BLOCK_ROWS + 20, frames=21, bins=1000)
+    assert_matches_oracle(result, tmp_path)

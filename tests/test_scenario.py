@@ -115,6 +115,27 @@ class TestDivergenceHandling:
         assert summary["arms"]["adaptive"]["diverged"] is True
         assert isinstance(summary["arms"]["adaptive"]["diverged_at"], int)
 
+    @pytest.mark.parametrize("kind", ["single", "multichannel"])
+    def test_mse_trace_keeps_the_tripping_sample(self, kind, tmp_path):
+        # both kinds write one mse row per error row, the sample whose
+        # update tripped the guard included
+        cfg = small_config()
+        cfg.controller.mu = 5.0
+        cfg.export.error_decimation = 1
+        if kind == "multichannel":
+            cfg.plant = PlantConfig(kind="synthetic", n_sources=2, n_mics=2, seed=5)
+            cfg.controller.kind = "multichannel"
+            cfg.controller.taps = 32
+            cfg.sysid.mode = "exact"
+        result = run_scenario(cfg.validate())
+        arm = result.arms["adaptive"]
+        assert arm.diverged
+        export_report(result, tmp_path)
+        suffix = "_mic0" if kind == "multichannel" else ""
+        error_rows = (tmp_path / f"adaptive_error{suffix}.csv").read_text().splitlines()
+        mse_rows = (tmp_path / "mse_trace.csv").read_text().splitlines()
+        assert len(mse_rows) == len(error_rows) == arm.error.shape[0] + 1
+
 
 class TestExport:
     def test_files_written(self, small_result, tmp_path):

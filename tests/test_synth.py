@@ -1,12 +1,25 @@
 """Noise synthesis and composition."""
 
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from scipy import signal as sp_signal
 
 from ancsim.errors import ConfigError, DataError
 from ancsim.metrics import power_spectrum
 from ancsim.signals import Signal
-from ancsim.synth import BandNoiseSpec, ToneSpec, compose, synthesize_noise
+from ancsim.synth import (
+    BANDPASS_TAPS,
+    BandNoiseSpec,
+    ToneSpec,
+    _bandpass,
+    compose,
+    synthesize_noise,
+)
 
 RATE = 8000.0
 
@@ -62,6 +75,46 @@ class TestBandNoise:
     def test_inverted_band_rejected(self):
         with pytest.raises(ConfigError):
             synthesize_noise(BandNoiseSpec(1400.0, 40.0), 0, 1.0, RATE)
+
+
+def scipy_band_noise(low_hz, high_hz, seed, n, rate):
+    """The band-noise recipe as written against scipy.signal."""
+    white = np.random.default_rng(seed).standard_normal(n + BANDPASS_TAPS)
+    bp = sp_signal.firwin(BANDPASS_TAPS, [low_hz, high_hz], pass_zero=False,
+                          window="hann", fs=rate)
+    shaped = sp_signal.lfilter(bp, 1.0, white)[BANDPASS_TAPS:]
+    shaped /= np.sqrt(np.mean(shaped**2))
+    return bp, shaped
+
+
+class TestScipyFree:
+    """scipy is only a test oracle: the runtime band-pass and its filtering
+    must reproduce scipy's bytes."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(rate=st.floats(100.0, 96000.0), a=st.floats(1e-4, 1.0 - 1e-4),
+           b=st.floats(1e-4, 1.0 - 1e-4), seed=st.integers(0, 2**32 - 1),
+           n=st.integers(1, 700))
+    def test_band_noise_matches_scipy_bytes(self, rate, a, b, seed, n):
+        low_hz, high_hz = sorted((a * rate / 2, b * rate / 2))
+        assume(0 < low_hz < high_hz < rate / 2)
+        bp, expected = scipy_band_noise(low_hz, high_hz, seed, n, rate)
+        assert _bandpass(low_hz, high_hz, rate).tobytes() == bp.tobytes()
+        out = synthesize_noise(BandNoiseSpec(low_hz, high_hz), seed, n / rate, rate)
+        assert out.samples.tobytes() == expected.tobytes()
+
+    def test_default_bands_match_scipy_bytes(self):
+        for low_hz, high_hz in ((40.0, 1400.0), (50.0, 3800.0)):
+            _, expected = scipy_band_noise(low_hz, high_hz, 2024, 16000, RATE)
+            out = synthesize_noise(BandNoiseSpec(low_hz, high_hz), 2024, 2.0, RATE)
+            assert out.samples.tobytes() == expected.tobytes()
+
+    def test_cli_import_loads_no_scipy(self):
+        code = ("import sys, ancsim.cli; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, check=True)
+        assert proc.stdout.strip() == "[]"
 
 
 class TestCompose:

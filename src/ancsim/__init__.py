@@ -12,7 +12,6 @@ from ._version import __version__
 from .acoustics import (
     MediumParams,
     Plant,
-    WaveParams,
     energy_density,
     spl_delta,
     superposed_energy_density,
@@ -36,11 +35,10 @@ from .errors import (
     DataError,
     DivergenceError,
     DomainError,
-    InstabilityError,
     UndefinedBoundError,
     WavError,
 )
-from .filters import FirFilter, IirFilter
+from .filters import FirFilter
 from .loops import loop_aligned_path, run_adaptive, run_fixed
 from .mcanc import ChannelConfig, MacCount, McAncController, mac_count, mac_measure
 from .metrics import (
@@ -63,10 +61,9 @@ __all__ = [
     "AdaptationRun", "AncError", "BandNoiseSpec", "ChannelConfig",
     "ConditioningError", "ConfigError", "ConvergenceTrace", "DataError",
     "DivergenceError", "DomainError", "ExperimentConfig", "FirFilter",
-    "FxlmsFilter", "IdentificationResult", "IirFilter", "InstabilityError",
-    "LmsFilter", "MacCount", "McAncController", "MediumParams", "Plant",
-    "RunReport", "ScenarioResult", "Signal", "ToneSpec", "UndefinedBoundError",
-    "WavError", "WavFileSpec", "WaveParams",
+    "FxlmsFilter", "IdentificationResult", "LmsFilter", "MacCount",
+    "McAncController", "MediumParams", "Plant", "RunReport", "ScenarioResult",
+    "Signal", "ToneSpec", "UndefinedBoundError", "WavError", "WavFileSpec",
     "build_run_report", "compose", "convergence_trace", "default_config",
     "energy_density", "export_report", "fxlms_mu_bound", "identify_path",
     "lms_mu_bound", "load_config", "loop_aligned_path", "mac_count",

@@ -31,24 +31,6 @@ class MediumParams:
             raise DomainError("medium density and speed of sound must be positive")
 
 
-@dataclass(frozen=True)
-class WaveParams:
-    """Primary wave amplitude/frequency/phase plus the secondary wave's
-    amplitude ratio `beta` and phase offset `alpha` relative to it."""
-
-    amplitude: float
-    omega: float
-    phi: float = 0.0
-    beta: float = 0.0
-    alpha: float = 0.0
-
-    def __post_init__(self):
-        if self.amplitude < 0 or self.beta < 0:
-            raise DomainError("amplitude and beta must be non-negative")
-        if not (self.omega > 0):
-            raise DomainError("omega must be positive")
-
-
 def energy_density(amplitude: float, medium: MediumParams) -> float:
     """Average incident sound energy density A^2 / (4 rho c^2), in J/m^3."""
     if amplitude < 0:

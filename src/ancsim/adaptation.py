@@ -221,7 +221,6 @@ class AdaptationRun:
     snapshot_steps: np.ndarray | None
     final_weights: np.ndarray
     diverged_at: int | None = None
-    xf_norm_sq: np.ndarray | None = None
 
     @property
     def mse(self) -> np.ndarray:
@@ -232,15 +231,13 @@ class AdaptationRun:
 class ConvergenceTrace:
     """Mean-square deviation from a target weight vector plus squared error.
 
-    msd[i] = ||w_opt - W(step i)||^2 at the retained snapshots, mse is the
-    per-sample squared error, and mu_bound is the estimated admissible
-    step-size upper limit for the run (None when not estimable).
+    msd[i] = ||w_opt - W(step i)||^2 at the retained snapshots and mse is
+    the per-sample squared error.
     """
 
     msd: np.ndarray
     mse: np.ndarray
     snapshot_steps: np.ndarray
-    mu_bound: float | None = None
 
 
 def convergence_trace(run: AdaptationRun, w_opt) -> ConvergenceTrace:
@@ -254,14 +251,7 @@ def convergence_trace(run: AdaptationRun, w_opt) -> ConvergenceTrace:
             f"{run.weight_snapshots.shape[1:]}")
     dev = run.weight_snapshots - w_opt
     msd = np.einsum("ij,ij->i", dev, dev)
-    mu_bound = None
-    if run.xf_norm_sq is not None and run.e.size:
-        try:
-            mu_bound = fxlms_mu_bound(run.e, run.xf_norm_sq[:run.e.size])
-        except UndefinedBoundError:
-            mu_bound = None
-    return ConvergenceTrace(msd=msd, mse=run.mse,
-                            snapshot_steps=run.snapshot_steps, mu_bound=mu_bound)
+    return ConvergenceTrace(msd=msd, mse=run.mse, snapshot_steps=run.snapshot_steps)
 
 
 def reference_matrix(x: np.ndarray, n_taps: int) -> np.ndarray:

@@ -63,10 +63,9 @@ def cmd_synth(args) -> int:
 
 def cmd_identify(args) -> int:
     cfg = _load(args)
-    p = cfg.plant
     results = identify_all_paths(
-        lambda: build_plant(cfg), p.n_sources, p.n_mics, cfg.sysid.taps,
-        mu=cfg.sysid.mu, n_samples=cfg.sysid.n_samples, seed=cfg.sysid.seed,
+        build_plant(cfg), cfg.sysid.taps, mu=cfg.sysid.mu,
+        n_samples=cfg.sysid.n_samples, seed=cfg.sysid.seed,
         sample_rate_hz=cfg.sample_rate_hz)
     os.makedirs(args.out, exist_ok=True)
     summary = []

@@ -1,10 +1,15 @@
 """Experiment configuration: a strict, versioned YAML/JSON tree.
 
 Unknown keys are errors, not warnings; a silently ignored typo would
-invalidate a comparison. `default_config` builds the desk-scale setup:
-8 kHz, 20 s, 128 control taps, 64 estimate taps, surrogate traffic and
-aircraft bands. The aircraft surrogate's nominal 14 kHz upper edge is
-capped at 95% of Nyquist when the rate cannot carry it.
+invalidate a comparison. The dataclass annotations are the schema: one
+walker builds the dataclasses from the parsed document and checks every
+field's type and range against its annotation, naming the dotted path of
+a bad value; `validate` adds the rules that relate fields.
+
+`default_config` builds the desk-scale setup: 8 kHz, 20 s, 128 control
+taps, 64 estimate taps, surrogate traffic and aircraft bands. The
+aircraft surrogate's nominal 14 kHz upper edge is capped at 95% of
+Nyquist when the rate cannot carry it.
 """
 
 from __future__ import annotations
@@ -12,30 +17,40 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
-import math
 import numbers
 import os
-from dataclasses import asdict, dataclass, field
+import sys
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
+from types import UnionType
+from typing import Annotated, Literal, Union, get_args, get_origin, get_type_hints
 
 import yaml
 
-from .acoustics import PathSpec
+from .acoustics import DEFAULT_PRIMARY, DEFAULT_SECONDARY, PathSpec
 from .errors import ConfigError
 from .synth import BandNoiseSpec, ToneSpec, WavFileSpec
 
 SCHEMA_VERSION = 1
 
+# Range bounds for the annotations below; the walker reads each field's
+# type and range from its annotation, so no table here names a field
+PositiveInt = Annotated[int, "a positive integer", lambda v: v > 0]
+NonNegativeInt = Annotated[int, "a non-negative integer", lambda v: v >= 0]
+Positive = Annotated[float, "a positive finite number", lambda v: v > 0]
+NonNegative = Annotated[float, "a non-negative finite number", lambda v: v >= 0]
+Fraction = Annotated[float, "a finite number in [0, 1)", lambda v: 0 <= v < 1]
+
 
 @dataclass
 class SourceConfig:
     name: str
-    kind: str                       # tone | band-noise | wav-file
-    freq_hz: float | None = None
+    kind: Literal["tone", "band-noise", "wav-file"]
+    freq_hz: NonNegative | None = None
     amplitude: float = 1.0
     phase_rad: float = 0.0
-    low_hz: float | None = None
-    high_hz: float | None = None
-    tones: list = field(default_factory=list)
+    low_hz: Positive | None = None
+    high_hz: Positive | None = None
+    tones: list[ToneSpec] = field(default_factory=list)
     path: str | None = None
 
     def to_spec(self):
@@ -46,8 +61,7 @@ class SourceConfig:
         if self.kind == "band-noise":
             if self.low_hz is None or self.high_hz is None:
                 raise ConfigError(f"source {self.name}: band-noise needs low_hz and high_hz")
-            tones = tuple(ToneSpec(**t) for t in self.tones)
-            return BandNoiseSpec(self.low_hz, self.high_hz, tones)
+            return BandNoiseSpec(self.low_hz, self.high_hz, tuple(self.tones))
         if self.kind == "wav-file":
             if not self.path:
                 raise ConfigError(f"source {self.name}: wav-file needs path")
@@ -57,80 +71,69 @@ class SourceConfig:
 
 @dataclass
 class CompositionConfig:
-    mode: str = "concatenate"       # concatenate | mix
-    switch_times_s: list = field(default_factory=list)
-    gains: list = field(default_factory=list)
-
-
-@dataclass
-class PathConfig:
-    delay: int
-    decay: float
-    taps: int
-    gain: float
-
-    def to_spec(self) -> PathSpec:
-        return PathSpec(self.delay, self.decay, self.taps, self.gain)
+    mode: Literal["concatenate", "mix"] = "concatenate"
+    switch_times_s: list[float] = field(default_factory=list)
+    gains: list[float] = field(default_factory=list)
 
 
 @dataclass
 class PlantConfig:
-    kind: str = "synthetic"         # synthetic | explicit
-    n_sources: int = 1
-    n_mics: int = 1
-    seed: int = 77
-    measurement_noise_std: float = 0.0
-    primary: PathConfig = field(default_factory=lambda: PathConfig(8, 0.6, 32, 0.9))
-    secondary: PathConfig = field(default_factory=lambda: PathConfig(4, 0.5, 16, 0.5))
+    kind: Literal["synthetic", "explicit"] = "synthetic"
+    n_sources: PositiveInt = 1
+    n_mics: PositiveInt = 1
+    seed: NonNegativeInt = 77
+    measurement_noise_std: NonNegative = 0.0
+    primary: PathSpec = DEFAULT_PRIMARY
+    secondary: PathSpec = DEFAULT_SECONDARY
     perturbation: float = 0.1
-    primary_taps: list = field(default_factory=list)      # explicit kind
-    secondary_taps: list = field(default_factory=list)    # explicit kind, [J][K][taps]
+    primary_taps: list[float] = field(default_factory=list)                  # explicit kind
+    secondary_taps: list[list[list[float]]] = field(default_factory=list)    # [J][K][taps]
 
 
 @dataclass
 class ControllerConfig:
-    kind: str = "single"            # single | multichannel
-    taps: int = 128
-    mu: float | str = "auto"
-    mu_scale: float = 0.1           # fraction of the estimated bound when mu == auto
-    n_refs: int = 1
+    kind: Literal["single", "multichannel"] = "single"
+    taps: PositiveInt = 128
+    mu: NonNegative | Literal["auto"] = "auto"
+    mu_scale: Positive = 0.1        # fraction of the estimated bound when mu == auto
+    n_refs: PositiveInt = 1
 
 
 @dataclass
 class SysidConfig:
-    mode: str = "identify"          # identify | exact
-    taps: int = 64
-    mu: float = 0.01
-    n_samples: int = 50_000
-    seed: int = 31
+    mode: Literal["identify", "exact"] = "identify"
+    taps: PositiveInt = 64
+    mu: Positive = 0.01
+    n_samples: PositiveInt = 50_000
+    seed: NonNegativeInt = 31
 
 
 @dataclass
 class FixedFilterConfig:
-    train_source: int = 0           # index into noise_sources
+    train_source: NonNegativeInt = 0    # index into noise_sources
     min_improvement_db: float = 0.1
-    max_train_s: float = 30.0
+    max_train_s: Positive = 30.0
 
 
 @dataclass
 class MetricsConfig:
-    interval_s: float = 1.0
-    segment_len: int = 1024
-    overlap: float = 0.5
-    hop: int = 512
+    interval_s: Positive = 1.0
+    segment_len: PositiveInt = 1024
+    overlap: Fraction = 0.5
+    hop: PositiveInt = 512
 
 
 @dataclass
 class ExportConfig:
-    error_decimation: int = 8
+    error_decimation: PositiveInt = 8
 
 
 @dataclass
 class ExperimentConfig:
-    sample_rate_hz: float = 8000.0
-    duration_s: float = 20.0
-    seed: int = 2024
-    noise_sources: list = field(default_factory=list)
+    sample_rate_hz: Positive = 8000.0
+    duration_s: Positive = 20.0
+    seed: NonNegativeInt = 2024
+    noise_sources: list[SourceConfig] = field(default_factory=list)
     composition: CompositionConfig = field(default_factory=CompositionConfig)
     plant: PlantConfig = field(default_factory=PlantConfig)
     controller: ControllerConfig = field(default_factory=ControllerConfig)
@@ -141,27 +144,23 @@ class ExperimentConfig:
     schema_version: int = SCHEMA_VERSION
 
     def validate(self) -> "ExperimentConfig":
+        _walk(ExperimentConfig, asdict(self), "")   # each field against its annotation
         if self.schema_version != SCHEMA_VERSION:
             raise ConfigError(
                 f"schema_version {self.schema_version} unsupported; this build "
                 f"reads version {SCHEMA_VERSION}")
-        for path, kind in _NUMBER_FIELDS:
-            value = functools.reduce(getattr, path.split("."), self)
-            if kind is int:
-                ok = isinstance(value, int) and not isinstance(value, bool) and value >= 1
-            else:
-                ok = _is_real(value) and value > 0
-            if not ok:
-                what = "integer" if kind is int else "finite number"
-                raise ConfigError(f"{path} must be a positive {what}, got {value!r}")
         if self.metrics.interval_s > self.duration_s:
             raise ConfigError(
                 f"metrics.interval_s {self.metrics.interval_s} is longer than "
                 f"duration_s {self.duration_s}; no interval would complete")
+        seg = self.metrics.segment_len
+        if seg & (seg - 1):
+            raise ConfigError(f"metrics.segment_len must be a power of two, got {seg}")
+        if self.metrics.hop > seg:
+            raise ConfigError(
+                f"metrics.hop {self.metrics.hop} is longer than metrics.segment_len {seg}")
         if not self.noise_sources:
             raise ConfigError("at least one noise source is required")
-        if self.composition.mode not in ("concatenate", "mix"):
-            raise ConfigError(f"unknown composition mode {self.composition.mode!r}")
         if self.composition.mode == "concatenate":
             times = self.composition.switch_times_s
             if len(times) != len(self.noise_sources) - 1:
@@ -172,106 +171,98 @@ class ExperimentConfig:
                 raise ConfigError("switch times must lie inside (0, duration_s)")
             if sorted(times) != list(times):
                 raise ConfigError("switch times must be increasing")
-        else:
-            if self.composition.gains and len(self.composition.gains) != len(self.noise_sources):
-                raise ConfigError("one gain per source is required when gains are given")
+        elif self.composition.gains and (len(self.composition.gains)
+                                         != len(self.noise_sources)):
+            raise ConfigError("one gain per source is required when gains are given")
         nyquist = self.sample_rate_hz / 2
         for src in self.noise_sources:
-            for edge in (src.freq_hz, src.low_hz, src.high_hz):
+            tones = [t.freq_hz for t in src.tones]
+            for edge in (src.freq_hz, src.low_hz, src.high_hz, *tones):
                 if edge is not None and edge >= nyquist:
                     raise ConfigError(
                         f"source {src.name}: {edge} Hz is not below Nyquist ({nyquist} Hz)")
             if src.kind == "wav-file" and src.path and not os.path.exists(src.path):
                 raise ConfigError(f"source {src.name}: file {src.path} does not exist")
-        if self.plant.kind not in ("synthetic", "explicit"):
-            raise ConfigError(f"unknown plant kind {self.plant.kind!r}")
-        if self.controller.kind not in ("single", "multichannel"):
-            raise ConfigError(f"unknown controller kind {self.controller.kind!r}")
         if self.controller.kind == "single" and (self.plant.n_sources != 1
                                                  or self.plant.n_mics != 1):
             raise ConfigError("single-channel controller needs a 1x1 plant")
         if self.controller.kind == "multichannel" and self.controller.n_refs != 1:
             raise ConfigError("scenario runs feed one composed reference; n_refs must be 1")
-        mu = self.controller.mu
-        if not (mu == "auto" if isinstance(mu, str) else _is_real(mu) and mu >= 0):
-            raise ConfigError(f"controller.mu must be a non-negative number or 'auto', "
-                              f"got {mu!r}")
-        if self.sysid.mode not in ("identify", "exact"):
-            raise ConfigError(f"unknown sysid mode {self.sysid.mode!r}")
-        if not (0 <= self.fixed_filter.train_source < len(self.noise_sources)):
+        if self.fixed_filter.train_source >= len(self.noise_sources):
             raise ConfigError(
                 f"fixed_filter.train_source {self.fixed_filter.train_source} does not "
                 f"index noise_sources")
-        if not (_is_real(self.metrics.overlap) and 0 <= self.metrics.overlap < 1):
-            raise ConfigError(
-                f"metrics.overlap must be a number in [0, 1), got {self.metrics.overlap!r}")
         return self
 
 
-def _is_real(value) -> bool:
-    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
-            and math.isfinite(value))
-
-
-# scalar fields checked before any rule compares or computes with them
-_NUMBER_FIELDS = (
-    ("sample_rate_hz", float), ("duration_s", float),
-    ("controller.taps", int), ("controller.mu_scale", float),
-    ("sysid.taps", int), ("sysid.n_samples", int), ("sysid.mu", float),
-    ("fixed_filter.max_train_s", float),
-    ("metrics.interval_s", float), ("metrics.segment_len", int), ("metrics.hop", int),
-    ("export.error_decimation", int),
-)
-
-
-_SECTION_TYPES = {
-    "composition": CompositionConfig,
-    "plant": PlantConfig,
-    "controller": ControllerConfig,
-    "sysid": SysidConfig,
-    "fixed_filter": FixedFilterConfig,
-    "metrics": MetricsConfig,
-    "export": ExportConfig,
+# what a value must be for each plain leaf type, and how a message names it;
+# no value is converted, so an int stays an int in a float field. A float
+# field's value must be finite as a float: NaN, +-inf and ints beyond the
+# float range fail.
+_LEAVES = {
+    int: (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"),
+    float: (lambda v: (isinstance(v, numbers.Real) and not isinstance(v, bool)
+                       and abs(v) <= sys.float_info.max), "a finite number"),
+    str: (lambda v: isinstance(v, str), "a string"),
+    type(None): (lambda v: v is None, "null"),
 }
 
 
-def _build(cls, mapping: dict, path: str):
-    if not isinstance(mapping, dict):
-        raise ConfigError(f"{path}: expected a mapping, got {type(mapping).__name__}")
-    fields = {f.name for f in cls.__dataclass_fields__.values()}  # type: ignore[attr-defined]
-    unknown = set(mapping) - fields
-    if unknown:
-        raise ConfigError(f"{path}: unknown keys {sorted(unknown)}")
-    kwargs = {}
-    for key, value in mapping.items():
-        if key in ("primary", "secondary") and cls is PlantConfig:
-            value = _build(PathConfig, value, f"{path}.{key}")
-        kwargs[key] = value
-    try:
-        return cls(**kwargs)
-    except TypeError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+@functools.cache
+def _hints(cls) -> dict:
+    return get_type_hints(cls, include_extras=True)
+
+
+def _walk(tp, value, path: str):
+    """`value` checked against the annotation `tp`, with mappings built into
+    the dataclasses `tp` names. Raises ConfigError naming the dotted path."""
+    if is_dataclass(tp):
+        if not isinstance(value, dict):
+            raise ConfigError(f"{path or 'config root'} must be a mapping, got {value!r}")
+        hints = _hints(tp)
+        unknown = [str(k) for k in value if k not in hints]
+        if unknown:
+            raise ConfigError(f"{path or 'config'}: unknown keys {sorted(unknown)}")
+        missing = [f.name for f in fields(tp) if f.name not in value
+                   and f.default is MISSING and f.default_factory is MISSING]
+        if missing:
+            raise ConfigError(f"{path or 'config'}: missing keys {missing}")
+        return tp(**{k: _walk(hints[k], v, f"{path}.{k}" if path else k)
+                     for k, v in value.items()})
+    if get_origin(tp) is list:
+        if not isinstance(value, list):
+            raise ConfigError(f"{path} must be a list, got {value!r}")
+        (item,) = get_args(tp)
+        return [_walk(item, v, f"{path}[{i}]") for i, v in enumerate(value)]
+    if not _matches(tp, value):
+        raise ConfigError(f"{path} must be {_describe(tp)}, got {value!r}")
+    return value
+
+
+def _matches(tp, value) -> bool:
+    origin, args = get_origin(tp), get_args(tp)
+    if origin is Annotated:
+        return _matches(args[0], value) and args[2](value)
+    if origin is Literal:
+        return any(type(value) is type(a) and value == a for a in args)
+    if origin in (Union, UnionType):
+        return any(_matches(a, value) for a in args)
+    return _LEAVES[tp][0](value)
+
+
+def _describe(tp) -> str:
+    origin, args = get_origin(tp), get_args(tp)
+    if origin is Annotated:
+        return args[1]
+    if origin is Literal:
+        return " or ".join(map(repr, args))
+    if origin in (Union, UnionType):
+        return " or ".join(map(_describe, args))
+    return _LEAVES[tp][1]
 
 
 def config_from_dict(doc: dict) -> ExperimentConfig:
-    if not isinstance(doc, dict):
-        raise ConfigError("config root must be a mapping")
-    top_fields = {f.name for f in ExperimentConfig.__dataclass_fields__.values()}
-    unknown = set(doc) - top_fields
-    if unknown:
-        raise ConfigError(f"unknown top-level keys {sorted(unknown)}")
-    kwargs: dict = {}
-    for key, value in doc.items():
-        if key == "noise_sources":
-            if not isinstance(value, list):
-                raise ConfigError("noise_sources must be a list")
-            kwargs[key] = [_build(SourceConfig, s, f"noise_sources[{i}]")
-                           for i, s in enumerate(value)]
-        elif key in _SECTION_TYPES:
-            kwargs[key] = _build(_SECTION_TYPES[key], value, key)
-        else:
-            kwargs[key] = value
-    return ExperimentConfig(**kwargs).validate()
+    return _walk(ExperimentConfig, doc, "").validate()
 
 
 def load_config(path) -> ExperimentConfig:

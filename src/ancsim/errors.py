@@ -21,18 +21,6 @@ class DomainError(AncError):
     """Argument outside the mathematically valid domain of an operation."""
 
 
-class InstabilityError(AncError):
-    """A recursive filter diverged while processing.
-
-    `index` is the position of the first sample that exceeded the
-    finite-magnitude guard.
-    """
-
-    def __init__(self, message: str, index: int):
-        super().__init__(message)
-        self.index = index
-
-
 class DivergenceError(AncError):
     """An adaptive update produced a non-finite or guard-exceeding weight.
 

@@ -1,4 +1,4 @@
-"""FIR and IIR filters with explicit, streamable state.
+"""FIR filters with explicit, streamable state.
 
 Processing is sample-by-sample against a ring-buffer delay line, so block
 processing across calls is bit-identical to one whole-signal call. Delay
@@ -12,12 +12,8 @@ import math
 
 import numpy as np
 
-from .errors import DataError, DomainError, InstabilityError
+from .errors import DataError, DomainError
 from .signals import Signal, as_samples
-
-# Any intermediate sample beyond this magnitude is treated as divergence,
-# failing deterministically before floating-point overflow to Inf.
-MAGNITUDE_GUARD = 1e12
 
 
 class DelayLine:
@@ -137,74 +133,3 @@ class FirFilter:
     def clone(self) -> "FirFilter":
         """Fresh filter with the same weights and zeroed state."""
         return FirFilter(self._weights)
-
-
-class IirFilter:
-    """Recursive filter: y(n) = sum_i a_i x(n-i) + sum_{i>=1} b_i y(n-i).
-
-    Stability is not guaranteed by construction; `is_stable` checks the
-    poles, and processing aborts with InstabilityError once any output
-    sample exceeds the finite-magnitude guard.
-    """
-
-    def __init__(self, feedforward, feedback=()):
-        a = np.atleast_1d(np.asarray(feedforward, dtype=np.float64))
-        b = np.atleast_1d(np.asarray(feedback, dtype=np.float64)) if len(feedback) else np.zeros(0)
-        if a.size < 1:
-            raise DataError("IIR filter needs at least one feedforward tap")
-        if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
-            raise DataError("IIR coefficients must be finite")
-        self._a = a.copy()
-        self._b = b.copy()
-        self._a_rev = a[::-1].copy()
-        self._b_rev = b[::-1].copy()
-        self._x_line = DelayLine(a.size)
-        self._y_line = DelayLine(max(b.size, 1))
-        self._count = 0
-
-    @property
-    def feedforward(self) -> np.ndarray:
-        return self._a.copy()
-
-    @property
-    def feedback(self) -> np.ndarray:
-        return self._b.copy()
-
-    def process_sample(self, x: float) -> float:
-        if not math.isfinite(x):
-            raise DataError(f"non-finite input sample {x!r}")
-        self._x_line.push(x)
-        y = float(np.dot(self._a_rev, self._x_line.window()))
-        if self._b.size:
-            # y history window holds [y(n-b), ..., y(n-1)] before this push
-            y += float(np.dot(self._b_rev, self._y_line.window()))
-            self._y_line.push(y)
-        n = self._count
-        self._count = n + 1
-        if not (abs(y) <= MAGNITUDE_GUARD):
-            raise InstabilityError(
-                f"IIR output magnitude {y!r} exceeds guard at sample {n}", index=n)
-        return y
-
-    def process(self, samples) -> np.ndarray:
-        x = as_samples(samples)
-        out = np.empty_like(x)
-        for n in range(x.size):
-            out[n] = self.process_sample(x[n])
-        return out
-
-    def process_signal(self, sig: Signal) -> Signal:
-        return sig.with_samples(self.process(sig.samples))
-
-    def is_stable(self) -> bool:
-        """True iff all roots of 1 - sum_i b_i z^-i lie inside the unit circle."""
-        if self._b.size == 0:
-            return True
-        poly = np.concatenate(([1.0], -self._b))
-        roots = np.roots(poly)
-        return bool(np.all(np.abs(roots) < 1.0))
-
-    def reset(self) -> None:
-        self._x_line.reset()
-        self._y_line.reset()
-        self._count = 0

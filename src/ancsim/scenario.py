@@ -41,7 +41,7 @@ def build_plant(cfg: ExperimentConfig) -> Plant:
     if p.kind == "synthetic":
         return synthetic_plant(
             n_sources=p.n_sources, n_mics=p.n_mics, seed=p.seed,
-            primary=p.primary.to_spec(), secondary=p.secondary.to_spec(),
+            primary=p.primary, secondary=p.secondary,
             perturbation=p.perturbation,
             measurement_noise_std=p.measurement_noise_std)
     if p.kind == "explicit":
@@ -104,13 +104,14 @@ class SysidSummary:
 def resolve_estimates(cfg: ExperimentConfig):
     """Secondary-path estimates as a (J, K, taps) array plus summaries.
 
-    `identify` runs offline white-noise identification against fresh
-    plants; `exact` copies the true paths. Either way the estimates are
-    then shifted by the loop's one-sample latency before installation.
+    `identify` runs offline white-noise identification against the
+    quiescent plant; `exact` copies the true paths. Either way the
+    estimates are then shifted by the loop's one-sample latency before
+    installation.
     """
     p = cfg.plant
+    plant = build_plant(cfg)
     if cfg.sysid.mode == "exact":
-        plant = build_plant(cfg)
         taps = max(plant.true_secondary(j, k).size
                    for j in range(p.n_sources) for k in range(p.n_mics))
         est = np.zeros((p.n_sources, p.n_mics, taps))
@@ -122,9 +123,8 @@ def resolve_estimates(cfg: ExperimentConfig):
                      for j in range(p.n_sources) for k in range(p.n_mics)]
         return est, summaries
     results = identify_all_paths(
-        lambda: build_plant(cfg), p.n_sources, p.n_mics, cfg.sysid.taps,
-        mu=cfg.sysid.mu, n_samples=cfg.sysid.n_samples, seed=cfg.sysid.seed,
-        sample_rate_hz=cfg.sample_rate_hz)
+        plant, cfg.sysid.taps, mu=cfg.sysid.mu, n_samples=cfg.sysid.n_samples,
+        seed=cfg.sysid.seed, sample_rate_hz=cfg.sample_rate_hz)
     est = np.stack([np.stack([results[j][k].estimate.weights
                               for k in range(p.n_mics)])
                     for j in range(p.n_sources)])

@@ -122,23 +122,18 @@ def identify_path(plant: Plant, j: int, k: int, n_taps: int,
     )
 
 
-def identify_all_paths(plant_factory, n_sources: int, n_mics: int, n_taps: int,
-                       mu: float = 0.01, n_samples: int = 50_000,
-                       seed: int = 0, sample_rate_hz: float = 8000.0):
-    """Identify the full J x K grid, one quiescent plant clone per pair.
+def identify_all_paths(plant: Plant, n_taps: int, mu: float = 0.01,
+                       n_samples: int = 50_000, seed: int = 0,
+                       sample_rate_hz: float = 8000.0):
+    """Identify the plant's full J x K grid; returns a J x K nested list.
 
-    `plant_factory` must build a fresh plant each call so every pair sees
-    zeroed path state. Returns a J x K nested list of results.
+    Pair (j, k) is excited with the (j * K + k)-th child of `seed`'s
+    SeedSequence. `identify_path` neither reads nor advances the plant's
+    state, so every pair sees the quiescent plant.
     """
-    results = []
-    seed_seq = np.random.SeedSequence(seed)
-    child_seeds = seed_seq.spawn(n_sources * n_mics)
-    for j in range(n_sources):
-        row = []
-        for k in range(n_mics):
-            child = child_seeds[j * n_mics + k]
-            row.append(identify_path(
-                plant_factory(), j, k, n_taps, mu=mu, n_samples=n_samples,
-                seed=child, sample_rate_hz=sample_rate_hz))
-        results.append(row)
-    return results
+    children = np.random.SeedSequence(seed).spawn(plant.n_sources * plant.n_mics)
+    return [[identify_path(plant, j, k, n_taps, mu=mu, n_samples=n_samples,
+                           seed=children[j * plant.n_mics + k],
+                           sample_rate_hz=sample_rate_hz)
+             for k in range(plant.n_mics)]
+            for j in range(plant.n_sources)]

@@ -4,7 +4,9 @@
 inverse with round-half-away-from-zero, so data already on the 16-bit
 grid round-trips bit-identically. Values outside the representable range
 clamp to the rail and are counted as clipped. Float32 files are read
-exactly; writing rounds float64 data to float32.
+exactly; writing rounds float64 data to float32. A file that would not
+make a valid `Signal` (a NaN or infinite float sample, a zero sample
+rate) is malformed, so reading raises only `WavError`s.
 """
 
 from __future__ import annotations
@@ -55,6 +57,8 @@ def read_wav(path) -> Signal:
     if payload is None:
         raise MalformedWavError(f"{path}: missing data chunk")
     format_tag, channels, sample_rate, _byte_rate, _block_align, bits = fmt
+    if sample_rate == 0:
+        raise MalformedWavError(f"{path}: sample rate 0 in the fmt chunk")
 
     if channels != 1:
         raise UnsupportedWavError(
@@ -68,7 +72,11 @@ def read_wav(path) -> Signal:
     elif format_tag == FORMAT_IEEE_FLOAT and bits == 32:
         if len(payload) % 4:
             raise MalformedWavError(f"{path}: float32 data size {len(payload)} not a multiple of 4")
-        samples = np.frombuffer(payload, dtype="<f4").astype(np.float64)
+        raw = np.frombuffer(payload, dtype="<f4")
+        bad = np.flatnonzero(~np.isfinite(raw))
+        if bad.size:
+            raise MalformedWavError(f"{path}: non-finite sample at index {bad[0]}")
+        samples = raw.astype(np.float64)
     else:
         raise UnsupportedWavError(
             f"{path}: format tag {format_tag} at {bits} bits; supported: PCM 16-bit, "

@@ -1,15 +1,18 @@
 """CLI surface: subcommands, exit codes, determinism of exports."""
 
 import json
+import struct
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 import yaml
 
 from ancsim.cli import main
 from ancsim.config import config_to_dict, default_config, save_config
-from ancsim.wavio import read_wav
+from ancsim.signals import Signal
+from ancsim.wavio import read_wav, write_wav
 
 
 def write_small_config(path, **overrides):
@@ -140,6 +143,52 @@ class TestExitCodes:
         assert (f"{section}.{name}" if section else name) in proc.stderr
         assert "Traceback" not in proc.stderr
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("path, bad, named", [
+        (("noise_sources", 0, "low_hz"), "x", "noise_sources[0].low_hz"),
+        (("noise_sources", 0, "tones"), [{"freq_hz": "x"}],
+         "noise_sources[0].tones[0].freq_hz"),
+        (("plant", "measurement_noise_std"), "x", "plant.measurement_noise_std"),
+        (("seed",), -1, "seed"),
+        (("controller", "n_refs"), "x", "controller.n_refs"),
+        (("plant", "primary", "taps"), "x", "plant.primary.taps"),
+    ])
+    def test_bad_field_is_two_naming_its_path(self, tmp_path, path, bad, named):
+        cfg_path = tmp_path / "bad.yaml"
+        write_small_config(cfg_path)
+        doc = yaml.safe_load(cfg_path.read_text())
+        obj = doc
+        for key in path[:-1]:
+            obj = obj[key]
+        obj[path[-1]] = bad
+        cfg_path.write_text(yaml.safe_dump(doc))
+        proc = run_cli("run", "--config", str(cfg_path), "--out", str(tmp_path / "o"))
+        assert proc.returncode == 2
+        assert f"config error: {named}" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "o").exists()
+
+    def test_metric_geometry_is_two_before_the_run(self, tmp_path, capsys):
+        cfg_path = tmp_path / "bad.yaml"
+        write_small_config(cfg_path, **{"metrics.segment_len": 1000})
+        assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+        assert "metrics.segment_len" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_non_finite_wav_sample_is_four(self, tmp_path, capsys):
+        wav = tmp_path / "rec.wav"
+        write_wav(wav, Signal(np.zeros(16000), 8000.0), fmt="float32")
+        blob = bytearray(wav.read_bytes())
+        blob[-4:] = struct.pack("<f", float("nan"))
+        wav.write_bytes(bytes(blob))
+        cfg_path = tmp_path / "c.yaml"
+        write_small_config(cfg_path)
+        doc = yaml.safe_load(cfg_path.read_text())
+        doc["noise_sources"] = [{"name": "rec", "kind": "wav-file", "path": str(wav)}]
+        doc["composition"] = {"mode": "mix"}
+        cfg_path.write_text(yaml.safe_dump(doc))
+        assert main(["synth", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 4
+        assert "index 15999" in capsys.readouterr().err
 
     def test_divergence_is_three(self, tmp_path):
         cfg_path = tmp_path / "c.yaml"

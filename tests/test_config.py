@@ -1,9 +1,15 @@
 """Config schema: strictness, validation, round trips."""
 
+import os
+import re
+
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ancsim.config import (
+    ExperimentConfig,
     config_from_dict,
     config_hash,
     config_to_dict,
@@ -12,6 +18,7 @@ from ancsim.config import (
     save_config,
 )
 from ancsim.errors import ConfigError
+from ancsim.synth import ToneSpec
 
 
 def minimal_doc():
@@ -131,6 +138,23 @@ class TestValidation:
         with pytest.raises(ConfigError, match=r"metrics\.overlap"):
             config_from_dict(doc)
 
+    @pytest.mark.parametrize("segment_len, hop, field", [
+        (1000, 500, "metrics.segment_len"), (1536, 512, "metrics.segment_len"),
+        (1024, 4096, "metrics.hop"), (256, 512, "metrics.hop"),
+    ])
+    def test_metric_geometry_checked_up_front(self, segment_len, hop, field):
+        doc = minimal_doc()
+        doc["metrics"] = {"segment_len": segment_len, "hop": hop}
+        with pytest.raises(ConfigError, match=re.escape(field)):
+            config_from_dict(doc)
+
+    def test_metric_geometry_edges_accepted(self):
+        doc = minimal_doc()
+        doc["metrics"] = {"segment_len": 1, "hop": 1}
+        assert config_from_dict(doc).metrics.segment_len == 1
+        doc["metrics"] = {"segment_len": 512, "hop": 512}
+        assert config_from_dict(doc).metrics.hop == 512
+
     @pytest.mark.parametrize("bad", [-0.01, float("nan"), True, [0.1]])
     def test_numeric_mu_is_finite_and_non_negative(self, bad):
         doc = minimal_doc()
@@ -157,6 +181,166 @@ class TestValidation:
         doc["controller"] = {"kind": "multichannel", "taps": 32}
         cfg = config_from_dict(doc)
         assert cfg.controller.kind == "multichannel"
+
+
+def small_combined_doc():
+    """The 2 s `combined` config as a document."""
+    doc = config_to_dict(default_config("combined", duration_s=2.0, seed=7))
+    doc["composition"]["switch_times_s"] = [1.0]
+    return doc
+
+
+def set_leaf(doc, path, value):
+    for key in path[:-1]:
+        doc = doc[key]
+    doc[path[-1]] = value
+
+
+class TestFieldTypes:
+    """Every field is checked from its annotation, and the error names the
+    field's dotted path and the bad value."""
+
+    @pytest.mark.parametrize("path, bad, named", [
+        (("noise_sources", 0, "low_hz"), "x", "noise_sources[0].low_hz"),
+        (("noise_sources", 1, "high_hz"), -5.0, "noise_sources[1].high_hz"),
+        (("noise_sources", 0, "amplitude"), float("inf"), "noise_sources[0].amplitude"),
+        (("noise_sources", 0, "phase_rad"), "x", "noise_sources[0].phase_rad"),
+        (("noise_sources", 0, "kind"), "pink", "noise_sources[0].kind"),
+        (("noise_sources", 0, "name"), 3, "noise_sources[0].name"),
+        (("noise_sources", 0, "tones"), [{"bad": 1}], "noise_sources[0].tones[0]"),
+        (("noise_sources", 0, "tones"), [{"freq_hz": "x"}],
+         "noise_sources[0].tones[0].freq_hz"),
+        (("noise_sources", 0, "tones"), [{"amplitude": 1.0}], "noise_sources[0].tones[0]"),
+        (("noise_sources", 0, "tones"), {"freq_hz": 100.0}, "noise_sources[0].tones"),
+        (("noise_sources", 0), "traffic", "noise_sources[0]"),
+        (("noise_sources",), {"name": "a"}, "noise_sources"),
+        (("composition", "switch_times_s"), ["a"], "composition.switch_times_s[0]"),
+        (("composition", "switch_times_s"), 1.0, "composition.switch_times_s"),
+        (("composition", "mode"), "sum", "composition.mode"),
+        (("composition",), {"mode": "mix", "gains": ["a", "b"]}, "composition.gains[0]"),
+        (("plant", "measurement_noise_std"), "x", "plant.measurement_noise_std"),
+        (("plant", "measurement_noise_std"), -0.1, "plant.measurement_noise_std"),
+        (("plant", "perturbation"), "x", "plant.perturbation"),
+        (("plant", "seed"), "x", "plant.seed"),
+        (("plant", "kind"), "measured", "plant.kind"),
+        (("plant", "n_mics"), 0, "plant.n_mics"),
+        (("plant", "primary", "taps"), "x", "plant.primary.taps"),
+        (("plant", "secondary", "decay"), None, "plant.secondary.decay"),
+        (("plant", "primary"), [8, 0.6, 32, 0.9], "plant.primary"),
+        (("plant", "primary_taps"), [0.5, "x"], "plant.primary_taps[1]"),
+        (("plant", "secondary_taps"), [[[0.5, None]]], "plant.secondary_taps[0][0][1]"),
+        (("seed",), "x", "seed"),
+        (("seed",), -1, "seed"),
+        (("seed",), 1.0, "seed"),
+        (("sysid", "seed"), -3, "sysid.seed"),
+        (("sysid", "mode"), "guess", "sysid.mode"),
+        (("controller", "kind"), "dual", "controller.kind"),
+        (("controller", "n_refs"), "x", "controller.n_refs"),    # on a single-channel run
+        (("fixed_filter", "min_improvement_db"), "x", "fixed_filter.min_improvement_db"),
+        (("fixed_filter", "min_improvement_db"), float("nan"),
+         "fixed_filter.min_improvement_db"),
+        (("fixed_filter", "train_source"), "0", "fixed_filter.train_source"),
+        (("fixed_filter", "train_source"), -1, "fixed_filter.train_source"),
+        (("sample_rate_hz",), 10**400, "sample_rate_hz"),
+        (("schema_version",), "1", "schema_version"),
+    ])
+    def test_bad_value_names_its_path(self, path, bad, named):
+        doc = small_combined_doc()
+        set_leaf(doc, path, bad)
+        with pytest.raises(ConfigError) as exc_info:
+            config_from_dict(doc)
+        message = str(exc_info.value)
+        assert message.startswith(named), message
+        if not isinstance(bad, (dict, list)):
+            assert repr(bad) in message
+
+    def test_tone_above_nyquist(self):
+        doc = small_combined_doc()
+        doc["noise_sources"][0]["tones"] = [{"freq_hz": 4000.0}]
+        with pytest.raises(ConfigError, match="Nyquist"):
+            config_from_dict(doc)
+
+    def test_tones_load_as_specs(self):
+        doc = small_combined_doc()
+        doc["noise_sources"][0]["tones"] = [{"freq_hz": 120.0, "amplitude": 2}]
+        cfg = config_from_dict(doc)
+        spec = cfg.noise_sources[0].to_spec()
+        assert spec.tones == (ToneSpec(120.0, 2),)
+        assert config_to_dict(cfg)["noise_sources"][0]["tones"] == [
+            {"freq_hz": 120.0, "amplitude": 2, "phase_rad": 0.0}]
+
+    def test_values_are_not_converted(self):
+        doc = small_combined_doc()
+        doc["sample_rate_hz"] = 8000
+        doc["plant"]["primary"]["gain"] = 1
+        cfg = config_from_dict(doc)
+        assert type(cfg.sample_rate_hz) is int
+        assert type(cfg.plant.primary.gain) is int
+        assert config_to_dict(cfg) == doc
+
+    def test_validate_checks_fields_set_in_code(self):
+        cfg = default_config("combined")
+        cfg.seed = -1
+        with pytest.raises(ConfigError, match="seed"):
+            cfg.validate()
+        cfg.seed = 1
+        cfg.plant.measurement_noise_std = float("nan")
+        with pytest.raises(ConfigError, match=re.escape("plant.measurement_noise_std")):
+            cfg.validate()
+
+    def test_root_must_be_a_mapping(self):
+        with pytest.raises(ConfigError, match="mapping"):
+            config_from_dict([1, 2])
+
+
+def _leaves(doc, path=()):
+    """Paths of the default document's leaves: scalars and lists of scalars."""
+    if isinstance(doc, dict):
+        for key, value in doc.items():
+            yield from _leaves(value, path + (key,))
+    elif isinstance(doc, list) and doc and isinstance(doc[0], dict):
+        for i, value in enumerate(doc):
+            yield from _leaves(value, path + (i,))
+    else:
+        yield path
+
+
+_DEFAULT_LEAVES = sorted(_leaves(config_to_dict(default_config("combined"))), key=str)
+_SCALARS = st.one_of(st.text(max_size=8), st.integers(), st.booleans(), st.none(),
+                     st.floats(allow_nan=True, allow_infinity=True))
+_VALUES = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6) | st.integers(), inner, max_size=3),
+    max_leaves=8)
+
+
+@settings(max_examples=400)
+@given(path=st.sampled_from(_DEFAULT_LEAVES), value=_VALUES)
+def test_any_leaf_value_loads_or_raises_config_error(path, value):
+    doc = config_to_dict(default_config("combined"))
+    set_leaf(doc, path, value)
+    try:
+        cfg = config_from_dict(doc)
+    except ConfigError:
+        return
+    assert isinstance(cfg, ExperimentConfig)
+    got = config_to_dict(cfg)
+    for key in path:
+        got = got[key]
+    if not isinstance(value, list):
+        assert type(got) is type(value) and got == value
+
+
+def test_readme_config_block_is_the_combined_default():
+    readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                          "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        text = fh.read()
+    section = text[text.index("## Configuration"):]
+    block = re.search(r"```yaml\n(.*?)```", section, re.S).group(1)
+    cfg = config_from_dict(yaml.safe_load(block))
+    assert config_to_dict(cfg) == config_to_dict(default_config("combined"))
 
 
 class TestRoundTrip:

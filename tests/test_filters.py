@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ancsim.errors import DataError, DomainError, InstabilityError
-from ancsim.filters import FirFilter, IirFilter
+from ancsim.errors import DataError, DomainError
+from ancsim.filters import FirFilter
 from ancsim.signals import Signal
 
 
@@ -49,7 +49,7 @@ class TestFirProcess:
             x = rng.standard_normal(length)
             assert np.array_equal(FirFilter(w).process(x), direct_convolution(w, x))
 
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=30)
     @given(
         n_taps=st.integers(min_value=1, max_value=16),
         seed=st.integers(min_value=0, max_value=2**31),
@@ -142,71 +142,3 @@ class TestFrequencyResponse:
             omega = 2 * np.pi * freq / rate
             oracle = sum(w[i] * np.exp(-1j * omega * i) for i in range(8))
             assert f.frequency_response(freq, rate) == pytest.approx(oracle)
-
-
-class TestIirProcess:
-    def test_identity(self):
-        rng = np.random.default_rng(0)
-        x = rng.standard_normal(32)
-        assert np.array_equal(IirFilter([1.0]).process(x), x)
-
-    def test_geometric_impulse_response(self):
-        out = IirFilter([1.0], [0.5]).process([1.0, 0.0, 0.0, 0.0])
-        assert out.tolist() == [1.0, 0.5, 0.25, 0.125]
-
-    def test_unstable_pole_aborts_with_index(self):
-        f = IirFilter([1.0], [2.0])
-        impulse = np.zeros(100)
-        impulse[0] = 1.0
-        with pytest.raises(InstabilityError) as exc_info:
-            f.process(impulse)
-        # pole at 2: output doubles each sample, guard 1e12 trips at 2^40
-        assert exc_info.value.index == 40
-
-    def test_matches_direct_recursion(self):
-        rng = np.random.default_rng(9)
-        a = rng.standard_normal(3) * 0.5
-        b = np.array([0.4, -0.2])
-        x = rng.standard_normal(200)
-        y_oracle = np.zeros(200)
-        for n in range(200):
-            acc = sum(a[i] * x[n - i] for i in range(3) if n - i >= 0)
-            acc += sum(b[i - 1] * y_oracle[n - i] for i in (1, 2) if n - i >= 0)
-            y_oracle[n] = acc
-        np.testing.assert_allclose(IirFilter(a, b).process(x), y_oracle,
-                                   rtol=1e-12, atol=1e-12)
-
-
-class TestIirStability:
-    def test_pole_inside(self):
-        assert IirFilter([1.0], [0.5]).is_stable()
-
-    def test_pole_outside(self):
-        assert not IirFilter([1.0], [2.0]).is_stable()
-
-    def test_second_order_roots(self):
-        # 1 - 1.2 z^-1 + 0.32 z^-2 has roots 0.8 and 0.4
-        assert IirFilter([1.0], [1.2, -0.32]).is_stable()
-
-    def test_no_feedback_always_stable(self):
-        assert IirFilter([3.0, 2.0, 1.0]).is_stable()
-
-    @pytest.mark.parametrize("trial", range(20))
-    def test_agrees_with_empirical_boundedness(self, trial):
-        # randomized 2nd-order filters: poles at radius r, angle theta
-        rng = np.random.default_rng(1000 + trial)
-        r = rng.uniform(0.3, 1.5)
-        if abs(r - 1.0) < 0.05:
-            r = 0.9  # keep away from the marginal circle
-        theta = rng.uniform(0.1, np.pi - 0.1)
-        # (1 - p z^-1)(1 - p* z^-1) = 1 - 2 r cos(theta) z^-1 + r^2 z^-2
-        b = [2 * r * np.cos(theta), -r**2]
-        f = IirFilter([1.0], b)
-        impulse = np.zeros(10_000)
-        impulse[0] = 1.0
-        try:
-            out = f.process(impulse)
-            bounded = bool(np.max(np.abs(out)) < 1e6)
-        except InstabilityError:
-            bounded = False
-        assert IirFilter([1.0], b).is_stable() == (r < 1.0) == bounded

@@ -5,10 +5,10 @@ import json
 import numpy as np
 import pytest
 
+from ancsim.acoustics import PathSpec
 from ancsim.config import (
     CompositionConfig,
     ExperimentConfig,
-    PathConfig,
     PlantConfig,
     SourceConfig,
     default_config,
@@ -204,8 +204,8 @@ class TestMultichannelScenario:
     def test_1x2x2_runs_and_reports_per_mic(self):
         cfg = small_config()
         cfg.plant = PlantConfig(kind="synthetic", n_sources=2, n_mics=2, seed=5,
-                                primary=PathConfig(8, 0.6, 32, 0.9),
-                                secondary=PathConfig(4, 0.5, 16, 0.5))
+                                primary=PathSpec(8, 0.6, 32, 0.9),
+                                secondary=PathSpec(4, 0.5, 16, 0.5))
         cfg.controller.kind = "multichannel"
         cfg.controller.taps = 32
         cfg.sysid.mode = "exact"

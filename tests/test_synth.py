@@ -91,7 +91,7 @@ class TestScipyFree:
     """scipy is only a test oracle: the runtime band-pass and its filtering
     must reproduce scipy's bytes."""
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150)
     @given(rate=st.floats(100.0, 96000.0), a=st.floats(1e-4, 1.0 - 1e-4),
            b=st.floats(1e-4, 1.0 - 1e-4), seed=st.integers(0, 2**32 - 1),
            n=st.integers(1, 700))

@@ -6,7 +6,12 @@ import pytest
 from ancsim.acoustics import Plant, synthetic_plant
 from ancsim.adaptation import wiener_solve
 from ancsim.filters import FirFilter
-from ancsim.sysid import UndermodelingWarning, identify_path, misalignment_db
+from ancsim.sysid import (
+    UndermodelingWarning,
+    identify_all_paths,
+    identify_path,
+    misalignment_db,
+)
 
 
 def scalar_plant(s_taps):
@@ -87,6 +92,28 @@ class TestIdentifyPath:
                             n_samples=50_000, seed=5)
         assert res.misalignment_db < -30.0
         assert res.residual_power == pytest.approx(1e-4, rel=0.5)
+
+
+class TestIdentifyAllPaths:
+    def test_grid_equals_per_path_identification_on_fresh_plants(self):
+        def build():
+            return synthetic_plant(n_sources=2, n_mics=2, seed=12,
+                                   measurement_noise_std=0.01)
+        grid = identify_all_paths(build(), 8, mu=0.01, n_samples=3000, seed=21)
+        children = np.random.SeedSequence(21).spawn(4)
+        assert [len(row) for row in grid] == [2, 2]
+        for j in range(2):
+            for k in range(2):
+                ref = identify_path(build(), j, k, 8, mu=0.01, n_samples=3000,
+                                    seed=children[j * 2 + k])
+                got = grid[j][k]
+                assert got.estimate.weights.tobytes() == ref.estimate.weights.tobytes()
+                assert got.response.samples.tobytes() == ref.response.samples.tobytes()
+                assert got.excitation.samples.tobytes() == ref.excitation.samples.tobytes()
+                assert got.misalignment_db == ref.misalignment_db
+                assert got.residual_power == ref.residual_power
+        # the paths differ, so a grid entry is not a copy of another
+        assert grid[0][0].estimate.weights.tobytes() != grid[1][1].estimate.weights.tobytes()
 
 
 class TestMisalignment:

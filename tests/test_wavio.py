@@ -1,11 +1,15 @@
 """WAV round trips, the hand-built fixture, and malformed files."""
 
+import os
 import struct
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from ancsim.errors import EmptyWavError, MalformedWavError, UnsupportedWavError
+from ancsim.errors import EmptyWavError, MalformedWavError, UnsupportedWavError, WavError
 from ancsim.signals import Signal
 from ancsim.wavio import ClippingWarning, read_wav, write_wav
 
@@ -80,6 +84,61 @@ class TestRead:
         path.write_bytes(pcm16_bytes([]))
         with pytest.raises(EmptyWavError):
             read_wav(path)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_float_sample_is_malformed(self, tmp_path, bad):
+        path = tmp_path / "nan.wav"
+        write_wav(path, Signal(np.zeros(6), 8000.0), fmt="float32")
+        blob = bytearray(path.read_bytes())
+        blob[-12:-8] = struct.pack("<f", bad)  # sample 3 of 6
+        path.write_bytes(bytes(blob))
+        with pytest.raises(MalformedWavError, match=r"nan\.wav.*index 3"):
+            read_wav(path)
+
+    def test_zero_sample_rate_is_malformed(self, tmp_path):
+        path = tmp_path / "rate.wav"
+        path.write_bytes(pcm16_bytes([1, 2], rate=0))
+        with pytest.raises(MalformedWavError, match="sample rate 0"):
+            read_wav(path)
+
+
+def _valid_file(fmt):
+    """Bytes of a valid 16-sample file in `fmt`. Every sample lies in
+    [0.25, 0.5) in magnitude, so one edit of a float32 sample's top byte
+    to 0x7f or 0xff makes it NaN or infinite."""
+    rng = np.random.default_rng(5)
+    magnitude = np.round(rng.uniform(0.25, 0.5, 16) * 32768) / 32768
+    sig = Signal(magnitude * rng.choice([-1.0, 1.0], 16), 8000.0)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "valid.wav")
+        write_wav(path, sig, fmt=fmt)
+        with open(path, "rb") as fh:
+            return fh.read()
+
+
+_VALID = {fmt: _valid_file(fmt) for fmt in ("pcm16", "float32")}
+# header bytes from the front, samples from the back (negative offsets)
+_POSITIONS = st.integers(0, 127) | st.integers(-64, -1)
+# byte values that often make a header field or a sample's exponent extreme
+_BYTES = st.sampled_from([0x00, 0x7F, 0x80, 0xFF]) | st.integers(0, 255)
+
+
+@settings(max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(fmt=st.sampled_from(sorted(_VALID)),
+       edits=st.lists(st.tuples(_POSITIONS, _BYTES), min_size=1, max_size=6),
+       keep=st.none() | st.integers(0, 127))
+def test_mutated_file_loads_or_raises_wav_error(tmp_path, fmt, edits, keep):
+    """Overwrite a few bytes, then maybe truncate."""
+    blob = bytearray(_VALID[fmt])
+    for pos, byte in edits:
+        blob[pos % len(blob)] = byte
+    path = tmp_path / "mutated.wav"
+    path.write_bytes(bytes(blob[:keep]))
+    try:
+        sig = read_wav(path)
+    except WavError:
+        return
+    assert len(sig) > 0 and sig.sample_rate_hz > 0
 
 
 class TestRoundTrip:

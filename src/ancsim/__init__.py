@@ -19,10 +19,8 @@ from .acoustics import (
 )
 from .adaptation import (
     AdaptationRun,
-    ConvergenceTrace,
     FxlmsFilter,
     LmsFilter,
-    convergence_trace,
     fxlms_mu_bound,
     lms_mu_bound,
     wiener_solve,
@@ -59,12 +57,12 @@ from .wavio import read_wav, write_wav
 __all__ = [
     "__version__",
     "AdaptationRun", "AncError", "BandNoiseSpec", "ChannelConfig",
-    "ConditioningError", "ConfigError", "ConvergenceTrace", "DataError",
+    "ConditioningError", "ConfigError", "DataError",
     "DivergenceError", "DomainError", "ExperimentConfig", "FirFilter",
     "FxlmsFilter", "IdentificationResult", "LmsFilter", "MacCount",
     "McAncController", "MediumParams", "Plant", "RunReport", "ScenarioResult",
     "Signal", "ToneSpec", "UndefinedBoundError", "WavError", "WavFileSpec",
-    "build_run_report", "compose", "convergence_trace", "default_config",
+    "build_run_report", "compose", "default_config",
     "energy_density", "export_report", "fxlms_mu_bound", "identify_path",
     "lms_mu_bound", "load_config", "loop_aligned_path", "mac_count",
     "mac_measure", "noise_reduction_per_interval", "power_spectrum",

@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import DataError, DomainError
 from .filters import FirFilter
+from .ranges import NonNegativeInt, PositiveInt
 from .signals import as_samples
 
 
@@ -143,9 +144,9 @@ class PathSpec:
     """Parameterized synthetic path: `gain * decay^i` starting after `delay`
     zero taps, `taps` total length."""
 
-    delay: int
+    delay: NonNegativeInt
     decay: float
-    taps: int
+    taps: PositiveInt
     gain: float
 
     def impulse_response(self) -> np.ndarray:

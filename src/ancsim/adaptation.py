@@ -1,5 +1,5 @@
 """Single-channel adaptive algorithms: LMS, filtered-x LMS, the Wiener
-(optimal filter) oracle, step-size bounds, and convergence diagnostics.
+(optimal filter) oracle and step-size bounds.
 
 LMS minimizes the squared error e(n) = d(n) - W^T(n) X(n) by the
 instantaneous-gradient update
@@ -12,6 +12,9 @@ with the opposite sign and replaces X(n) by the reference filtered
 through the secondary-path estimate:
 
     W(n+1) = W(n) - 2 mu e(n) X_f(n),   x_f(n) = sum_i s_hat_i x(n-i).
+
+`lms_fit` runs `LmsFilter.step`'s arithmetic for P independent filters at
+once: `LmsFilter.run` is its P = 1 case; identification fits whole grids.
 
 `FxlmsFilter` has no recursion of its own: it is the 1x1x1 case of the
 multichannel controller in `mcanc`, whose bare-mu update with coefficient
@@ -33,11 +36,18 @@ from .errors import (
     DivergenceError,
     UndefinedBoundError,
 )
-from .filters import DelayLine, FirFilter
-from .mcanc import ChannelConfig, McAncController, check_weights
+from .filters import FirFilter
+from .mcanc import WEIGHT_GUARD, ChannelConfig, McAncController, check_weights
 from .signals import as_samples
 
 CONDITION_LIMIT = 1e12
+
+
+def check_lms_args(n_taps: int, mu: float) -> None:
+    if n_taps < 1:
+        raise DataError("need at least one tap")
+    if not (mu >= 0 and math.isfinite(mu)):
+        raise DataError(f"mu must be finite and non-negative, got {mu}")
 
 
 class LmsFilter:
@@ -46,19 +56,16 @@ class LmsFilter:
     Weights start at zero. Each `step` consumes one reference sample x and
     one desired sample d, returns (y, e), and updates the weights in place.
     Internally the weight vector is stored aligned with the chronological
-    delay-line window; the `weights` property exposes the conventional
+    reference window; the `weights` property exposes the conventional
     [w_0, ..., w_{N-1}] order.
     """
 
     def __init__(self, n_taps: int, mu: float):
-        if n_taps < 1:
-            raise DataError("need at least one tap")
-        if not (mu >= 0 and math.isfinite(mu)):
-            raise DataError(f"mu must be finite and non-negative, got {mu}")
+        check_lms_args(n_taps, mu)
         self.n_taps = n_taps
         self.mu = float(mu)
         self._v = np.zeros(n_taps)  # chronologically aligned weights
-        self._line = DelayLine(n_taps)
+        self._x = np.zeros(n_taps)  # chronological window, newest last
         self._step_count = 0
 
     @property
@@ -72,17 +79,12 @@ class LmsFilter:
             raise DataError(f"expected {self.n_taps} weights, got shape {w.shape}")
         self._v = w[::-1].copy()
 
-    @property
-    def reference_window(self) -> np.ndarray:
-        """X(n) = [x(n), ..., x(n-N+1)] as of the last step."""
-        return self._line.window()[::-1].copy()
-
     def step(self, x: float, d: float) -> tuple[float, float]:
         if not (math.isfinite(x) and math.isfinite(d)):
             raise DataError("non-finite input to LMS step")
-        line, v = self._line, self._v
-        line.push(x)
-        window = line.window()
+        window, v = self._x, self._v
+        window[:-1] = window[1:]
+        window[-1] = x
         y = float(np.dot(v, window))
         e = d - y
         if self.mu != 0.0:
@@ -91,40 +93,26 @@ class LmsFilter:
         self._step_count += 1
         return y, e
 
-    def run(self, x, d, weight_stride: int = 0):
-        """Drive the filter over whole arrays; returns an AdaptationRun.
-
-        On divergence the run is truncated at the failing step and the
-        raised DivergenceError is recorded instead of propagated.
-        """
+    def run(self, x, d):
+        """`lms_fit` with one row, from and to the state repeated `step`
+        calls would pass through; returns an AdaptationRun. Divergence
+        truncates the run before the failing step and records that step."""
         xs, ds = as_samples(x), as_samples(d)
         if xs.size != ds.size:
             raise DataError("reference and desired signals differ in length")
-        y = np.empty(xs.size)
-        e = np.empty(xs.size)
-        snaps, snap_steps = [], []
-        diverged_at = None
-        for n in range(xs.size):
-            try:
-                y[n], e[n] = self.step(xs[n], ds[n])
-            except DivergenceError as err:
-                diverged_at = err.index
-                y, e = y[:n], e[:n]
-                break
-            if weight_stride and (n + 1) % weight_stride == 0:
-                snaps.append(self.weights)
-                snap_steps.append(n)
-        return AdaptationRun(
-            y=y, e=e,
-            weight_snapshots=np.array(snaps) if snaps else None,
-            snapshot_steps=np.array(snap_steps, dtype=int) if snaps else None,
-            final_weights=self.weights,
-            diverged_at=diverged_at,
-        )
+        # the stored window, then the new samples: X(n) is hist[n+1:n+1+N]
+        hist = np.concatenate([self._x, xs])
+        y, e, diverged = lms_fit(self._v[None], hist[None, 1:], ds[None], self.mu)
+        steps = xs.size if diverged is None else diverged[1]
+        # a step that trips the guard has taken its sample but does not count
+        self._x = hist[xs.size if diverged is None else steps + 1:][:self.n_taps].copy()
+        diverged_at = None if diverged is None else self._step_count + steps
+        self._step_count += steps
+        return AdaptationRun(y[0, :steps], e[0, :steps], self.weights, diverged_at)
 
     def reset(self) -> None:
         self._v[:] = 0.0
-        self._line.reset()
+        self._x[:] = 0.0
         self._step_count = 0
 
 
@@ -144,10 +132,7 @@ class FxlmsFilter:
     """
 
     def __init__(self, n_taps: int, mu: float, sec_path_estimate):
-        if n_taps < 1:
-            raise DataError("need at least one tap")
-        if not (mu >= 0 and math.isfinite(mu)):
-            raise DataError(f"mu must be finite and non-negative, got {mu}")
+        check_lms_args(n_taps, mu)
         s = np.atleast_1d(np.asarray(sec_path_estimate, dtype=np.float64))
         if not np.all(np.isfinite(s)):
             raise DataError("secondary path estimate must be finite")
@@ -217,41 +202,56 @@ class AdaptationRun:
 
     y: np.ndarray
     e: np.ndarray
-    weight_snapshots: np.ndarray | None
-    snapshot_steps: np.ndarray | None
     final_weights: np.ndarray
     diverged_at: int | None = None
 
-    @property
-    def mse(self) -> np.ndarray:
-        return self.e**2
 
+def lms_fit(v: np.ndarray, x: np.ndarray, d: np.ndarray, mu: float):
+    """Fit P independent LMS filters in one pass; returns (y, e, diverged).
 
-@dataclass
-class ConvergenceTrace:
-    """Mean-square deviation from a target weight vector plus squared error.
-
-    msd[i] = ||w_opt - W(step i)||^2 at the retained snapshots and mse is
-    the per-sample squared error.
+    `v` (P, N) holds weights aligned with chronological windows, as in
+    `LmsFilter`, and is updated in place; row p of `x` (P, N - 1 + T) is
+    filter p's N - 1 history samples, then its T new ones, and row p of
+    `d` (P, T) its desired samples. Each sample takes `step`'s arithmetic:
+    one `np.dot` per row (a matrix product would sum in another order) and
+    one elementwise V += ((2 mu) e)[:, None] X, so each row equals its own
+    `step` loop bit for bit. y and e are (P, T); `diverged` is None or
+    (p, n), the first row whose guard ever tripped and the sample where it
+    did. Rows before p finish; the others stop at sample n or earlier.
     """
-
-    msd: np.ndarray
-    mse: np.ndarray
-    snapshot_steps: np.ndarray
-
-
-def convergence_trace(run: AdaptationRun, w_opt) -> ConvergenceTrace:
-    """Deviation diagnostics of a run against a known optimum."""
-    if run.weight_snapshots is None:
-        raise DataError("run was recorded without weight snapshots")
-    w_opt = np.asarray(w_opt, dtype=np.float64)
-    if w_opt.shape != run.weight_snapshots.shape[1:]:
-        raise DataError(
-            f"optimum shape {w_opt.shape} does not match snapshots "
-            f"{run.weight_snapshots.shape[1:]}")
-    dev = run.weight_snapshots - w_opt
-    msd = np.einsum("ij,ij->i", dev, dev)
-    return ConvergenceTrace(msd=msd, mse=run.mse, snapshot_steps=run.snapshot_steps)
+    P, N = v.shape
+    T = d.shape[1]
+    y = np.zeros((P, T))
+    step, screen = 2.0 * mu, 0.25 * WEIGHT_GUARD**2
+    diverged, start = None, 0
+    while P and start < T:
+        # rows [:P] from sample `start`; w_at[n] stacks their windows X(n)
+        w_at = sliding_window_view(x[:P], N, axis=1).transpose(1, 0, 2)
+        v_p, y_at, d_at = v[:P], y[:P].T, d[:P].T
+        rows = [(p, v_p[p].dot, w_at[:, p]) for p in range(P)]
+        c_col, update = np.empty((P, 1)), np.empty((P, N))
+        c = c_col[:, 0]
+        for n in range(start, T):
+            y_n = y_at[n]
+            for p, v_dot, x_p in rows:
+                y_n[p] = v_dot(x_p[n])
+            if mu != 0.0:
+                np.subtract(d_at[n], y_n, c)
+                np.multiply(step, c, c)
+                np.multiply(c_col, w_at[n], update)
+                v_p += update
+                # squares summing within (WEIGHT_GUARD / 2)^2 put every |w| within
+                # the guard, and NaN and inf fail the sum: check_weights' rule
+                if not (np.vdot(v_p, v_p) <= screen):
+                    tripped = np.flatnonzero(~(np.abs(v_p).max(axis=1) <= WEIGHT_GUARD))
+                    if tripped.size:
+                        diverged = int(tripped[0]), n
+                        P, start = diverged[0], n + 1
+                        break
+        else:
+            break
+    # the same subtraction each step made, in one pass
+    return y, d - y, diverged
 
 
 def reference_matrix(x: np.ndarray, n_taps: int) -> np.ndarray:

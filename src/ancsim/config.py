@@ -28,17 +28,10 @@ import yaml
 
 from .acoustics import DEFAULT_PRIMARY, DEFAULT_SECONDARY, PathSpec
 from .errors import ConfigError
+from .ranges import Fraction, NonNegative, NonNegativeInt, Positive, PositiveInt
 from .synth import BandNoiseSpec, ToneSpec, WavFileSpec
 
 SCHEMA_VERSION = 1
-
-# Range bounds for the annotations below; the walker reads each field's
-# type and range from its annotation, so no table here names a field
-PositiveInt = Annotated[int, "a positive integer", lambda v: v > 0]
-NonNegativeInt = Annotated[int, "a non-negative integer", lambda v: v >= 0]
-Positive = Annotated[float, "a positive finite number", lambda v: v > 0]
-NonNegative = Annotated[float, "a non-negative finite number", lambda v: v >= 0]
-Fraction = Annotated[float, "a finite number in [0, 1)", lambda v: 0 <= v < 1]
 
 
 @dataclass
@@ -144,11 +137,14 @@ class ExperimentConfig:
     schema_version: int = SCHEMA_VERSION
 
     def validate(self) -> "ExperimentConfig":
-        _walk(ExperimentConfig, asdict(self), "")   # each field against its annotation
+        _walk(ExperimentConfig, self, "", built=True)   # each field against its annotation
         if self.schema_version != SCHEMA_VERSION:
             raise ConfigError(
                 f"schema_version {self.schema_version} unsupported; this build "
                 f"reads version {SCHEMA_VERSION}")
+        for name, spec in (("primary", self.plant.primary), ("secondary", self.plant.secondary)):
+            if spec.delay >= spec.taps:
+                raise ConfigError(f"plant.{name}.delay {spec.delay} must be below taps {spec.taps}")
         if self.metrics.interval_s > self.duration_s:
             raise ConfigError(
                 f"metrics.interval_s {self.metrics.interval_s} is longer than "
@@ -213,12 +209,17 @@ def _hints(cls) -> dict:
     return get_type_hints(cls, include_extras=True)
 
 
-def _walk(tp, value, path: str):
-    """`value` checked against the annotation `tp`, with mappings built into
-    the dataclasses `tp` names. Raises ConfigError naming the dotted path."""
+def _walk(tp, value, path: str, built: bool = False):
+    """`value` checked against the annotation `tp`, with a document's
+    mappings built into the dataclasses `tp` names. With `built`, as in a
+    config set up in code, those must already be instances of them.
+    Raises ConfigError naming the dotted path."""
     if is_dataclass(tp):
-        if not isinstance(value, dict):
-            raise ConfigError(f"{path or 'config root'} must be a mapping, got {value!r}")
+        if built and isinstance(value, tp):
+            value = vars(value)
+        elif built or not isinstance(value, dict):
+            kind = f"a {tp.__name__}" if built else "a mapping"
+            raise ConfigError(f"{path or 'config root'} must be {kind}, got {value!r}")
         hints = _hints(tp)
         unknown = [str(k) for k in value if k not in hints]
         if unknown:
@@ -227,13 +228,13 @@ def _walk(tp, value, path: str):
                    and f.default is MISSING and f.default_factory is MISSING]
         if missing:
             raise ConfigError(f"{path or 'config'}: missing keys {missing}")
-        return tp(**{k: _walk(hints[k], v, f"{path}.{k}" if path else k)
+        return tp(**{k: _walk(hints[k], v, f"{path}.{k}" if path else k, built)
                      for k, v in value.items()})
     if get_origin(tp) is list:
         if not isinstance(value, list):
             raise ConfigError(f"{path} must be a list, got {value!r}")
         (item,) = get_args(tp)
-        return [_walk(item, v, f"{path}[{i}]") for i, v in enumerate(value)]
+        return [_walk(item, v, f"{path}[{i}]", built) for i, v in enumerate(value)]
     if not _matches(tp, value):
         raise ConfigError(f"{path} must be {_describe(tp)}, got {value!r}")
     return value

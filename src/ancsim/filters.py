@@ -13,17 +13,16 @@ import math
 import numpy as np
 
 from .errors import DataError, DomainError
-from .signals import Signal, as_samples
+from .signals import as_samples
 
 
 class DelayLine:
     """Fixed-length history of the most recent samples.
 
     Writes each sample at two mirrored positions so the chronological
-    window (oldest to newest) is always one contiguous view. `last(k)`
-    returns the newest k samples; pairing it with reversed coefficient
-    vectors keeps every dot product in a single canonical order, which the
-    bit-exactness contracts rely on.
+    window (oldest to newest) is always one contiguous view; pairing it
+    with reversed coefficient vectors keeps every dot product in a single
+    canonical order, which the bit-exactness contracts rely on.
     """
 
     __slots__ = ("size", "_buf", "_pos")
@@ -48,11 +47,6 @@ class DelayLine:
         """Chronological view [x(n-size+1), ..., x(n)]. Do not mutate."""
         start = self._pos + 1
         return self._buf[start:start + self.size]
-
-    def last(self, k: int) -> np.ndarray:
-        """Chronological view of the newest k samples."""
-        end = self._pos + 1 + self.size
-        return self._buf[end - k:end]
 
     def reset(self) -> None:
         self._buf[:] = 0.0
@@ -107,9 +101,6 @@ class FirFilter:
         for sample in x[-size:]:
             self._line.push(sample)
         return out
-
-    def process_signal(self, sig: Signal) -> Signal:
-        return sig.with_samples(self.process(sig.samples))
 
     def frequency_response(self, freq_hz: float, sample_rate_hz: float) -> complex:
         """Evaluate H(e^{j*omega}) = sum_i w_i e^{-j*omega*i} at one frequency.

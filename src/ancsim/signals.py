@@ -40,10 +40,6 @@ class Signal:
     def duration_s(self) -> float:
         return len(self.samples) / self.sample_rate_hz
 
-    def with_samples(self, samples: np.ndarray, label: str | None = None) -> "Signal":
-        """New signal at the same rate."""
-        return Signal(samples, self.sample_rate_hz, self.label if label is None else label)
-
 
 def require_same_rate(*signals: Signal) -> float:
     """Return the common sample rate or raise DataError on mismatch."""

@@ -3,7 +3,8 @@
 Drives one loudspeaker with seeded unit-power white noise while the
 primary input stays muted, and adapts an FIR estimate of the path to one
 error microphone with LMS. The control algorithms consume the resulting
-estimates; controllers never model paths online.
+estimates; controllers never model paths online. One `lms_fit` pass
+fits all requested paths, each bit for bit its own `LmsFilter.step` loop.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .acoustics import Plant
-from .adaptation import LmsFilter
+from .adaptation import check_lms_args, lms_fit
 from .errors import DataError, DivergenceError
 from .filters import FirFilter
 from .signals import Signal
@@ -73,53 +74,9 @@ def identify_path(plant: Plant, j: int, k: int, n_taps: int,
     The response is that of the freshly built (or reset) plant; the
     plant's own state is neither read nor advanced.
     """
-    if not (0 <= j < plant.n_sources):
-        raise DataError(f"source index {j} outside [0, {plant.n_sources})")
-    if not (0 <= k < plant.n_mics):
-        raise DataError(f"microphone index {k} outside [0, {plant.n_mics})")
-    rng = np.random.default_rng(seed)
-    excitation = rng.standard_normal(n_samples)
-
-    # Plant.step(0.0, u) term by term, in the order it adds them: the
-    # muted primary path and every silent secondary path give constants,
-    # path (j, k) filters the excitation, then the noise
-    response = np.full(n_samples, plant.primaries[k].clone().process_sample(0.0))
-    for jj, row in enumerate(plant.secondaries):
-        path = row[k].clone()
-        response += path.process(excitation) if jj == j else path.process_sample(0.0)
-    if plant.measurement_noise_std > 0.0:
-        noise = np.random.default_rng(plant.seed).standard_normal((n_samples, plant.n_mics))
-        response += plant.measurement_noise_std * noise[:, k]
-
-    lms = LmsFilter(n_taps, mu)
-    run = lms.run(excitation, response)
-    if run.diverged_at is not None:
-        raise DivergenceError(
-            f"identification of path ({j}, {k}) diverged", index=run.diverged_at)
-
-    true_taps = plant.true_secondary(j, k)
-    tail = true_taps[n_taps:]
-    total_energy = float(np.dot(true_taps, true_taps))
-    undermodeled = False
-    if tail.size and total_energy > 0.0:
-        tail_energy = float(np.dot(tail, tail))
-        if tail_energy > 0.01 * total_energy:
-            undermodeled = True
-            warnings.warn(
-                f"path ({j}, {k}) estimate of {n_taps} taps truncates "
-                f"{100 * tail_energy / total_energy:.1f}% of the impulse-response "
-                f"energy", UndermodelingWarning, stacklevel=2)
-
-    tail_len = max(n_samples // 10, 1)
-    residual_power = float(np.mean(run.e[-tail_len:] ** 2))
-    return IdentificationResult(
-        estimate=FirFilter(run.final_weights),
-        misalignment_db=misalignment_db(true_taps, run.final_weights),
-        residual_power=residual_power,
-        excitation=Signal(excitation, sample_rate_hz, label=f"excitation_{j}_{k}"),
-        response=Signal(response, sample_rate_hz, label=f"response_{j}_{k}"),
-        undermodeled=undermodeled,
-    )
+    if not (0 <= j < plant.n_sources and 0 <= k < plant.n_mics):
+        raise DataError(f"path ({j}, {k}) outside the {plant.n_sources} x {plant.n_mics} grid")
+    return next(_identify(plant, [(j, k, seed)], n_taps, mu, n_samples, sample_rate_hz))
 
 
 def identify_all_paths(plant: Plant, n_taps: int, mu: float = 0.01,
@@ -128,12 +85,59 @@ def identify_all_paths(plant: Plant, n_taps: int, mu: float = 0.01,
     """Identify the plant's full J x K grid; returns a J x K nested list.
 
     Pair (j, k) is excited with the (j * K + k)-th child of `seed`'s
-    SeedSequence. `identify_path` neither reads nor advances the plant's
-    state, so every pair sees the quiescent plant.
+    SeedSequence; each entry equals `identify_path` on its pair.
     """
-    children = np.random.SeedSequence(seed).spawn(plant.n_sources * plant.n_mics)
-    return [[identify_path(plant, j, k, n_taps, mu=mu, n_samples=n_samples,
-                           seed=children[j * plant.n_mics + k],
-                           sample_rate_hz=sample_rate_hz)
-             for k in range(plant.n_mics)]
-            for j in range(plant.n_sources)]
+    J, K = plant.n_sources, plant.n_mics
+    children = np.random.SeedSequence(seed).spawn(J * K)
+    pairs = [(j, k, children[j * K + k]) for j in range(J) for k in range(K)]
+    results = list(_identify(plant, pairs, n_taps, mu, n_samples, sample_rate_hz))
+    return [results[j * K:(j + 1) * K] for j in range(J)]
+
+
+def _identify(plant: Plant, pairs, n_taps: int, mu: float, n_samples: int,
+              sample_rate_hz: float):
+    """Fit the (j, k, seed) pairs in one pass, then yield their results in
+    order, warning and raising as fitting them one by one would."""
+    check_lms_args(n_taps, mu)
+    # row p: n_taps - 1 samples of silent history, then pair p's excitation
+    x = np.zeros((len(pairs), n_taps - 1 + n_samples))
+    responses = np.empty((len(pairs), n_samples))
+    noise = None
+    if plant.measurement_noise_std > 0.0:
+        noise = plant.measurement_noise_std * np.random.default_rng(plant.seed).standard_normal(
+            (n_samples, plant.n_mics))
+    for excitation, response, (j, k, seed) in zip(x[:, n_taps - 1:], responses, pairs):
+        excitation[:] = np.random.default_rng(seed).standard_normal(n_samples)
+        # Plant.step(0.0, u) term by term, in the order it adds them: the
+        # muted primary path and every silent secondary path give constants,
+        # path (j, k) filters the excitation, then the noise
+        response[:] = plant.primaries[k].clone().process_sample(0.0)
+        for jj, row in enumerate(plant.secondaries):
+            path = row[k].clone()
+            response += path.process(excitation) if jj == j else path.process_sample(0.0)
+        if noise is not None:
+            response += noise[:, k]
+    v = np.zeros((len(pairs), n_taps))
+    _, e, diverged = lms_fit(v, x, responses, mu)
+
+    for p, (j, k, _) in enumerate(pairs):
+        if diverged is not None and diverged[0] == p:
+            raise DivergenceError(
+                f"identification of path ({j}, {k}) diverged", index=diverged[1])
+        weights, true_taps = v[p, ::-1].copy(), plant.true_secondary(j, k)
+        tail_energy = float(np.dot(true_taps[n_taps:], true_taps[n_taps:]))
+        total_energy = float(np.dot(true_taps, true_taps))
+        undermodeled = tail_energy > 0.01 * total_energy
+        if undermodeled:
+            warnings.warn(
+                f"path ({j}, {k}) estimate of {n_taps} taps truncates "
+                f"{100 * tail_energy / total_energy:.1f}% of the impulse-response "
+                f"energy", UndermodelingWarning, stacklevel=3)
+        yield IdentificationResult(
+            estimate=FirFilter(weights),
+            misalignment_db=misalignment_db(true_taps, weights),
+            residual_power=float(np.mean(e[p, -max(n_samples // 10, 1):] ** 2)),
+            excitation=Signal(x[p, n_taps - 1:], sample_rate_hz, label=f"excitation_{j}_{k}"),
+            response=Signal(responses[p], sample_rate_hz, label=f"response_{j}_{k}"),
+            undermodeled=undermodeled,
+        )

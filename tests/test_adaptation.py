@@ -2,11 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ancsim.adaptation import (
     FxlmsFilter,
     LmsFilter,
-    convergence_trace,
+    lms_fit,
     fxlms_mu_bound,
     lms_mu_bound,
     wiener_solve,
@@ -76,6 +78,127 @@ class TestLmsStep:
             for n in range(x.size):
                 lms.step(x[n], x[n] * 0.5)
         assert 0 <= exc_info.value.index < 100_000
+
+
+def assert_same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    np.testing.assert_array_equal(got, want)     # NaN equals NaN here
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def step_loop(lms, x, d):
+    """(y, e, tripping step or None) of one `step` call per sample; a step
+    that trips the guard still reports its y and e."""
+    y, e = [], []
+    for xn, dn in zip(x, d):
+        window = np.concatenate([lms._x[1:], [xn]])
+        y_n = float(np.dot(lms._v, window))
+        y.append(y_n)
+        e.append(dn - y_n)
+        try:
+            assert lms.step(xn, dn) == (y[-1], e[-1])
+        except DivergenceError as err:
+            return np.array(y), np.array(e), err.index
+    return np.array(y), np.array(e), None
+
+
+@st.composite
+def fit_cases(draw):
+    seed = draw(st.integers(0, 2**32 - 1))
+    P, N, T = draw(st.integers(1, 5)), draw(st.integers(1, 12)), draw(st.integers(0, 60))
+    mu = draw(st.sampled_from([0.0, 1e-3, 0.05, 0.3, 1.5]))
+    rng = np.random.default_rng(seed)
+    scale = draw(st.sampled_from([1e-3, 1.0, 30.0]))
+    x = np.concatenate([np.zeros((P, N - 1)), scale * rng.standard_normal((P, T))], axis=1)
+    d = rng.standard_normal((P, T))
+    d[rng.random((P, T)) < 0.1] = -0.0
+    w0 = rng.standard_normal((P, N)) * draw(st.sampled_from([0.0, -0.0, 0.5]))
+    return x, d, w0, mu
+
+
+class TestLmsFit:
+    @settings(max_examples=150, deadline=None)
+    @given(fit_cases())
+    def test_rows_equal_per_path_step_loops(self, case):
+        x, d, w0, mu = case
+        P, N = w0.shape
+        v = w0[:, ::-1].copy()
+        with np.errstate(over="ignore", invalid="ignore"):
+            y, e, diverged = lms_fit(v, x, d, mu)
+            loops = []
+            for p in range(P):
+                lms = LmsFilter(N, mu)
+                lms.weights = w0[p]
+                loops.append((lms, *step_loop(lms, x[p, N - 1:], d[p])))
+        tripped = [p for p, (*_, trip) in enumerate(loops) if trip is not None]
+        assert diverged == (None if not tripped else (tripped[0], loops[tripped[0]][3]))
+        first = min([trip + 1 for *_, trip in loops if trip is not None], default=d.shape[1])
+        for p, (lms, y_ref, e_ref, trip) in enumerate(loops):
+            # every row runs until the first trip; past it, rows after the
+            # reported one are no longer fitted
+            n = y_ref.size if diverged is None or p <= diverged[0] else first
+            assert_same_bits(y[p, :n], y_ref[:n])
+            assert_same_bits(e[p, :n], e_ref[:n])
+            if diverged is None or p <= diverged[0]:
+                assert_same_bits(v[p, ::-1], lms.weights)
+
+    @settings(max_examples=100, deadline=None)
+    @given(fit_cases(), st.data())
+    def test_run_continues_where_steps_left_off(self, case, data):
+        x, d, w0, mu = case
+        N = w0.shape[1]
+        xs, ds = x[0, N - 1:], d[0]
+        k = data.draw(st.integers(0, xs.size))
+        a, b = LmsFilter(N, mu), LmsFilter(N, mu)
+        a.weights = b.weights = w0[0]
+        with np.errstate(over="ignore", invalid="ignore"):
+            y_ref, e_ref, trip = step_loop(b, xs, ds)
+            try:
+                for n in range(k):
+                    a.step(xs[n], ds[n])
+            except DivergenceError:
+                return
+            run = a.run(xs[k:], ds[k:])
+        steps = xs.size if trip is None else trip
+        assert run.diverged_at == trip
+        assert_same_bits(run.y, y_ref[k:steps])
+        assert_same_bits(run.e, e_ref[k:steps])
+        assert_same_bits(run.final_weights, b.weights)
+        assert_same_bits(a._x, b._x)
+        assert a._step_count == b._step_count
+
+    def test_weights_between_half_and_full_guard_are_not_a_trip(self):
+        # both rows sit above half the guard, where only the exact check
+        # decides: row 0 stays at 0.8e6, row 1 climbs past 1e6
+        T = 40
+        x = np.ones((2, T))
+        d = np.array([0.8e6, 2e6])[:, None] * x
+        w0 = np.array([[0.8e6], [0.9e6]])
+        v = w0.copy()
+        y, e, diverged = lms_fit(v, x, d, 0.01)
+        loops = []
+        for p in (0, 1):
+            lms = LmsFilter(1, 0.01)
+            lms.weights = w0[p]
+            loops.append((lms, *step_loop(lms, x[p], d[p])))
+        assert loops[0][3] is None and loops[1][3] is not None
+        assert diverged == (1, loops[1][3])
+        assert_same_bits(v[:, 0], [loops[0][0].weights[0], loops[1][0].weights[0]])
+        assert_same_bits(e[0], loops[0][2])
+
+    def test_earliest_row_wins_over_an_earlier_trip(self):
+        # row 1 sees a larger desired signal, so its weights pass the guard
+        # first; the fit still reports row 0, at the step its own loop trips
+        rng = np.random.default_rng(3)
+        T, N = 400, 4
+        x = np.concatenate([np.zeros((2, N - 1)), rng.standard_normal((2, T))], axis=1)
+        d = np.array([1e-3, 1e3])[:, None] * rng.standard_normal((2, T))
+        with np.errstate(over="ignore", invalid="ignore"):
+            _, _, diverged = lms_fit(np.zeros((2, N)), x, d, 1.0)
+            trips = [step_loop(LmsFilter(N, 1.0), x[p, N - 1:], d[p])[2] for p in (0, 1)]
+        assert None not in trips and trips[1] < trips[0]
+        assert diverged == (0, trips[0])
 
 
 class TestWienerSolve:
@@ -341,54 +464,14 @@ def test_fxlms_state_window_matches_gradient_construction():
     np.testing.assert_array_equal(fx.filtered_reference_window, xf_direct[:-7:-1])
 
 
-class TestConvergenceTrace:
-    def test_msd_zero_at_optimum(self):
-        rng = np.random.default_rng(13)
-        x = rng.standard_normal(2000)
-        d = FirFilter([0.5]).process(x)
-        lms = LmsFilter(1, 0.0)
-        lms.weights = np.array([0.5])
-        run = lms.run(x, d, weight_stride=100)
-        trace = convergence_trace(run, [0.5])
-        assert np.all(trace.msd == 0.0)
-        np.testing.assert_allclose(trace.mse, 0.0, atol=1e-20)
-
-    def test_msd_constant_for_frozen_zero_weights(self):
-        rng = np.random.default_rng(14)
-        x = rng.standard_normal(1000)
-        lms = LmsFilter(2, 0.0)
-        run = lms.run(x, x, weight_stride=50)
-        w_opt = np.array([1.0, 0.0])
-        trace = convergence_trace(run, w_opt)
-        assert np.allclose(trace.msd, float(w_opt @ w_opt))
-
-    def test_msd_decreases_for_stable_run(self):
-        rng = np.random.default_rng(15)
-        x = rng.standard_normal(20_000)
-        d = FirFilter([0.4, -0.2, 0.1]).process(x)
-        lms = LmsFilter(3, 0.1 * lms_mu_bound(x, 3))
-        run = lms.run(x, d, weight_stride=100)
-        trace = convergence_trace(run, wiener_solve(x, d, 3))
-        n = trace.msd.size
-        assert np.mean(trace.msd[-n // 10:]) < np.mean(trace.msd[:n // 10])
-
-    def test_dimension_mismatch(self):
-        rng = np.random.default_rng(16)
-        run = LmsFilter(2, 0.0).run(rng.standard_normal(100),
-                                    rng.standard_normal(100), weight_stride=10)
-        with pytest.raises(DataError):
-            convergence_trace(run, np.zeros(3))
-
-
 class TestDeterminism:
     def test_identical_seeds_identical_trajectories(self):
         def trajectory(seed):
             rng = np.random.default_rng(seed)
             x = rng.standard_normal(2000)
             d = FirFilter([0.2, 0.1]).process(x)
-            lms = LmsFilter(2, 0.02)
-            run = lms.run(x, d, weight_stride=10)
-            return run.weight_snapshots
+            run = LmsFilter(2, 0.02).run(x, d)
+            return np.concatenate([run.e, run.final_weights])
 
         assert np.array_equal(trajectory(123), trajectory(123))
         assert not np.array_equal(trajectory(123), trajectory(124))

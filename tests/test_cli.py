@@ -152,6 +152,8 @@ class TestExitCodes:
         (("seed",), -1, "seed"),
         (("controller", "n_refs"), "x", "controller.n_refs"),
         (("plant", "primary", "taps"), "x", "plant.primary.taps"),
+        (("plant", "primary", "delay"), 40, "plant.primary.delay"),     # taps is 32
+        (("plant", "secondary", "taps"), 0, "plant.secondary.taps"),
     ])
     def test_bad_field_is_two_naming_its_path(self, tmp_path, path, bad, named):
         cfg_path = tmp_path / "bad.yaml"

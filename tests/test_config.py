@@ -227,6 +227,11 @@ class TestFieldTypes:
         (("plant", "primary", "taps"), "x", "plant.primary.taps"),
         (("plant", "secondary", "decay"), None, "plant.secondary.decay"),
         (("plant", "primary"), [8, 0.6, 32, 0.9], "plant.primary"),
+        (("plant", "primary", "delay"), -1, "plant.primary.delay"),
+        (("plant", "primary", "delay"), 40, "plant.primary.delay"),     # taps is 32
+        (("plant", "secondary", "delay"), 16, "plant.secondary.delay"),  # taps is 16
+        (("plant", "secondary", "taps"), 0, "plant.secondary.taps"),
+        (("plant", "primary", "gain"), float("inf"), "plant.primary.gain"),
         (("plant", "primary_taps"), [0.5, "x"], "plant.primary_taps[1]"),
         (("plant", "secondary_taps"), [[[0.5, None]]], "plant.secondary_taps[0][0][1]"),
         (("seed",), "x", "seed"),
@@ -286,6 +291,19 @@ class TestFieldTypes:
         cfg.seed = 1
         cfg.plant.measurement_noise_std = float("nan")
         with pytest.raises(ConfigError, match=re.escape("plant.measurement_noise_std")):
+            cfg.validate()
+
+    @pytest.mark.parametrize("where, mapping, named", [
+        ("plant", {"kind": "synthetic"}, "plant must be a PlantConfig"),
+        ("tones", {"freq_hz": 100.0}, "noise_sources[0].tones[0] must be a ToneSpec"),
+    ])
+    def test_validate_rejects_mappings_set_in_code(self, where, mapping, named):
+        cfg = default_config("combined")
+        if where == "plant":
+            cfg.plant = mapping
+        else:
+            cfg.noise_sources[0].tones = [mapping]
+        with pytest.raises(ConfigError, match=re.escape(named)):
             cfg.validate()
 
     def test_root_must_be_a_mapping(self):

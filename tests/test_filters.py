@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from ancsim.errors import DataError, DomainError
 from ancsim.filters import FirFilter
-from ancsim.signals import Signal
 
 
 def direct_convolution(weights, x):
@@ -104,12 +103,6 @@ class TestFirProcess:
     def test_non_finite_weights_rejected(self):
         with pytest.raises(DataError):
             FirFilter([1.0, np.inf])
-
-    def test_signal_roundtrip_preserves_rate(self):
-        sig = Signal(np.ones(16), 8000.0)
-        out = FirFilter([0.5]).process_signal(sig)
-        assert out.sample_rate_hz == 8000.0
-        assert len(out) == 16
 
 
 class TestFrequencyResponse:

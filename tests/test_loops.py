@@ -8,13 +8,15 @@ zero, so each comparison here is `np.array_equal` plus equal sign bits.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ancsim.acoustics import Plant
 from ancsim.adaptation import FxlmsFilter, LmsFilter
 from ancsim.config import PlantConfig, default_config
 from ancsim.errors import DivergenceError
 from ancsim.filters import FirFilter
-from ancsim.loops import PlantSplit, run_adaptive, run_fixed
+from ancsim.loops import PlantSplit, run_adaptive, run_fixed, run_uncontrolled_signal
 from ancsim.mcanc import ChannelConfig, McAncController
 from ancsim.scenario import build_plant, build_training_signal, run_scenario
 from ancsim.sysid import identify_path
@@ -152,8 +154,10 @@ def test_identification_response_matches_plant_step(kind, j, k):
         u[j] = excitation[i]
         response[i] = plant.step(0.0, u)[k]
     assert_same_bits(res.response.samples, response)
-    fit = LmsFilter(cfg.sysid.taps, cfg.sysid.mu).run(excitation, response)
-    assert_same_bits(res.estimate.weights, fit.final_weights)
+    lms = LmsFilter(cfg.sysid.taps, cfg.sysid.mu)
+    for xn, dn in zip(excitation, response):
+        lms.step(xn, dn)
+    assert_same_bits(res.estimate.weights, lms.weights)
 
 
 def signed_zero_plant():
@@ -252,6 +256,50 @@ def test_split_carries_state_across_calls():
             assert_same_bits(ctl.filtered_reference_window,
                              ref_ctl.filtered_reference_window)
             assert_same_bits(ctl.reference_window, ref_ctl.reference_window)
+
+
+def random_loop(seed, taps, mu):
+    """A reference with silent stretches, which give signed zeros, and
+    loop_cases over random paths of both signs; the plant is noiseless."""
+    rng = np.random.default_rng(seed)
+    x = np.r_[np.zeros(20), rng.standard_normal(150), np.zeros(30)]
+    primary = rng.standard_normal(int(rng.integers(1, 8))) * 0.5
+    secondary = np.r_[0.0, rng.standard_normal(int(rng.integers(1, 5))) * 0.5]
+    s_hat = np.r_[0.0, secondary + rng.standard_normal(secondary.size) * 0.05]
+    return x, loop_cases(primary, secondary, s_hat, taps, mu)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_zero_step_size_is_the_zero_weight_fixed_arm_and_the_uncontrolled_arm(seed):
+    taps = 6
+    x, cases = random_loop(seed, taps, 0.0)
+    for make_plant, make_ctl, _ in cases:
+        ctl = make_ctl()
+        single = isinstance(ctl, FxlmsFilter)
+        adaptive = run_adaptive(make_plant(), ctl, x)
+        fixed = run_fixed(make_plant(), np.zeros(taps if single else (1, 2, taps)), x)
+        uncontrolled = run_uncontrolled_signal(make_plant(), x).uncontrolled()
+        assert_same_bits(adaptive.error, fixed.error)
+        assert_same_bits(fixed.error, uncontrolled[:, 0] if single else uncontrolled)
+        assert_same_bits(adaptive.output, fixed.output)
+        assert_same_bits(adaptive.final_weights, np.zeros_like(adaptive.final_weights))
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(-4, 4))
+def test_scaling_reference_by_2p_and_step_size_by_2_minus_2p(seed, p):
+    # every product and sum scales by a power of two, which is exact, and
+    # the update (-mu e) x_f is unchanged: the weights follow the same path
+    x, cases = random_loop(seed, 6, 0.004)
+    _, scaled_cases = random_loop(seed, 6, 0.004 * 4.0 ** -p)
+    for (make_plant, make_ctl, _), (_, make_scaled, _) in zip(cases, scaled_cases):
+        base = run_adaptive(make_plant(), make_ctl(), x)
+        scaled = run_adaptive(make_plant(), make_scaled(), x * 2.0 ** p)
+        assert base.diverged_at is None and scaled.diverged_at is None
+        assert_same_bits(scaled.error, base.error * 2.0 ** p)
+        assert_same_bits(scaled.output, base.output * 2.0 ** p)
+        assert_same_bits(scaled.final_weights, base.final_weights)
 
 
 @pytest.mark.parametrize("bad, primary, s_tap", [

@@ -5,6 +5,7 @@ import pytest
 
 from ancsim.acoustics import Plant, synthetic_plant
 from ancsim.adaptation import wiener_solve
+from ancsim.errors import DivergenceError
 from ancsim.filters import FirFilter
 from ancsim.sysid import (
     UndermodelingWarning,
@@ -114,6 +115,40 @@ class TestIdentifyAllPaths:
                 assert got.residual_power == ref.residual_power
         # the paths differ, so a grid entry is not a copy of another
         assert grid[0][0].estimate.weights.tobytes() != grid[1][1].estimate.weights.tobytes()
+
+
+class TestGridDivergence:
+    def test_earliest_diverging_path_raises_at_its_own_index(self):
+        # path (1, 1) is loud, so its fit passes the guard first; the grid
+        # still raises for (0, 0), the first pair in (j, k) order, at the
+        # index identifying (0, 0) alone raises with
+        def build():
+            return Plant([FirFilter([0.0]), FirFilter([0.0])],
+                         [[FirFilter([1e-3]), FirFilter([1e-3])],
+                          [FirFilter([1e-3]), FirFilter([1e3])]])
+        children = np.random.SeedSequence(8).spawn(4)
+        indices = {}
+        with np.errstate(over="ignore", invalid="ignore"):
+            for j, k in ((0, 0), (1, 1)):
+                with pytest.raises(DivergenceError) as exc_info:
+                    identify_path(build(), j, k, 4, mu=1.0, n_samples=400,
+                                  seed=children[j * 2 + k])
+                indices[j, k] = exc_info.value.index
+            assert indices[1, 1] < indices[0, 0]
+            with pytest.raises(DivergenceError, match=r"path \(0, 0\)") as exc_info:
+                identify_all_paths(build(), 4, mu=1.0, n_samples=400, seed=8)
+        assert exc_info.value.index == indices[0, 0]
+
+    def test_warnings_of_earlier_pairs_precede_the_raise(self):
+        # (0, 0) is undermodeled and fits; the (0, 1) estimate converges
+        # towards a tap beyond the weight guard: sequential fitting warns
+        # for (0, 0), then raises for (0, 1)
+        plant = Plant([FirFilter([0.0]), FirFilter([0.0])],
+                      [[FirFilter([0.0, 0.0, 1.0]), FirFilter([2e6])]])
+        with pytest.warns(UndermodelingWarning, match=r"path \(0, 0\)") as record:
+            with pytest.raises(DivergenceError, match=r"path \(0, 1\)"):
+                identify_all_paths(plant, 2, mu=0.05, n_samples=400, seed=1)
+        assert len([w for w in record if w.category is UndermodelingWarning]) == 1
 
 
 class TestMisalignment:

@@ -227,11 +227,6 @@ class TestFieldTypes:
         (("plant", "primary", "taps"), "x", "plant.primary.taps"),
         (("plant", "secondary", "decay"), None, "plant.secondary.decay"),
         (("plant", "primary"), [8, 0.6, 32, 0.9], "plant.primary"),
-        (("plant", "primary", "delay"), -1, "plant.primary.delay"),
-        (("plant", "primary", "delay"), 40, "plant.primary.delay"),     # taps is 32
-        (("plant", "secondary", "delay"), 16, "plant.secondary.delay"),  # taps is 16
-        (("plant", "secondary", "taps"), 0, "plant.secondary.taps"),
-        (("plant", "primary", "gain"), float("inf"), "plant.primary.gain"),
         (("plant", "primary_taps"), [0.5, "x"], "plant.primary_taps[1]"),
         (("plant", "secondary_taps"), [[[0.5, None]]], "plant.secondary_taps[0][0][1]"),
         (("seed",), "x", "seed"),
@@ -248,6 +243,11 @@ class TestFieldTypes:
         (("fixed_filter", "train_source"), -1, "fixed_filter.train_source"),
         (("sample_rate_hz",), 10**400, "sample_rate_hz"),
         (("schema_version",), "1", "schema_version"),
+        (("plant", "primary", "delay"), -1, "plant.primary.delay"),
+        (("plant", "primary", "delay"), 40, "plant.primary.delay"),     # taps is 32
+        (("plant", "secondary", "delay"), 16, "plant.secondary.delay"),  # taps is 16
+        (("plant", "secondary", "taps"), 0, "plant.secondary.taps"),
+        (("plant", "primary", "gain"), float("inf"), "plant.primary.gain"),
     ])
     def test_bad_value_names_its_path(self, path, bad, named):
         doc = small_combined_doc()

@@ -1,5 +1,9 @@
 """Destructive-interference arithmetic and the simulated acoustic plant.
 
+The plant is plain data: its primary and secondary paths are tap arrays,
+which the loops filter with `filters.fir`; `Plant.step` is the per-sample
+oracle over the same arrays.
+
 Sign conventions, kept distinct on purpose: the plant ADDS the secondary
 contribution to the disturbance (error = disturbance + paths * outputs),
 so a controller must drive its output toward the negated disturbance. The
@@ -15,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, DomainError
-from .filters import FirFilter
+from .filters import as_taps, fir
 from .ranges import NonNegativeInt, PositiveInt
 from .signals import as_samples
 
@@ -66,20 +70,25 @@ def spl_delta(beta: float, alpha: float) -> float:
 
 
 class Plant:
-    """Simulated acoustic environment between controller and microphones.
+    """Simulated acoustic environment between controller and microphones,
+    held as plain data.
 
-    One primary path per error microphone carries the reference to the
-    disturbance; a J x K grid of secondary paths carries each loudspeaker
-    to each microphone. Optional white measurement noise is drawn from a
-    seeded generator, so identical seeds give identical realizations.
+    `primaries` holds one primary path per error microphone (K tap arrays),
+    carrying the reference to the disturbance; `secondaries` holds a J x K
+    grid of secondary paths (J rows of K tap arrays), carrying each
+    loudspeaker to each microphone. Every path keeps its own length.
+    Optional white measurement noise is drawn from a generator seeded with
+    `seed`, so identical seeds give identical realizations.
+
+    `step` is the per-sample oracle: it keeps the recent reference and
+    loudspeaker samples and forms each path's output as one dot over its
+    window. The closed loops read the arrays instead (`loops.PlantSplit`).
     """
 
     def __init__(self, primary_paths, secondary_paths,
                  measurement_noise_std: float = 0.0, seed: int = 0):
-        if isinstance(primary_paths, FirFilter):
-            primary_paths = [primary_paths]
-        self.primaries = list(primary_paths)
-        self.secondaries = [list(row) for row in secondary_paths]
+        self.primaries = [as_taps(p) for p in primary_paths]
+        self.secondaries = [[as_taps(s) for s in row] for row in secondary_paths]
         self.n_sources = len(self.secondaries)          # J
         self.n_mics = len(self.primaries)               # K
         for j, row in enumerate(self.secondaries):
@@ -92,7 +101,7 @@ class Plant:
             raise DomainError("measurement noise std must be non-negative")
         self.measurement_noise_std = float(measurement_noise_std)
         self.seed = seed
-        self._rng = np.random.default_rng(seed)
+        self.reset()
 
     def step(self, x_sample: float, u_samples) -> np.ndarray:
         """Advance one sample: error at each microphone for reference input
@@ -104,14 +113,16 @@ class Plant:
             raise DataError(f"expected {self.n_sources} control samples, got {u.size}")
         if not np.all(np.isfinite(u)):
             raise DataError("non-finite control sample")
+        x_win, u_win = self._x, self._u
+        x_win[:-1] = x_win[1:]
+        x_win[-1] = x_sample
+        u_win[:, :-1] = u_win[:, 1:]
+        u_win[:, -1] = u
         e = np.empty(self.n_mics)
-        for k in range(self.n_mics):
-            e[k] = self.primaries[k].process_sample(x_sample)
-        for j in range(self.n_sources):
-            uj = u[j]
-            row = self.secondaries[j]
-            for k in range(self.n_mics):
-                e[k] += row[k].process_sample(uj)
+        for k, (p, window) in enumerate(self._p_terms):
+            e[k] = np.dot(p, window)
+        for k, s, window in self._s_terms:
+            e[k] += np.dot(s, window)
         if self.measurement_noise_std > 0.0:
             e += self.measurement_noise_std * self._rng.standard_normal(self.n_mics)
         return e
@@ -125,17 +136,29 @@ class Plant:
             out[n] = self.step(samples[n], zeros)
         return out
 
+    def silent_outputs(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each path's output while its input is silent: (K,) primaries and
+        (J, K) secondaries. Each is the path's dot over a zero window, as
+        `step` forms it, so a lone negative tap gives -0.0."""
+        zero = np.zeros(1)
+        return (np.array([fir(p, zero)[0] for p in self.primaries]),
+                np.array([[fir(s, zero)[0] for s in row] for row in self.secondaries]))
+
     def true_secondary(self, j: int, k: int) -> np.ndarray:
         """Impulse response of the true path from source j to microphone k."""
-        return self.secondaries[j][k].weights
+        return self.secondaries[j][k].copy()
 
     def reset(self) -> None:
-        """Zero all path states and rewind the noise generator."""
-        for f in self.primaries:
-            f.reset()
-        for row in self.secondaries:
-            for f in row:
-                f.reset()
+        """Zero the reference and loudspeaker histories and rewind the
+        noise generator."""
+        P = max(p.size for p in self.primaries)
+        H = max(s.size for row in self.secondaries for s in row)
+        self._x, self._u = np.zeros(P), np.zeros((self.n_sources, H))
+        # reversed taps and each path's window: views of the histories,
+        # which `step` shifts in place
+        self._p_terms = [(p[::-1].copy(), self._x[P - p.size:]) for p in self.primaries]
+        self._s_terms = [(k, s[::-1].copy(), self._u[j, H - s.size:])
+                         for j, row in enumerate(self.secondaries) for k, s in enumerate(row)]
         self._rng = np.random.default_rng(self.seed)
 
 
@@ -176,15 +199,8 @@ def synthetic_plant(n_sources: int = 1, n_mics: int = 1, seed: int = 0,
     causality.
     """
     rng = np.random.default_rng(seed)
-    p = primary.impulse_response()
-    primaries = [FirFilter(p) for _ in range(n_mics)]
     s_base = secondary.impulse_response()
-    secondaries = []
-    for _ in range(n_sources):
-        row = []
-        for _ in range(n_mics):
-            factors = 1.0 + perturbation * rng.uniform(-1.0, 1.0, size=s_base.size)
-            row.append(FirFilter(s_base * factors))
-        secondaries.append(row)
-    return Plant(primaries, secondaries,
+    secondaries = [[s_base * (1.0 + perturbation * rng.uniform(-1.0, 1.0, size=s_base.size))
+                    for _ in range(n_mics)] for _ in range(n_sources)]
+    return Plant([primary.impulse_response()] * n_mics, secondaries,
                  measurement_noise_std=measurement_noise_std, seed=seed)

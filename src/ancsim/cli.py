@@ -18,10 +18,10 @@ import numpy as np
 from ._version import __version__
 from .config import default_config, load_config, save_config
 from .errors import AncError, ConfigError, DivergenceError, WavError
+from .loops import loop_aligned_path
 from .mcanc import ChannelConfig, mac_count, mac_measure
 from .reporting import export_report, summary_dict
 from .scenario import (
-    _aligned_estimates,
     build_plant,
     build_reference,
     build_training_signal,
@@ -91,7 +91,7 @@ def cmd_pretrain(args) -> int:
     cfg = _load(args)
     reference = build_reference(cfg)
     raw_est, _ = resolve_estimates(cfg)
-    aligned = _aligned_estimates(raw_est)
+    aligned = loop_aligned_path(raw_est)
     mu = resolve_mu(cfg, reference, aligned)
     training = build_training_signal(cfg)
     weights, info = pretrain_fixed_filter(cfg, aligned, mu, training)
@@ -102,6 +102,10 @@ def cmd_pretrain(args) -> int:
         snap = GridSnapshot(weights, aligned)
     save_weights_binary(os.path.join(args.out, "fixed_weights.anw"), snap)
     save_weights_json(os.path.join(args.out, "fixed_weights.json"), snap)
+    if info.diverged_at is not None:
+        print(f"pre-training diverged at sample {info.diverged_at}; "
+              "wrote silent weights", file=sys.stderr)
+        return EXIT_DIVERGED
     print(f"pre-trained for {info.seconds_trained} s "
           f"(plateau {'reached' if info.plateau_reached else 'not reached'}), "
           f"last-second NR {info.nr_per_second_db[-1]:.2f} dB")
@@ -173,7 +177,7 @@ def cmd_init_config(args) -> int:
     cfg = default_config(scenario=args.scenario)
     if args.seed is not None:
         cfg.seed = args.seed
-    save_config(args.out, cfg)
+    save_config(args.out, cfg.validate())
     print(f"wrote {args.out}")
     return EXIT_OK
 

@@ -1,9 +1,13 @@
-"""FIR filters with explicit, streamable state.
+"""FIR filtering as one stateless pass.
 
-Processing is sample-by-sample against a ring-buffer delay line, so block
-processing across calls is bit-identical to one whole-signal call. Delay
-lines start zeroed, matching the x(k) = 0 for k < 0 convention of the
-convolution sums.
+`fir` filters a whole block given the samples that preceded it; every
+linear time-invariant pass in the library (the plant's paths, frozen
+controllers, filtered references) goes through it. Output n is one
+`np.dot` of the reversed weights with the chronological window ending at
+x(n), so a pass split anywhere equals one whole pass, and equals
+per-sample filtering, bit for bit. Samples before the first one given
+are zeros, matching the x(k) = 0 for k < 0 convention of the convolution
+sums.
 """
 
 from __future__ import annotations
@@ -11,65 +15,54 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DataError, DomainError
 from .signals import as_samples
 
 
-class DelayLine:
-    """Fixed-length history of the most recent samples.
+def as_taps(weights) -> np.ndarray:
+    """Validated float64 copy of an FIR impulse response."""
+    w = np.atleast_1d(np.asarray(weights, dtype=np.float64))
+    if w.ndim != 1 or w.size < 1:
+        raise DataError("FIR filter needs at least one tap")
+    if not np.all(np.isfinite(w)):
+        raise DataError("FIR weights must be finite")
+    return w.copy()
 
-    Writes each sample at two mirrored positions so the chronological
-    window (oldest to newest) is always one contiguous view; pairing it
-    with reversed coefficient vectors keeps every dot product in a single
-    canonical order, which the bit-exactness contracts rely on.
+
+def fir(weights, x, history=None) -> np.ndarray:
+    """y(n) = sum_i w_i x(n-i) for every sample of x.
+
+    `history` holds the samples before x, oldest first; the window reads
+    zeros beyond it. Each output is `w_rev.dot` over its own window, the
+    dot `FirFilter.process_sample` forms. Do not replace these dots by a
+    matrix product, `einsum` or an FFT convolution: those add the terms in
+    another order and change the last bits.
     """
-
-    __slots__ = ("size", "_buf", "_pos")
-
-    def __init__(self, size: int):
-        if size < 1:
-            raise DataError(f"delay line size must be >= 1, got {size}")
-        self.size = size
-        self._buf = np.zeros(2 * size)
-        self._pos = size - 1
-
-    def push(self, x: float) -> None:
-        pos = self._pos + 1
-        if pos == self.size:
-            pos = 0
-        buf = self._buf
-        buf[pos] = x
-        buf[pos + self.size] = x
-        self._pos = pos
-
-    def window(self) -> np.ndarray:
-        """Chronological view [x(n-size+1), ..., x(n)]. Do not mutate."""
-        start = self._pos + 1
-        return self._buf[start:start + self.size]
-
-    def reset(self) -> None:
-        self._buf[:] = 0.0
-        self._pos = self.size - 1
+    w_rev = np.asarray(weights, dtype=np.float64)[::-1].copy()
+    x = np.asarray(x, dtype=np.float64)
+    if not x.size:
+        return np.empty(0)
+    past = () if history is None else history
+    h = np.concatenate([np.zeros(w_rev.size - 1), past, x])[len(past):]
+    return np.fromiter(map(w_rev.dot, sliding_window_view(h, w_rev.size)),
+                       np.float64, x.size)
 
 
 class FirFilter:
     """Transversal FIR filter: y(n) = sum_i w_i * x(n-i).
 
     Weights are fixed after construction; adaptive weights live in the
-    adaptation module. The internal delay line makes the filter stateful:
-    clone or reset between independent runs.
+    adaptation module. The filter keeps its last N input samples, so block
+    processing across calls is bit-identical to one whole-signal call;
+    reset it between independent runs.
     """
 
     def __init__(self, weights):
-        w = np.atleast_1d(np.asarray(weights, dtype=np.float64))
-        if w.ndim != 1 or w.size < 1:
-            raise DataError("FIR filter needs at least one tap")
-        if not np.all(np.isfinite(w)):
-            raise DataError("FIR weights must be finite")
-        self._weights = w.copy()
-        self._w_rev = w[::-1].copy()  # aligned with chronological windows
-        self._line = DelayLine(w.size)
+        self._weights = as_taps(weights)
+        self._w_rev = self._weights[::-1].copy()  # aligned with the window
+        self._x = np.zeros(self._weights.size)    # chronological, newest last
 
     @property
     def weights(self) -> np.ndarray:
@@ -82,24 +75,16 @@ class FirFilter:
     def process_sample(self, x: float) -> float:
         if not math.isfinite(x):
             raise DataError(f"non-finite input sample {x!r}")
-        self._line.push(x)
-        return float(np.dot(self._w_rev, self._line.window()))
+        window = self._x
+        window[:-1] = window[1:]
+        window[-1] = x
+        return float(np.dot(self._w_rev, window))
 
     def process(self, samples) -> np.ndarray:
-        """Filter an array of samples, advancing state.
-
-        Each output is the same dot product `process_sample` forms, taken
-        over a flat copy of the history instead of the ring buffer.
-        """
+        """Filter an array of samples, advancing state."""
         x = as_samples(samples)
-        size = self._w_rev.size
-        history = np.concatenate([self._line.window(), x])
-        out = np.empty_like(x)
-        fir_dot = self._w_rev.dot
-        for n in range(x.size):
-            out[n] = fir_dot(history[n + 1:n + 1 + size])
-        for sample in x[-size:]:
-            self._line.push(sample)
+        out = fir(self._weights, x, self._x)
+        self._x = np.concatenate([self._x, x])[x.size:]
         return out
 
     def frequency_response(self, freq_hz: float, sample_rate_hz: float) -> complex:
@@ -119,8 +104,4 @@ class FirFilter:
         return complex(np.dot(self._weights, phases))
 
     def reset(self) -> None:
-        self._line.reset()
-
-    def clone(self) -> "FirFilter":
-        """Fresh filter with the same weights and zeroed state."""
-        return FirFilter(self._weights)
+        self._x[:] = 0.0

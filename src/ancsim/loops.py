@@ -8,16 +8,15 @@ the path a controller actually drives is the true secondary path behind
 one extra delay. `loop_aligned_path` applies that shift to an estimate
 before it is installed in a controller.
 
-The loops do not step a `Plant`; they split it. The primary-path outputs,
-the outputs of silent secondary paths and the measurement noise do not
-depend on the control, so `PlantSplit.disturbance` computes them in one
-pass (a `Disturbance`) that every arm over the same reference can share.
-Only the secondary paths stay inside the per-sample loop, and only where
-a controller adapts. Every term is the same `np.dot` over the same window
-that `Plant.step` forms, added in the order `Plant.step` adds it, so each
-loop reproduces a per-sample `Plant.step` run bit for bit. Do not replace
-these dots by a matrix product or an FFT convolution: those sum in another
-order and change the last bits.
+The loops do not step a `Plant`; they read its tap arrays. The
+primary-path outputs, the outputs of silent secondary paths and the
+measurement noise do not depend on the control, so
+`PlantSplit.disturbance` computes them in one `filters.fir` pass per
+microphone (a `Disturbance`) that every arm over the same reference can
+share. Only the secondary paths stay inside the per-sample loop, and only
+where a controller adapts. Every term is the same `np.dot` over the same
+window that `Plant.step` forms, added in the order `Plant.step` adds it,
+so each loop reproduces a per-sample `Plant.step` run bit for bit.
 
 There is one adaptive loop, `run_adaptive`, for the single-channel
 `FxlmsFilter` and every 1xJxK `McAncController` alike: it inlines
@@ -34,15 +33,19 @@ import numpy as np
 from .acoustics import Plant
 from .adaptation import FxlmsFilter
 from .errors import DataError, DivergenceError
-from .filters import FirFilter
+from .filters import as_taps, fir
 from .mcanc import McAncController, check_weights
 from .signals import as_samples
 
 
 def loop_aligned_path(taps) -> np.ndarray:
-    """Prepend the loop's one-sample latency to a path impulse response."""
+    """Prepend the loop's one-sample latency to a path impulse response,
+    or to every path of a (J, K, M) grid: one leading +0.0 tap along the
+    last axis."""
     taps = np.atleast_1d(np.asarray(taps, dtype=np.float64))
-    return np.concatenate([[0.0], taps])
+    out = np.zeros(taps.shape[:-1] + (taps.shape[-1] + 1,))
+    out[..., 1:] = taps
+    return out
 
 
 @dataclass
@@ -69,36 +72,36 @@ class Disturbance:
 
 class PlantSplit:
     """A plant split into its control-independent terms and its secondary
-    paths, each carrying its state from one block of samples to the next.
+    paths, each carrying its history from one block of samples to the next.
 
-    Built from a plant's paths and seed: the plant's own state is neither
-    read nor advanced, so the split starts where a freshly built (or
-    reset) plant starts.
+    Built from a plant's tap arrays and seed: the plant's own state is
+    neither read nor advanced, so the split starts where a freshly built
+    (or reset) plant starts.
     """
 
     def __init__(self, plant: Plant):
         self.n_sources = plant.n_sources
         self.n_mics = plant.n_mics
-        self._primaries = [f.clone() for f in plant.primaries]
+        self._primaries = plant.primaries
         self._noise_std = plant.measurement_noise_std
         self._rng = np.random.default_rng(plant.seed)
-        self.sec_taps = [[f.weights for f in row] for row in plant.secondaries]
-        # reversed taps pair with chronological windows, as in FirFilter
+        self.sec_taps = plant.secondaries
+        # reversed taps pair with chronological windows, as in `fir`
         self.sec_rev = [[w[::-1].copy() for w in row] for row in self.sec_taps]
-        self.silent = np.array([[f.clone().process_sample(0.0) for f in row]
-                                for row in plant.secondaries])
+        _, self.silent = plant.silent_outputs()
         self.hist = max(w.size for row in self.sec_taps for w in row)
-        # newest `hist` samples that reached each loudspeaker's paths
+        # newest samples that reached the primary paths and each
+        # loudspeaker's paths
+        self.x_hist = np.zeros(max(p.size for p in self._primaries))
         self.u_hist = np.zeros((self.n_sources, self.hist))
 
     def disturbance(self, x) -> Disturbance:
         """Advance the primary paths and the noise generator over x."""
         xs = as_samples(x)
-        if not np.all(np.isfinite(xs)):
-            raise DataError("non-finite reference sample")
         primary = np.empty((xs.size, self.n_mics))
-        for k, f in enumerate(self._primaries):
-            primary[:, k] = f.process(xs)
+        for k, p in enumerate(self._primaries):
+            primary[:, k] = fir(p, xs, self.x_hist)
+        self.x_hist = np.concatenate([self.x_hist, xs])[xs.size:]
         noise = None
         if self._noise_std > 0.0:
             noise = self._noise_std * self._rng.standard_normal((xs.size, self.n_mics))
@@ -110,13 +113,13 @@ class PlantSplit:
         u(n) reaches the paths at step n+1; as in every loop here, the
         first sample of a call hears silent loudspeakers.
         """
-        H = self.hist
+        T = len(u)
         e = dist.primary.copy()
-        for j in range(self.n_sources):
-            u_in = np.concatenate([self.u_hist[j], [0.0], u[:-1, j]])[:H + len(u)]
-            for k in range(self.n_mics):
-                e[:, k] += FirFilter(self.sec_taps[j][k]).process(u_in)[H:]
-            self.u_hist[j] = u_in[-H:]
+        for j, paths_j in enumerate(self.sec_taps):
+            u_in = np.concatenate([[0.0], u[:-1, j]])[:T]
+            for k, s in enumerate(paths_j):
+                e[:, k] += fir(s, u_in, self.u_hist[j])
+            self.u_hist[j] = np.concatenate([self.u_hist[j], u_in])[T:]
         if dist.noise is not None:
             e += dist.noise
         return e
@@ -269,7 +272,7 @@ def run_fixed(plant, weights, x, disturbance: Disturbance | None = None) -> Loop
     if w.ndim == 1:
         if split.n_sources != 1 or split.n_mics != 1:
             raise DataError("single-channel loop needs a 1x1 plant")
-        out = FirFilter(w).process(xs)
+        out = fir(as_taps(w), xs)
         err = split.drive(dist, out[:, None])[:, 0]
     else:
         if w.ndim != 3 or w.shape[:2] != (1, split.n_sources):
@@ -278,6 +281,6 @@ def run_fixed(plant, weights, x, disturbance: Disturbance | None = None) -> Loop
                 f"got {w.shape}")
         out = np.empty((xs.size, split.n_sources))
         for j in range(split.n_sources):
-            out[:, j] = FirFilter(w[0, j]).process(xs)
+            out[:, j] = fir(as_taps(w[0, j]), xs)
         err = split.drive(dist, out)
     return LoopResult(error=err, output=out, final_weights=w.copy())

@@ -26,8 +26,14 @@ from .acoustics import Plant, synthetic_plant
 from .adaptation import FxlmsFilter
 from .config import ExperimentConfig, config_hash
 from .errors import ConfigError
-from .filters import FirFilter
-from .loops import PlantSplit, run_adaptive, run_fixed, run_uncontrolled_signal
+from .filters import fir
+from .loops import (
+    PlantSplit,
+    loop_aligned_path,
+    run_adaptive,
+    run_fixed,
+    run_uncontrolled_signal,
+)
 from .mcanc import ChannelConfig, McAncController
 from .metrics import build_run_report
 from .signals import Signal
@@ -47,15 +53,11 @@ def build_plant(cfg: ExperimentConfig) -> Plant:
     if p.kind == "explicit":
         if not p.primary_taps or not p.secondary_taps:
             raise ConfigError("explicit plant needs primary_taps and secondary_taps")
-        primaries = [FirFilter(p.primary_taps) for _ in range(p.n_mics)]
         if len(p.secondary_taps) != p.n_sources:
             raise ConfigError(f"secondary_taps must list {p.n_sources} rows")
-        secondaries = []
-        for row in p.secondary_taps:
-            if len(row) != p.n_mics:
-                raise ConfigError(f"each secondary_taps row must list {p.n_mics} paths")
-            secondaries.append([FirFilter(taps) for taps in row])
-        return Plant(primaries, secondaries,
+        if any(len(row) != p.n_mics for row in p.secondary_taps):
+            raise ConfigError(f"each secondary_taps row must list {p.n_mics} paths")
+        return Plant([p.primary_taps] * p.n_mics, p.secondary_taps,
                      measurement_noise_std=p.measurement_noise_std, seed=p.seed)
     raise ConfigError(f"unknown plant kind {p.kind!r}")
 
@@ -135,13 +137,6 @@ def resolve_estimates(cfg: ExperimentConfig):
     return est, summaries
 
 
-def _aligned_estimates(est: np.ndarray) -> np.ndarray:
-    J, K, M = est.shape
-    out = np.zeros((J, K, M + 1))
-    out[:, :, 1:] = est
-    return out
-
-
 def resolve_mu(cfg: ExperimentConfig, reference: Signal, aligned_est: np.ndarray) -> float:
     """Config mu, or mu_scale / (N * P_xf) when set to auto."""
     ctl = cfg.controller
@@ -151,7 +146,7 @@ def resolve_mu(cfg: ExperimentConfig, reference: Signal, aligned_est: np.ndarray
     J, K = aligned_est.shape[:2]
     for j in range(J):
         for k in range(K):
-            xf = FirFilter(aligned_est[j, k]).process(reference.samples)
+            xf = fir(aligned_est[j, k], reference.samples)
             p_xf = max(p_xf, float(np.mean(xf**2)))
     if p_xf == 0.0:
         raise ConfigError("cannot auto-scale mu: filtered reference has zero power")
@@ -292,7 +287,7 @@ def run_scenario(cfg: ExperimentConfig) -> ScenarioResult:
     cfg.validate()
     reference = build_reference(cfg)
     raw_est, sysid_summaries = resolve_estimates(cfg)
-    aligned = _aligned_estimates(raw_est)
+    aligned = loop_aligned_path(raw_est)
     mu = resolve_mu(cfg, reference, aligned)
     training = build_training_signal(cfg)
     fixed_weights, pretrain = pretrain_fixed_filter(cfg, aligned, mu, training)

@@ -17,7 +17,7 @@ import numpy as np
 from .acoustics import Plant
 from .adaptation import check_lms_args, lms_fit
 from .errors import DataError, DivergenceError
-from .filters import FirFilter
+from .filters import FirFilter, fir
 from .signals import Signal
 
 
@@ -106,15 +106,15 @@ def _identify(plant: Plant, pairs, n_taps: int, mu: float, n_samples: int,
     if plant.measurement_noise_std > 0.0:
         noise = plant.measurement_noise_std * np.random.default_rng(plant.seed).standard_normal(
             (n_samples, plant.n_mics))
+    p_silent, s_silent = plant.silent_outputs()
     for excitation, response, (j, k, seed) in zip(x[:, n_taps - 1:], responses, pairs):
         excitation[:] = np.random.default_rng(seed).standard_normal(n_samples)
         # Plant.step(0.0, u) term by term, in the order it adds them: the
         # muted primary path and every silent secondary path give constants,
         # path (j, k) filters the excitation, then the noise
-        response[:] = plant.primaries[k].clone().process_sample(0.0)
+        response[:] = p_silent[k]
         for jj, row in enumerate(plant.secondaries):
-            path = row[k].clone()
-            response += path.process(excitation) if jj == j else path.process_sample(0.0)
+            response += fir(row[k], excitation) if jj == j else s_silent[jj, k]
         if noise is not None:
             response += noise[:, k]
     v = np.zeros((len(pairs), n_taps))

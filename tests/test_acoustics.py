@@ -83,7 +83,7 @@ class TestSplDelta:
 
 
 def single_path_plant(primary, secondary, noise=0.0, seed=0):
-    return Plant([FirFilter(primary)], [[FirFilter(secondary)]],
+    return Plant([primary], [[secondary]],
                  measurement_noise_std=noise, seed=seed)
 
 
@@ -168,7 +168,7 @@ class TestSyntheticPlant:
         assert p[8] == 0.9
         assert p[9] == pytest.approx(0.9 * 0.6)
         plant = synthetic_plant(seed=0, perturbation=0.0)
-        np.testing.assert_array_equal(plant.primaries[0].weights, p)
+        np.testing.assert_array_equal(plant.primaries[0], p)
         s = plant.true_secondary(0, 0)
         assert np.all(s[:4] == 0.0)
         assert s[4] == 0.5

@@ -11,6 +11,7 @@ import yaml
 
 from ancsim.cli import main
 from ancsim.config import config_to_dict, default_config, save_config
+from ancsim.serialization import load_weights_binary, load_weights_json
 from ancsim.signals import Signal
 from ancsim.wavio import read_wav, write_wav
 
@@ -202,6 +203,23 @@ class TestExitCodes:
         # partial results still exported
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
         assert summary["arms"]["adaptive"]["diverged"] is True
+
+    def test_pretrain_divergence_is_three_with_silent_weights(self, tmp_path, capsys):
+        cfg_path = tmp_path / "c.yaml"
+        write_small_config(cfg_path, **{"controller.mu": 5.0})
+        out = tmp_path / "pre"
+        assert main(["pretrain", "--config", str(cfg_path), "--out", str(out)]) == 3
+        assert "pre-training diverged at sample" in capsys.readouterr().err
+        for snap in (load_weights_binary(out / "fixed_weights.anw"),
+                     load_weights_json(out / "fixed_weights.json")):
+            assert snap.weights.shape == (48,)
+            assert not snap.weights.any()
+
+    def test_init_config_bad_seed_is_two_and_writes_nothing(self, tmp_path, capsys):
+        path = tmp_path / "generated.yaml"
+        assert main(["init-config", "--seed", "-1", "--out", str(path)]) == 2
+        assert "config error: seed" in capsys.readouterr().err
+        assert not path.exists()
 
     def test_io_error_is_four(self, tmp_path):
         cfg_path = tmp_path / "c.yaml"

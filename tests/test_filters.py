@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ancsim.errors import DataError, DomainError
-from ancsim.filters import FirFilter
+from ancsim.filters import FirFilter, fir
 
 
 def direct_convolution(weights, x):
@@ -48,16 +48,41 @@ class TestFirProcess:
             x = rng.standard_normal(length)
             assert np.array_equal(FirFilter(w).process(x), direct_convolution(w, x))
 
-    @settings(max_examples=30)
+    @settings(max_examples=30, deadline=None)
     @given(
-        n_taps=st.integers(min_value=1, max_value=16),
+        n_taps=st.integers(min_value=1, max_value=300),
         seed=st.integers(min_value=0, max_value=2**31),
     )
     def test_convolution_oracle_property(self, n_taps, seed):
+        # signed zeros in taps and input: the sign of a zero output must
+        # match the oracle's too
         rng = np.random.default_rng(seed)
         w = rng.uniform(-2, 2, n_taps)
-        x = rng.uniform(-2, 2, 200)
-        assert np.array_equal(FirFilter(w).process(x), direct_convolution(w, x))
+        x = rng.uniform(-2, 2, 400)
+        for a in (w, x):
+            a[rng.random(a.size) < 0.2] = 0.0
+            a[rng.random(a.size) < 0.2] = -0.0
+        want = direct_convolution(w, x)
+        for got in (fir(w, x), FirFilter(w).process(x)):
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        n_taps=st.integers(min_value=1, max_value=40),
+        split=st.integers(min_value=0, max_value=120),
+        seed=st.integers(min_value=0, max_value=2**31),
+    )
+    def test_split_history_equals_one_pass(self, n_taps, split, seed):
+        rng = np.random.default_rng(seed)
+        w = rng.standard_normal(n_taps)
+        x = rng.standard_normal(120)
+        got, want = fir(w, x[split:], x[:split]), fir(w, x)[split:]
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    def test_empty_block(self):
+        assert fir([0.5, 0.5], np.zeros(0), [1.0]).shape == (0,)
 
     def test_linearity(self):
         rng = np.random.default_rng(7)

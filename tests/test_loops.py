@@ -163,7 +163,7 @@ def test_identification_response_matches_plant_step(kind, j, k):
 def signed_zero_plant():
     # one-tap negative paths turn exact zeros into -0.0, which an added
     # +0.0 would flip: the loops must add exactly what the plant adds
-    return Plant([FirFilter([-0.7])], [[FirFilter([-0.4])]])
+    return Plant([[-0.7]], [[[-0.4]]])
 
 
 def test_signed_zeros_survive_every_loop():
@@ -201,12 +201,11 @@ def loop_cases(primary, secondary, s_hat, taps, mu, **plant_kw):
     path_gain = [[1.0, 0.6], [0.8, 1.2]]
 
     def single_plant():
-        return Plant([FirFilter(primary)], [[FirFilter(secondary)]], **plant_kw)
+        return Plant([primary], [[secondary]], **plant_kw)
 
     def multi_plant():
-        return Plant([FirFilter(primary * g) for g in mic_gain],
-                     [[FirFilter(secondary * g) for g in row] for row in path_gain],
-                     **plant_kw)
+        return Plant([primary * g for g in mic_gain],
+                     [[secondary * g for g in row] for row in path_gain], **plant_kw)
 
     def single_ctl():
         return FxlmsFilter(taps, mu, s_hat)

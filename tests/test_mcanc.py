@@ -242,8 +242,7 @@ class TestMultichannelConvergence:
 
         def build_plant():
             from ancsim.acoustics import Plant
-            return Plant([FirFilter(p) for p in p_taps],
-                         [[FirFilter(s_taps[j, k]) for k in range(2)] for j in range(2)])
+            return Plant(p_taps, [[s_taps[j, k] for k in range(2)] for j in range(2)])
 
         d = build_plant().run_uncontrolled(x)
 

@@ -42,7 +42,7 @@ class TestArms:
         cfg = small_result.config
         x = build_reference(cfg)
         primary = build_plant(cfg).primaries[0]
-        expected = FirFilter(primary.weights).process(x.samples)
+        expected = FirFilter(primary).process(x.samples)
         assert np.array_equal(small_result.arms["uncontrolled"].error, expected)
 
     def test_all_arms_share_disturbance_length(self, small_result):

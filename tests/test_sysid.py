@@ -6,7 +6,6 @@ import pytest
 from ancsim.acoustics import Plant, synthetic_plant
 from ancsim.adaptation import wiener_solve
 from ancsim.errors import DivergenceError
-from ancsim.filters import FirFilter
 from ancsim.sysid import (
     UndermodelingWarning,
     identify_all_paths,
@@ -16,7 +15,7 @@ from ancsim.sysid import (
 
 
 def scalar_plant(s_taps):
-    return Plant([FirFilter([0.0])], [[FirFilter(s_taps)]])
+    return Plant([[0.0]], [[s_taps]])
 
 
 class TestIdentifyPath:
@@ -123,9 +122,7 @@ class TestGridDivergence:
         # still raises for (0, 0), the first pair in (j, k) order, at the
         # index identifying (0, 0) alone raises with
         def build():
-            return Plant([FirFilter([0.0]), FirFilter([0.0])],
-                         [[FirFilter([1e-3]), FirFilter([1e-3])],
-                          [FirFilter([1e-3]), FirFilter([1e3])]])
+            return Plant([[0.0], [0.0]], [[[1e-3], [1e-3]], [[1e-3], [1e3]]])
         children = np.random.SeedSequence(8).spawn(4)
         indices = {}
         with np.errstate(over="ignore", invalid="ignore"):
@@ -143,8 +140,7 @@ class TestGridDivergence:
         # (0, 0) is undermodeled and fits; the (0, 1) estimate converges
         # towards a tap beyond the weight guard: sequential fitting warns
         # for (0, 0), then raises for (0, 1)
-        plant = Plant([FirFilter([0.0]), FirFilter([0.0])],
-                      [[FirFilter([0.0, 0.0, 1.0]), FirFilter([2e6])]])
+        plant = Plant([[0.0], [0.0]], [[[0.0, 0.0, 1.0], [2e6]]])
         with pytest.warns(UndermodelingWarning, match=r"path \(0, 0\)") as record:
             with pytest.raises(DivergenceError, match=r"path \(0, 1\)"):
                 identify_all_paths(plant, 2, mu=0.05, n_samples=400, seed=1)

@@ -37,7 +37,7 @@ from .errors import (
     UndefinedBoundError,
 )
 from .filters import FirFilter
-from .mcanc import WEIGHT_GUARD, ChannelConfig, McAncController, check_weights
+from .mcanc import GUARD_SCREEN, WEIGHT_GUARD, ChannelConfig, McAncController, check_weights
 from .signals import as_samples
 
 CONDITION_LIMIT = 1e12
@@ -222,7 +222,7 @@ def lms_fit(v: np.ndarray, x: np.ndarray, d: np.ndarray, mu: float):
     P, N = v.shape
     T = d.shape[1]
     y = np.zeros((P, T))
-    step, screen = 2.0 * mu, 0.25 * WEIGHT_GUARD**2
+    step, screen = 2.0 * mu, GUARD_SCREEN
     diverged, start = None, 0
     while P and start < T:
         # rows [:P] from sample `start`; w_at[n] stacks their windows X(n)
@@ -240,8 +240,6 @@ def lms_fit(v: np.ndarray, x: np.ndarray, d: np.ndarray, mu: float):
                 np.multiply(step, c, c)
                 np.multiply(c_col, w_at[n], update)
                 v_p += update
-                # squares summing within (WEIGHT_GUARD / 2)^2 put every |w| within
-                # the guard, and NaN and inf fail the sum: check_weights' rule
                 if not (np.vdot(v_p, v_p) <= screen):
                     tripped = np.flatnonzero(~(np.abs(v_p).max(axis=1) <= WEIGHT_GUARD))
                     if tripped.size:

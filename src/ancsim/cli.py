@@ -25,6 +25,7 @@ from .scenario import (
     build_plant,
     build_reference,
     build_training_signal,
+    installed_estimate_taps,
     pretrain_fixed_filter,
     resolve_estimates,
     resolve_mu,
@@ -142,10 +143,10 @@ def cmd_report(args) -> int:
 def cmd_mac(args) -> int:
     cfg = _load(args)
     taps = cfg.controller.taps
-    est_taps = cfg.sysid.taps
     rows = []
+    # the geometry of the controller a run installs
     geo = ChannelConfig(cfg.controller.n_refs, cfg.plant.n_sources,
-                        cfg.plant.n_mics, taps, est_taps)
+                        cfg.plant.n_mics, taps, installed_estimate_taps(cfg))
     rows.append(("configured", geo))
     for n in (1, 2, 4):
         rows.append((f"standard N={n}", ChannelConfig(n, n, n, taps, taps)))

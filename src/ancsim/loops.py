@@ -13,15 +13,20 @@ primary-path outputs, the outputs of silent secondary paths and the
 measurement noise do not depend on the control, so
 `PlantSplit.disturbance` computes them in one `filters.fir` pass per
 microphone (a `Disturbance`) that every arm over the same reference can
-share. Only the secondary paths stay inside the per-sample loop, and only
-where a controller adapts. Every term is the same `np.dot` over the same
-window that `Plant.step` forms, added in the order `Plant.step` adds it,
-so each loop reproduces a per-sample `Plant.step` run bit for bit.
+share. Every term is the same `np.dot` over the same window that
+`Plant.step` forms, added in the order `Plant.step` adds it, so each loop
+reproduces a per-sample `Plant.step` run bit for bit.
 
 There is one adaptive loop, `run_adaptive`, for the single-channel
 `FxlmsFilter` and every 1xJxK `McAncController` alike: it inlines
-`McAncController.step` over flat histories in its operand order.
-`run_fixed` runs frozen weights, for which the loop is LTI end to end.
+`McAncController.step` over flat histories in its operand order. The
+filtered references do not depend on the control either, so they come
+from one `fir` pass per path, the dot `step` forms over the same window;
+only the secondary paths, the controller outputs and the weight updates
+stay per-sample. Each filter's weight guard is one dot, its squared norm,
+with the exact `check_weights` behind it, the rule `adaptation.lms_fit`
+uses. `run_fixed` runs frozen weights, for which the loop is LTI end to
+end.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ from .acoustics import Plant
 from .adaptation import FxlmsFilter
 from .errors import DataError, DivergenceError
 from .filters import as_taps, fir
-from .mcanc import McAncController, check_weights
+from .mcanc import GUARD_SCREEN, McAncController, check_weights
 from .signals import as_samples
 
 
@@ -189,8 +194,8 @@ def run_adaptive(plant, controller: FxlmsFilter | McAncController, x,
             f"plant has {split.n_sources} sources and {split.n_mics} mics, "
             f"controller drives {ctl.n_sources} and listens to {ctl.n_mics}")
     T, J, K, H = xs.size, split.n_sources, split.n_mics, split.hist
-    v, est_rev, mu = ctl._v[0], ctl._est_rev, ctl.mu
-    L, M, hx = v.shape[1], est_rev.shape[2], ctl._x.shape[1]
+    v, mu = ctl._v[0], ctl.mu
+    L, hx = v.shape[1], ctl._x.shape[1]
     step0 = ctl._step_count
 
     # flat histories: the controller's stored windows, then this call's
@@ -198,6 +203,11 @@ def run_adaptive(plant, controller: FxlmsFilter | McAncController, x,
     x_buf = np.concatenate([ctl._x[0], xs])
     fx_buf = np.empty((J, K, L + T))
     fx_buf[:, :, :L] = ctl._fx[0]
+    # the filtered references do not depend on the control: `fir` forms the
+    # dot `step` forms, over the same window of the stored reference history
+    for j in range(J):
+        for k in range(K):
+            fx_buf[j, k, L:] = fir(ctl._est[j, k], xs, ctl._x[0])
     # loudspeaker history, then u_j(n-1) at column H+n; the first sample of
     # every call reaches the paths as silence
     u_buf = np.zeros((J, H + T + 1))
@@ -211,11 +221,11 @@ def run_adaptive(plant, controller: FxlmsFilter | McAncController, x,
     paths = [(k, u_buf[j], H - s.size, s.dot)
              for j, paths_j in enumerate(split.sec_rev) for k, s in enumerate(paths_j)]
     controls = [(u_buf[j], v[j].dot) for j in range(J)]
-    filters = [(fx_buf[j, k], est_rev[j, k].dot) for j in range(J) for k in range(K)]
-    # each filter's update terms in mic order; the guard checks the filter
-    # right after its last term, so it carries coordinates only there
-    updates = [(v[j], k, fx_buf[j, k], (0, j) if k == K - 1 else None)
+    # each filter's update terms in mic order; the guard screens the filter
+    # right after its last term, so only that term carries its squared norm
+    updates = [(v[j], k, fx_buf[j, k], v[j].dot if k == K - 1 else None, (0, j))
                for j in range(J) for k in range(K)]
+    screen = GUARD_SCREEN
     diverged_at = diverged_coords = None
     steps = T
     for n in range(T):
@@ -229,14 +239,11 @@ def run_adaptive(plant, controller: FxlmsFilter | McAncController, x,
         x_win = x_buf[end - L:end]
         for u_row, control_dot in controls:
             u_row[H + n1] = control_dot(x_win)
-        x_win_m = x_buf[end - M:end]
-        for fx_row, filter_dot in filters:
-            fx_row[L + n] = filter_dot(x_win_m)
         if mu != 0.0:
             try:
-                for v_j, k, fx_row, coords in updates:
+                for v_j, k, fx_row, v_sq, coords in updates:
                     v_j += (-mu * err[at + k]) * fx_row[n1:n1 + L]
-                    if coords is not None:
+                    if v_sq is not None and not (v_sq(v_j) <= screen):
                         check_weights(v_j, step0 + n, coords)
             except DivergenceError as exc:
                 diverged_at, diverged_coords, steps = n, exc.coords, n

@@ -19,10 +19,12 @@ single-channel derivation carries 2 mu: `adaptation.FxlmsFilter` is the
 This is the library's one FxLMS recursion. `McAncController.step` runs it
 one sample at a time and `loops.run_adaptive` inlines it over flat
 histories, in the same operand order, for every 1xJxK geometry. Each
-output and each filtered reference is its own `np.dot`, and each (i, j)
-filter adds its K update terms one at a time in microphone order: a
-matrix product or einsum would sum in another order and change the last
-bits that the bit-exactness tests pin.
+output and each filtered reference is its own `np.dot` (in the loop the
+filtered references come from `filters.fir`, which forms the same dot
+over the same window), and each (i, j) filter adds its K update terms
+one at a time in microphone order: a matrix product or einsum would sum
+in another order and change the last bits that the bit-exactness tests
+pin.
 
 The filtered-reference sum runs over all M estimate taps (m = 0..M-1);
 the complexity table's per-step charge of I*J*K*M multiply-accumulates
@@ -40,6 +42,11 @@ from .errors import DataError, DivergenceError
 
 # Any adapted weight beyond this magnitude flags the run as diverged.
 WEIGHT_GUARD = 1e6
+# The loops screen each filter with one dot, its squared norm, and call
+# `check_weights` only past this bound: squares summing within
+# (WEIGHT_GUARD / 2)^2 put every |w| within the guard, and NaN and inf
+# fail the sum, so the screen never hides a trip.
+GUARD_SCREEN = 0.25 * WEIGHT_GUARD**2
 
 
 def check_weights(weights: np.ndarray, step: int, coords=None) -> None:

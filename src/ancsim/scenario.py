@@ -103,6 +103,19 @@ class SysidSummary:
     undermodeled: bool
 
 
+def _longest_secondary(plant: Plant) -> int:
+    return max(s.size for row in plant.secondaries for s in row)
+
+
+def installed_estimate_taps(cfg: ExperimentConfig) -> int:
+    """Length M of the loop-aligned estimates `run_scenario` installs: the
+    identification length, or the longest true secondary path in `exact`
+    mode, plus the loop's one-sample latency."""
+    if cfg.sysid.mode == "exact":
+        return _longest_secondary(build_plant(cfg)) + 1
+    return cfg.sysid.taps + 1
+
+
 def resolve_estimates(cfg: ExperimentConfig):
     """Secondary-path estimates as a (J, K, taps) array plus summaries.
 
@@ -114,9 +127,7 @@ def resolve_estimates(cfg: ExperimentConfig):
     p = cfg.plant
     plant = build_plant(cfg)
     if cfg.sysid.mode == "exact":
-        taps = max(plant.true_secondary(j, k).size
-                   for j in range(p.n_sources) for k in range(p.n_mics))
-        est = np.zeros((p.n_sources, p.n_mics, taps))
+        est = np.zeros((p.n_sources, p.n_mics, _longest_secondary(plant)))
         for j in range(p.n_sources):
             for k in range(p.n_mics):
                 true = plant.true_secondary(j, k)

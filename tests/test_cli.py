@@ -11,6 +11,7 @@ import yaml
 
 from ancsim.cli import main
 from ancsim.config import config_to_dict, default_config, save_config
+from ancsim.scenario import run_scenario
 from ancsim.serialization import load_weights_binary, load_weights_json
 from ancsim.signals import Signal
 from ancsim.wavio import read_wav, write_wav
@@ -60,8 +61,20 @@ class TestInProcess:
         assert "total" in printed and "instrumented" in printed
         table = json.loads((out / "mac_table.json").read_text())
         configured = table["rows"][0]
-        # (IJK + IJ) L + IJKM + K at 1x1x1, L=48, M=24
-        assert configured["total"] == 2 * 48 + 24 + 1
+        # (IJK + IJ) L + IJKM + K at 1x1x1, L=48, M=25: the 24 identified
+        # taps behind the loop's one-sample latency
+        assert configured["total"] == 2 * 48 + 25 + 1
+
+    @pytest.mark.parametrize("mode", ["identify", "exact"])
+    def test_mac_configured_row_is_the_installed_controller(self, tmp_path, mode):
+        cfg_path = tmp_path / "c.yaml"
+        cfg = write_small_config(cfg_path, **{"sysid.mode": mode})
+        out = tmp_path / "mac"
+        assert main(["mac", "--config", str(cfg_path), "--out", str(out)]) == 0
+        configured = json.loads((out / "mac_table.json").read_text())["rows"][0]
+        installed = run_scenario(cfg).installed_estimates
+        assert (configured["J"], configured["K"], configured["M"]) == installed.shape
+        assert configured["L"] == cfg.controller.taps
 
     def test_identify_writes_estimates(self, tmp_path):
         cfg_path = tmp_path / "c.yaml"

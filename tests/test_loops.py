@@ -17,7 +17,7 @@ from ancsim.config import PlantConfig, default_config
 from ancsim.errors import DivergenceError
 from ancsim.filters import FirFilter
 from ancsim.loops import PlantSplit, run_adaptive, run_fixed, run_uncontrolled_signal
-from ancsim.mcanc import ChannelConfig, McAncController
+from ancsim.mcanc import WEIGHT_GUARD, ChannelConfig, McAncController
 from ancsim.scenario import build_plant, build_training_signal, run_scenario
 from ancsim.sysid import identify_path
 
@@ -227,23 +227,18 @@ def assert_same_state(got, want):
         assert np.array_equal(np.signbit(a), np.signbit(b))
 
 
-def test_split_carries_state_across_calls():
-    # one split over consecutive blocks equals one plant stepped across
-    # them, each block starting from a silent loudspeaker
-    rng = np.random.default_rng(9)
-    x = rng.standard_normal(900)
-    cases = loop_cases([0.0, 0.8, -0.3], [0.0, 0.5, 0.2], [0.0, 0.0, 0.5, 0.2], 8, 0.01,
-                       measurement_noise_std=0.05, seed=4)
+def assert_blocks_match_plant_step(cases, blocks):
+    """One split over consecutive blocks equals one plant stepped across
+    them, each block starting from a silent loudspeaker."""
     for make_plant, make_ctl, control in cases:
         plant = make_plant()
         split = PlantSplit(plant)
         ctl = make_ctl()
-        got = [run_adaptive(split, ctl, x[a:a + 300]) for a in range(0, 900, 300)]
+        got = [run_adaptive(split, ctl, xb) for xb in blocks]
         assert all(res.diverged_at is None for res in got)
 
         ref_ctl = make_ctl()
-        want = [plant_loop(plant, control(ref_ctl), x[a:a + 300])
-                for a in range(0, 900, 300)]
+        want = [plant_loop(plant, control(ref_ctl), xb) for xb in blocks]
         squeeze = np.squeeze if isinstance(ctl, FxlmsFilter) else np.asarray
         assert_same_bits(np.concatenate([res.error for res in got]),
                          squeeze(np.concatenate([err for err, _ in want])))
@@ -255,6 +250,27 @@ def test_split_carries_state_across_calls():
             assert_same_bits(ctl.filtered_reference_window,
                              ref_ctl.filtered_reference_window)
             assert_same_bits(ctl.reference_window, ref_ctl.reference_window)
+
+
+def test_split_carries_state_across_calls():
+    rng = np.random.default_rng(9)
+    x = rng.standard_normal(900)
+    cases = loop_cases([0.0, 0.8, -0.3], [0.0, 0.5, 0.2], [0.0, 0.0, 0.5, 0.2], 8, 0.01,
+                       measurement_noise_std=0.05, seed=4)
+    assert_blocks_match_plant_step(cases, [x[a:a + 300] for a in range(0, 900, 300)])
+
+
+def test_split_carries_estimate_history_longer_than_the_control_filter():
+    # M = 9 estimate taps behind L = 3 control taps: each block's first
+    # filtered references reach M - 1 samples back into the controller's
+    # stored reference window, past the L samples the control filter reads;
+    # the first block is shorter than M
+    x = np.random.default_rng(12).standard_normal(600)
+    secondary = [0.0, 0.5, 0.2, -0.1, 0.05, 0.03, -0.02, 0.01]
+    cases = loop_cases([0.0, 0.8, -0.3], secondary, [0.0] + secondary, 3, 0.01,
+                       measurement_noise_std=0.05, seed=4)
+    assert cases[0][1]().controller.cfg.estimate_taps == 9
+    assert_blocks_match_plant_step(cases, [x[:5], x[5:305], x[305:]])
 
 
 def random_loop(seed, taps, mu):
@@ -336,4 +352,79 @@ def test_guard_stops_the_lean_loop_where_the_controller_raises(bad, primary, s_t
         assert_same_bits(res.error, np.squeeze(err) if single else err)
         assert len(res.output) == 7
         np.testing.assert_array_equal(res.final_weights, ref.weights)
+        assert_same_state(ctl, ref)
+
+
+def park(ctl, *filters):
+    """Set the weights of an FxlmsFilter to the first filter, or of the
+    1x2x2 McAncController to the first two."""
+    if isinstance(ctl, FxlmsFilter):
+        ctl.weights = filters[0]
+    else:
+        ctl.weights = np.array([filters[:2]])
+    return ctl
+
+
+@pytest.mark.parametrize("filters", [
+    # one weight between G/2 and G
+    [[0.95, 0.1, -0.3, 0.2], [-0.6, 0.0, 0.0, 0.0]],
+    # every weight within G/2, their squares summing past (G/2)^2
+    [[0.4, -0.4, 0.4, -0.4], [0.3, 0.3, -0.3, 0.0]],
+], ids=["weight_past_half", "norm_past_half"])
+def test_weights_in_the_guard_band_pass_the_exact_check(filters):
+    # the loop screens each filter by its squared norm; weights parked
+    # where the screen fails but no |w| exceeds the guard G must run on,
+    # step for step with the oracle's exact per-filter check
+    filters = WEIGHT_GUARD * np.array(filters)
+    x = np.random.default_rng(3).standard_normal(400)
+    cases = loop_cases([0.0, 0.8, -0.3], [0.0, 0.5, 0.2], [0.0, 0.0, 0.5, 0.2], 4, 1e-5,
+                       measurement_noise_std=0.05, seed=4)
+    for make_plant, make_ctl, control in cases:
+        ctl = park(make_ctl(), *filters)
+        res = run_adaptive(make_plant(), ctl, x)
+        assert res.diverged_at is None
+        ref = park(make_ctl(), *filters)
+        err, out = plant_loop(make_plant(), control(ref), x)
+        squeeze = np.squeeze if isinstance(ctl, FxlmsFilter) else np.asarray
+        assert_same_bits(res.error, squeeze(err))
+        assert_same_bits(res.output, squeeze(out))
+        assert_same_state(ctl, ref)
+        # still in the band at the end: the screen failed at every step
+        v = ctl.weights.reshape(-1, 4)
+        assert (np.sum(v**2, axis=1) > 0.25 * WEIGHT_GUARD**2).all()
+        assert (np.abs(v) <= WEIGHT_GUARD).all()
+
+
+def test_weight_just_past_the_guard_trips_where_the_controller_raises():
+    # a sign-flipped estimate drives the parked weights outward; the one
+    # at 0.999 G crosses G with a squared norm far below (2G)^2, so only
+    # the exact check behind the screen catches it. The grid parks it in
+    # filter (0, 1), behind a filter (0, 0) that fails the screen and
+    # passes the exact check at every step
+    near = WEIGHT_GUARD * np.array([0.999, 0.2, -0.1, 0.1])
+    x = np.random.default_rng(3).standard_normal(400)
+    cases = loop_cases([0.0, 0.8, -0.3], [0.0, 0.5, 0.2], [0.0, 0.0, -0.5, -0.2], 4, 1e-5,
+                       measurement_noise_std=0.05, seed=4)
+    for make_plant, make_ctl, control in cases:
+        single = isinstance(make_ctl(), FxlmsFilter)
+        filters = [near] if single else [0.5 * near[::-1], near]
+        ctl = park(make_ctl(), *filters)
+        res = run_adaptive(make_plant(), ctl, x)
+
+        plant, ref = make_plant(), park(make_ctl(), *filters)
+        step = control(ref)
+        err, u = [], np.zeros(plant.n_sources)
+        with pytest.raises(DivergenceError) as exc_info:
+            for n in range(x.size):
+                err.append(plant.step(x[n], u))
+                u = np.atleast_1d(step(x[n], err[-1]))
+        tripped = ref.weights.reshape(-1, 4)[-1]
+        assert WEIGHT_GUARD < np.abs(tripped).max() < 1.001 * WEIGHT_GUARD
+        assert np.sum(tripped**2) < 4.0 * WEIGHT_GUARD**2
+        assert 0 < exc_info.value.index < x.size - 1
+        assert res.diverged_at == exc_info.value.index
+        assert res.diverged_coords == exc_info.value.coords == (None if single else (0, 1))
+        assert_same_bits(res.error, np.squeeze(err) if single else err)
+        assert len(res.output) == res.diverged_at
+        assert_same_bits(res.final_weights, ref.weights)
         assert_same_state(ctl, ref)

@@ -2,12 +2,15 @@
 
 `fir` filters a whole block given the samples that preceded it; every
 linear time-invariant pass in the library (the plant's paths, frozen
-controllers, filtered references) goes through it. Output n is one
-`np.dot` of the reversed weights with the chronological window ending at
-x(n), so a pass split anywhere equals one whole pass, and equals
-per-sample filtering, bit for bit. Samples before the first one given
-are zeros, matching the x(k) = 0 for k < 0 convention of the convolution
-sums.
+controllers, filtered references) goes through it. Output n is the dot
+of the reversed weights with the chronological window ending at x(n):
+the `cblas_ddot` that `ndarray.dot` forms on two vectors, reached for
+every window at once through one `np.vecdot` call. A one-tap filter is a
+plain product instead: `ndarray.dot` forms a one-element dot that way,
+which keeps a -0.0 that `ddot` would add to +0.0. So a pass split
+anywhere equals one whole pass, and equals per-sample filtering, bit for
+bit. Samples before the first one given are zeros, matching the
+x(k) = 0 for k < 0 convention of the convolution sums.
 """
 
 from __future__ import annotations
@@ -35,10 +38,13 @@ def fir(weights, x, history=None) -> np.ndarray:
     """y(n) = sum_i w_i x(n-i) for every sample of x.
 
     `history` holds the samples before x, oldest first; the window reads
-    zeros beyond it. Each output is `w_rev.dot` over its own window, the
-    dot `FirFilter.process_sample` forms. Do not replace these dots by a
-    matrix product, `einsum` or an FFT convolution: those add the terms in
-    another order and change the last bits.
+    zeros beyond it. Each output is the `cblas_ddot` of `w_rev` with its
+    own window, the dot `FirFilter.process_sample` forms; `np.vecdot`
+    forms all of them in one call. One tap is a plain product, as
+    `ndarray.dot` forms it for one element (a `ddot` sum would turn -0.0
+    into +0.0). Do not replace these dots by a matrix product, `einsum` or
+    an FFT convolution: those add the terms in another order and change
+    the last bits.
     """
     w_rev = np.asarray(weights, dtype=np.float64)[::-1].copy()
     x = np.asarray(x, dtype=np.float64)
@@ -46,8 +52,9 @@ def fir(weights, x, history=None) -> np.ndarray:
         return np.empty(0)
     past = () if history is None else history
     h = np.concatenate([np.zeros(w_rev.size - 1), past, x])[len(past):]
-    return np.fromiter(map(w_rev.dot, sliding_window_view(h, w_rev.size)),
-                       np.float64, x.size)
+    if w_rev.size == 1:
+        return w_rev[0] * h
+    return np.vecdot(sliding_window_view(h, w_rev.size), w_rev)
 
 
 class FirFilter:

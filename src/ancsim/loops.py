@@ -13,7 +13,8 @@ primary-path outputs, the outputs of silent secondary paths and the
 measurement noise do not depend on the control, so
 `PlantSplit.disturbance` computes them in one `filters.fir` pass per
 microphone (a `Disturbance`) that every arm over the same reference can
-share. Every term is the same `np.dot` over the same window that
+share; each such pass is one `np.vecdot` call, with no Python-level call
+per sample. Every term is the same `np.dot` over the same window that
 `Plant.step` forms, added in the order `Plant.step` adds it, so each loop
 reproduces a per-sample `Plant.step` run bit for bit.
 
@@ -26,7 +27,7 @@ only the secondary paths, the controller outputs and the weight updates
 stay per-sample. Each filter's weight guard is one dot, its squared norm,
 with the exact `check_weights` behind it, the rule `adaptation.lms_fit`
 uses. `run_fixed` runs frozen weights, for which the loop is LTI end to
-end.
+end: each of its passes, controller and path, is one `fir` call.
 """
 
 from __future__ import annotations

@@ -328,7 +328,7 @@ def run_scenario(cfg: ExperimentConfig) -> ScenarioResult:
     # samples; on divergence it keeps the sample whose update tripped the
     # guard, as the error CSVs do
     rows = res.error.reshape(len(res.error), -1)[::stride]
-    mse_trace = np.array([float(e.dot(e)) for e in rows])
+    mse_trace = np.vecdot(rows, rows)
     fixed = ArmResult(
         name="fixed",
         reports=_reports_for(d, fixed_res.error, cfg),

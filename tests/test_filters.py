@@ -67,6 +67,38 @@ class TestFirProcess:
             assert np.array_equal(got, want)
             assert np.array_equal(np.signbit(got), np.signbit(want))
 
+    @pytest.mark.parametrize("case", [
+        "negative_zero_taps", "signed_zero_taps", "signed_zero_input",
+        "zeros_and_finite", "zeros_and_finite_with_history"])
+    @pytest.mark.parametrize("n_taps", [1, 2, 15, 16, 17, 33])
+    def test_signed_zero_sums_at_the_ddot_block_edges(self, n_taps, case):
+        # the tap counts sit on both sides of OpenBLAS ddot's 16-wide block
+        # and its scalar tail; every product is a signed zero, or a zero
+        # sits among finite products, so an output's sign bit shows whether
+        # it was summed from +0.0 (ddot) or formed as one product (one tap)
+        rng = np.random.default_rng(1000 + n_taps)
+        w = rng.uniform(0.5, 2.0, n_taps) * rng.choice([-1.0, 1.0], n_taps)
+        x = rng.uniform(0.5, 2.0, 200) * rng.choice([-1.0, 1.0], 200)
+        past = np.zeros(0)
+        if case == "negative_zero_taps":
+            w[:] = -0.0
+            x = np.abs(x)
+        elif case == "signed_zero_taps":
+            w *= 0.0
+        elif case == "signed_zero_input":
+            x *= 0.0
+        else:
+            for a in (w, x):
+                a[rng.random(a.size) < 0.3] *= 0.0
+            if case == "zeros_and_finite_with_history":
+                past, x = x[:2 * n_taps + 3], x[2 * n_taps + 3:]
+        want = direct_convolution(w, np.concatenate([past, x]))[past.size:]
+        f = FirFilter(w)
+        f.process(past)
+        for got in (fir(w, x, past), f.process(x)):
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+
     @settings(max_examples=30, deadline=None)
     @given(
         n_taps=st.integers(min_value=1, max_value=40),

@@ -137,6 +137,30 @@ class TestDivergenceHandling:
         assert len(mse_rows) == len(error_rows) == arm.error.shape[0] + 1
 
 
+class TestMseTrace:
+    @pytest.mark.parametrize("kind", ["single", "multichannel"])
+    def test_mse_trace_is_each_exported_rows_dot(self, kind):
+        # e(n).e(n) per exported error row, as McAncController.step forms
+        # the cost, sign bits included
+        cfg = small_config()
+        cfg.duration_s = 1.0
+        cfg.composition.switch_times_s = [0.5]
+        cfg.fixed_filter.max_train_s = 1.0
+        cfg.export.error_decimation = 5
+        if kind == "multichannel":
+            cfg.plant = PlantConfig(kind="synthetic", n_sources=2, n_mics=2, seed=5)
+            cfg.controller.kind = "multichannel"
+            cfg.controller.taps = 32
+            cfg.sysid.mode = "exact"
+        result = run_scenario(cfg.validate())
+        error = result.arms["adaptive"].error
+        error_rows = error.reshape(len(error), -1)
+        want = np.array([float(e.dot(e)) for e in error_rows[::result.mse_stride]])
+        assert result.mse_stride == 5
+        assert np.array_equal(result.mse_trace, want)
+        assert np.array_equal(np.signbit(result.mse_trace), np.signbit(want))
+
+
 class TestExport:
     def test_files_written(self, small_result, tmp_path):
         files = export_report(small_result, tmp_path)

@@ -15,6 +15,15 @@ through the secondary-path estimate:
 
 `lms_fit` runs `LmsFilter.step`'s arithmetic for P independent filters at
 once: `LmsFilter.run` is its P = 1 case; identification fits whole grids.
+It has two per-sample bodies, and the row count picks one. One row takes
+`loops.run_adaptive`'s form: a dot for y(n), one scaled update and a
+one-dot guard screen, with no array call beyond those. Several rows take one
+`np.vecdot` over the stacked windows for every output, so the calls a
+sample stay fixed as P grows. The stacked body's fixed array calls cost
+more than the one-row body's whole sample, and per-row dots cost more
+than one `np.vecdot` once P > 1, so neither body is the faster at both.
+Both form each output with the same `cblas_ddot` and each update with
+the same elementwise operations, bit for bit.
 
 `FxlmsFilter` has no recursion of its own: it is the 1x1x1 case of the
 multichannel controller in `mcanc`, whose bare-mu update with coefficient
@@ -212,44 +221,82 @@ def lms_fit(v: np.ndarray, x: np.ndarray, d: np.ndarray, mu: float):
     `v` (P, N) holds weights aligned with chronological windows, as in
     `LmsFilter`, and is updated in place; row p of `x` (P, N - 1 + T) is
     filter p's N - 1 history samples, then its T new ones, and row p of
-    `d` (P, T) its desired samples. Each sample takes `step`'s arithmetic:
-    one `np.dot` per row (a matrix product would sum in another order) and
-    one elementwise V += ((2 mu) e)[:, None] X, so each row equals its own
-    `step` loop bit for bit. y and e are (P, T); `diverged` is None or
-    (p, n), the first row whose guard ever tripped and the sample where it
-    did. Rows before p finish; the others stop at sample n or earlier.
+    `d` (P, T) its desired samples. Each sample takes `step`'s arithmetic,
+    so each row equals its own `step` loop bit for bit: y(n) is the
+    `ndarray.dot` of the weights with the window (never a matrix product,
+    which sums in another order), then V += (2 mu e(n)) X(n). y and e are
+    (P, T); `diverged` is None or (p, n), the first row whose guard ever
+    tripped and the sample where it did. Rows before p finish; the others
+    stop at sample n or earlier.
+
+    The row count picks the per-sample body. One row (`LmsFilter.run`,
+    every 1x1 identification) runs `_fit_row`: one dot, one scaled update
+    and one guard dot per sample, the fewest calls. Several rows run
+    `_fit_rows`: one `np.vecdot` forms every row's output, the same
+    `cblas_ddot` per row, so the call count does not grow with P. Each
+    body is the faster one for its row count; neither changes a bit.
     """
-    P, N = v.shape
+    P = v.shape[0]
     T = d.shape[1]
     y = np.zeros((P, T))
-    step, screen = 2.0 * mu, GUARD_SCREEN
     diverged, start = None, 0
     while P and start < T:
-        # rows [:P] from sample `start`; w_at[n] stacks their windows X(n)
-        w_at = sliding_window_view(x[:P], N, axis=1).transpose(1, 0, 2)
-        v_p, y_at, d_at = v[:P], y[:P].T, d[:P].T
-        rows = [(p, v_p[p].dot, w_at[:, p]) for p in range(P)]
-        c_col, update = np.empty((P, 1)), np.empty((P, N))
-        c = c_col[:, 0]
-        for n in range(start, T):
-            y_n = y_at[n]
-            for p, v_dot, x_p in rows:
-                y_n[p] = v_dot(x_p[n])
-            if mu != 0.0:
-                np.subtract(d_at[n], y_n, c)
-                np.multiply(step, c, c)
-                np.multiply(c_col, w_at[n], update)
-                v_p += update
-                if not (np.vdot(v_p, v_p) <= screen):
-                    tripped = np.flatnonzero(~(np.abs(v_p).max(axis=1) <= WEIGHT_GUARD))
-                    if tripped.size:
-                        diverged = int(tripped[0]), n
-                        P, start = diverged[0], n + 1
-                        break
-        else:
+        fit = _fit_row if P == 1 else _fit_rows
+        tripped = fit(v[:P], x[:P], d[:P], y[:P], 2.0 * mu, start)
+        if tripped is None:
             break
+        diverged = tripped
+        P, start = tripped[0], tripped[1] + 1
     # the same subtraction each step made, in one pass
     return y, d - y, diverged
+
+
+def _fit_row(v, x, d, y, step, start):
+    """`lms_fit` on one row from sample `start`, writing y; returns (0, n)
+    for the sample n whose update tripped the guard, else None."""
+    v, x, y = v[0], x[0], y[0]
+    N, v_dot = v.size, v.dot
+    ys = []
+    for n, d_n in enumerate(d[0, start:].tolist(), start):
+        x_n = x[n:n + N]
+        y_n = v_dot(x_n)
+        ys.append(y_n)
+        if step != 0.0:
+            v += (step * (d_n - y_n)) * x_n
+            # the one-dot screen, then the exact `check_weights` test
+            if not (v_dot(v) <= GUARD_SCREEN) and not (np.abs(v).max() <= WEIGHT_GUARD):
+                y[start:n + 1] = ys
+                return 0, n
+    y[start:] = ys
+    return None
+
+
+def _fit_rows(v, x, d, y, step, start):
+    """`lms_fit` on every row from sample `start`, writing y; returns
+    (p, n) for the first row whose update at sample n tripped the guard,
+    else None."""
+    P, N = v.shape
+    # w_at[n] stacks the rows' windows X(n)
+    w_at = sliding_window_view(x, N, axis=1).transpose(1, 0, 2)
+    y_at, d_at = y.T, d.T
+    # `ndarray.dot` forms a one-element dot as a plain product, which keeps
+    # a -0.0 that `ddot` would add to +0.0
+    dot, v_rows, windows = ((np.multiply, v[:, 0], w_at[:, :, 0]) if N == 1
+                            else (np.vecdot, v, w_at))
+    c_col, update = np.empty((P, 1)), np.empty((P, N))
+    c = c_col[:, 0]
+    for n in range(start, d.shape[1]):
+        y_n = dot(v_rows, windows[n], out=y_at[n])
+        if step != 0.0:
+            np.subtract(d_at[n], y_n, c)
+            np.multiply(step, c, c)
+            np.multiply(c_col, w_at[n], update)
+            v += update
+            if not (np.vdot(v, v) <= GUARD_SCREEN):
+                tripped = np.flatnonzero(~(np.abs(v).max(axis=1) <= WEIGHT_GUARD))
+                if tripped.size:
+                    return int(tripped[0]), n
+    return None
 
 
 def reference_matrix(x: np.ndarray, n_taps: int) -> np.ndarray:

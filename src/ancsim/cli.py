@@ -20,7 +20,7 @@ from .config import default_config, load_config, save_config
 from .errors import AncError, ConfigError, DivergenceError, WavError
 from .loops import loop_aligned_path
 from .mcanc import ChannelConfig, mac_count, mac_measure
-from .reporting import export_report, summary_dict
+from .reporting import _atomic_write, _json_safe, export_report, summary_dict
 from .scenario import (
     build_plant,
     build_reference,
@@ -81,10 +81,9 @@ def cmd_identify(args) -> int:
                             "residual_power": res.residual_power,
                             "undermodeled": res.undermodeled})
             print(f"path ({j},{k}): misalignment {res.misalignment_db:.1f} dB")
-    with open(os.path.join(args.out, "identification.json"), "w",
-              encoding="utf-8") as fh:
-        json.dump({"paths": summary}, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    # strict JSON: a perfect estimate's -inf dB becomes "silent", as in summary.json
+    doc = json.dumps(_json_safe({"paths": summary}), indent=1, sort_keys=True)
+    _atomic_write(os.path.join(args.out, "identification.json"), (doc, "\n"))
     return EXIT_OK
 
 

@@ -14,6 +14,12 @@ CSV schemas (one header row each):
     {arm}_spectrogram.csv  frame_index,time_s,freq_hz,power_db
     mse_trace.csv          sample_index,mse
 Multichannel arms append a _mic{k} suffix before the extension.
+
+Every arm's error CSV shares its first three columns: the row's sample
+index, its time and the uncontrolled error it is referenced to. Those are
+formatted once, as one list per mic of "sample_index,time_s,reference,"
+row prefixes; each arm's row is its prefix plus its own error, and a
+diverged arm's shorter record takes a leading slice of the list.
 """
 
 from __future__ import annotations
@@ -57,9 +63,13 @@ def _atomic_write(path, chunks) -> None:
 
 
 def _csv(header: str, *columns):
-    """Yield the header line, then one line per row of the string columns,
-    a block of rows per chunk so that no file's full text is held at once."""
-    rows = map(",".join, zip(*columns))
+    """`_lines` of the rows of the string columns."""
+    return _lines(header, map(",".join, zip(*columns)))
+
+
+def _lines(header: str, rows):
+    """Yield the header line, then the row lines, a block of rows per
+    chunk so that no file's full text is held at once."""
     yield header + "\n"
     while block := list(islice(rows, _CSV_BLOCK_ROWS)):
         yield "\n".join(block) + "\n"
@@ -84,19 +94,16 @@ def _json_safe(value):
     return value
 
 
-def _arm_files(arm, rate: float, decimation: int, reference: np.ndarray):
-    """Yield (file name, text chunks) for each of the arm's CSVs."""
+def _arm_files(arm, decimation: int, prefixes):
+    """Yield (file name, text chunks) for each of the arm's CSVs; `prefixes`
+    holds each mic's shared error-row prefixes (`_error_prefixes`)."""
     err = np.atleast_2d(arm.error.T).T          # (T, K)
-    ref = np.atleast_2d(reference.T).T
     n_mics = err.shape[1]
-    idx = np.arange(0, err.shape[0], decimation)
-    sample_col = list(map(str, idx.tolist()))
-    time_col = list(_fmts(idx / rate))
     for k in range(n_mics):
         suffix = f"_mic{k}" if n_mics > 1 else ""
-        yield f"{arm.name}_error{suffix}.csv", _csv(
-            "sample_index,time_s,reference,error", sample_col, time_col,
-            _fmts(ref[::decimation, k]), _fmts(err[::decimation, k]))
+        yield f"{arm.name}_error{suffix}.csv", _lines(
+            "sample_index,time_s,reference,error",
+            map(str.__add__, prefixes[k], _fmts(err[::decimation, k])))
 
         report = arm.reports[k]
         nr = report.nr_per_interval_db
@@ -111,6 +118,15 @@ def _arm_files(arm, rate: float, decimation: int, reference: np.ndarray):
         spec_cols = () if report.spectro is None else _spectrogram_columns(report.spectro)
         yield f"{arm.name}_spectrogram{suffix}.csv", _csv(
             "frame_index,time_s,freq_hz,power_db", *spec_cols)
+
+
+def _error_prefixes(reference: np.ndarray, rate: float, decimation: int):
+    """One list per mic of each exported row's "sample_index,time_s,
+    reference," text, formatted once for every arm's error CSV."""
+    idx = np.arange(0, reference.shape[0], decimation)
+    indices, times = idx.tolist(), (idx / rate).tolist()
+    return [[f"{n},{t!r},{r!r}," for n, t, r in zip(indices, times, ref.tolist())]
+            for ref in reference[::decimation].T]
 
 
 def _spectrogram_columns(spectro):
@@ -130,8 +146,10 @@ def _text_files(result):
     rate = result.config.sample_rate_hz
     decimation = result.config.export.error_decimation
     d = np.atleast_2d(result.arms["uncontrolled"].error.T).T
+    # a shorter (diverged) arm's rows are a leading slice of these
+    prefixes = _error_prefixes(d, rate, decimation)
     for arm in result.arms.values():
-        yield from _arm_files(arm, rate, decimation, d[:arm.error.shape[0]])
+        yield from _arm_files(arm, decimation, prefixes)
 
     stride = result.mse_stride
     yield "mse_trace.csv", _csv("sample_index,mse",

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ancsim.adaptation import (
@@ -20,6 +20,7 @@ from ancsim.errors import (
     UndefinedBoundError,
 )
 from ancsim.filters import FirFilter
+from ancsim.mcanc import WEIGHT_GUARD, check_weights
 
 
 class TestLmsStep:
@@ -103,23 +104,48 @@ def step_loop(lms, x, d):
     return np.array(y), np.array(e), None
 
 
+def fit_case(rng, P, N, T, mu, scale, w_scale):
+    x = np.concatenate([np.zeros((P, N - 1)), scale * rng.standard_normal((P, T))], axis=1)
+    d = rng.standard_normal((P, T))
+    d[rng.random((P, T)) < 0.1] = -0.0
+    w0 = rng.standard_normal((P, N)) * w_scale
+    return x, d, w0, mu
+
+
 @st.composite
 def fit_cases(draw):
     seed = draw(st.integers(0, 2**32 - 1))
     P, N, T = draw(st.integers(1, 5)), draw(st.integers(1, 12)), draw(st.integers(0, 60))
     mu = draw(st.sampled_from([0.0, 1e-3, 0.05, 0.3, 1.5]))
-    rng = np.random.default_rng(seed)
     scale = draw(st.sampled_from([1e-3, 1.0, 30.0]))
-    x = np.concatenate([np.zeros((P, N - 1)), scale * rng.standard_normal((P, T))], axis=1)
-    d = rng.standard_normal((P, T))
-    d[rng.random((P, T)) < 0.1] = -0.0
-    w0 = rng.standard_normal((P, N)) * draw(st.sampled_from([0.0, -0.0, 0.5]))
-    return x, d, w0, mu
+    w_scale = draw(st.sampled_from([0.0, -0.0, 0.5]))
+    return fit_case(np.random.default_rng(seed), P, N, T, mu, scale, w_scale)
+
+
+def bare_step_loop(w0, x, d, mu):
+    """(y, e, weights, tripping step or None) of `LmsFilter.step`'s
+    arithmetic, one sample at a time, without its finite-input check."""
+    v, window = w0[::-1].copy(), np.zeros(w0.size)
+    y, e = [], []
+    for n, (xn, dn) in enumerate(zip(x, d)):
+        window[:-1] = window[1:]
+        window[-1] = xn
+        y.append(float(np.dot(v, window)))
+        e.append(dn - y[-1])
+        v += (2.0 * mu * e[-1]) * window
+        try:
+            check_weights(v, n)
+        except DivergenceError:
+            return np.array(y), np.array(e), v[::-1], n
+    return np.array(y), np.array(e), v[::-1], None
 
 
 class TestLmsFit:
+    # one row and several take different bodies: draw both every time
     @settings(max_examples=150, deadline=None)
     @given(fit_cases())
+    @example(fit_case(np.random.default_rng(1), 1, 5, 60, 0.05, 1.0, 0.5))
+    @example(fit_case(np.random.default_rng(2), 3, 5, 60, 1.5, 30.0, 0.5))
     def test_rows_equal_per_path_step_loops(self, case):
         x, d, w0, mu = case
         P, N = w0.shape
@@ -199,6 +225,94 @@ class TestLmsFit:
             trips = [step_loop(LmsFilter(N, 1.0), x[p, N - 1:], d[p])[2] for p in (0, 1)]
         assert None not in trips and trips[1] < trips[0]
         assert diverged == (0, trips[0])
+
+
+class TestLmsFitOneRow:
+    """`lms_fit` on one row, the body `LmsFilter.run` and every 1x1
+    identification take, against one `step` call per sample."""
+
+    @staticmethod
+    def fit_and_step(w0, x, d, mu):
+        N = w0.size
+        v = w0[::-1].copy()[None]
+        y, e, diverged = lms_fit(v, np.concatenate([np.zeros(N - 1), x])[None], d[None], mu)
+        lms = LmsFilter(N, mu)
+        lms.weights = w0
+        y_ref, e_ref, trip = step_loop(lms, x, d)
+        return (y[0], e[0], v[0, ::-1], diverged), (y_ref, e_ref, lms.weights, trip)
+
+    @pytest.mark.parametrize("w0", [[0.8e6], [0.4e6, -0.4e6, 0.1e6]],
+                             ids=["weight_past_half", "norm_past_half"])
+    def test_weights_between_half_and_full_guard_are_not_a_trip(self, w0):
+        # the screen fails at every step; only the exact check decides
+        w0 = np.array(w0)
+        rng = np.random.default_rng(7)
+        x, d = rng.standard_normal(50), rng.standard_normal(50)
+        (y, e, w, diverged), (y_ref, e_ref, w_ref, trip) = self.fit_and_step(w0, x, d, 1e-3)
+        assert trip is None and diverged is None
+        for weights in (w0, w):
+            assert not (weights.dot(weights) <= 0.25 * WEIGHT_GUARD**2)
+        assert_same_bits(y, y_ref)
+        assert_same_bits(e, e_ref)
+        assert_same_bits(w, w_ref)
+
+    @pytest.mark.parametrize("N", [1, 3])
+    def test_trip_at_the_step_that_step_raises(self, N):
+        # weights start just inside the guard and climb past it
+        rng = np.random.default_rng(N)
+        T = 60
+        x = 1.0 + 0.1 * rng.standard_normal(T)
+        d = 3e6 * np.ones(T)
+        w0 = np.full(N, 0.9e6 / N)
+        (y, e, w, diverged), (y_ref, e_ref, w_ref, trip) = self.fit_and_step(w0, x, d, 0.01)
+        assert trip is not None and 0 < trip < T - 1
+        assert diverged == (0, trip)
+        assert_same_bits(y[:trip + 1], y_ref)
+        assert_same_bits(e[:trip + 1], e_ref)
+        assert_same_bits(w, w_ref)
+        # samples past the trip are never fitted
+        assert_same_bits(y[trip + 1:], np.zeros(T - trip - 1))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("N", [1, 4])
+    def test_non_finite_desired_sample_trips_where_step_arithmetic_does(self, bad, N):
+        rng = np.random.default_rng(11)
+        T, at = 40, 17
+        x, d = rng.standard_normal(T), rng.standard_normal(T)
+        d[at] = bad
+        w0 = 0.1 * rng.standard_normal(N)
+        v = w0[::-1].copy()[None]
+        with np.errstate(invalid="ignore", over="ignore"):
+            y, e, diverged = lms_fit(
+                v, np.concatenate([np.zeros(N - 1), x])[None], d[None], 0.05)
+            y_ref, e_ref, w_ref, trip = bare_step_loop(w0, x, d, 0.05)
+        assert trip == at and diverged == (0, at)
+        assert_same_bits(y[0, :at + 1], y_ref)
+        assert_same_bits(e[0, :at + 1], e_ref)
+        assert_same_bits(v[0, ::-1], w_ref)
+
+    @pytest.mark.parametrize("mu", [0.0, 0.05], ids=["mu0", "mu"])
+    @pytest.mark.parametrize("N", [1, 4])
+    def test_signed_zeros_and_frozen_weights(self, N, mu):
+        # one tap is a plain product, which keeps -0.0; mu = 0 leaves the
+        # weights, sign bits included, where they started
+        rng = np.random.default_rng(N)
+        T = 64
+        x = rng.standard_normal(T)
+        x[rng.random(T) < 0.3] = -0.0
+        x[rng.random(T) < 0.2] = 0.0
+        d = rng.standard_normal(T)
+        d[rng.random(T) < 0.3] = -0.0
+        w0 = np.where(rng.random(N) < 0.5, -0.0, 0.0) if N == 1 else rng.standard_normal(N)
+        (y, e, w, diverged), (y_ref, e_ref, w_ref, trip) = self.fit_and_step(w0, x, d, mu)
+        assert diverged is None and trip is None
+        assert_same_bits(y, y_ref)
+        assert_same_bits(e, e_ref)
+        assert_same_bits(w, w_ref)
+        if mu == 0.0:
+            assert_same_bits(w, w0)
+        if N == 1:
+            assert np.signbit(y).any() and np.signbit(e).any()
 
 
 class TestWienerSolve:

@@ -85,6 +85,27 @@ class TestInProcess:
         assert doc["paths"][0]["misalignment_db"] < -30.0
         assert (out / "estimate_j0_k0.anw").exists()
 
+    def test_identify_writes_strict_json_for_a_perfect_estimate(self, tmp_path, capsys):
+        # a one-tap path fitted by a one-tap LMS converges to it exactly, so
+        # the misalignment is -inf dB; summary.json's "silent" marker, not
+        # the non-standard -Infinity token, must reach the file
+        cfg_path = tmp_path / "c.yaml"
+        write_small_config(cfg_path, **{
+            "plant.kind": "explicit", "plant.primary_taps": [0.5],
+            "plant.secondary_taps": [[[0.5]]], "plant.measurement_noise_std": 0.0,
+            "sysid.taps": 1, "sysid.mu": 0.1, "sysid.n_samples": 5000})
+        out = tmp_path / "ident"
+        assert main(["identify", "--config", str(cfg_path), "--out", str(out)]) == 0
+        assert "misalignment -inf dB" in capsys.readouterr().out
+
+        def reject(token):
+            raise AssertionError(f"non-standard JSON token {token}")
+
+        doc = json.loads((out / "identification.json").read_text(), parse_constant=reject)
+        assert doc["paths"][0]["misalignment_db"] == "silent"
+        assert sorted(p.name for p in out.iterdir()) == [
+            "estimate_j0_k0.anw", "estimate_j0_k0.json", "identification.json"]
+
     def test_pretrain_writes_weights(self, tmp_path):
         cfg_path = tmp_path / "c.yaml"
         write_small_config(cfg_path)

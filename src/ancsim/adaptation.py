@@ -18,7 +18,7 @@ once: `LmsFilter.run` is its P = 1 case; identification fits whole grids.
 It has two per-sample bodies, and the row count picks one. One row takes
 `loops.run_adaptive`'s form: a dot for y(n), one scaled update and a
 one-dot guard screen, with no array call beyond those. Several rows take one
-`np.vecdot` over the stacked windows for every output, so the calls a
+`filters.rowdots` over the stacked windows for every output, so the calls a
 sample stay fixed as P grows. The stacked body's fixed array calls cost
 more than the one-row body's whole sample, and per-row dots cost more
 than one `np.vecdot` once P > 1, so neither body is the faster at both.
@@ -45,7 +45,7 @@ from .errors import (
     DivergenceError,
     UndefinedBoundError,
 )
-from .filters import FirFilter
+from .filters import FirFilter, rowdots
 from .mcanc import GUARD_SCREEN, WEIGHT_GUARD, ChannelConfig, McAncController, check_weights
 from .signals import as_samples
 
@@ -279,14 +279,10 @@ def _fit_rows(v, x, d, y, step, start):
     # w_at[n] stacks the rows' windows X(n)
     w_at = sliding_window_view(x, N, axis=1).transpose(1, 0, 2)
     y_at, d_at = y.T, d.T
-    # `ndarray.dot` forms a one-element dot as a plain product, which keeps
-    # a -0.0 that `ddot` would add to +0.0
-    dot, v_rows, windows = ((np.multiply, v[:, 0], w_at[:, :, 0]) if N == 1
-                            else (np.vecdot, v, w_at))
     c_col, update = np.empty((P, 1)), np.empty((P, N))
     c = c_col[:, 0]
     for n in range(start, d.shape[1]):
-        y_n = dot(v_rows, windows[n], out=y_at[n])
+        y_n = rowdots(v, w_at[n], out=y_at[n])
         if step != 0.0:
             np.subtract(d_at[n], y_n, c)
             np.multiply(step, c, c)

@@ -5,12 +5,13 @@ linear time-invariant pass in the library (the plant's paths, frozen
 controllers, filtered references) goes through it. Output n is the dot
 of the reversed weights with the chronological window ending at x(n):
 the `cblas_ddot` that `ndarray.dot` forms on two vectors, reached for
-every window at once through one `np.vecdot` call. A one-tap filter is a
-plain product instead: `ndarray.dot` forms a one-element dot that way,
-which keeps a -0.0 that `ddot` would add to +0.0. So a pass split
-anywhere equals one whole pass, and equals per-sample filtering, bit for
-bit. Samples before the first one given are zeros, matching the
-x(k) = 0 for k < 0 convention of the convolution sums.
+every window at once through `rowdots`, one `np.vecdot` call. A one-tap
+filter is a plain product instead: `ndarray.dot` forms a one-element dot
+that way, which keeps a -0.0 that `ddot` would add to +0.0. So a pass
+split anywhere equals one whole pass, and equals per-sample filtering,
+bit for bit. Samples before the first one given are zeros, matching the
+x(k) = 0 for k < 0 convention of the convolution sums. `rowdots` is the
+one place that rule lives; the adaptive loops use it too.
 """
 
 from __future__ import annotations
@@ -39,12 +40,10 @@ def fir(weights, x, history=None) -> np.ndarray:
 
     `history` holds the samples before x, oldest first; the window reads
     zeros beyond it. Each output is the `cblas_ddot` of `w_rev` with its
-    own window, the dot `FirFilter.process_sample` forms; `np.vecdot`
-    forms all of them in one call. One tap is a plain product, as
-    `ndarray.dot` forms it for one element (a `ddot` sum would turn -0.0
-    into +0.0). Do not replace these dots by a matrix product, `einsum` or
-    an FFT convolution: those add the terms in another order and change
-    the last bits.
+    own window, the dot `FirFilter.process_sample` forms; `rowdots` forms
+    all of them in one call. Do not replace these dots by a matrix
+    product, `einsum` or an FFT convolution: those add the terms in
+    another order and change the last bits.
     """
     w_rev = np.asarray(weights, dtype=np.float64)[::-1].copy()
     x = np.asarray(x, dtype=np.float64)
@@ -52,9 +51,17 @@ def fir(weights, x, history=None) -> np.ndarray:
         return np.empty(0)
     past = () if history is None else history
     h = np.concatenate([np.zeros(w_rev.size - 1), past, x])[len(past):]
-    if w_rev.size == 1:
-        return w_rev[0] * h
-    return np.vecdot(sliding_window_view(h, w_rev.size), w_rev)
+    return rowdots(sliding_window_view(h, w_rev.size), w_rev)
+
+
+def rowdots(a, b, out=None):
+    """The dot of every pair of rows of a and b (broadcast), along the
+    last axis: one `np.vecdot` call, the `cblas_ddot` `ndarray.dot` forms
+    for each pair. Rows of one element are a plain product instead, as
+    `ndarray.dot` forms them: a `ddot` sum would turn -0.0 into +0.0."""
+    if a.shape[-1] == 1:
+        return np.multiply(a[..., 0], b[..., 0], out=out)
+    return np.vecdot(a, b, out=out)
 
 
 class FirFilter:

@@ -24,10 +24,28 @@ There is one adaptive loop, `run_adaptive`, for the single-channel
 filtered references do not depend on the control either, so they come
 from one `fir` pass per path, the dot `step` forms over the same window;
 only the secondary paths, the controller outputs and the weight updates
-stay per-sample. Each filter's weight guard is one dot, its squared norm,
-with the exact `check_weights` behind it, the rule `adaptation.lms_fit`
-uses. `run_fixed` runs frozen weights, for which the loop is LTI end to
-end: each of its passes, controller and path, is one `fir` call.
+stay per-sample. The weight guard is one dot, a squared norm, with the
+exact `check_weights` behind it, the rule `adaptation.lms_fit` uses.
+
+The geometry picks the per-sample body; both give the same bits. One
+filter and one mic run the scalar body: per path a window slice and a
+dot, per output a dot, per update term a slice, a scaled product and an
+in-place add, per filter a guard dot, so 5JK + 2J + 1 array operations
+a sample: 8 at 1x1x1, 25 at 1x2x2, 89 at 1x4x4. A grid runs the stacked
+body, 11 operations whatever J and K are (two more per further distinct
+secondary-path length): a window index and one `rowdots` for every
+path of one length, one `tolist` of their outputs, one `rowdots` for
+every output, one product writing the K update terms behind the
+weights in a (K+1, J, L) stack, one `np.add.reduce` over its outer axis
+(elementwise, the adds `step` makes term by term) and one guard dot over
+every filter, plus the indexing and coefficient store these need. Each
+stacked call carries more overhead, so at 1x1x1 the scalar body is the
+faster one. One loudspeaker of one-tap filters (J*L = 1) stays scalar
+too: there the reduction has one element per slot, and numpy sums such
+a reduction pairwise once it has 8 or more slots.
+
+`run_fixed` runs frozen weights, for which the loop is LTI end to end:
+each of its passes, controller and path, is one `fir` call.
 """
 
 from __future__ import annotations
@@ -35,11 +53,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .acoustics import Plant
 from .adaptation import FxlmsFilter
 from .errors import DataError, DivergenceError
-from .filters import as_taps, fir
+from .filters import as_taps, fir, rowdots
 from .mcanc import GUARD_SCREEN, McAncController, check_weights
 from .signals import as_samples
 
@@ -183,6 +202,11 @@ def run_adaptive(plant, controller: FxlmsFilter | McAncController, x,
 
     Divergence truncates the run at the failing step instead of
     propagating, so partial traces remain available for diagnostics.
+
+    One filter and one mic (or one loudspeaker of one-tap filters) run
+    `_scalar_body`, every other geometry `_stacked_body`; the module
+    docstring gives each one's calls a sample and why the count of
+    filters and mics picks one.
     """
     xs = as_samples(x)
     single = isinstance(controller, FxlmsFilter)
@@ -195,8 +219,7 @@ def run_adaptive(plant, controller: FxlmsFilter | McAncController, x,
             f"plant has {split.n_sources} sources and {split.n_mics} mics, "
             f"controller drives {ctl.n_sources} and listens to {ctl.n_mics}")
     T, J, K, H = xs.size, split.n_sources, split.n_mics, split.hist
-    v, mu = ctl._v[0], ctl.mu
-    L, hx = v.shape[1], ctl._x.shape[1]
+    L, hx = ctl._v.shape[2], ctl._x.shape[1]
     step0 = ctl._step_count
 
     # flat histories: the controller's stored windows, then this call's
@@ -218,6 +241,34 @@ def run_adaptive(plant, controller: FxlmsFilter | McAncController, x,
     # Flat, row after row: err[n*K + k] becomes e_k(n) in place.
     err = dist.primary.ravel().tolist()
     noise = None if dist.noise is None else dist.noise.ravel().tolist()
+    body = _stacked_body if J * K > 1 and J * L > 1 else _scalar_body
+    diverged_at, diverged_coords, steps = body(split, ctl, x_buf, fx_buf, u_buf, err, noise)
+
+    done = T if diverged_at is None else steps + 1
+    err = np.array(err[:done * K], dtype=np.float64).reshape(done, K)
+    out = u_buf[:, H + 1:H + 1 + steps].T.copy()
+    split.u_hist[:] = u_buf[:, done:done + H]
+    ctl._x[0] = x_buf[done:done + hx]
+    ctl._fx[0] = fx_buf[:, :, done:done + L]
+    # a step that trips the guard does not count, as in McAncController.step
+    ctl._step_count = step0 + steps
+    if steps:
+        ctl.last_cost = float(np.dot(err[steps - 1], err[steps - 1]))
+    if single:
+        err, out, diverged_coords = err[:, 0], out[:, 0], None
+    return LoopResult(error=err, output=out, final_weights=controller.weights,
+                      diverged_at=diverged_at, diverged_coords=diverged_coords)
+
+
+def _scalar_body(split, ctl, x_buf, fx_buf, u_buf, err, noise):
+    """`run_adaptive`'s per-sample loop with one call per path, output and
+    update term: the fewest calls for one filter and one mic. Returns
+    (diverged_at, coords, steps)."""
+    J, K, H = split.n_sources, split.n_mics, split.hist
+    T = len(err) // K
+    v, mu = ctl._v[0], ctl.mu
+    L, hx = v.shape[1], ctl._x.shape[1]
+    step0 = ctl._step_count
     # flattened in Plant.step's (j, k) order: mic, loudspeaker row, lag
     paths = [(k, u_buf[j], H - s.size, s.dot)
              for j, paths_j in enumerate(split.sec_rev) for k, s in enumerate(paths_j)]
@@ -227,8 +278,6 @@ def run_adaptive(plant, controller: FxlmsFilter | McAncController, x,
     updates = [(v[j], k, fx_buf[j, k], v[j].dot if k == K - 1 else None, (0, j))
                for j in range(J) for k in range(K)]
     screen = GUARD_SCREEN
-    diverged_at = diverged_coords = None
-    steps = T
     for n in range(T):
         at, n1 = n * K, n + 1
         for k, u_row, lag, path_dot in paths:
@@ -247,23 +296,95 @@ def run_adaptive(plant, controller: FxlmsFilter | McAncController, x,
                     if v_sq is not None and not (v_sq(v_j) <= screen):
                         check_weights(v_j, step0 + n, coords)
             except DivergenceError as exc:
-                diverged_at, diverged_coords, steps = n, exc.coords, n
-                break
+                return n, exc.coords, n
+    return None, None, T
 
-    done = T if diverged_at is None else steps + 1
-    err = np.array(err[:done * K], dtype=np.float64).reshape(done, K)
-    out = u_buf[:, H + 1:H + 1 + steps].T.copy()
-    split.u_hist[:] = u_buf[:, done:done + H]
-    ctl._x[0] = x_buf[done:done + hx]
-    ctl._fx[0] = fx_buf[:, :, done:done + L]
-    # a step that trips the guard does not count, as in McAncController.step
-    ctl._step_count = step0 + steps
-    if steps:
-        ctl.last_cost = float(np.dot(err[steps - 1], err[steps - 1]))
-    if single:
-        err, out, diverged_coords = err[:, 0], out[:, 0], None
-    return LoopResult(error=err, output=out, final_weights=controller.weights,
-                      diverged_at=diverged_at, diverged_coords=diverged_coords)
+
+def _stacked_body(split, ctl, x_buf, fx_buf, u_buf, err, noise):
+    """`run_adaptive`'s per-sample loop as a fixed handful of calls over
+    stacked operands, whatever J and K are. Returns (diverged_at, coords,
+    steps)."""
+    J, K, H = split.n_sources, split.n_mics, split.hist
+    T = len(err) // K
+    v, neg_mu = ctl._v[0], -ctl.mu
+    L, hx = v.shape[1], ctl._x.shape[1]
+    step0 = ctl._step_count
+
+    # Secondary paths: one `rowdots` per distinct path length m, of every
+    # loudspeaker's newest m samples, (J, 1, m), against that length's
+    # reversed taps, (J, K, m). Paths of another length hold zeros there
+    # and their dots go unread: padding a path's taps would regroup its
+    # `ddot` blocks. Outputs land in pout[g] as (K, J).
+    lengths = sorted({s.size for row in split.sec_rev for s in row})
+    pout = np.empty((len(lengths), K, J))
+    groups = []
+    for g, m in enumerate(lengths):
+        taps = np.zeros((J, K, m))
+        for j, row in enumerate(split.sec_rev):
+            for k, s in enumerate(row):
+                if s.size == m:
+                    taps[j, k] = s
+        # window n1 is u_buf[j, n1+H-m:n1+H], the plant's window at step n
+        wins = sliding_window_view(u_buf, m, axis=1)[:, H - m:].transpose(1, 0, 2)
+        groups.append((wins[:, :, None, :], taps, pout[g].T))
+    # each mic's path terms in pout.ravel(), loudspeaker by loudspeaker
+    g_of = {m: g for g, m in enumerate(lengths)}
+    mic_terms = [[(g_of[split.sec_rev[j][k].size] * K + k) * J + j for j in range(J)]
+                 for k in range(K)]
+    p_flat = pout.reshape(-1)
+
+    u_cols = u_buf.T
+    # fx_w[n1] is x_f(n)'s (K, J, L) windows, mic-major like the terms
+    fx_w = sliding_window_view(fx_buf, L, axis=2).transpose(2, 1, 0, 3)
+    # Two (K+1, J, L) stacks: the weights, then the K update terms. One
+    # outer-axis reduction of one stack into the other's weight slot adds
+    # ((w + t_0) + t_1) + ... elementwise, the adds `step` makes in mic
+    # order; the initial -0.0 adds nothing, where numpy's default +0.0
+    # would turn an all -0.0 sum into +0.0.
+    stacks = [np.empty((K + 1, J, L)) for _ in range(2)]
+    stacks[0][0] = v
+    cur, nxt = [(S, S[0], S[1:], S[0].reshape(-1)) for S in stacks]
+    c = np.empty((K, 1, 1))
+    c_flat = c.reshape(-1)
+    screen = GUARD_SCREEN
+    try:
+        for n in range(T):
+            at, n1 = n * K, n + 1
+            for wins, taps, out in groups:
+                rowdots(wins[n1], taps, out=out)
+            vals = p_flat.tolist()
+            coefs = []
+            for k, terms in enumerate(mic_terms):
+                i = at + k
+                e = err[i]
+                for t in terms:
+                    e += vals[t]
+                if noise is not None:
+                    e += noise[i]
+                err[i] = e
+                coefs.append(neg_mu * e)
+            S, w, t_slots, _ = cur
+            end = n1 + hx
+            rowdots(w, x_buf[end - L:end], out=u_cols[H + n1])
+            if neg_mu != 0.0:
+                c_flat[:] = coefs
+                np.multiply(c, fx_w[n1], out=t_slots)
+                _, w_next, _, flat = nxt
+                np.add.reduce(S, axis=0, out=w_next, initial=-0.0)
+                # one screen over every filter, then the exact check filter
+                # by filter, in the order `step` checks them
+                if not (flat.dot(flat) <= screen):
+                    for j in range(J):
+                        check_weights(w_next[j], step0 + n, (0, j))
+                cur, nxt = nxt, cur
+    except DivergenceError as exc:
+        # filters up to the one that tripped hold their update, as in `step`
+        j = exc.coords[1]
+        w_next[j + 1:] = cur[1][j + 1:]
+        v[:] = w_next
+        return n, exc.coords, n
+    v[:] = cur[1]
+    return None, None, T
 
 
 def run_fixed(plant, weights, x, disturbance: Disturbance | None = None) -> LoopResult:

@@ -19,12 +19,15 @@ single-channel derivation carries 2 mu: `adaptation.FxlmsFilter` is the
 This is the library's one FxLMS recursion. `McAncController.step` runs it
 one sample at a time and `loops.run_adaptive` inlines it over flat
 histories, in the same operand order, for every 1xJxK geometry. Each
-output and each filtered reference is its own `np.dot` (in the loop the
-filtered references come from `filters.fir`, which forms the same dot
-over the same window), and each (i, j) filter adds its K update terms
-one at a time in microphone order: a matrix product or einsum would sum
-in another order and change the last bits that the bit-exactness tests
-pin.
+output and each filtered reference is its own `np.dot` (in the loop a
+grid's outputs come from one `np.vecdot`, the same `ddot` per filter,
+and the filtered references from `filters.fir`, which forms the same dot
+over the same window), and each (i, j) filter adds its K update terms to
+its weights one at a time in microphone order. The loop's one
+outer-axis `np.add.reduce` over a stack of (weights, term 0, ...,
+term K-1), started from -0.0, makes that same sequence of adds
+elementwise; a matrix product or einsum would sum in another order and
+change the last bits that the bit-exactness tests pin.
 
 The filtered-reference sum runs over all M estimate taps (m = 0..M-1);
 the complexity table's per-step charge of I*J*K*M multiply-accumulates

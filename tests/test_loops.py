@@ -8,7 +8,7 @@ zero, so each comparison here is `np.array_equal` plus equal sign bits.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ancsim.acoustics import Plant
@@ -17,7 +17,7 @@ from ancsim.config import PlantConfig, default_config
 from ancsim.errors import DivergenceError
 from ancsim.filters import FirFilter
 from ancsim.loops import PlantSplit, run_adaptive, run_fixed, run_uncontrolled_signal
-from ancsim.mcanc import WEIGHT_GUARD, ChannelConfig, McAncController
+from ancsim.mcanc import GUARD_SCREEN, WEIGHT_GUARD, ChannelConfig, McAncController
 from ancsim.scenario import build_plant, build_training_signal, run_scenario
 from ancsim.sysid import identify_path
 
@@ -273,6 +273,52 @@ def test_split_carries_estimate_history_longer_than_the_control_filter():
     assert_blocks_match_plant_step(cases, [x[:5], x[5:305], x[305:]])
 
 
+def random_grid_case(seed, J, K, L, noisy, mu):
+    """A 1xJxK loop with paths of unequal lengths, one tap included, of
+    both signs; estimates of their own lengths; parked weights with
+    signed zeros; and a reference with silent stretches, cut into blocks."""
+    rng = np.random.default_rng(seed)
+
+    def path():
+        return rng.standard_normal(int(rng.integers(1, 6))) * 0.4
+
+    primaries = [path() for _ in range(K)]
+    secondaries = [[path() for _ in range(K)] for _ in range(J)]
+    secondaries[0][-1] = np.array([-0.4])       # one tap, whatever else is drawn
+    M = int(rng.integers(1, 5))
+    est = rng.standard_normal((J, K, M)) * 0.4
+    w0 = rng.standard_normal((1, J, L)) * 0.05
+    w0[rng.random(w0.shape) < 0.3] = -0.0
+    x = np.r_[np.zeros(15), rng.standard_normal(100), np.zeros(25), rng.standard_normal(20)]
+    cuts = np.sort(rng.choice(np.arange(1, x.size), size=3, replace=False))
+
+    def make_plant():
+        return Plant(primaries, secondaries, measurement_noise_std=0.05 * noisy, seed=seed)
+
+    def make_ctl():
+        ctl = McAncController(ChannelConfig(1, J, K, L, M), mu, est)
+        ctl.weights = w0
+        return ctl
+
+    return make_plant, make_ctl, np.split(x, cuts)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(1, 4),
+       st.sampled_from([1, 2, 17]), st.booleans(), st.sampled_from([0.0, 0.01]))
+@example(0, 1, 1, 17, True, 0.01)    # one filter, one mic
+@example(1, 1, 1, 1, False, 0.01)
+@example(2, 1, 3, 2, True, 0.01)     # J*K > 1, J != K
+@example(3, 3, 1, 17, False, 0.01)
+@example(4, 2, 3, 1, True, 0.01)     # one-tap controller
+@example(5, 4, 4, 17, True, 0.0)
+@example(6, 1, 3, 1, False, 0.01)    # one weight per term slot
+@example(7, 1, 8, 1, True, 0.01)     # ... with a slot count numpy sums pairwise
+def test_every_geometry_matches_the_per_sample_controller(seed, J, K, L, noisy, mu):
+    make_plant, make_ctl, blocks = random_grid_case(seed, J, K, L, noisy, mu)
+    assert_blocks_match_plant_step([(make_plant, make_ctl, multi_control)], blocks)
+
+
 def random_loop(seed, taps, mu):
     """A reference with silent stretches, which give signed zeros, and
     loop_cases over random paths of both signs; the plant is noiseless."""
@@ -428,3 +474,87 @@ def test_weight_just_past_the_guard_trips_where_the_controller_raises():
         assert len(res.output) == res.diverged_at
         assert_same_bits(res.final_weights, ref.weights)
         assert_same_state(ctl, ref)
+
+
+def grid_guard_case(est_sign):
+    """A 1x3x2 plant and controller factory: every estimate carries the
+    sign of the true path times `est_sign`, so -1 drives parked weights
+    outward."""
+    secondary = np.array([0.0, 0.5, 0.2])
+    gains = [[1.0, 0.6], [0.8, 1.2], [0.9, 0.7]]
+
+    def make_plant():
+        return Plant([np.array([0.0, 0.8, -0.3]), np.array([0.0, 0.5, 0.2])],
+                     [[secondary * g for g in row] for row in gains],
+                     measurement_noise_std=0.05, seed=4)
+
+    def make_ctl(filters):
+        est = est_sign * np.array([[np.r_[0.0, secondary * g] for g in row] for row in gains])
+        ctl = McAncController(ChannelConfig(1, 3, 2, 4, 4), 2e-5, est)
+        ctl.weights = np.array([filters])
+        return ctl
+
+    return make_plant, make_ctl
+
+
+def test_grid_trip_in_a_middle_filter_commits_the_filters_before_it():
+    # filter (0, 1) is parked next to the guard with estimates that drive
+    # it outward; at the step it crosses, filter (0, 0) has taken its
+    # update and filter (0, 2) has not, as in `step`
+    near = WEIGHT_GUARD * np.array([0.999, 0.2, -0.1, 0.1])
+    filters = [0.3 * near[::-1], near, 0.2 * near]
+    make_plant, make_ctl = grid_guard_case(-1.0)
+    x = np.random.default_rng(3).standard_normal(400)
+    ctl = make_ctl(filters)
+    res = run_adaptive(make_plant(), ctl, x)
+
+    plant, ref = make_plant(), make_ctl(filters)
+    step = multi_control(ref)
+    err, u = [], np.zeros(3)
+    with pytest.raises(DivergenceError) as exc_info:
+        for n in range(x.size):
+            err.append(plant.step(x[n], u))
+            u = step(x[n], err[-1])
+    assert 0 < exc_info.value.index < x.size - 1
+    assert res.diverged_at == exc_info.value.index
+    assert res.diverged_coords == exc_info.value.coords == (0, 1)
+    assert_same_bits(res.error, err)
+    assert_same_bits(res.final_weights, ref.weights)
+    assert_same_state(ctl, ref)
+
+    # the outputs and weights before the tripping step
+    before = make_ctl(filters)
+    _, out = plant_loop(make_plant(), multi_control(before), x[:res.diverged_at])
+    assert_same_bits(res.output, out)
+    assert not np.array_equal(res.final_weights[0, 0], before.weights[0, 0])
+    assert WEIGHT_GUARD < np.abs(res.final_weights[0, 1]).max()
+    assert_same_bits(res.final_weights[0, 2], before.weights[0, 2])
+
+
+def test_grid_norms_past_the_screen_together_pass_filter_by_filter():
+    # each filter's squared norm is under the screen bound, their sum is
+    # past it: the one-dot screen over all filters fails at every step,
+    # and the exact check behind it, filter by filter, lets the run go on
+    filters = WEIGHT_GUARD * np.array([[0.25, -0.25, 0.2, -0.1],
+                                       [-0.2, 0.25, 0.1, 0.25],
+                                       [0.1, 0.2, -0.25, 0.25]])
+    make_plant, make_ctl = grid_guard_case(1.0)
+    x = np.random.default_rng(3).standard_normal(400)
+    ctl = make_ctl(filters)
+    res = run_adaptive(make_plant(), ctl, x)
+    assert res.diverged_at is None
+    ref = make_ctl(filters)
+    norms = []
+
+    def control(xn, e):
+        u = ref.step([xn], e)
+        norms.append(np.sum(ref.weights[0]**2, axis=1))
+        return u
+
+    err, out = plant_loop(make_plant(), control, x)
+    assert_same_bits(res.error, err)
+    assert_same_bits(res.output, out)
+    assert_same_state(ctl, ref)
+    norms = np.array(norms)
+    assert (norms.sum(axis=1) > GUARD_SCREEN).all()
+    assert (norms < GUARD_SCREEN).all()

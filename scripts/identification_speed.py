@@ -12,11 +12,17 @@ shared machine):
   without `lms_fit`, as is `fit4_us`);
 - `fit4_us`: `lms_fit` over 4 paths, per path-sample;
 - `grid_us`: `identify_all_paths` on a 2x2 plant, 64 taps, per
-  path-sample, excitation and response synthesis included.
+  path-sample, excitation and response synthesis included;
+- `fit1p_us`: `lms_fit` over 1 path, per sample, from weights parked past
+  the guard's squared-norm screen (a norm of 0.9 of the weight guard,
+  spread over every tap) at a thousandth of the step size, so that at the
+  default length they stay past it: every sample leaves the running norm
+  bound for the squared norm and the exact check.
 
-Then one short sha256 of the y, e and final weights of both `lms_fit`
-calls and of the 2x2 grid's estimates. Two trees that print the same hash
-produce the same bits.
+Then one short sha256 of the y, e and final weights of the first two
+`lms_fit` calls and of the 2x2 grid's estimates, and one, `parked_sha256`,
+of the parked fit's. Two trees that print the same hashes produce the
+same bits.
 
 Run it on two trees in alternation to compare them on one machine.
 """
@@ -31,6 +37,7 @@ import numpy as np  # noqa: E402
 
 from ancsim.acoustics import synthetic_plant  # noqa: E402
 from ancsim.adaptation import LmsFilter  # noqa: E402
+from ancsim.mcanc import WEIGHT_GUARD  # noqa: E402
 from ancsim.sysid import identify_all_paths  # noqa: E402
 
 try:
@@ -58,9 +65,9 @@ def timed(name, fn, per):
     best[name] = min(best.get(name, us), us)
 
 
-def fit(rows):
-    v = np.zeros((rows, N))
-    y, e, _ = lms_fit(v, x_hist[:rows], d[:rows], MU)
+def fit(rows, w0=0.0, mu=MU):
+    v = np.full((rows, N), w0)
+    y, e, _ = lms_fit(v, x_hist[:rows], d[:rows], mu)
     return y, e, v
 
 
@@ -70,6 +77,8 @@ for _ in range(REPS):
         timed("fit1_us", lambda: fit(1), T)
         timed("fit4_us", lambda: fit(4), 4 * T)
     timed("grid_us", lambda: identify_all_paths(plant, N, mu=MU, n_samples=T, seed=31), 4 * T)
+    if lms_fit is not None:
+        timed("fit1p_us", lambda: fit(1, 0.9 * WEIGHT_GUARD / np.sqrt(N), MU / 1000), T)
 
 digest = hashlib.sha256()
 arrays = [res.estimate.weights for row in outputs["grid_us"] for res in row]
@@ -77,4 +86,10 @@ if lms_fit is not None:
     arrays += [*outputs["fit1_us"], *outputs["fit4_us"]]
 for a in arrays:
     digest.update(np.ascontiguousarray(a).tobytes())
-print(" ".join(f"{k}={v:.2f}" for k, v in best.items()), f"sha256={digest.hexdigest()[:16]}")
+hashes = [f"sha256={digest.hexdigest()[:16]}"]
+if lms_fit is not None:
+    parked = hashlib.sha256()
+    for a in outputs["fit1p_us"]:
+        parked.update(np.ascontiguousarray(a).tobytes())
+    hashes.append(f"parked_sha256={parked.hexdigest()[:16]}")
+print(" ".join(f"{k}={v:.2f}" for k, v in best.items()), *hashes)

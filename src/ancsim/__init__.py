@@ -21,7 +21,6 @@ from .adaptation import (
     AdaptationRun,
     FxlmsFilter,
     LmsFilter,
-    fxlms_mu_bound,
     lms_mu_bound,
     wiener_solve,
 )
@@ -63,7 +62,7 @@ __all__ = [
     "McAncController", "MediumParams", "Plant", "RunReport", "ScenarioResult",
     "Signal", "ToneSpec", "UndefinedBoundError", "WavError", "WavFileSpec",
     "build_run_report", "compose", "default_config",
-    "energy_density", "export_report", "fxlms_mu_bound", "identify_path",
+    "energy_density", "export_report", "identify_path",
     "lms_mu_bound", "load_config", "loop_aligned_path", "mac_count",
     "mac_measure", "noise_reduction_per_interval", "power_spectrum",
     "read_wav", "run_adaptive", "run_fixed", "run_scenario", "save_config",

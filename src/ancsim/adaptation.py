@@ -16,12 +16,15 @@ through the secondary-path estimate:
 `lms_fit` runs `LmsFilter.step`'s arithmetic for P independent filters at
 once: `LmsFilter.run` is its P = 1 case; identification fits whole grids.
 It has two per-sample bodies, and the row count picks one. One row takes
-`loops.run_adaptive`'s form: a dot for y(n), one scaled update and a
-one-dot guard screen, with no array call beyond those. Several rows take one
-`filters.rowdots` over the stacked windows for every output, so the calls a
-sample stay fixed as P grows. The stacked body's fixed array calls cost
-more than the one-row body's whole sample, and per-row dots cost more
-than one `np.vecdot` once P > 1, so neither body is the faster at both.
+`loops.run_adaptive`'s one-filter form: a dot for y(n), a product of the
+window into a scratch buffer and an in-place add to the weights, guarded
+by `mcanc`'s running norm bound, with no array call beyond those while
+the weights stay within half the guard. Several rows take one
+`filters.rowdots` over the stacked windows for every output, so the calls
+a sample stay fixed as P grows, and screen every row with one dot. The
+stacked body's fixed array calls cost more than the one-row body's whole
+sample, and per-row dots cost more than one `np.vecdot` once P > 1, so
+neither body is the faster at both.
 Both form each output with the same `cblas_ddot` and each update with
 the same elementwise operations, bit for bit.
 
@@ -46,7 +49,17 @@ from .errors import (
     UndefinedBoundError,
 )
 from .filters import FirFilter, rowdots
-from .mcanc import GUARD_SCREEN, WEIGHT_GUARD, ChannelConfig, McAncController, check_weights
+from .mcanc import (
+    BOUND_GROWTH,
+    BOUND_LIMIT,
+    GUARD_SCREEN,
+    WEIGHT_GUARD,
+    ChannelConfig,
+    McAncController,
+    check_weights,
+    guard_reset,
+    window_norm_bound,
+)
 from .signals import as_samples
 
 CONDITION_LIMIT = 1e12
@@ -230,11 +243,13 @@ def lms_fit(v: np.ndarray, x: np.ndarray, d: np.ndarray, mu: float):
     stop at sample n or earlier.
 
     The row count picks the per-sample body. One row (`LmsFilter.run`,
-    every 1x1 identification) runs `_fit_row`: one dot, one scaled update
-    and one guard dot per sample, the fewest calls. Several rows run
-    `_fit_rows`: one `np.vecdot` forms every row's output, the same
-    `cblas_ddot` per row, so the call count does not grow with P. Each
-    body is the faster one for its row count; neither changes a bit.
+    every 1x1 identification) runs `_fit_row`: per sample one dot, one
+    product into a scratch buffer and one in-place add, the fewest calls,
+    with the guard rule's running norm bound in place of a guard dot.
+    Several rows run `_fit_rows`: one `np.vecdot` forms every row's
+    output, the same `cblas_ddot` per row, so the call count does not
+    grow with P, and one dot screens every row. Each body is the faster
+    one for its row count; neither changes a bit.
     """
     P = v.shape[0]
     T = d.shape[1]
@@ -253,20 +268,32 @@ def lms_fit(v: np.ndarray, x: np.ndarray, d: np.ndarray, mu: float):
 
 def _fit_row(v, x, d, y, step, start):
     """`lms_fit` on one row from sample `start`, writing y; returns (0, n)
-    for the sample n whose update tripped the guard, else None."""
-    v, x, y = v[0], x[0], y[0]
+    for the sample n whose update tripped the guard, else None. Each
+    sample is a dot, a scaled copy of the window and its in-place add to
+    the weights, and the running bound of `mcanc`'s guard rule."""
+    v, y = v[0], y[0]
     N, v_dot = v.size, v.dot
+    x = x[0, start:]
+    wins = sliding_window_view(x, N)
+    norm = window_norm_bound(x, N)
+    term = np.empty(N)
+    multiply, add, fabs = np.multiply, np.add, math.fabs
+    # infinite until the first update resets it from the weights' norm
+    bound = math.inf
     ys = []
-    for n, d_n in enumerate(d[0, start:].tolist(), start):
-        x_n = x[n:n + N]
+    for n, (d_n, x_n) in enumerate(zip(d[0, start:].tolist(), wins), start):
         y_n = v_dot(x_n)
         ys.append(y_n)
         if step != 0.0:
-            v += (step * (d_n - y_n)) * x_n
-            # the one-dot screen, then the exact `check_weights` test
-            if not (v_dot(v) <= GUARD_SCREEN) and not (np.abs(v).max() <= WEIGHT_GUARD):
-                y[start:n + 1] = ys
-                return 0, n
+            c = step * (d_n - y_n)
+            add(v, multiply(x_n, c, out=term), out=v)
+            bound = (bound + fabs(c) * norm) * BOUND_GROWTH
+            if not (bound <= BOUND_LIMIT):
+                try:
+                    bound = guard_reset(v, n)
+                except DivergenceError:
+                    y[start:n + 1] = ys
+                    return 0, n
     y[start:] = ys
     return None
 
@@ -337,25 +364,3 @@ def lms_mu_bound(x, n_taps: int) -> float:
     if power == 0.0:
         raise UndefinedBoundError("all-zero signal has no step-size bound")
     return 1.0 / (n_taps * power)
-
-
-def fxlms_mu_bound(e, xf_norm_sq, psi=None) -> float:
-    """Convergence bound 2 E{psi e} / E{psi^2 ||X_f||^2} from run traces.
-
-    psi defaults to the error trace itself, reducing the bound to the
-    classical 2 / E{||X_f||^2} form. Pass an explicit psi trace to study
-    other weightings of the deviation recursion.
-    """
-    e = np.asarray(e, dtype=np.float64)
-    xf_norm_sq = np.asarray(xf_norm_sq, dtype=np.float64)
-    if e.size == 0 or xf_norm_sq.size == 0:
-        raise UndefinedBoundError("empty trace")
-    if e.shape != xf_norm_sq.shape:
-        raise DataError("trace lengths differ")
-    psi = e if psi is None else np.asarray(psi, dtype=np.float64)
-    if psi.shape != e.shape:
-        raise DataError("psi trace length differs")
-    denom = float(np.mean(psi**2 * xf_norm_sq))
-    if denom == 0.0:
-        raise UndefinedBoundError("zero-power filtered reference trace")
-    return 2.0 * float(np.mean(psi * e)) / denom

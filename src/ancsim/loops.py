@@ -24,25 +24,29 @@ There is one adaptive loop, `run_adaptive`, for the single-channel
 filtered references do not depend on the control either, so they come
 from one `fir` pass per path, the dot `step` forms over the same window;
 only the secondary paths, the controller outputs and the weight updates
-stay per-sample. The weight guard is one dot, a squared norm, with the
-exact `check_weights` behind it, the rule `adaptation.lms_fit` uses.
+stay per-sample. The weight guard follows `mcanc`'s guard rule, as
+`adaptation.lms_fit` does.
 
 The geometry picks the per-sample body; both give the same bits. One
-filter and one mic run the scalar body: per path a window slice and a
-dot, per output a dot, per update term a slice, a scaled product and an
-in-place add, per filter a guard dot, so 5JK + 2J + 1 array operations
-a sample: 8 at 1x1x1, 25 at 1x2x2, 89 at 1x4x4. A grid runs the stacked
-body, 11 operations whatever J and K are (two more per further distinct
-secondary-path length): a window index and one `rowdots` for every
-path of one length, one `tolist` of their outputs, one `rowdots` for
-every output, one product writing the K update terms behind the
-weights in a (K+1, J, L) stack, one `np.add.reduce` over its outer axis
-(elementwise, the adds `step` makes term by term) and one guard dot over
-every filter, plus the indexing and coefficient store these need. Each
-stacked call carries more overhead, so at 1x1x1 the scalar body is the
-faster one. One loudspeaker of one-tap filters (J*L = 1) stays scalar
-too: there the reduction has one element per slot, and numpy sums such
-a reduction pairwise once it has 8 or more slots.
+filter and one mic (J = K = 1) run the scalar body, in straight lines:
+a window and a dot for the path, a window, a dot and a store for the
+output, a window, a product into a scratch buffer and an in-place add
+for the update: 8 array operations a sample, with no temporary and no
+inner loop. Its guard is the rule's running norm bound, three float
+operations and a compare while the weights stay within half the guard;
+the squared norm and the exact check take over only past it. Every
+other geometry runs the stacked body, 11 operations whatever J and K
+are (two more per further distinct secondary-path length): a window
+index and one `rowdots` for every path of one length, one `tolist` of
+their outputs, one `rowdots` for every output, one product writing the K
+update terms behind the weights in a (K+1, J, L) stack, one
+`np.add.reduce` over its outer axis (elementwise, the adds `step` makes
+term by term) and one guard dot over every filter, the rule's screen,
+plus the indexing and coefficient store these need. Each stacked call
+carries more overhead, so at 1x1x1 the scalar body is the faster one.
+numpy sums a reduction pairwise once it has 8 or more slots of one
+element each, so one loudspeaker of one-tap filters (J*L = 1) gets a
+stack with a second lane, held at zero, which numpy adds slot by slot.
 
 `run_fixed` runs frozen weights, for which the loop is LTI end to end:
 each of its passes, controller and path, is one `fir` call.
@@ -50,6 +54,7 @@ each of its passes, controller and path, is one `fir` call.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,7 +64,15 @@ from .acoustics import Plant
 from .adaptation import FxlmsFilter
 from .errors import DataError, DivergenceError
 from .filters import as_taps, fir, rowdots
-from .mcanc import GUARD_SCREEN, McAncController, check_weights
+from .mcanc import (
+    BOUND_GROWTH,
+    BOUND_LIMIT,
+    GUARD_SCREEN,
+    McAncController,
+    check_weights,
+    guard_reset,
+    window_norm_bound,
+)
 from .signals import as_samples
 
 
@@ -203,10 +216,9 @@ def run_adaptive(plant, controller: FxlmsFilter | McAncController, x,
     Divergence truncates the run at the failing step instead of
     propagating, so partial traces remain available for diagnostics.
 
-    One filter and one mic (or one loudspeaker of one-tap filters) run
-    `_scalar_body`, every other geometry `_stacked_body`; the module
-    docstring gives each one's calls a sample and why the count of
-    filters and mics picks one.
+    One filter and one mic run `_scalar_body`, every other geometry
+    `_stacked_body`; the module docstring gives each one's calls a sample
+    and why the count of filters and mics picks one.
     """
     xs = as_samples(x)
     single = isinstance(controller, FxlmsFilter)
@@ -241,7 +253,7 @@ def run_adaptive(plant, controller: FxlmsFilter | McAncController, x,
     # Flat, row after row: err[n*K + k] becomes e_k(n) in place.
     err = dist.primary.ravel().tolist()
     noise = None if dist.noise is None else dist.noise.ravel().tolist()
-    body = _stacked_body if J * K > 1 and J * L > 1 else _scalar_body
+    body = _scalar_body if J * K == 1 else _stacked_body
     diverged_at, diverged_coords, steps = body(split, ctl, x_buf, fx_buf, u_buf, err, noise)
 
     done = T if diverged_at is None else steps + 1
@@ -261,42 +273,47 @@ def run_adaptive(plant, controller: FxlmsFilter | McAncController, x,
 
 
 def _scalar_body(split, ctl, x_buf, fx_buf, u_buf, err, noise):
-    """`run_adaptive`'s per-sample loop with one call per path, output and
-    update term: the fewest calls for one filter and one mic. Returns
-    (diverged_at, coords, steps)."""
-    J, K, H = split.n_sources, split.n_mics, split.hist
-    T = len(err) // K
-    v, mu = ctl._v[0], ctl.mu
-    L, hx = v.shape[1], ctl._x.shape[1]
+    """`run_adaptive`'s per-sample loop for one filter and one mic, in
+    straight lines: a path dot, a control dot and its store, a scaled copy
+    of the filtered-reference window and its in-place add to the weights
+    (`v += c * x_f` in two calls, without a temporary), and the running
+    bound of `mcanc`'s guard rule. Returns (diverged_at, coords, steps)."""
+    H, T = split.hist, len(err)
+    if not T:
+        return None, None, 0
+    v, neg_mu = ctl._v[0, 0], -ctl.mu
+    L, hx = v.size, ctl._x.shape[1]
     step0 = ctl._step_count
-    # flattened in Plant.step's (j, k) order: mic, loudspeaker row, lag
-    paths = [(k, u_buf[j], H - s.size, s.dot)
-             for j, paths_j in enumerate(split.sec_rev) for k, s in enumerate(paths_j)]
-    controls = [(u_buf[j], v[j].dot) for j in range(J)]
-    # each filter's update terms in mic order; the guard screens the filter
-    # right after its last term, so only that term carries its squared norm
-    updates = [(v[j], k, fx_buf[j, k], v[j].dot if k == K - 1 else None, (0, j))
-               for j in range(J) for k in range(K)]
-    screen = GUARD_SCREEN
-    for n in range(T):
-        at, n1 = n * K, n + 1
-        for k, u_row, lag, path_dot in paths:
-            err[at + k] += path_dot(u_row[n1 + lag:n1 + H])
+    s = split.sec_rev[0][0]
+    path_dot, control_dot = s.dot, v.dot
+    u_row = u_buf[0]
+    # row n of each is the window step n reads: the loudspeaker's newest
+    # s.size samples, x(n) and x_f(n) back L samples; u(n) goes to H+1+n
+    u_wins = sliding_window_view(u_row[H - s.size + 1:], s.size)
+    x_wins = sliding_window_view(x_buf[hx - L + 1:], L)
+    fx = fx_buf[0, 0, 1:]
+    fx_wins = sliding_window_view(fx, L)
+    u_at = H + 1
+    norm = window_norm_bound(fx, L)
+    term = np.empty(L)
+    multiply, add, fabs = np.multiply, np.add, math.fabs
+    # infinite until the first step resets it from the weights' norm
+    bound = math.inf
+    for n, (u_win, x_win, fx_win) in enumerate(zip(u_wins, x_wins, fx_wins)):
+        e = err[n] + path_dot(u_win)
         if noise is not None:
-            for i in range(at, at + K):
-                err[i] += noise[i]
-        end = n1 + hx
-        x_win = x_buf[end - L:end]
-        for u_row, control_dot in controls:
-            u_row[H + n1] = control_dot(x_win)
-        if mu != 0.0:
-            try:
-                for v_j, k, fx_row, v_sq, coords in updates:
-                    v_j += (-mu * err[at + k]) * fx_row[n1:n1 + L]
-                    if v_sq is not None and not (v_sq(v_j) <= screen):
-                        check_weights(v_j, step0 + n, coords)
-            except DivergenceError as exc:
-                return n, exc.coords, n
+            e += noise[n]
+        err[n] = e
+        u_row[u_at + n] = control_dot(x_win)
+        if neg_mu != 0.0:
+            c = neg_mu * e
+            add(v, multiply(fx_win, c, out=term), out=v)
+            bound = (bound + fabs(c) * norm) * BOUND_GROWTH
+            if not (bound <= BOUND_LIMIT):
+                try:
+                    bound = guard_reset(v, step0 + n, (0, 0))
+                except DivergenceError as exc:
+                    return n, exc.coords, n
     return None, None, T
 
 
@@ -340,10 +357,15 @@ def _stacked_body(split, ctl, x_buf, fx_buf, u_buf, err, noise):
     # outer-axis reduction of one stack into the other's weight slot adds
     # ((w + t_0) + t_1) + ... elementwise, the adds `step` makes in mic
     # order; the initial -0.0 adds nothing, where numpy's default +0.0
-    # would turn an all -0.0 sum into +0.0.
-    stacks = [np.empty((K + 1, J, L)) for _ in range(2)]
-    stacks[0][0] = v
-    cur, nxt = [(S, S[0], S[1:], S[0].reshape(-1)) for S in stacks]
+    # would turn an all -0.0 sum into +0.0. With one weight a slot (one
+    # loudspeaker of one-tap filters) numpy would sum the slots pairwise
+    # once there are 8 or more, so that stack gets a second lane, held at
+    # zero, and adds slot by slot as every wider stack does.
+    lanes = L + (J * L == 1)
+    stacks = [np.zeros((K + 1, J, lanes)) for _ in range(2)]
+    stacks[0][0, :, :L] = v
+    cur, nxt = [(S, S[0, :, :L], S[1:, :, :L], S[0, :, :L].reshape(-1), S[0])
+                for S in stacks]
     c = np.empty((K, 1, 1))
     c_flat = c.reshape(-1)
     screen = GUARD_SCREEN
@@ -363,14 +385,14 @@ def _stacked_body(split, ctl, x_buf, fx_buf, u_buf, err, noise):
                     e += noise[i]
                 err[i] = e
                 coefs.append(neg_mu * e)
-            S, w, t_slots, _ = cur
+            S, w, t_slots, _, _ = cur
             end = n1 + hx
             rowdots(w, x_buf[end - L:end], out=u_cols[H + n1])
             if neg_mu != 0.0:
                 c_flat[:] = coefs
                 np.multiply(c, fx_w[n1], out=t_slots)
-                _, w_next, _, flat = nxt
-                np.add.reduce(S, axis=0, out=w_next, initial=-0.0)
+                _, w_next, _, flat, w_lanes = nxt
+                np.add.reduce(S, axis=0, out=w_lanes, initial=-0.0)
                 # one screen over every filter, then the exact check filter
                 # by filter, in the order `step` checks them
                 if not (flat.dot(flat) <= screen):

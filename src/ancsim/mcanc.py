@@ -45,11 +45,38 @@ from .errors import DataError, DivergenceError
 
 # Any adapted weight beyond this magnitude flags the run as diverged.
 WEIGHT_GUARD = 1e6
-# The loops screen each filter with one dot, its squared norm, and call
-# `check_weights` only past this bound: squares summing within
-# (WEIGHT_GUARD / 2)^2 put every |w| within the guard, and NaN and inf
-# fail the sum, so the screen never hides a trip.
+# The guard rule of the loops, cheapest test first; each test passes only
+# weights that the next one would pass too, so no tier hides a trip.
+#
+# 1. Running bound (one-filter loops). B >= ||w||_2 is carried from step
+#    to step as B <- (B + |c| * N) * BOUND_GROWTH, where c is the step's
+#    update coefficient and N >= the 2-norm of every window of the call,
+#    sqrt(L) * max|x|. While B <= BOUND_LIMIT no weight can be past the
+#    guard, and the step costs three float operations.
+# 2. Squared norm. Past the bound (`guard_reset`), or at every step of a
+#    grid, one dot s = v.dot(v): squares summing within GUARD_SCREEN =
+#    (WEIGHT_GUARD / 2)^2 put every |w| within the guard. The bound resets
+#    to sqrt(s) * BOUND_GROWTH.
+# 3. `check_weights`, the exact test, only where s fails the screen: at
+#    the steps the screen alone would send there, so a trip happens at the
+#    same step, with the same coordinates, as a check at every step.
+#
+# Why B >= ||w||_2 (u = 2^-53): an update w_i + c x_i rounds twice, so
+# ||w'|| <= (1 + u)^2 (||w|| + |c| ||x||); computing N, |c| * N, the sum
+# and the product with BOUND_GROWTH rounds down by at most (1 - u) each,
+# and (1 + 2^-30)(1 - u)^5 > (1 + u)^2. For any summation order s >=
+# (1 - L u) ||w||^2, so the reset holds below L = 2^23 taps and B then
+# exceeds ||w|| by about 2^-31 relative, enough to send every step whose
+# s fails the screen to tier 3 (past 2^23 taps B may fall short by L u / 2
+# relative, which still hides no trip). Below the normal range a rounding
+# is off by up to 2^-1074 absolute, which costs B at most (sqrt(L) + 2)
+# 2^-50 a step for any finite c; hiding a trip takes a shortfall of
+# BOUND_LIMIT, 2^69 / (sqrt(L) + 2) steps of it. A NaN or inf in c or x
+# makes B NaN or inf, which fails `B <= BOUND_LIMIT`, so that step takes
+# tiers 2 and 3.
 GUARD_SCREEN = 0.25 * WEIGHT_GUARD**2
+BOUND_LIMIT = 0.5 * WEIGHT_GUARD
+BOUND_GROWTH = 1.0 + 2.0**-30
 
 
 def check_weights(weights: np.ndarray, step: int, coords=None) -> None:
@@ -59,6 +86,22 @@ def check_weights(weights: np.ndarray, step: int, coords=None) -> None:
         what = ("adaptive weights exceeded guard" if coords is None
                 else f"filter {coords} exceeded weight guard")
         raise DivergenceError(f"{what} at step {step}", index=step, coords=coords)
+
+
+def window_norm_bound(x: np.ndarray, taps: int) -> float:
+    """N of the running bound: sqrt(taps) * max|x| is at least the 2-norm
+    of every length-`taps` window of x; NaN or inf if x holds either."""
+    return math.sqrt(taps) * max(float(x.max()), -float(x.min()))
+
+
+def guard_reset(weights: np.ndarray, step: int, coords=None) -> float:
+    """Tiers 2 and 3 of the guard rule, for weights the running bound no
+    longer clears: the squared-norm screen, then `check_weights` where it
+    fails. Returns the bound reset from the squared norm."""
+    sq = weights.dot(weights)
+    if not (sq <= GUARD_SCREEN):
+        check_weights(weights, step, coords)
+    return math.sqrt(sq) * BOUND_GROWTH
 
 
 @dataclass(frozen=True)

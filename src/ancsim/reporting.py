@@ -19,7 +19,10 @@ Every arm's error CSV shares its first three columns: the row's sample
 index, its time and the uncontrolled error it is referenced to. Those are
 formatted once, as one list per mic of "sample_index,time_s,reference,"
 row prefixes; each arm's row is its prefix plus its own error, and a
-diverged arm's shorter record takes a leading slice of the list.
+diverged arm's shorter record takes a leading slice of the list. A
+spectrogram CSV goes out a frame at a time, its bins' frequency texts
+formatted once for every arm, so no arm's whole grid of powers is held
+as Python floats at once.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ import json
 import math
 import os
 import tempfile
-from itertools import chain, islice, repeat
+from itertools import islice
 
 import numpy as np
 
@@ -94,9 +97,10 @@ def _json_safe(value):
     return value
 
 
-def _arm_files(arm, decimation: int, prefixes):
+def _arm_files(arm, decimation: int, prefixes, bin_texts: dict):
     """Yield (file name, text chunks) for each of the arm's CSVs; `prefixes`
-    holds each mic's shared error-row prefixes (`_error_prefixes`)."""
+    holds each mic's shared error-row prefixes (`_error_prefixes`),
+    `bin_texts` the run's spectrogram bin texts (`_spectrogram_lines`)."""
     err = np.atleast_2d(arm.error.T).T          # (T, K)
     n_mics = err.shape[1]
     for k in range(n_mics):
@@ -115,9 +119,8 @@ def _arm_files(arm, decimation: int, prefixes):
             _fmts(report.psd.freq_hz), _fmts(report.psd.power_db))
         yield f"{arm.name}_psd{suffix}.csv", _csv("freq_hz,power_db", *psd_cols)
 
-        spec_cols = () if report.spectro is None else _spectrogram_columns(report.spectro)
-        yield f"{arm.name}_spectrogram{suffix}.csv", _csv(
-            "frame_index,time_s,freq_hz,power_db", *spec_cols)
+        yield f"{arm.name}_spectrogram{suffix}.csv", _spectrogram_lines(
+            report.spectro, bin_texts)
 
 
 def _error_prefixes(reference: np.ndarray, rate: float, decimation: int):
@@ -129,16 +132,21 @@ def _error_prefixes(reference: np.ndarray, rate: float, decimation: int):
             for ref in reference[::decimation].T]
 
 
-def _spectrogram_columns(spectro):
-    """Frame-major columns; each frame's time and each bin's frequency is
-    formatted once and repeated."""
-    n_bins = len(spectro.freq_hz)
-    times = list(_fmts(spectro.times_s))
-    freqs = list(_fmts(spectro.freq_hz))
-    return (chain.from_iterable(repeat(str(fi), n_bins) for fi in range(len(times))),
-            chain.from_iterable(repeat(t, n_bins) for t in times),
-            chain.from_iterable(repeat(freqs, len(times))),
-            _fmts(spectro.power_db))
+def _spectrogram_lines(spectro, bin_texts: dict):
+    """The spectrogram CSV, a frame of rows per chunk. Each row is its
+    frame's "frame_index,time_s," prefix, its bin's "freq_hz," text and
+    its power; `bin_texts` keeps the bins' texts, by frequency array, for
+    every arm of the run."""
+    yield "frame_index,time_s,freq_hz,power_db\n"
+    if spectro is None:
+        return
+    key = spectro.freq_hz.tobytes()
+    if key not in bin_texts:
+        bin_texts[key] = [f + "," for f in _fmts(spectro.freq_hz)]
+    bins = bin_texts[key]
+    for fi, (t, powers) in enumerate(zip(spectro.times_s.tolist(), spectro.power_db)):
+        prefix = f"{fi},{t!r},"
+        yield prefix + ("\n" + prefix).join(map(str.__add__, bins, _fmts(powers))) + "\n"
 
 
 def _text_files(result):
@@ -148,8 +156,9 @@ def _text_files(result):
     d = np.atleast_2d(result.arms["uncontrolled"].error.T).T
     # a shorter (diverged) arm's rows are a leading slice of these
     prefixes = _error_prefixes(d, rate, decimation)
+    bin_texts = {}
     for arm in result.arms.values():
-        yield from _arm_files(arm, decimation, prefixes)
+        yield from _arm_files(arm, decimation, prefixes, bin_texts)
 
     stride = result.mse_stride
     yield "mse_trace.csv", _csv("sample_index,mse",

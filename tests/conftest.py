@@ -8,11 +8,18 @@ the checkout under test without an install.
 Every hypothesis test runs under one profile: example timing varies too
 much on a shared machine for a per-example deadline, and a failure prints
 the blob that replays it. Tests set only their own `max_examples`.
+
+`guard_spy` records where the one-filter loops leave their running
+weight-norm bound for the guard's exact tiers.
 """
 
 import os
+from contextlib import contextmanager
 
+import pytest
 from hypothesis import settings
+
+from ancsim import adaptation, loops, mcanc
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 os.environ["PYTHONPATH"] = os.pathsep.join(
@@ -20,3 +27,35 @@ os.environ["PYTHONPATH"] = os.pathsep.join(
 
 settings.register_profile("ancsim", deadline=None, print_blob=True)
 settings.load_profile("ancsim")
+
+
+class GuardSpy:
+    """The steps at which the one-filter loops, while `watching`, take the
+    squared-norm screen (`resets`, one per `guard_reset` call) and the
+    exact `check_weights` behind it (`checks`)."""
+
+    def __init__(self):
+        self.resets, self.checks = [], []
+
+    @contextmanager
+    def watching(self):
+        reset, check = mcanc.guard_reset, mcanc.check_weights
+
+        def spy_reset(weights, step, coords=None):
+            self.resets.append(step)
+            return reset(weights, step, coords)
+
+        def spy_check(weights, step, coords=None):
+            self.checks.append(step)
+            return check(weights, step, coords)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(mcanc, "check_weights", spy_check)
+            for module in (loops, adaptation):
+                patch.setattr(module, "guard_reset", spy_reset)
+            yield self
+
+
+@pytest.fixture
+def guard_spy():
+    return GuardSpy()

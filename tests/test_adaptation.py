@@ -9,7 +9,6 @@ from ancsim.adaptation import (
     FxlmsFilter,
     LmsFilter,
     lms_fit,
-    fxlms_mu_bound,
     lms_mu_bound,
     wiener_solve,
 )
@@ -20,7 +19,7 @@ from ancsim.errors import (
     UndefinedBoundError,
 )
 from ancsim.filters import FirFilter
-from ancsim.mcanc import WEIGHT_GUARD, check_weights
+from ancsim.mcanc import GUARD_SCREEN, WEIGHT_GUARD, check_weights
 
 
 class TestLmsStep:
@@ -315,6 +314,93 @@ class TestLmsFitOneRow:
             assert np.signbit(y).any() and np.signbit(e).any()
 
 
+def screen_fails(w0, x, d, mu):
+    """The steps of a `step` loop after which the weights' squared norm
+    fails GUARD_SCREEN, up to the step that trips the guard."""
+    lms = LmsFilter(w0.size, mu)
+    lms.weights = w0
+    fails = []
+    for n, (xn, dn) in enumerate(zip(x, d)):
+        try:
+            lms.step(xn, dn)
+        except DivergenceError:
+            return fails + [n]
+        if not (lms._v.dot(lms._v) <= GUARD_SCREEN):
+            fails.append(n)
+    return fails
+
+
+class TestLmsFitRunningBound:
+    """The one-row fit guards its weights with `mcanc`'s running norm
+    bound; the squared norm and the exact check take over at the steps
+    where a `step` loop's weights fail the screen, sign bits compared."""
+
+    @pytest.mark.parametrize("w0, x, d, mu", [
+        # a squared norm within a few ulps of the screen, which the second
+        # update moves across: a bound with no margin stays at BOUND_LIMIT
+        # and skips the check there
+        ([74582.33468946455, 494406.18458133057],
+         [0.00016042391628254423, -0.0010047220783476836, 0.0005670409674108897,
+          0.0010713843452727077],
+         [-1.2242638539343398, -2.8315332276538756, -1.7460238995625001,
+          -0.1534797928696211], 6.053773201568723e-10),
+        # parked 0.03 under half the guard; each update adds about 4e-4
+        ([0.3e6, -0.4e6 * (1.0 - 1e-7), 0.0], [1e-3] * 200, [-1e4] * 200, 1e-4),
+        # parked 0.03 past half the guard; each update takes about 4e-4 off
+        ([0.3e6, -0.4e6 * (1.0 + 1e-7), 0.0], [1e-3] * 200, [1e4] * 200, 1e-4),
+    ], ids=["ulps_from_screen", "just_under_half", "just_past_half"])
+    def test_exact_check_runs_where_the_screen_fails(self, guard_spy, w0, x, d, mu):
+        w0, x, d = np.array(w0), np.array(x), np.array(d)
+        fails = screen_fails(w0, x, d, mu)
+        with guard_spy.watching():
+            (y, e, w, diverged), (y_ref, e_ref, w_ref, trip) = \
+                TestLmsFitOneRow.fit_and_step(w0, x, d, mu)
+        assert trip is None and diverged is None
+        assert 0 < len(fails) < x.size and guard_spy.checks == fails
+        assert_same_bits(y, y_ref)
+        assert_same_bits(e, e_ref)
+        assert_same_bits(w, w_ref)
+
+    def test_bound_resets_from_the_norm_and_runs_on(self, guard_spy):
+        # w follows d = +-1e4: every |c| is about 2e4 while |w| stays near
+        # 1e4, so the bound passes BOUND_LIMIT every ~25 steps and each
+        # reset brings it back to the norm
+        rng = np.random.default_rng(5)
+        T = 500
+        x = 1.0 + 0.1 * rng.standard_normal(T)
+        d = 1e4 * np.where(np.arange(T) % 2, 1.0, -1.0) + rng.standard_normal(T)
+        w0 = np.zeros(1)
+        with guard_spy.watching():
+            (y, e, w, diverged), (y_ref, e_ref, w_ref, trip) = \
+                TestLmsFitOneRow.fit_and_step(w0, x, d, 0.5)
+        assert trip is None and diverged is None
+        assert 3 < len(guard_spy.resets) < T / 10
+        assert guard_spy.checks == []
+        assert_same_bits(y, y_ref)
+        assert_same_bits(e, e_ref)
+        assert_same_bits(w, w_ref)
+
+    def test_trip_from_the_bound_near_the_subnormal_range(self, guard_spy):
+        # windows of about 1e-304, whose squares underflow to 0, meet an
+        # update coefficient of about 1.4e308: the weights climb by about
+        # 1.4e4 a step from zero and trip the guard on the way
+        rng = np.random.default_rng(2)
+        T, N = 200, 3
+        x = 1e-304 * (1.0 + 0.1 * rng.random(T))
+        assert not (x * x).any()
+        d = np.ones(T)
+        with guard_spy.watching():
+            (y, e, w, diverged), (y_ref, e_ref, w_ref, trip) = \
+                TestLmsFitOneRow.fit_and_step(np.zeros(N), x, d, 7e307)
+        assert trip is not None and 20 < trip < T - 1
+        assert diverged == (0, trip)
+        # the bound, not the squared norm, guarded the first steps
+        assert guard_spy.resets[:2] == [0, guard_spy.resets[1]] and guard_spy.resets[1] > 5
+        assert_same_bits(y[:trip + 1], y_ref)
+        assert_same_bits(e[:trip + 1], e_ref)
+        assert_same_bits(w, w_ref)
+
+
 class TestWienerSolve:
     def test_identity_system(self):
         rng = np.random.default_rng(2)
@@ -364,42 +450,6 @@ class TestLmsMuBound:
     def test_zero_signal_undefined(self):
         with pytest.raises(UndefinedBoundError):
             lms_mu_bound(np.zeros(10), 4)
-
-
-class TestFxlmsMuBound:
-    def test_constant_traces(self):
-        e = np.ones(100)
-        xf_sq = np.full(100, 4.0)
-        assert fxlms_mu_bound(e, xf_sq) == 0.5
-
-    def test_white_filtered_reference(self):
-        rng = np.random.default_rng(7)
-        n_taps = 8
-        xf = rng.standard_normal((20_000, n_taps))
-        norms = np.einsum("ij,ij->i", xf, xf)
-        e = rng.standard_normal(20_000)
-        # psi = e independent of X_f: bound -> 2 E{e^2} / (E{e^2} E{||Xf||^2})
-        bound = fxlms_mu_bound(e, norms)
-        assert bound == pytest.approx(2.0 / n_taps, rel=0.1)
-
-    def test_scaling_law(self):
-        rng = np.random.default_rng(8)
-        e = rng.standard_normal(1000)
-        xf_sq = rng.uniform(0.5, 2.0, 1000)
-        assert fxlms_mu_bound(e, 4.0 * xf_sq) == pytest.approx(
-            fxlms_mu_bound(e, xf_sq) / 4.0, rel=1e-12)
-
-    def test_explicit_psi(self):
-        e = np.ones(10)
-        xf_sq = np.ones(10)
-        assert fxlms_mu_bound(e, xf_sq, psi=2 * e) == pytest.approx(
-            2.0 * 2.0 / 4.0, rel=1e-12)
-
-    def test_empty_or_zero_rejected(self):
-        with pytest.raises(UndefinedBoundError):
-            fxlms_mu_bound(np.zeros(0), np.zeros(0))
-        with pytest.raises(UndefinedBoundError):
-            fxlms_mu_bound(np.ones(5), np.zeros(5))
 
 
 class TestFxlmsStep:

@@ -558,3 +558,144 @@ def test_grid_norms_past_the_screen_together_pass_filter_by_filter():
     norms = np.array(norms)
     assert (norms.sum(axis=1) > GUARD_SCREEN).all()
     assert (norms < GUARD_SCREEN).all()
+
+
+def one_filter_oracle(plant, ctl, x, extra=None):
+    """A 1x1x1 controller's `_advance` (its `step` without the finite-input
+    check) on `Plant.step` errors, one sample at a time, with `extra[n]`
+    added to error n. Returns the errors, the outputs, the steps after
+    which the weights' squared norm fails GUARD_SCREEN and the
+    DivergenceError or None."""
+    err, out, fails = [], [], []
+    u = np.zeros(1)
+    for n, xn in enumerate(x):
+        e = plant.step(xn, u)
+        if extra is not None:
+            e = e + extra[n]
+        err.append(e)
+        try:
+            u = ctl._advance(np.array([xn]), e)
+        except DivergenceError as exc:
+            return np.array(err), np.array(out).reshape(-1, 1), fails + [n], exc
+        v = ctl._v[0, 0]
+        if not (v.dot(v) <= GUARD_SCREEN):
+            fails.append(n)
+        out.append(u)
+    return np.array(err), np.array(out), fails, None
+
+
+def assert_same_values(got, want):
+    """Equal arrays, NaN included, with equal sign bits."""
+    np.testing.assert_array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def one_filter_case(primary, secondary, est, taps, mu, w0=None, **plant_kw):
+    """Factories of a 1x1 plant and a 1x1x1 McAncController."""
+    def make_plant():
+        return Plant([np.array(primary)], [[np.array(secondary)]], **plant_kw)
+
+    def make_ctl():
+        ctl = McAncController(ChannelConfig(1, 1, 1, taps, len(est)), mu,
+                              np.array(est).reshape(1, 1, -1))
+        if w0 is not None:
+            ctl.weights = np.array(w0).reshape(1, 1, -1)
+        return ctl
+
+    return make_plant, make_ctl
+
+
+@pytest.mark.parametrize("gain", [1e7, -1e7], ids=["just_under_half", "just_past_half"])
+def test_one_filter_exact_check_runs_where_the_screen_fails(guard_spy, gain):
+    # weights 0.03 from half the guard; a disturbance of about gain * 1e-3
+    # moves their norm by about 4e-4 a step, outward for +1e7 and inward
+    # for -1e7, so the run crosses the screen once either way
+    sign = 1.0 if gain > 0 else -1.0
+    w0 = [0.3e6, -0.4e6 * (1.0 - sign * 1e-7), 0.0]
+    make_plant, make_ctl = one_filter_case([gain], [0.0, 0.5], [1.0], 3, 2e-4, w0)
+    x = np.full(200, 1e-3)
+    ctl = make_ctl()
+    with guard_spy.watching():
+        res = run_adaptive(make_plant(), ctl, x)
+    ref = make_ctl()
+    err, out, fails, exc = one_filter_oracle(make_plant(), ref, x)
+    assert exc is None and res.diverged_at is None
+    assert 0 < len(fails) < x.size and guard_spy.checks == fails
+    assert (fails[0] == 0) == (gain < 0)
+    assert_same_bits(res.error, err)
+    assert_same_bits(res.output, out)
+    assert_same_state(ctl, ref)
+
+
+def test_one_filter_bound_resets_from_the_norm_and_runs_on(guard_spy):
+    # measurement noise of 1e6 against a reference of 1e-2: the bound
+    # climbs by thousands a step while the weights wander far below half
+    # the guard, so it passes BOUND_LIMIT again and again, and each reset
+    # brings it back to the norm
+    make_plant, make_ctl = one_filter_case([0.0, 0.8], [0.0, 0.5], [0.0, 0.5], 4, 0.2,
+                                           measurement_noise_std=1e6, seed=8)
+    T = 1000
+    x = 1e-2 * np.random.default_rng(8).standard_normal(T)
+    ctl = make_ctl()
+    with guard_spy.watching():
+        res = run_adaptive(make_plant(), ctl, x)
+    ref = make_ctl()
+    norms = []
+
+    def control(xn, e):
+        u = ref.step([xn], e)
+        norms.append(np.linalg.norm(ref._v))
+        return u
+
+    err, out = plant_loop(make_plant(), control, x)
+    assert res.diverged_at is None
+    assert 3 < len(guard_spy.resets) < T / 10 and guard_spy.checks == []
+    assert max(norms) < 0.2 * WEIGHT_GUARD
+    assert_same_bits(res.error, err)
+    assert_same_bits(res.output, out)
+    assert_same_state(ctl, ref)
+
+
+def test_one_filter_trip_from_the_bound_near_the_subnormal_range(guard_spy):
+    # filtered references of about 1e-304, whose squares underflow to 0,
+    # meet an update coefficient of about -5e307: the weights fall by about
+    # 5e3 a step from zero and trip the guard on the way
+    make_plant, make_ctl = one_filter_case([5e303], [0.0, 0.5], [0.0, 1.0], 4, 1e308)
+    x = 1e-304 * (1.0 + 0.1 * np.random.default_rng(4).random(300))
+    assert not (x * x).any()
+    ctl = make_ctl()
+    with guard_spy.watching():
+        res = run_adaptive(make_plant(), ctl, x)
+    ref = make_ctl()
+    err, out, fails, exc = one_filter_oracle(make_plant(), ref, x)
+    assert exc is not None and 20 < exc.index < x.size - 1
+    assert res.diverged_at == exc.index and res.diverged_coords == exc.coords == (0, 0)
+    # the bound, not the squared norm, guarded the steps after the first
+    assert guard_spy.resets[0] == 0 and guard_spy.resets[1] > 5
+    assert guard_spy.checks == fails
+    assert_same_bits(res.error, err)
+    assert_same_bits(res.output, out)
+    assert_same_state(ctl, ref)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_one_filter_non_finite_disturbance_trips_where_the_controller_does(bad):
+    make_plant, make_ctl = one_filter_case([0.0, 0.8, -0.3], [0.0, 0.5, 0.2],
+                                           [0.0, 0.0, 0.5, 0.2], 4, 0.02)
+    rng = np.random.default_rng(6)
+    T, at = 80, 37
+    x = rng.standard_normal(T)
+    extra = np.zeros((T, 1))
+    extra[at] = bad
+    dist = run_uncontrolled_signal(make_plant(), x)
+    dist.noise = extra
+    ctl = make_ctl()
+    res = run_adaptive(make_plant(), ctl, x, disturbance=dist)
+    ref = make_ctl()
+    err, out, _, exc = one_filter_oracle(make_plant(), ref, x, extra)
+    assert exc is not None and exc.index == at
+    assert res.diverged_at == at and res.diverged_coords == exc.coords == (0, 0)
+    assert_same_values(res.error, err)
+    assert_same_bits(res.output, out)
+    assert_same_state(ctl, ref)

@@ -20,7 +20,7 @@ from .config import default_config, load_config, save_config
 from .errors import AncError, ConfigError, DivergenceError, WavError
 from .loops import loop_aligned_path
 from .mcanc import ChannelConfig, mac_count, mac_measure
-from .reporting import _atomic_write, _json_safe, export_report, summary_dict
+from .reporting import _json_safe, export_report, summary_dict
 from .scenario import (
     build_plant,
     build_reference,
@@ -31,7 +31,13 @@ from .scenario import (
     resolve_mu,
     run_scenario,
 )
-from .serialization import FilterSnapshot, GridSnapshot, save_weights_binary, save_weights_json
+from .serialization import (
+    FilterSnapshot,
+    GridSnapshot,
+    atomic_write,
+    save_weights_binary,
+    save_weights_json,
+)
 from .sysid import identify_all_paths
 from .wavio import write_wav
 
@@ -82,8 +88,8 @@ def cmd_identify(args) -> int:
                             "undermodeled": res.undermodeled})
             print(f"path ({j},{k}): misalignment {res.misalignment_db:.1f} dB")
     # strict JSON: a perfect estimate's -inf dB becomes "silent", as in summary.json
-    doc = json.dumps(_json_safe({"paths": summary}), indent=1, sort_keys=True)
-    _atomic_write(os.path.join(args.out, "identification.json"), (doc, "\n"))
+    doc = json.dumps(_json_safe({"paths": summary}), indent=1, sort_keys=True) + "\n"
+    atomic_write(os.path.join(args.out, "identification.json"), (doc.encode(),))
     return EXIT_OK
 
 
@@ -166,10 +172,8 @@ def cmd_mac(args) -> int:
         print(f"instrumented: {measured} MACs/sample over {args.measure} samples")
     if args.out:
         os.makedirs(args.out, exist_ok=True)
-        with open(os.path.join(args.out, "mac_table.json"), "w",
-                  encoding="utf-8") as fh:
-            json.dump({"rows": table}, fh, indent=1, sort_keys=True)
-            fh.write("\n")
+        doc = json.dumps({"rows": table}, indent=1, sort_keys=True) + "\n"
+        atomic_write(os.path.join(args.out, "mac_table.json"), (doc.encode(),))
     return EXIT_OK
 
 

@@ -1,11 +1,15 @@
 """Report emission: per-arm CSVs, a JSON summary, and weight snapshots.
 
-All floats render through Python's shortest round-trip repr, and every
-file is written to a temporary name and renamed into place, so a given
-(config, seed) pair produces byte-identical exports on every run. The
-JSON summary replaces non-finite dB values with the strings "unbounded"
-(+inf), "silent" (-inf), and "undefined" (NaN); CSVs render them as inf,
--inf, and nan.
+Every float in a CSV is the text of Python's `repr`, the shortest decimal
+that reads back as the same double, so a given (config, seed) pair gives
+byte-identical exports on every run. `floatfmt` computes that text in
+numpy (Schubfach's digits, Python's layout rules) with integer operations
+only, byte for byte `repr`'s and with no fallback to it. The JSON summary
+replaces non-finite dB values with the strings "unbounded" (+inf),
+"silent" (-inf), and "undefined" (NaN); CSVs render them as inf, -inf,
+and nan. Every file goes to a fresh temporary name beside its target,
+created as `open` would (0o666 less the umask), and is renamed into place
+(`serialization.atomic_write`).
 
 CSV schemas (one header row each):
     {arm}_error.csv        sample_index,time_s,reference,error
@@ -15,14 +19,18 @@ CSV schemas (one header row each):
     mse_trace.csv          sample_index,mse
 Multichannel arms append a _mic{k} suffix before the extension.
 
-Every arm's error CSV shares its first three columns: the row's sample
-index, its time and the uncontrolled error it is referenced to. Those are
-formatted once, as one list per mic of "sample_index,time_s,reference,"
-row prefixes; each arm's row is its prefix plus its own error, and a
-diverged arm's shorter record takes a leading slice of the list. A
-spectrogram CSV goes out a frame at a time, its bins' frequency texts
-formatted once for every arm, so no arm's whole grid of powers is held
-as Python floats at once.
+A CSV goes out in blocks of at most `_CSV_BLOCK_ROWS` rows. A block is
+one uint8 matrix, a row per CSV row: the text matrices of its cells side
+by side with the separators, each cell padded with NUL bytes. One
+`bytes.translate` deletes the NULs of the whole block, and the bytes are
+written in binary mode. No file's full text and no Python string per
+value is ever made. Every arm's error CSV shares its first three columns
+(the row's sample index, its time and the uncontrolled error it is
+referenced to); their text is made once per block, and a diverged arm's
+shorter record takes a leading slice of it. A spectrogram row is its
+frame's index and time, its bin's frequency and its power: the frames'
+and the bins' text is made once per file, and each block gathers its
+rows' share of it.
 """
 
 from __future__ import annotations
@@ -30,14 +38,14 @@ from __future__ import annotations
 import json
 import math
 import os
-import tempfile
-from itertools import islice
 
 import numpy as np
 
+from .floatfmt import format_floats, format_ints
 from .serialization import (
     FilterSnapshot,
     GridSnapshot,
+    atomic_write,
     save_weights_binary,
     save_weights_json,
 )
@@ -45,37 +53,26 @@ from .serialization import (
 _CSV_BLOCK_ROWS = 8192
 
 
-def _fmts(values):
-    """`repr(float(v))` of every element, lazily, after one conversion to
-    Python floats."""
-    return map(repr, np.asarray(values, dtype=np.float64).ravel().tolist())
+def _cells(*parts) -> np.ndarray:
+    """The text matrices side by side, one row per CSV row; a bytes part
+    (a separator) is repeated on every row."""
+    rows = next(len(p) for p in parts if not isinstance(p, bytes))
+    return np.concatenate(
+        [np.broadcast_to(np.frombuffer(p, np.uint8), (rows, len(p)))
+         if isinstance(p, bytes) else p for p in parts], axis=1)
 
 
-def _atomic_write(path, chunks) -> None:
-    """Write the text chunks to a temporary name and rename it into place."""
-    directory = os.path.dirname(os.fspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.writelines(chunks)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+def _rows(*parts) -> bytes:
+    """The CSV text of `_cells(*parts)`, its NUL padding deleted."""
+    return _cells(*parts).tobytes().translate(None, b"\0")
 
 
-def _csv(header: str, *columns):
-    """`_lines` of the rows of the string columns."""
-    return _lines(header, map(",".join, zip(*columns)))
-
-
-def _lines(header: str, rows):
-    """Yield the header line, then the row lines, a block of rows per
-    chunk so that no file's full text is held at once."""
-    yield header + "\n"
-    while block := list(islice(rows, _CSV_BLOCK_ROWS)):
-        yield "\n".join(block) + "\n"
+def _csv(header: str, n_rows: int, block):
+    """Yield the header line, then `block(rows)` for each slice of at most
+    `_CSV_BLOCK_ROWS` of the n_rows rows."""
+    yield header.encode() + b"\n"
+    for start in range(0, n_rows, _CSV_BLOCK_ROWS):
+        yield block(slice(start, min(start + _CSV_BLOCK_ROWS, n_rows)))
 
 
 def _json_safe(value):
@@ -97,74 +94,85 @@ def _json_safe(value):
     return value
 
 
-def _arm_files(arm, decimation: int, prefixes, bin_texts: dict):
-    """Yield (file name, text chunks) for each of the arm's CSVs; `prefixes`
-    holds each mic's shared error-row prefixes (`_error_prefixes`),
-    `bin_texts` the run's spectrogram bin texts (`_spectrogram_lines`)."""
+def _arm_files(arm, decimation: int, prefixes):
+    """Yield (file name, byte chunks) for each of the arm's CSVs; `prefixes`
+    holds each mic's shared error-row prefix blocks (`_error_prefixes`)."""
     err = np.atleast_2d(arm.error.T).T          # (T, K)
     n_mics = err.shape[1]
     for k in range(n_mics):
         suffix = f"_mic{k}" if n_mics > 1 else ""
-        yield f"{arm.name}_error{suffix}.csv", _lines(
-            "sample_index,time_s,reference,error",
-            map(str.__add__, prefixes[k], _fmts(err[::decimation, k])))
+        e = err[::decimation, k]
+        yield f"{arm.name}_error{suffix}.csv", _csv(
+            "sample_index,time_s,reference,error", len(e),
+            lambda r, e=e, pre=prefixes[k]: _rows(
+                pre[r.start // _CSV_BLOCK_ROWS][:r.stop - r.start],
+                format_floats(e[r]), b"\n"))
 
         report = arm.reports[k]
         nr = report.nr_per_interval_db
+        starts = np.arange(len(nr)) * report.interval_s
         yield f"{arm.name}_nr{suffix}.csv", _csv(
-            "interval_index,start_s,nr_db", map(str, range(len(nr))),
-            _fmts(np.arange(len(nr)) * report.interval_s), _fmts(nr))
+            "interval_index,start_s,nr_db", len(nr),
+            lambda r, nr=nr, starts=starts: _rows(
+                format_ints(np.arange(r.start, r.stop)), b",", format_floats(starts[r]),
+                b",", format_floats(nr[r]), b"\n"))
 
-        psd_cols = () if report.psd is None else (
-            _fmts(report.psd.freq_hz), _fmts(report.psd.power_db))
-        yield f"{arm.name}_psd{suffix}.csv", _csv("freq_hz,power_db", *psd_cols)
+        psd = report.psd
+        yield f"{arm.name}_psd{suffix}.csv", _csv(
+            "freq_hz,power_db", 0 if psd is None else len(psd.freq_hz),
+            lambda r, psd=psd: _rows(format_floats(psd.freq_hz[r]), b",",
+                                     format_floats(psd.power_db[r]), b"\n"))
 
-        yield f"{arm.name}_spectrogram{suffix}.csv", _spectrogram_lines(
-            report.spectro, bin_texts)
+        yield f"{arm.name}_spectrogram{suffix}.csv", _spectrogram_csv(report.spectro)
 
 
 def _error_prefixes(reference: np.ndarray, rate: float, decimation: int):
-    """One list per mic of each exported row's "sample_index,time_s,
-    reference," text, formatted once for every arm's error CSV."""
+    """One list per mic of the "sample_index,time_s,reference," text
+    matrices of each block of exported rows, made once for every arm's
+    error CSV."""
     idx = np.arange(0, reference.shape[0], decimation)
-    indices, times = idx.tolist(), (idx / rate).tolist()
-    return [[f"{n},{t!r},{r!r}," for n, t, r in zip(indices, times, ref.tolist())]
+    times = idx / rate
+    blocks = [slice(s, s + _CSV_BLOCK_ROWS) for s in range(0, len(idx), _CSV_BLOCK_ROWS)]
+    return [[_cells(format_ints(idx[r]), b",", format_floats(times[r]), b",",
+                    format_floats(ref[r]), b",") for r in blocks]
             for ref in reference[::decimation].T]
 
 
-def _spectrogram_lines(spectro, bin_texts: dict):
-    """The spectrogram CSV, a frame of rows per chunk. Each row is its
-    frame's "frame_index,time_s," prefix, its bin's "freq_hz," text and
-    its power; `bin_texts` keeps the bins' texts, by frequency array, for
-    every arm of the run."""
-    yield "frame_index,time_s,freq_hz,power_db\n"
+def _spectrogram_csv(spectro):
+    """The spectrogram CSV, frame after frame, a bin per row. Each row is
+    its frame's "frame_index,time_s," text, its bin's "freq_hz," text and
+    its power; those texts are made once per file."""
     if spectro is None:
-        return
-    key = spectro.freq_hz.tobytes()
-    if key not in bin_texts:
-        bin_texts[key] = [f + "," for f in _fmts(spectro.freq_hz)]
-    bins = bin_texts[key]
-    for fi, (t, powers) in enumerate(zip(spectro.times_s.tolist(), spectro.power_db)):
-        prefix = f"{fi},{t!r},"
-        yield prefix + ("\n" + prefix).join(map(str.__add__, bins, _fmts(powers))) + "\n"
+        return _csv("frame_index,time_s,freq_hz,power_db", 0, None)
+    n_frames, n_bins = spectro.power_db.shape
+    frames = _cells(format_ints(np.arange(n_frames)), b",",
+                    format_floats(spectro.times_s), b",")
+    bins = _cells(format_floats(spectro.freq_hz), b",")
+    power = spectro.power_db.reshape(-1)
+
+    def block(r):
+        row = np.arange(r.start, r.stop)
+        return _rows(frames[row // n_bins], bins[row % n_bins], format_floats(power[r]), b"\n")
+    return _csv("frame_index,time_s,freq_hz,power_db", n_frames * n_bins, block)
 
 
 def _text_files(result):
-    """Yield (file name, text chunks) for every CSV and the JSON summary."""
+    """Yield (file name, byte chunks) for every CSV and the JSON summary."""
     rate = result.config.sample_rate_hz
     decimation = result.config.export.error_decimation
     d = np.atleast_2d(result.arms["uncontrolled"].error.T).T
     # a shorter (diverged) arm's rows are a leading slice of these
     prefixes = _error_prefixes(d, rate, decimation)
-    bin_texts = {}
     for arm in result.arms.values():
-        yield from _arm_files(arm, decimation, prefixes, bin_texts)
+        yield from _arm_files(arm, decimation, prefixes)
 
-    stride = result.mse_stride
-    yield "mse_trace.csv", _csv("sample_index,mse",
-                                map(str, range(0, len(result.mse_trace) * stride, stride)),
-                                _fmts(result.mse_trace))
-    yield "summary.json", (json.dumps(summary_dict(result), indent=1, sort_keys=True) + "\n",)
+    trace, stride = result.mse_trace, result.mse_stride
+    yield "mse_trace.csv", _csv(
+        "sample_index,mse", len(trace),
+        lambda r: _rows(format_ints(np.arange(r.start, r.stop) * stride), b",",
+                        format_floats(trace[r]), b"\n"))
+    summary = json.dumps(summary_dict(result), indent=1, sort_keys=True) + "\n"
+    yield "summary.json", (summary.encode(),)
 
 
 def summary_dict(result) -> dict:
@@ -207,7 +215,7 @@ def export_report(result, out_dir) -> list:
     os.makedirs(out_dir, exist_ok=True)
     written = []
     for name, chunks in _text_files(result):
-        _atomic_write(os.path.join(out_dir, name), chunks)
+        atomic_write(os.path.join(out_dir, name), chunks)
         written.append(name)
 
     est = result.installed_estimates
@@ -219,8 +227,6 @@ def export_report(result, out_dir) -> list:
         fixed_snap = GridSnapshot(result.fixed_weights, est)
     for stem, snap in (("adaptive_weights", adaptive_snap), ("fixed_weights", fixed_snap)):
         for ext, saver in ((".anw", save_weights_binary), (".json", save_weights_json)):
-            path = os.path.join(out_dir, stem + ext)
-            saver(path + ".tmp", snap)
-            os.replace(path + ".tmp", path)
+            saver(os.path.join(out_dir, stem + ext), snap)
             written.append(stem + ext)
     return sorted(written)

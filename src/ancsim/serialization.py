@@ -12,11 +12,15 @@ Binary layout, all little-endian:
 
 JSON carries the same fields with floats rendered by Python's shortest
 round-trip repr, so both formats round-trip losslessly.
+
+Every file the package exports goes through `atomic_write`.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
+import os
 import struct
 from dataclasses import dataclass
 
@@ -61,9 +65,25 @@ class GridSnapshot:
             raise DataError("weight grid J differs from estimate grid J")
 
 
+def atomic_write(path, chunks) -> None:
+    """Write the byte chunks to a fresh temporary name beside `path`, then
+    rename it into place, so a reader sees the old file or the whole new
+    one. The temporary is created as `open` creates a file (0o666 less
+    the umask) and is removed if anything raises before the rename."""
+    tmp = f"{os.fspath(path)}.{os.getpid()}.{os.urandom(4).hex()}.tmp"
+    fh = open(tmp, "xb")
+    try:
+        with fh:
+            fh.writelines(chunks)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
+
+
 def save_weights_binary(path, snapshot) -> None:
-    with open(path, "wb") as fh:
-        fh.write(_pack(snapshot))
+    atomic_write(path, (_pack(snapshot),))
 
 
 def load_weights_binary(path):
@@ -139,9 +159,8 @@ def snapshot_to_json_dict(snapshot) -> dict:
 
 
 def save_weights_json(path, snapshot) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(snapshot_to_json_dict(snapshot), fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    text = json.dumps(snapshot_to_json_dict(snapshot), indent=1, sort_keys=True) + "\n"
+    atomic_write(path, (text.encode(),))
 
 
 def load_weights_json(path):

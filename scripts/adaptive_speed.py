@@ -12,13 +12,17 @@ tenants of a shared machine), then one short sha256 of the errors,
 outputs and final weights of those cases. Two trees that print the
 same hash produce the same bits.
 
-A last case, `1x1x1P`, starts the 1x1x1 controller with weights parked
-past the guard's squared-norm screen (a norm of 0.9 of the weight guard,
+A case `1x1x1P` starts the 1x1x1 controller with weights parked past
+the guard's squared-norm screen (a norm of 0.9 of the weight guard,
 spread over every tap) and adapts at a hundredth of the step size, so
 that at the default length they stay past it: every sample leaves the
 running norm bound for the squared norm and the exact check. It prints
 that fallback's cost beside the common path's, and its own hash,
-`parked_sha256`.
+`parked_sha256`. A last case, `1x2x2P`, parks the 1x2x2 controller the
+same way, the norm of 0.9 of the guard spread over every tap of both
+filters, so that every sample of the stacked body takes the squared norm
+and the exact check, filter by filter; its hash is `grid_parked_sha256`,
+which trees without that case do not print.
 
 Run it on two trees in alternation to compare them on one machine.
 """
@@ -40,10 +44,11 @@ REPS = int(sys.argv[3]) if len(sys.argv) > 3 else 5
 MU = 1e-4
 # (J, K, L, label suffix)
 CASES = [(1, 1, 128, ""), (2, 2, 128, ""), (3, 2, 128, ""), (4, 4, 128, ""), (2, 2, 1, "L1"),
-         (1, 1, 128, "P")]
+         (1, 1, 128, "P"), (2, 2, 128, "P")]
 
 x = np.random.default_rng(0).standard_normal(T)
-digests = {"": hashlib.sha256(), "P": hashlib.sha256()}
+# the common cases, the parked one-filter case and the parked grid
+digests = {key: hashlib.sha256() for key in ("", "P", "GP")}
 figures = []
 for J, K, L, suffix in CASES:
     plant = synthetic_plant(n_sources=J, n_mics=K, seed=77, measurement_noise_std=0.01)
@@ -54,7 +59,7 @@ for J, K, L, suffix in CASES:
     for _ in range(REPS):
         if suffix == "P":
             ctl = McAncController(chan, MU / 100, est)
-            ctl.weights = np.full((1, J, L), 0.9 * WEIGHT_GUARD / np.sqrt(L))
+            ctl.weights = np.full((1, J, L), 0.9 * WEIGHT_GUARD / np.sqrt(J * L))
         else:
             ctl = McAncController(chan, MU, est)
         t0 = time.perf_counter()
@@ -63,9 +68,13 @@ for J, K, L, suffix in CASES:
         best = us if best is None else min(best, us)
     if res.diverged_at is not None:
         raise SystemExit(f"1x{J}x{K}{suffix} diverged at sample {res.diverged_at}")
-    digest = digests["P" if suffix == "P" else ""]
+    if suffix == "P":
+        digest = digests["P" if J == 1 else "GP"]
+    else:
+        digest = digests[""]
     for a in (res.error, res.output, res.final_weights):
         digest.update(np.ascontiguousarray(a).tobytes())
     figures.append(f"1x{J}x{K}{suffix}_us={best:.2f}")
 print(" ".join(figures), f"sha256={digests[''].hexdigest()[:16]}",
-      f"parked_sha256={digests['P'].hexdigest()[:16]}")
+      f"parked_sha256={digests['P'].hexdigest()[:16]}",
+      f"grid_parked_sha256={digests['GP'].hexdigest()[:16]}")

@@ -20,8 +20,8 @@ It has two per-sample bodies, and the row count picks one. One row takes
 window into a scratch buffer and an in-place add to the weights, guarded
 by `mcanc`'s running norm bound, with no array call beyond those while
 the weights stay within half the guard. Several rows take one
-`filters.rowdots` over the stacked windows for every output, so the calls
-a sample stay fixed as P grows, and screen every row with one dot. The
+`np.vecdot` over the stacked windows for every output, so the calls a
+sample stay fixed as P grows, and screen every row with one dot. The
 stacked body's fixed array calls cost more than the one-row body's whole
 sample, and per-row dots cost more than one `np.vecdot` once P > 1, so
 neither body is the faster at both.
@@ -48,7 +48,7 @@ from .errors import (
     DivergenceError,
     UndefinedBoundError,
 )
-from .filters import FirFilter, rowdots
+from .filters import FirFilter
 from .mcanc import (
     BOUND_GROWTH,
     BOUND_LIMIT,
@@ -246,10 +246,13 @@ def lms_fit(v: np.ndarray, x: np.ndarray, d: np.ndarray, mu: float):
     every 1x1 identification) runs `_fit_row`: per sample one dot, one
     product into a scratch buffer and one in-place add, the fewest calls,
     with the guard rule's running norm bound in place of a guard dot.
-    Several rows run `_fit_rows`: one `np.vecdot` forms every row's
-    output, the same `cblas_ddot` per row, so the call count does not
-    grow with P, and one dot screens every row. Each body is the faster
-    one for its row count; neither changes a bit.
+    Several rows run `_fit_rows`: six calls a sample whatever P is, on
+    rows drawn from zipped views, operands positional. One `np.vecdot`
+    forms every row's output, the same `cblas_ddot` per row;
+    two calls form the coefficients, one product and one in-place add
+    update the weights, and one dot screens every row. That dot stays: a
+    running bound would need sum_p |c_p|, a call of its own. Each body is
+    the faster one for its row count; neither changes a bit.
     """
     P = v.shape[0]
     T = d.shape[1]
@@ -301,21 +304,28 @@ def _fit_row(v, x, d, y, step, start):
 def _fit_rows(v, x, d, y, step, start):
     """`lms_fit` on every row from sample `start`, writing y; returns
     (p, n) for the first row whose update at sample n tripped the guard,
-    else None."""
+    else None. Each sample is one `np.vecdot` for every row's output, the
+    coefficients in two calls, one product of their column with the
+    windows, one in-place add to the weights and one screen dot over every
+    row. One-tap rows take the plain product `rowdots` takes."""
     P, N = v.shape
-    # w_at[n] stacks the rows' windows X(n)
-    w_at = sliding_window_view(x, N, axis=1).transpose(1, 0, 2)
-    y_at, d_at = y.T, d.T
+    vecdot, multiply, subtract, add, vdot = np.vecdot, np.multiply, np.subtract, np.add, np.vdot
+    # row n: the rows' windows X(n), from sample `start` on
+    wins = sliding_window_view(x[:, start:], N, axis=1).transpose(1, 0, 2)
     c_col, update = np.empty((P, 1)), np.empty((P, N))
     c = c_col[:, 0]
-    for n in range(start, d.shape[1]):
-        y_n = rowdots(v, w_at[n], out=y_at[n])
+    dot, v_dot, c_x, t_x = vecdot, v, c_col, update
+    if N == 1:
+        # one-tap rows: `rowdots`'s plain product, on squeezed operands
+        dot, v_dot, c_x, t_x, wins = multiply, v[:, 0], c, update[:, 0], wins[:, :, 0]
+    for n, (x_n, d_n, y_n) in enumerate(zip(wins, d.T[start:], y.T[start:]), start):
+        dot(v_dot, x_n, y_n)
         if step != 0.0:
-            np.subtract(d_at[n], y_n, c)
-            np.multiply(step, c, c)
-            np.multiply(c_col, w_at[n], update)
-            v += update
-            if not (np.vdot(v, v) <= GUARD_SCREEN):
+            subtract(d_n, y_n, c)
+            multiply(step, c, c)
+            multiply(c_x, x_n, t_x)
+            add(v, update, v)
+            if not (vdot(v, v) <= GUARD_SCREEN):
                 tripped = np.flatnonzero(~(np.abs(v).max(axis=1) <= WEIGHT_GUARD))
                 if tripped.size:
                     return int(tripped[0]), n

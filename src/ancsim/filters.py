@@ -10,8 +10,10 @@ filter is a plain product instead: `ndarray.dot` forms a one-element dot
 that way, which keeps a -0.0 that `ddot` would add to +0.0. So a pass
 split anywhere equals one whole pass, and equals per-sample filtering,
 bit for bit. Samples before the first one given are zeros, matching the
-x(k) = 0 for k < 0 convention of the convolution sums. `rowdots` is the
-one place that rule lives; the adaptive loops use it too.
+x(k) = 0 for k < 0 convention of the convolution sums. The adaptive
+loops' per-sample bodies follow the same rule: they call `np.vecdot`
+directly, and `np.multiply` for rows of one element, to save `rowdots`'s
+own call.
 """
 
 from __future__ import annotations

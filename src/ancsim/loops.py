@@ -27,26 +27,34 @@ only the secondary paths, the controller outputs and the weight updates
 stay per-sample. The weight guard follows `mcanc`'s guard rule, as
 `adaptation.lms_fit` does.
 
-The geometry picks the per-sample body; both give the same bits. One
-filter and one mic (J = K = 1) run the scalar body, in straight lines:
-a window and a dot for the path, a window, a dot and a store for the
-output, a window, a product into a scratch buffer and an in-place add
-for the update: 8 array operations a sample, with no temporary and no
-inner loop. Its guard is the rule's running norm bound, three float
-operations and a compare while the weights stay within half the guard;
-the squared norm and the exact check take over only past it. Every
-other geometry runs the stacked body, 11 operations whatever J and K
-are (two more per further distinct secondary-path length): a window
-index and one `rowdots` for every path of one length, one `tolist` of
-their outputs, one `rowdots` for every output, one product writing the K
-update terms behind the weights in a (K+1, J, L) stack, one
-`np.add.reduce` over its outer axis (elementwise, the adds `step` makes
-term by term) and one guard dot over every filter, the rule's screen,
-plus the indexing and coefficient store these need. Each stacked call
-carries more overhead, so at 1x1x1 the scalar body is the faster one.
-numpy sums a reduction pairwise once it has 8 or more slots of one
-element each, so one loudspeaker of one-tap filters (J*L = 1) gets a
-stack with a second lane, held at zero, which numpy adds slot by slot.
+The geometry picks the per-sample body; both give the same bits. Each
+draws its windows, and the slots its outputs go to, as the rows of
+`sliding_window_view`s zipped together, so no sample indexes an array to
+find them, and each passes ufunc operands positionally (numpy parses
+keywords on every call). One filter and one mic (J = K = 1) run the
+scalar body, in straight lines: a window and a dot for the path, a
+window, a dot and a store for the output, a window, a product into a
+scratch buffer and an in-place add for the update: 8 array operations a
+sample, with no temporary and no inner loop. Every other geometry runs
+the stacked body, 10 operations whatever J and K are (two more per
+further distinct secondary-path length): a window and one `np.vecdot`
+for every path of one length, one `tolist` of their outputs, a window, a
+slot and one `np.vecdot` for every output, a coefficient store, a window
+and one product writing the K update terms behind the weights in a
+(K+1, J, L) stack, and one `np.add.reduce` over its outer axis
+(elementwise, the adds `step` makes term by term). Rows of one element
+take `filters.rowdots`'s plain product instead of a `vecdot`.
+`tests/test_call_counts.py` holds both bodies to these counts.
+
+Both guard the weights with the rule's running norm bound, a few float
+operations and a compare a sample while the weights stay within half the
+guard; the stacked body's bound covers the whole (J, L) stack and adds
+the magnitudes of the K update coefficients. The squared norm and the
+exact check take over only past it. Each stacked call carries more
+overhead, so at 1x1x1 the scalar body is the faster one. numpy sums a
+reduction pairwise once it has 8 or more slots of one element each, so
+one loudspeaker of one-tap filters (J*L = 1) gets a stack with a second
+lane, held at zero, which numpy adds slot by slot.
 
 `run_fixed` runs frozen weights, for which the loop is LTI end to end:
 each of its passes, controller and path, is one `fir` call.
@@ -56,6 +64,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -63,13 +72,11 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .acoustics import Plant
 from .adaptation import FxlmsFilter
 from .errors import DataError, DivergenceError
-from .filters import as_taps, fir, rowdots
+from .filters import as_taps, fir
 from .mcanc import (
     BOUND_GROWTH,
     BOUND_LIMIT,
-    GUARD_SCREEN,
     McAncController,
-    check_weights,
     guard_reset,
     window_norm_bound,
 )
@@ -319,40 +326,54 @@ def _scalar_body(split, ctl, x_buf, fx_buf, u_buf, err, noise):
 
 def _stacked_body(split, ctl, x_buf, fx_buf, u_buf, err, noise):
     """`run_adaptive`'s per-sample loop as a fixed handful of calls over
-    stacked operands, whatever J and K are. Returns (diverged_at, coords,
-    steps)."""
+    stacked operands, whatever J and K are, guarded by `mcanc`'s running
+    norm bound over the whole (J, L) stack of filters. Returns
+    (diverged_at, coords, steps)."""
     J, K, H = split.n_sources, split.n_mics, split.hist
     T = len(err) // K
+    if not T:
+        return None, None, 0
     v, neg_mu = ctl._v[0], -ctl.mu
     L, hx = v.shape[1], ctl._x.shape[1]
     step0 = ctl._step_count
+    vecdot, multiply, add_reduce, fabs = np.vecdot, np.multiply, np.add.reduce, math.fabs
 
-    # Secondary paths: one `rowdots` per distinct path length m, of every
+    # Secondary paths: one dot per distinct path length m, of every
     # loudspeaker's newest m samples, (J, 1, m), against that length's
     # reversed taps, (J, K, m). Paths of another length hold zeros there
     # and their dots go unread: padding a path's taps would regroup its
-    # `ddot` blocks. Outputs land in pout[g] as (K, J).
+    # `ddot` blocks. Outputs land in pout[g] as (K, J). One-tap paths take
+    # the plain product `rowdots` takes, into a trailing axis of pout[g].
     lengths = sorted({s.size for row in split.sec_rev for s in row})
     pout = np.empty((len(lengths), K, J))
-    groups = []
+    paths, path_wins = [], []
     for g, m in enumerate(lengths):
         taps = np.zeros((J, K, m))
         for j, row in enumerate(split.sec_rev):
             for k, s in enumerate(row):
                 if s.size == m:
                     taps[j, k] = s
-        # window n1 is u_buf[j, n1+H-m:n1+H], the plant's window at step n
-        wins = sliding_window_view(u_buf, m, axis=1)[:, H - m:].transpose(1, 0, 2)
-        groups.append((wins[:, :, None, :], taps, pout[g].T))
+        out = pout[g].T
+        paths.append((vecdot, taps, out) if m > 1 else (multiply, taps, out[:, :, None]))
+        # row n is u_buf[j, n+1+H-m:n+1+H], the plant's window at step n
+        wins = sliding_window_view(u_buf, m, axis=1)[:, H - m + 1:].transpose(1, 0, 2)
+        path_wins.append(wins[:, :, None, :])
     # each mic's path terms in pout.ravel(), loudspeaker by loudspeaker
     g_of = {m: g for g, m in enumerate(lengths)}
     mic_terms = [[(g_of[split.sec_rev[j][k].size] * K + k) * J + j for j in range(J)]
                  for k in range(K)]
     p_flat = pout.reshape(-1)
 
-    u_cols = u_buf.T
-    # fx_w[n1] is x_f(n)'s (K, J, L) windows, mic-major like the terms
-    fx_w = sliding_window_view(fx_buf, L, axis=2).transpose(2, 1, 0, 3)
+    # row n of each: x(n)'s window, x_f(n)'s (K, J, L) windows, mic-major
+    # like the terms, and u(n)'s slot, column H+1+n of u_buf; one-tap
+    # filters take the plain product into a trailing axis of that slot
+    x_wins = sliding_window_view(x_buf[hx - L + 1:], L)
+    fx = fx_buf[:, :, 1:]
+    fx_wins = sliding_window_view(fx, L, axis=2).transpose(2, 1, 0, 3)
+    u_rows = u_buf.T[H + 1:]
+    out_dot = vecdot
+    if L == 1:
+        out_dot, u_rows = multiply, u_rows[:, :, None]
     # Two (K+1, J, L) stacks: the weights, then the K update terms. One
     # outer-axis reduction of one stack into the other's weight slot adds
     # ((w + t_0) + t_1) + ... elementwise, the adds `step` makes in mic
@@ -364,18 +385,26 @@ def _stacked_body(split, ctl, x_buf, fx_buf, u_buf, err, noise):
     lanes = L + (J * L == 1)
     stacks = [np.zeros((K + 1, J, lanes)) for _ in range(2)]
     stacks[0][0, :, :L] = v
-    cur, nxt = [(S, S[0, :, :L], S[1:, :, :L], S[0, :, :L].reshape(-1), S[0])
-                for S in stacks]
+    cur, nxt = [(S, S[0, :, :L], S[1:, :, :L], S[0]) for S in stacks]
     c = np.empty((K, 1, 1))
     c_flat = c.reshape(-1)
-    screen = GUARD_SCREEN
+    norm = window_norm_bound(fx, J * L)
+    # infinite until the first step resets it from the weights' norm
+    bound = math.inf
+    # the first path length in straight lines, any further ones in a loop
+    (path_dot, path_taps, path_out), *more = paths
+    more_wins = zip(*path_wins[1:]) if more else repeat(())
+    rows = zip(path_wins[0], x_wins, fx_wins, u_rows, more_wins)
     try:
-        for n in range(T):
-            at, n1 = n * K, n + 1
-            for wins, taps, out in groups:
-                rowdots(wins[n1], taps, out=out)
+        for n, (p_win, x_win, fx_win, u_row, p_wins) in enumerate(rows):
+            path_dot(p_win, path_taps, path_out)
+            if more:
+                for (dot, taps, out), win in zip(more, p_wins):
+                    dot(win, taps, out)
             vals = p_flat.tolist()
+            at = n * K
             coefs = []
+            c_sum = 0.0
             for k, terms in enumerate(mic_terms):
                 i = at + k
                 e = err[i]
@@ -384,20 +413,19 @@ def _stacked_body(split, ctl, x_buf, fx_buf, u_buf, err, noise):
                 if noise is not None:
                     e += noise[i]
                 err[i] = e
-                coefs.append(neg_mu * e)
-            S, w, t_slots, _, _ = cur
-            end = n1 + hx
-            rowdots(w, x_buf[end - L:end], out=u_cols[H + n1])
+                coef = neg_mu * e
+                coefs.append(coef)
+                c_sum += fabs(coef)
+            S, w, t_slots, _ = cur
+            out_dot(w, x_win, u_row)
             if neg_mu != 0.0:
                 c_flat[:] = coefs
-                np.multiply(c, fx_w[n1], out=t_slots)
-                _, w_next, _, flat, w_lanes = nxt
-                np.add.reduce(S, axis=0, out=w_lanes, initial=-0.0)
-                # one screen over every filter, then the exact check filter
-                # by filter, in the order `step` checks them
-                if not (flat.dot(flat) <= screen):
-                    for j in range(J):
-                        check_weights(w_next[j], step0 + n, (0, j))
+                multiply(c, fx_win, t_slots)
+                _, w_next, _, w_lanes = nxt
+                add_reduce(S, 0, None, w_lanes, False, -0.0)
+                bound = (bound + c_sum * norm) * BOUND_GROWTH
+                if not (bound <= BOUND_LIMIT):
+                    bound = guard_reset(w_next, step0 + n)
                 cur, nxt = nxt, cur
     except DivergenceError as exc:
         # filters up to the one that tripped hold their update, as in `step`

@@ -48,32 +48,45 @@ WEIGHT_GUARD = 1e6
 # The guard rule of the loops, cheapest test first; each test passes only
 # weights that the next one would pass too, so no tier hides a trip.
 #
-# 1. Running bound (one-filter loops). B >= ||w||_2 is carried from step
-#    to step as B <- (B + |c| * N) * BOUND_GROWTH, where c is the step's
-#    update coefficient and N >= the 2-norm of every window of the call,
-#    sqrt(L) * max|x|. While B <= BOUND_LIMIT no weight can be past the
-#    guard, and the step costs three float operations.
-# 2. Squared norm. Past the bound (`guard_reset`), or at every step of a
-#    grid, one dot s = v.dot(v): squares summing within GUARD_SCREEN =
-#    (WEIGHT_GUARD / 2)^2 put every |w| within the guard. The bound resets
-#    to sqrt(s) * BOUND_GROWTH.
-# 3. `check_weights`, the exact test, only where s fails the screen: at
-#    the steps the screen alone would send there, so a trip happens at the
-#    same step, with the same coordinates, as a check at every step.
+# 1. Running bound (every body of `loops.run_adaptive`, and the one-row
+#    `adaptation.lms_fit`). B >= ||w||_2 over the n weights a step updates
+#    is carried from step to step as
+#        B <- (B + (|c_0| + ... + |c_{K-1}|) * N) * BOUND_GROWTH,
+#    where c_k is the step's update coefficient for mic k (K = 1 in the
+#    one-filter loops) and N >= the 2-norm of every window of the call
+#    that multiplies a c_k, sqrt(n) * max|x| over the call: n = L for one
+#    filter, n = J * L for a grid's (J, L) stack of filters, whose K
+#    windows are each a (J, L) block of filtered references. While
+#    B <= BOUND_LIMIT no weight can be past the guard, and the step costs
+#    a few float operations.
+# 2. Squared norm. Past the bound (`guard_reset`), or at every step of the
+#    several-row `lms_fit`, one dot s over the n weights: squares summing
+#    within GUARD_SCREEN = (WEIGHT_GUARD / 2)^2 put every |w| within the
+#    guard. The bound resets to sqrt(s) * BOUND_GROWTH.
+# 3. `check_weights`, the exact test, filter by filter in `step`'s order,
+#    only where s fails the screen: at the steps the screen alone would
+#    send there, so a trip happens at the same step, with the same
+#    coordinates, as a check at every step.
 #
-# Why B >= ||w||_2 (u = 2^-53): an update w_i + c x_i rounds twice, so
-# ||w'|| <= (1 + u)^2 (||w|| + |c| ||x||); computing N, |c| * N, the sum
-# and the product with BOUND_GROWTH rounds down by at most (1 - u) each,
-# and (1 + 2^-30)(1 - u)^5 > (1 + u)^2. For any summation order s >=
-# (1 - L u) ||w||^2, so the reset holds below L = 2^23 taps and B then
-# exceeds ||w|| by about 2^-31 relative, enough to send every step whose
-# s fails the screen to tier 3 (past 2^23 taps B may fall short by L u / 2
-# relative, which still hides no trip). Below the normal range a rounding
-# is off by up to 2^-1074 absolute, which costs B at most (sqrt(L) + 2)
-# 2^-50 a step for any finite c; hiding a trip takes a shortfall of
-# BOUND_LIMIT, 2^69 / (sqrt(L) + 2) steps of it. A NaN or inf in c or x
-# makes B NaN or inf, which fails `B <= BOUND_LIMIT`, so that step takes
-# tiers 2 and 3.
+# Why B >= ||w||_2 (u = 2^-53): a step adds each weight's K terms
+# fl(c_k x_k) to it one at a time, so a weight takes K rounded adds of
+# terms rounded once each, |w'_i| <= (1 + u)^(K+1) (|w_i| + sum_k |c_k|
+# |x_k,i|), and over the n weights ||w'|| <= (1 + u)^(K+1) (||w|| +
+# sum_k |c_k| N). Computing N (a square root and a product), the K - 1
+# adds of sum_k |c_k|, its product with N, the sum with B and the product
+# with BOUND_GROWTH rounds down by at most (1 - u) each, K + 4 roundings,
+# and (1 + 2^-30)(1 - u)^(K+4) > (1 + u)^(K+1) for every K below 2^21.
+# For any summation order s >= (1 - n u) ||w||^2, so the reset holds below
+# n = 2^23 weights and B then exceeds ||w|| by about 2^-31 relative,
+# enough to send every step whose s fails the screen to tier 3 (past 2^23
+# weights B may fall short by n u / 2 relative, which still hides no
+# trip). Below the normal range a rounding is off by up to 2^-1075
+# absolute instead: N's, times sum_k |c_k| < 2^1024, costs B at most
+# 2^-51 a step, and those of the weights, of sum_k |c_k| and of B far
+# less, under 2^-50 a step in all for any finite c_k; hiding a trip takes
+# a shortfall of BOUND_LIMIT, more than 2^68 steps of it. A NaN or inf in
+# a c_k or in x makes B NaN or inf, which fails `B <= BOUND_LIMIT`, so
+# that step takes tiers 2 and 3.
 GUARD_SCREEN = 0.25 * WEIGHT_GUARD**2
 BOUND_LIMIT = 0.5 * WEIGHT_GUARD
 BOUND_GROWTH = 1.0 + 2.0**-30
@@ -96,11 +109,20 @@ def window_norm_bound(x: np.ndarray, taps: int) -> float:
 
 def guard_reset(weights: np.ndarray, step: int, coords=None) -> float:
     """Tiers 2 and 3 of the guard rule, for weights the running bound no
-    longer clears: the squared-norm screen, then `check_weights` where it
-    fails. Returns the bound reset from the squared norm."""
-    sq = weights.dot(weights)
+    longer clears: the squared-norm screen over every weight, then
+    `check_weights` where it fails. `weights` is one filter, checked with
+    `coords`, or a contiguous (J, L) stack, checked filter by filter as
+    (0, j) in `step`'s order. Returns the bound reset from the squared
+    norm."""
+    one = weights.ndim == 1
+    flat = weights if one else weights.reshape(-1)
+    sq = flat.dot(flat)
     if not (sq <= GUARD_SCREEN):
-        check_weights(weights, step, coords)
+        if one:
+            check_weights(weights, step, coords)
+        else:
+            for j, w in enumerate(weights):
+                check_weights(w, step, (0, j))
     return math.sqrt(sq) * BOUND_GROWTH
 
 

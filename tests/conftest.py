@@ -9,8 +9,9 @@ Every hypothesis test runs under one profile: example timing varies too
 much on a shared machine for a per-example deadline, and a failure prints
 the blob that replays it. Tests set only their own `max_examples`.
 
-`guard_spy` records where the one-filter loops leave their running
-weight-norm bound for the guard's exact tiers.
+`guard_spy` records where the loops that carry a running weight-norm
+bound (the one-filter bodies and the stacked grid body) leave it for the
+guard's exact tiers.
 """
 
 import os
@@ -30,12 +31,13 @@ settings.load_profile("ancsim")
 
 
 class GuardSpy:
-    """The steps at which the one-filter loops, while `watching`, take the
+    """The steps at which the bounded loops, while `watching`, take the
     squared-norm screen (`resets`, one per `guard_reset` call) and the
-    exact `check_weights` behind it (`checks`)."""
+    exact `check_weights` behind it (`checks`, one per filter checked, with
+    that filter's coordinates in `checked`)."""
 
     def __init__(self):
-        self.resets, self.checks = [], []
+        self.resets, self.checks, self.checked = [], [], []
 
     @contextmanager
     def watching(self):
@@ -47,6 +49,7 @@ class GuardSpy:
 
         def spy_check(weights, step, coords=None):
             self.checks.append(step)
+            self.checked.append(coords)
             return check(weights, step, coords)
 
         with pytest.MonkeyPatch.context() as patch:

@@ -193,6 +193,13 @@ class TestLmsFit:
         assert_same_bits(a._x, b._x)
         assert a._step_count == b._step_count
 
+    @pytest.mark.parametrize("P", [1, 4])
+    def test_no_samples_give_empty_results(self, P):
+        v = np.full((P, 3), 0.5)
+        y, e, diverged = lms_fit(v, np.ones((P, 2)), np.empty((P, 0)), 0.1)
+        assert y.shape == e.shape == (P, 0) and diverged is None
+        assert_same_bits(v, np.full((P, 3), 0.5))
+
     def test_weights_between_half_and_full_guard_are_not_a_trip(self):
         # both rows sit above half the guard, where only the exact check
         # decides: row 0 stays at 0.8e6, row 1 climbs past 1e6

@@ -560,14 +560,14 @@ def test_grid_norms_past_the_screen_together_pass_filter_by_filter():
     assert (norms < GUARD_SCREEN).all()
 
 
-def one_filter_oracle(plant, ctl, x, extra=None):
-    """A 1x1x1 controller's `_advance` (its `step` without the finite-input
+def screen_oracle(plant, ctl, x, extra=None):
+    """A 1xJxK controller's `_advance` (its `step` without the finite-input
     check) on `Plant.step` errors, one sample at a time, with `extra[n]`
     added to error n. Returns the errors, the outputs, the steps after
-    which the weights' squared norm fails GUARD_SCREEN and the
-    DivergenceError or None."""
+    which the squared norm of the whole (J, L) weight stack fails
+    GUARD_SCREEN and the DivergenceError or None."""
     err, out, fails = [], [], []
-    u = np.zeros(1)
+    u = np.zeros(ctl.n_sources)
     for n, xn in enumerate(x):
         e = plant.step(xn, u)
         if extra is not None:
@@ -576,8 +576,8 @@ def one_filter_oracle(plant, ctl, x, extra=None):
         try:
             u = ctl._advance(np.array([xn]), e)
         except DivergenceError as exc:
-            return np.array(err), np.array(out).reshape(-1, 1), fails + [n], exc
-        v = ctl._v[0, 0]
+            return np.array(err), np.array(out).reshape(-1, ctl.n_sources), fails + [n], exc
+        v = ctl._v[0].reshape(-1)
         if not (v.dot(v) <= GUARD_SCREEN):
             fails.append(n)
         out.append(u)
@@ -590,16 +590,22 @@ def assert_same_values(got, want):
     assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
-def one_filter_case(primary, secondary, est, taps, mu, w0=None, **plant_kw):
-    """Factories of a 1x1 plant and a 1x1x1 McAncController."""
+def grid_case(primary, secondary, est, taps, mu, w0=None, gains=((1.0,),), **plant_kw):
+    """Factories of a 1xJxK plant, J x K the shape of `gains`, whose mics
+    all hear `primary` and whose path (j, k) is `secondary` scaled by
+    gains[j][k], and of a McAncController whose estimate (j, k) is `est`
+    scaled alike and whose filter (0, j) starts at row j of `w0`."""
+    J, K = len(gains), len(gains[0])
+
     def make_plant():
-        return Plant([np.array(primary)], [[np.array(secondary)]], **plant_kw)
+        return Plant([np.array(primary)] * K,
+                     [[np.array(secondary) * g for g in row] for row in gains], **plant_kw)
 
     def make_ctl():
-        ctl = McAncController(ChannelConfig(1, 1, 1, taps, len(est)), mu,
-                              np.array(est).reshape(1, 1, -1))
+        grid = np.array([[np.array(est) * g for g in row] for row in gains])
+        ctl = McAncController(ChannelConfig(1, J, K, taps, len(est)), mu, grid)
         if w0 is not None:
-            ctl.weights = np.array(w0).reshape(1, 1, -1)
+            ctl.weights = np.array(w0).reshape(1, J, -1)
         return ctl
 
     return make_plant, make_ctl
@@ -612,13 +618,13 @@ def test_one_filter_exact_check_runs_where_the_screen_fails(guard_spy, gain):
     # for -1e7, so the run crosses the screen once either way
     sign = 1.0 if gain > 0 else -1.0
     w0 = [0.3e6, -0.4e6 * (1.0 - sign * 1e-7), 0.0]
-    make_plant, make_ctl = one_filter_case([gain], [0.0, 0.5], [1.0], 3, 2e-4, w0)
+    make_plant, make_ctl = grid_case([gain], [0.0, 0.5], [1.0], 3, 2e-4, w0)
     x = np.full(200, 1e-3)
     ctl = make_ctl()
     with guard_spy.watching():
         res = run_adaptive(make_plant(), ctl, x)
     ref = make_ctl()
-    err, out, fails, exc = one_filter_oracle(make_plant(), ref, x)
+    err, out, fails, exc = screen_oracle(make_plant(), ref, x)
     assert exc is None and res.diverged_at is None
     assert 0 < len(fails) < x.size and guard_spy.checks == fails
     assert (fails[0] == 0) == (gain < 0)
@@ -632,8 +638,8 @@ def test_one_filter_bound_resets_from_the_norm_and_runs_on(guard_spy):
     # climbs by thousands a step while the weights wander far below half
     # the guard, so it passes BOUND_LIMIT again and again, and each reset
     # brings it back to the norm
-    make_plant, make_ctl = one_filter_case([0.0, 0.8], [0.0, 0.5], [0.0, 0.5], 4, 0.2,
-                                           measurement_noise_std=1e6, seed=8)
+    make_plant, make_ctl = grid_case([0.0, 0.8], [0.0, 0.5], [0.0, 0.5], 4, 0.2,
+                                     measurement_noise_std=1e6, seed=8)
     T = 1000
     x = 1e-2 * np.random.default_rng(8).standard_normal(T)
     ctl = make_ctl()
@@ -660,14 +666,14 @@ def test_one_filter_trip_from_the_bound_near_the_subnormal_range(guard_spy):
     # filtered references of about 1e-304, whose squares underflow to 0,
     # meet an update coefficient of about -5e307: the weights fall by about
     # 5e3 a step from zero and trip the guard on the way
-    make_plant, make_ctl = one_filter_case([5e303], [0.0, 0.5], [0.0, 1.0], 4, 1e308)
+    make_plant, make_ctl = grid_case([5e303], [0.0, 0.5], [0.0, 1.0], 4, 1e308)
     x = 1e-304 * (1.0 + 0.1 * np.random.default_rng(4).random(300))
     assert not (x * x).any()
     ctl = make_ctl()
     with guard_spy.watching():
         res = run_adaptive(make_plant(), ctl, x)
     ref = make_ctl()
-    err, out, fails, exc = one_filter_oracle(make_plant(), ref, x)
+    err, out, fails, exc = screen_oracle(make_plant(), ref, x)
     assert exc is not None and 20 < exc.index < x.size - 1
     assert res.diverged_at == exc.index and res.diverged_coords == exc.coords == (0, 0)
     # the bound, not the squared norm, guarded the steps after the first
@@ -681,8 +687,8 @@ def test_one_filter_trip_from_the_bound_near_the_subnormal_range(guard_spy):
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_one_filter_non_finite_disturbance_trips_where_the_controller_does(bad):
-    make_plant, make_ctl = one_filter_case([0.0, 0.8, -0.3], [0.0, 0.5, 0.2],
-                                           [0.0, 0.0, 0.5, 0.2], 4, 0.02)
+    make_plant, make_ctl = grid_case([0.0, 0.8, -0.3], [0.0, 0.5, 0.2],
+                                     [0.0, 0.0, 0.5, 0.2], 4, 0.02)
     rng = np.random.default_rng(6)
     T, at = 80, 37
     x = rng.standard_normal(T)
@@ -693,9 +699,145 @@ def test_one_filter_non_finite_disturbance_trips_where_the_controller_does(bad):
     ctl = make_ctl()
     res = run_adaptive(make_plant(), ctl, x, disturbance=dist)
     ref = make_ctl()
-    err, out, _, exc = one_filter_oracle(make_plant(), ref, x, extra)
+    err, out, _, exc = screen_oracle(make_plant(), ref, x, extra)
     assert exc is not None and exc.index == at
     assert res.diverged_at == at and res.diverged_coords == exc.coords == (0, 0)
     assert_same_values(res.error, err)
     assert_same_bits(res.output, out)
     assert_same_state(ctl, ref)
+
+
+# The 1x2x2 grid's loudspeaker-to-mic gains: no two paths alike.
+GAINS_2X2 = ((1.0, 0.6), (0.8, 1.2))
+
+
+@pytest.mark.parametrize("w0, primary, mu, x", [
+    # a stack's squared norm within a few ulps of the screen, which the
+    # fourth update moves across: a bound with no margin stays at
+    # BOUND_LIMIT and skips the check there
+    ([[-189397.5287621725, -462260.7815732426], [15064.144237588527, -14717.930440997774]],
+     1.3585543884311821, 5.0148057512288546e-11,
+     [0.0008303685353406952, -0.0011054158653759716, -0.001385289470147128,
+      0.00020812161377524265, -0.0008037826522071053, 0.00038021105584191034]),
+    # filter (0, 0) parked 0.03 from half the guard and filter (0, 1) at
+    # zero: the stack's norm moves by about 1e-3 a step, outward for a
+    # primary gain of +1e7 and inward for -1e7, so the run crosses the
+    # screen once either way
+    ([[0.3e6, -0.4e6 * (1.0 - 1e-7), 0.0], [0.0, 0.0, 0.0]], 1e7, 1e-4, [1e-3] * 200),
+    ([[0.3e6, -0.4e6 * (1.0 + 1e-7), 0.0], [0.0, 0.0, 0.0]], -1e7, 1e-4, [1e-3] * 200),
+], ids=["ulps_from_screen", "just_under_half", "just_past_half"])
+def test_grid_exact_check_runs_where_the_screen_fails(guard_spy, w0, primary, mu, x):
+    taps = len(w0[0])
+    make_plant, make_ctl = grid_case([primary], [0.0, 0.5], [1.0], taps, mu, w0, GAINS_2X2)
+    x = np.array(x)
+    ctl = make_ctl()
+    with guard_spy.watching():
+        res = run_adaptive(make_plant(), ctl, x)
+    ref = make_ctl()
+    err, out, fails, exc = screen_oracle(make_plant(), ref, x)
+    assert exc is None and res.diverged_at is None
+    # both filters, in order, at each of those steps
+    assert 0 < len(fails) < x.size and guard_spy.checks == [n for n in fails for _ in range(2)]
+    assert guard_spy.checked == [(0, 0), (0, 1)] * len(fails)
+    assert (fails[0] == 0) == (primary < 0)
+    assert_same_bits(res.error, err)
+    assert_same_bits(res.output, out)
+    assert_same_state(ctl, ref)
+
+
+def test_grid_bound_resets_from_the_norm_and_runs_on(guard_spy):
+    # measurement noise of 1e6 against a reference of 1e-2: the bound
+    # climbs by thousands a step while the weights wander far below half
+    # the guard, so it passes BOUND_LIMIT again and again, and each reset
+    # brings it back to the norm of the whole stack
+    make_plant, make_ctl = grid_case([0.0, 0.8], [0.0, 0.5], [0.0, 0.5], 4, 0.1,
+                                     gains=GAINS_2X2, measurement_noise_std=1e6, seed=8)
+    T = 1000
+    x = 1e-2 * np.random.default_rng(8).standard_normal(T)
+    ctl = make_ctl()
+    with guard_spy.watching():
+        res = run_adaptive(make_plant(), ctl, x)
+    ref = make_ctl()
+    norms = []
+
+    def control(xn, e):
+        u = ref.step([xn], e)
+        norms.append(np.linalg.norm(ref._v))
+        return u
+
+    err, out = plant_loop(make_plant(), control, x)
+    assert res.diverged_at is None
+    assert 3 < len(guard_spy.resets) < T / 10 and guard_spy.checks == []
+    assert max(norms) < 0.2 * WEIGHT_GUARD
+    assert_same_bits(res.error, err)
+    assert_same_bits(res.output, out)
+    assert_same_state(ctl, ref)
+
+
+@pytest.mark.parametrize("gains", [GAINS_2X2, ((1.0, 1.0), (1.0, 1.0))],
+                         ids=["distinct_paths", "alike_paths"])
+def test_grid_trip_from_the_bound_near_the_subnormal_range(guard_spy, gains):
+    # filtered references of about 1e-304, whose squares underflow to 0,
+    # meet update coefficients of about -5e307 at both mics: the weights
+    # fall by about 1e4 a step from zero and trip the guard on the way.
+    # With alike paths both filters take the same update, whose norm over
+    # the stack is sqrt(J) times one filter's
+    make_plant, make_ctl = grid_case([5e303], [0.0, 0.5], [0.0, 1.0], 4, 1e308,
+                                     gains=gains)
+    x = 1e-304 * (1.0 + 0.1 * np.random.default_rng(4).random(300))
+    assert not (x * x).any()
+    ctl = make_ctl()
+    with guard_spy.watching():
+        res = run_adaptive(make_plant(), ctl, x)
+    ref = make_ctl()
+    err, out, fails, exc = screen_oracle(make_plant(), ref, x)
+    assert exc is not None and 20 < exc.index < x.size - 1
+    assert res.diverged_at == exc.index and res.diverged_coords == exc.coords
+    # the bound, not the squared norm, guarded the steps after the first
+    assert guard_spy.resets[0] == 0 and guard_spy.resets[1] > 5
+    assert sorted(set(guard_spy.checks)) == fails
+    assert_same_bits(res.error, err)
+    assert_same_bits(res.output, out)
+    assert_same_state(ctl, ref)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_grid_non_finite_disturbance_trips_where_the_controller_does(bad):
+    make_plant, make_ctl = grid_case([0.0, 0.8, -0.3], [0.0, 0.5, 0.2],
+                                     [0.0, 0.0, 0.5, 0.2], 4, 0.01, gains=GAINS_2X2)
+    rng = np.random.default_rng(6)
+    T, at = 80, 37
+    x = rng.standard_normal(T)
+    extra = np.zeros((T, 2))
+    extra[at, 1] = bad
+    dist = run_uncontrolled_signal(make_plant(), x)
+    dist.noise = extra
+    ctl = make_ctl()
+    res = run_adaptive(make_plant(), ctl, x, disturbance=dist)
+    ref = make_ctl()
+    err, out, _, exc = screen_oracle(make_plant(), ref, x, extra)
+    assert exc is not None and exc.index == at
+    assert res.diverged_at == at and res.diverged_coords == exc.coords
+    assert_same_values(res.error, err)
+    assert_same_bits(res.output, out)
+    assert_same_state(ctl, ref)
+
+
+@pytest.mark.parametrize("J, K, taps", [(1, 1, 4), (2, 2, 4), (2, 2, 1)])
+def test_empty_reference_gives_empty_results(J, K, taps):
+    # no sample to run: no window for the running bound either, which
+    # with one tap would be empty
+    gains = tuple(tuple(1.0 + 0.1 * (j + k) for k in range(K)) for j in range(J))
+    make_plant, make_ctl = grid_case([0.0, 0.8], [0.0, 0.5], [0.0, 0.5], taps, 0.01,
+                                     gains=gains, measurement_noise_std=0.1, seed=2)
+    ctl, ref = make_ctl(), make_ctl()
+    ctl.weights = ref.weights = np.full((1, J, taps), 0.25)
+    res = run_adaptive(make_plant(), ctl, np.empty(0))
+    assert res.error.shape == (0, K) and res.output.shape == (0, J)
+    assert res.diverged_at is None and res.diverged_coords is None
+    assert_same_bits(res.final_weights, ref.weights)
+    assert_same_state(ctl, ref)
+    if J * K == 1:
+        res = run_adaptive(make_plant(), FxlmsFilter(taps, 0.01, [0.0, 0.5]), np.empty(0))
+        assert res.error.shape == res.output.shape == (0,)

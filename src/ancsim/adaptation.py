@@ -151,6 +151,8 @@ class FxlmsFilter:
     The reference history is sized max(n_taps, len(s_hat)) so the
     filtered-reference generation stays correct when the path estimate is
     longer than the control filter.
+    It is the public scalar API and the oracle the 1x1x1 grid is tested
+    against; the loops take its `controller`, not the filter.
     """
 
     def __init__(self, n_taps: int, mu: float, sec_path_estimate):
@@ -159,7 +161,7 @@ class FxlmsFilter:
         if not np.all(np.isfinite(s)):
             raise DataError("secondary path estimate must be finite")
         self.n_taps = n_taps
-        # the 1x1x1 controller this filter is; `loops.run_adaptive` runs it
+        # the 1x1x1 controller this filter is, which the loops run
         self.controller = McAncController(
             ChannelConfig(1, 1, 1, n_taps, s.size), 2.0 * float(mu), s.reshape(1, 1, -1))
 

@@ -20,7 +20,7 @@ from .config import default_config, load_config, save_config
 from .errors import AncError, ConfigError, DivergenceError, WavError
 from .loops import loop_aligned_path
 from .mcanc import ChannelConfig, mac_count, mac_measure
-from .reporting import _json_safe, export_report, summary_dict
+from .reporting import _json_safe, export_report, summary_dict, weight_snapshot
 from .scenario import (
     build_plant,
     build_reference,
@@ -33,7 +33,6 @@ from .scenario import (
 )
 from .serialization import (
     FilterSnapshot,
-    GridSnapshot,
     atomic_write,
     save_weights_binary,
     save_weights_json,
@@ -102,10 +101,7 @@ def cmd_pretrain(args) -> int:
     training = build_training_signal(cfg)
     weights, info = pretrain_fixed_filter(cfg, aligned, mu, training)
     os.makedirs(args.out, exist_ok=True)
-    if cfg.controller.kind == "single":
-        snap = FilterSnapshot(weights, aligned[0, 0])
-    else:
-        snap = GridSnapshot(weights, aligned)
+    snap = weight_snapshot(cfg.controller.kind, weights, aligned)
     save_weights_binary(os.path.join(args.out, "fixed_weights.anw"), snap)
     save_weights_json(os.path.join(args.out, "fixed_weights.json"), snap)
     if info.diverged_at is not None:

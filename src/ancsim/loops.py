@@ -1,6 +1,6 @@
 """Closed-loop execution of controllers against a simulated plant.
 
-Per-sample ordering, identical for every controller kind: read x(n),
+Per-sample ordering, identical for every geometry: read x(n),
 obtain e(n) from the plant, compute u(n), adapt, and only then does u(n)
 reach the plant, affecting e(n+1) onward. The loop therefore inserts one
 sample of latency between controller output and microphone response, so
@@ -18,8 +18,9 @@ per sample. Every term is the same `np.dot` over the same window that
 `Plant.step` forms, added in the order `Plant.step` adds it, so each loop
 reproduces a per-sample `Plant.step` run bit for bit.
 
-There is one adaptive loop, `run_adaptive`, for the single-channel
-`FxlmsFilter` and every 1xJxK `McAncController` alike: it inlines
+There is one adaptive loop, `run_adaptive`, for every 1xJxK
+`McAncController`, the single-channel FxLMS being its 1x1x1 case; every
+loop gives (T, K) errors and (T, J) outputs. It inlines
 `McAncController.step` over flat histories in its operand order. The
 filtered references do not depend on the control either, so they come
 from one `fir` pass per path, the dot `step` forms over the same window;
@@ -70,7 +71,6 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .acoustics import Plant
-from .adaptation import FxlmsFilter
 from .errors import DataError, DivergenceError
 from .filters import as_taps, fir
 from .mcanc import (
@@ -196,10 +196,10 @@ def run_uncontrolled_signal(plant, x) -> Disturbance:
 
 @dataclass
 class LoopResult:
-    """Artifacts of one control-loop run: error (T,) for an `FxlmsFilter`
-    or a frozen (L,) filter, else (T, K), and the matching controller
-    outputs. A diverged run ends at the step whose update tripped the
-    guard: its error includes that sample, its output does not."""
+    """Artifacts of one control-loop run: errors (T, K), outputs (T, J) and
+    the final (1, J, L) weights. A diverged run ends at the step whose
+    update tripped the guard: its error includes that sample, its output
+    does not; `diverged_coords` is the (i, j) of the filter that tripped."""
 
     error: np.ndarray
     output: np.ndarray
@@ -208,17 +208,16 @@ class LoopResult:
     diverged_coords: tuple | None = None
 
 
-def run_adaptive(plant, controller: FxlmsFilter | McAncController, x,
+def run_adaptive(plant, controller: McAncController, x,
                  disturbance: Disturbance | None = None) -> LoopResult:
     """Adaptive FxLMS run over a reference signal.
 
-    `controller` is an `FxlmsFilter` on a 1x1 plant, giving (T,) error and
-    output, or a `McAncController` with one reference on a plant with its
-    J sources and K mics, giving (T, K) errors and (T, J) outputs. `plant`
-    is a `Plant`, split afresh, or a `PlantSplit` whose state carries over
-    from earlier calls. `disturbance`, when given, holds the plant's
-    control-independent terms over x. The controller's state advances
-    exactly as repeated `step` calls would advance it.
+    `controller` is a `McAncController` with one reference on a plant with
+    its J sources and K mics; the run gives (T, K) errors and (T, J)
+    outputs. `plant` is a `Plant`, split afresh, or a `PlantSplit` whose
+    state carries over from earlier calls. `disturbance`, when given,
+    holds the plant's control-independent terms over x. The controller's
+    state advances exactly as repeated `step` calls would advance it.
 
     Divergence truncates the run at the failing step instead of
     propagating, so partial traces remain available for diagnostics.
@@ -227,9 +226,7 @@ def run_adaptive(plant, controller: FxlmsFilter | McAncController, x,
     `_stacked_body`; the module docstring gives each one's calls a sample
     and why the count of filters and mics picks one.
     """
-    xs = as_samples(x)
-    single = isinstance(controller, FxlmsFilter)
-    ctl = controller.controller if single else controller
+    xs, ctl = as_samples(x), controller
     if ctl.n_refs != 1:
         raise DataError("plant accepts a single reference input; use I=1 here")
     split, dist = _split_and_disturbance(plant, xs, disturbance)
@@ -273,9 +270,7 @@ def run_adaptive(plant, controller: FxlmsFilter | McAncController, x,
     ctl._step_count = step0 + steps
     if steps:
         ctl.last_cost = float(np.dot(err[steps - 1], err[steps - 1]))
-    if single:
-        err, out, diverged_coords = err[:, 0], out[:, 0], None
-    return LoopResult(error=err, output=out, final_weights=controller.weights,
+    return LoopResult(error=err, output=out, final_weights=ctl.weights,
                       diverged_at=diverged_at, diverged_coords=diverged_coords)
 
 
@@ -440,26 +435,20 @@ def _stacked_body(split, ctl, x_buf, fx_buf, u_buf, err, noise):
 def run_fixed(plant, weights, x, disturbance: Disturbance | None = None) -> LoopResult:
     """Run frozen FIR controllers through the same loop ordering.
 
-    `weights` has controller shape: (L,) drives the single loudspeaker of
-    a 1x1 plant; (1, J, L) is a frozen multichannel grid. With nothing
-    adapting the loop is LTI end to end, so it runs as FIR passes: the
-    controller over x, then the secondary paths over its delayed output.
+    `weights` is a frozen (1, J, L) grid, one filter per loudspeaker; the
+    run gives (T, K) errors and (T, J) outputs. With nothing adapting the
+    loop is LTI end to end, so it runs as FIR passes: the controller over
+    x, then the secondary paths over its delayed output.
     """
     xs = as_samples(x)
     split, dist = _split_and_disturbance(plant, xs, disturbance)
     w = np.asarray(weights, dtype=np.float64)
-    if w.ndim == 1:
-        if split.n_sources != 1 or split.n_mics != 1:
-            raise DataError("single-channel loop needs a 1x1 plant")
-        out = fir(as_taps(w), xs)
-        err = split.drive(dist, out[:, None])[:, 0]
-    else:
-        if w.ndim != 3 or w.shape[:2] != (1, split.n_sources):
-            raise DataError(
-                f"frozen weights must have shape (1, {split.n_sources}, taps), "
-                f"got {w.shape}")
-        out = np.empty((xs.size, split.n_sources))
-        for j in range(split.n_sources):
-            out[:, j] = fir(as_taps(w[0, j]), xs)
-        err = split.drive(dist, out)
+    if w.ndim != 3 or w.shape[:2] != (1, split.n_sources):
+        raise DataError(
+            f"frozen weights must have shape (1, {split.n_sources}, taps), "
+            f"got {w.shape}")
+    out = np.empty((xs.size, split.n_sources))
+    for j in range(split.n_sources):
+        out[:, j] = fir(as_taps(w[0, j]), xs)
+    err = split.drive(dist, out)
     return LoopResult(error=err, output=out, final_weights=w.copy())

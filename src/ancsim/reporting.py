@@ -18,6 +18,8 @@ CSV schemas (one header row each):
     {arm}_spectrogram.csv  frame_index,time_s,freq_hz,power_db
     mse_trace.csv          sample_index,mse
 Multichannel arms append a _mic{k} suffix before the extension.
+A `single` run is the 1x1x1 grid of any other run; only its export
+differs: a `FilterSnapshot` and null divergence coordinates.
 
 A CSV goes out in blocks of at most `_CSV_BLOCK_ROWS` rows. A block is
 one uint8 matrix, a row per CSV row: the text matrices of its cells side
@@ -97,11 +99,10 @@ def _json_safe(value):
 def _arm_files(arm, decimation: int, prefixes):
     """Yield (file name, byte chunks) for each of the arm's CSVs; `prefixes`
     holds each mic's shared error-row prefix blocks (`_error_prefixes`)."""
-    err = np.atleast_2d(arm.error.T).T          # (T, K)
-    n_mics = err.shape[1]
+    n_mics = arm.error.shape[1]
     for k in range(n_mics):
         suffix = f"_mic{k}" if n_mics > 1 else ""
-        e = err[::decimation, k]
+        e = arm.error[::decimation, k]
         yield f"{arm.name}_error{suffix}.csv", _csv(
             "sample_index,time_s,reference,error", len(e),
             lambda r, e=e, pre=prefixes[k]: _rows(
@@ -160,9 +161,8 @@ def _text_files(result):
     """Yield (file name, byte chunks) for every CSV and the JSON summary."""
     rate = result.config.sample_rate_hz
     decimation = result.config.export.error_decimation
-    d = np.atleast_2d(result.arms["uncontrolled"].error.T).T
     # a shorter (diverged) arm's rows are a leading slice of these
-    prefixes = _error_prefixes(d, rate, decimation)
+    prefixes = _error_prefixes(result.arms["uncontrolled"].error, rate, decimation)
     for arm in result.arms.values():
         yield from _arm_files(arm, decimation, prefixes)
 
@@ -175,8 +175,19 @@ def _text_files(result):
     yield "summary.json", (summary.encode(),)
 
 
+def weight_snapshot(kind: str, weights: np.ndarray, estimates: np.ndarray):
+    """The snapshot a run of this controller kind exports for its (1, J, L)
+    weights and (J, K, M) estimates: the one filter of a `single` run as a
+    `FilterSnapshot`, any other grid as a `GridSnapshot`."""
+    if kind == "single":
+        return FilterSnapshot(weights[0, 0], estimates[0, 0])
+    return GridSnapshot(weights, estimates)
+
+
 def summary_dict(result) -> dict:
-    """The JSON summary as a plain dict (what summary.json will contain)."""
+    """The JSON summary as a plain dict (what summary.json will contain).
+    A `single` run's one filter has no grid coordinates to report."""
+    single = result.config.controller.kind == "single"
     arms = {}
     for name, arm in result.arms.items():
         arms[name] = {
@@ -185,7 +196,8 @@ def summary_dict(result) -> dict:
             "nr_per_interval_db": [_json_safe(r.nr_per_interval_db) for r in arm.reports],
             "diverged": arm.diverged,
             "diverged_at": arm.diverged_at,
-            "diverged_coords": list(arm.diverged_coords) if arm.diverged_coords else None,
+            "diverged_coords": (list(arm.diverged_coords)
+                                if arm.diverged_coords and not single else None),
         }
     return {
         "schema_version": 1,
@@ -218,14 +230,10 @@ def export_report(result, out_dir) -> list:
         atomic_write(os.path.join(out_dir, name), chunks)
         written.append(name)
 
-    est = result.installed_estimates
-    if result.config.controller.kind == "single":
-        adaptive_snap = FilterSnapshot(result.adaptive_weights, est[0, 0])
-        fixed_snap = FilterSnapshot(result.fixed_weights, est[0, 0])
-    else:
-        adaptive_snap = GridSnapshot(result.adaptive_weights, est)
-        fixed_snap = GridSnapshot(result.fixed_weights, est)
-    for stem, snap in (("adaptive_weights", adaptive_snap), ("fixed_weights", fixed_snap)):
+    kind, est = result.config.controller.kind, result.installed_estimates
+    for stem, w in (("adaptive_weights", result.adaptive_weights),
+                    ("fixed_weights", result.fixed_weights)):
+        snap = weight_snapshot(kind, w, est)
         for ext, saver in ((".anw", save_weights_binary), (".json", save_weights_json)):
             saver(os.path.join(out_dir, stem + ext), snap)
             written.append(stem + ext)

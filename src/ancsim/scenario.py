@@ -23,7 +23,6 @@ import numpy as np
 
 from ._version import __version__
 from .acoustics import Plant, synthetic_plant
-from .adaptation import FxlmsFilter
 from .config import ExperimentConfig, config_hash
 from .errors import ConfigError
 from .filters import fir
@@ -171,15 +170,14 @@ def resolve_mu(cfg: ExperimentConfig, reference: Signal, aligned_est: np.ndarray
 
 
 def build_controller(cfg: ExperimentConfig, aligned_est: np.ndarray, mu: float):
-    """The configured controller with zero weights: an FxlmsFilter, or a
-    1xJxK McAncController over the plant's sources and mics."""
+    """The zero-weight 1xJxK McAncController over the plant's sources and
+    mics, for either kind. A `single` mu scales an update carrying 2 mu,
+    so it is doubled here, exactly, as `FxlmsFilter` doubles it."""
     ctl = cfg.controller
-    if ctl.kind == "single":
-        return FxlmsFilter(ctl.taps, mu, aligned_est[0, 0])
     return McAncController(
         ChannelConfig(1, cfg.plant.n_sources, cfg.plant.n_mics, ctl.taps,
                       aligned_est.shape[2]),
-        mu, aligned_est)
+        mu if ctl.kind == "multichannel" else 2.0 * mu, aligned_est)
 
 
 @dataclass
@@ -198,8 +196,7 @@ def pretrain_fixed_filter(cfg: ExperimentConfig, aligned_est: np.ndarray,
 
     Improvement below `min_improvement_db` between consecutive seconds
     ends training; the training signal's length caps it regardless.
-    Returns (frozen weights, PretrainInfo); weights have controller shape
-    (taps,) for single, (1, J, taps) for multichannel.
+    Returns (frozen (1, J, taps) weights, PretrainInfo).
     """
     block = int(round(cfg.sample_rate_hz))
     n_blocks = len(training) // block
@@ -244,8 +241,8 @@ def pretrain_fixed_filter(cfg: ExperimentConfig, aligned_est: np.ndarray,
 class ArmResult:
     name: str
     reports: list          # one RunReport per error microphone
-    error: np.ndarray      # (T,) or (T, K)
-    output: np.ndarray | None
+    error: np.ndarray      # (T, K), T shorter on divergence
+    output: np.ndarray | None  # (T, J); None for the uncontrolled arm
     diverged_at: int | None = None
     diverged_coords: tuple | None = None
 
@@ -259,12 +256,12 @@ class ScenarioResult:
     config: ExperimentConfig
     reference: Signal
     arms: dict                      # name -> ArmResult
-    adaptive_weights: np.ndarray
-    fixed_weights: np.ndarray
+    adaptive_weights: np.ndarray    # (1, J, L), for either kind
+    fixed_weights: np.ndarray       # (1, J, L)
     installed_estimates: np.ndarray  # loop-aligned (J, K, M+1)
     sysid_summaries: list
     pretrain: PretrainInfo
-    mu: float
+    mu: float                       # the config's convention, as resolved
     mse_trace: np.ndarray           # decimated adaptive-arm squared cost
     mse_stride: int
     provenance: dict = field(default_factory=dict)
@@ -279,15 +276,11 @@ class ScenarioResult:
 def _reports_for(d: np.ndarray, e: np.ndarray, cfg: ExperimentConfig) -> list:
     m = cfg.metrics
     rate = cfg.sample_rate_hz
-    if e.ndim == 1:
-        d2, e2 = d[:, None], e[:, None]
-    else:
-        d2, e2 = d, e
     reports = []
-    for k in range(e2.shape[1]):
-        n = e2.shape[0]
+    for k in range(e.shape[1]):
+        n = e.shape[0]
         reports.append(build_run_report(
-            Signal(d2[:n, k], rate), Signal(e2[:, k], rate),
+            Signal(d[:n, k], rate), Signal(e[:, k], rate),
             interval_s=m.interval_s, segment_len=m.segment_len,
             overlap=m.overlap, hop=m.hop))
     return reports
@@ -308,8 +301,6 @@ def run_scenario(cfg: ExperimentConfig) -> ScenarioResult:
     plant = build_plant(cfg)
     dist = run_uncontrolled_signal(plant, reference.samples)
     d = dist.uncontrolled()
-    if cfg.controller.kind == "single":
-        d = d[:, 0]
     res = run_adaptive(plant, build_controller(cfg, aligned, mu), reference.samples,
                        disturbance=dist)
     fixed_res = run_fixed(plant, fixed_weights, reference.samples,
@@ -327,7 +318,7 @@ def run_scenario(cfg: ExperimentConfig) -> ScenarioResult:
     # the cost e(n).e(n) as McAncController.step forms it, at the exported
     # samples; on divergence it keeps the sample whose update tripped the
     # guard, as the error CSVs do
-    rows = res.error.reshape(len(res.error), -1)[::stride]
+    rows = res.error[::stride]
     mse_trace = np.vecdot(rows, rows)
     fixed = ArmResult(
         name="fixed",

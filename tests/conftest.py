@@ -9,6 +9,10 @@ Every hypothesis test runs under one profile: example timing varies too
 much on a shared machine for a per-example deadline, and a failure prints
 the blob that replays it. Tests set only their own `max_examples`.
 
+The report header names the directory `ancsim` was imported from, so a
+run shows which tree it tested: `pyproject.toml`'s `pythonpath` puts
+this checkout's `src` ahead of PYTHONPATH.
+
 `guard_spy` records where the loops that carry a running weight-norm
 bound (the one-filter bodies and the stacked grid body) leave it for the
 guard's exact tiers.
@@ -20,11 +24,17 @@ from contextlib import contextmanager
 import pytest
 from hypothesis import settings
 
+import ancsim
 from ancsim import adaptation, loops, mcanc
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 os.environ["PYTHONPATH"] = os.pathsep.join(
     p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
+
+
+def pytest_report_header(config):
+    return f"ancsim: {os.path.dirname(os.path.abspath(ancsim.__file__))}"
+
 
 settings.register_profile("ancsim", deadline=None, print_blob=True)
 settings.load_profile("ancsim")

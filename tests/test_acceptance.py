@@ -157,12 +157,12 @@ def test_c04_fxlms_tone_cancellation():
 
         plant = synthetic_plant(seed=0, perturbation=0.0,
                                 measurement_noise_std=noise_std)
-        res = run_adaptive(plant, FxlmsFilter(64, 0.002, s_loop), x)
+        res = run_adaptive(plant, FxlmsFilter(64, 0.002, s_loop).controller, x)
         assert res.diverged_at is None
 
         last = slice(T - int(RATE), None)
         p_dist = float(np.mean(d[last]**2))
-        p_resid = float(np.mean(res.error[last]**2))
+        p_resid = float(np.mean(res.error[last, 0]**2))
         reduction = 10 * np.log10(p_dist / p_resid)
         assert reduction >= 20.0, f"reduction {reduction:.2f} dB"
 

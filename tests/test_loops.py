@@ -52,6 +52,13 @@ def multi_control(controller):
     return lambda xn, e: controller.step([xn], e)
 
 
+def grid_of(ctl):
+    """The 1xJxK controller the loops run: an `FxlmsFilter`'s 1x1x1
+    `controller`, or the `McAncController` itself. The oracles step the
+    `FxlmsFilter`, so they stay independent of the loops."""
+    return getattr(ctl, "controller", ctl)
+
+
 def oracle_pretrain(cfg, aligned, mu):
     """Pre-training as a per-sample plant loop: a second plant's
     uncontrolled run gives each block's disturbance power, and every 1 s
@@ -77,7 +84,7 @@ def oracle_pretrain(cfg, aligned, mu):
         nr.append(10.0 * np.log10(d_power / e_power))
         if b >= 1 and nr[-1] - nr[-2] < cfg.fixed_filter.min_improvement_db:
             break
-    return controller.weights, nr
+    return grid_of(controller).weights, nr
 
 
 def split_config(kind):
@@ -120,10 +127,9 @@ def test_scenario_matches_plant_step_oracle(kind):
     if single:
         controller = FxlmsFilter(cfg.controller.taps, mu, aligned[0, 0])
         err, out = plant_loop(build_plant(cfg), single_control(controller), x)
-        frozen = FirFilter(fixed_weights)
+        frozen = FirFilter(fixed_weights[0, 0])
         f_err, f_out = plant_loop(build_plant(cfg),
                                   lambda xn, e: frozen.process_sample(xn), x)
-        d, err, out, f_err, f_out = (a[:, 0] for a in (d, err, out, f_err, f_out))
     else:
         chan = ChannelConfig(1, 2, 2, cfg.controller.taps, aligned.shape[2])
         controller = McAncController(chan, mu, aligned)
@@ -135,7 +141,7 @@ def test_scenario_matches_plant_step_oracle(kind):
     assert_same_bits(result.arms["uncontrolled"].error, d)
     assert_same_bits(result.arms["adaptive"].error, err)
     assert_same_bits(result.arms["adaptive"].output, out)
-    assert_same_bits(result.adaptive_weights, controller.weights)
+    assert_same_bits(result.adaptive_weights, grid_of(controller).weights)
     assert_same_bits(result.arms["fixed"].error, f_err)
     assert_same_bits(result.arms["fixed"].output, f_out)
 
@@ -175,18 +181,17 @@ def test_signed_zeros_survive_every_loop():
     split = PlantSplit(signed_zero_plant())
     assert_same_bits(split.disturbance(x).uncontrolled()[:, 0], d)
 
-    ctl = FxlmsFilter(6, 0.01, s_hat)
-    res = run_adaptive(signed_zero_plant(), ctl, x)
+    res = run_adaptive(signed_zero_plant(), FxlmsFilter(6, 0.01, s_hat).controller, x)
     err, out = plant_loop(signed_zero_plant(), single_control(FxlmsFilter(6, 0.01, s_hat)), x)
-    assert_same_bits(res.error, err[:, 0])
-    assert_same_bits(res.output, out[:, 0])
+    assert_same_bits(res.error, err)
+    assert_same_bits(res.output, out)
 
-    w = np.array([0.3, -0.2, 0.1])
-    frozen = FirFilter(w)
+    w = np.array([[[0.3, -0.2, 0.1]]])
+    frozen = FirFilter(w[0, 0])
     res = run_fixed(signed_zero_plant(), w, x)
     err, out = plant_loop(signed_zero_plant(), lambda xn, e: frozen.process_sample(xn), x)
-    assert_same_bits(res.error, err[:, 0])
-    assert_same_bits(res.output, out[:, 0])
+    assert_same_bits(res.error, err)
+    assert_same_bits(res.output, out)
 
 
 def loop_cases(primary, secondary, s_hat, taps, mu, **plant_kw):
@@ -194,7 +199,8 @@ def loop_cases(primary, secondary, s_hat, taps, mu, **plant_kw):
     different positive gain on every path of a 2x2 plant with a 1x2x2
     McAncController: (plant factory, controller factory, per-sample
     control) pairs. The multichannel step size is 2 mu, the single-channel
-    controller's update coefficient."""
+    controller's update coefficient. The loops run `grid_of` a controller;
+    the per-sample controls step the controller itself."""
     primary, secondary, s_hat = (np.asarray(a, dtype=np.float64)
                                  for a in (primary, secondary, s_hat))
     mic_gain = [1.0, 0.7]
@@ -219,8 +225,7 @@ def loop_cases(primary, secondary, s_hat, taps, mu, **plant_kw):
 
 
 def assert_same_state(got, want):
-    got = getattr(got, "controller", got)
-    want = getattr(want, "controller", want)
+    got, want = grid_of(got), grid_of(want)
     assert got._step_count == want._step_count
     for a, b in ((got._v, want._v), (got._x, want._x), (got._fx, want._fx)):
         np.testing.assert_array_equal(a, b)     # NaN equals NaN here
@@ -234,22 +239,17 @@ def assert_blocks_match_plant_step(cases, blocks):
         plant = make_plant()
         split = PlantSplit(plant)
         ctl = make_ctl()
-        got = [run_adaptive(split, ctl, xb) for xb in blocks]
+        got = [run_adaptive(split, grid_of(ctl), xb) for xb in blocks]
         assert all(res.diverged_at is None for res in got)
 
         ref_ctl = make_ctl()
         want = [plant_loop(plant, control(ref_ctl), xb) for xb in blocks]
-        squeeze = np.squeeze if isinstance(ctl, FxlmsFilter) else np.asarray
         assert_same_bits(np.concatenate([res.error for res in got]),
-                         squeeze(np.concatenate([err for err, _ in want])))
+                         np.concatenate([err for err, _ in want]))
         assert_same_bits(np.concatenate([res.output for res in got]),
-                         squeeze(np.concatenate([out for _, out in want])))
+                         np.concatenate([out for _, out in want]))
         assert_same_bits(ctl.weights, ref_ctl.weights)
         assert_same_state(ctl, ref_ctl)
-        if isinstance(ctl, FxlmsFilter):
-            assert_same_bits(ctl.filtered_reference_window,
-                             ref_ctl.filtered_reference_window)
-            assert_same_bits(ctl.reference_window, ref_ctl.reference_window)
 
 
 def test_split_carries_state_across_calls():
@@ -336,13 +336,12 @@ def test_zero_step_size_is_the_zero_weight_fixed_arm_and_the_uncontrolled_arm(se
     taps = 6
     x, cases = random_loop(seed, taps, 0.0)
     for make_plant, make_ctl, _ in cases:
-        ctl = make_ctl()
-        single = isinstance(ctl, FxlmsFilter)
-        adaptive = run_adaptive(make_plant(), ctl, x)
-        fixed = run_fixed(make_plant(), np.zeros(taps if single else (1, 2, taps)), x)
+        plant = make_plant()
+        adaptive = run_adaptive(plant, grid_of(make_ctl()), x)
+        fixed = run_fixed(make_plant(), np.zeros((1, plant.n_sources, taps)), x)
         uncontrolled = run_uncontrolled_signal(make_plant(), x).uncontrolled()
         assert_same_bits(adaptive.error, fixed.error)
-        assert_same_bits(fixed.error, uncontrolled[:, 0] if single else uncontrolled)
+        assert_same_bits(fixed.error, uncontrolled)
         assert_same_bits(adaptive.output, fixed.output)
         assert_same_bits(adaptive.final_weights, np.zeros_like(adaptive.final_weights))
 
@@ -355,8 +354,8 @@ def test_scaling_reference_by_2p_and_step_size_by_2_minus_2p(seed, p):
     x, cases = random_loop(seed, 6, 0.004)
     _, scaled_cases = random_loop(seed, 6, 0.004 * 4.0 ** -p)
     for (make_plant, make_ctl, _), (_, make_scaled, _) in zip(cases, scaled_cases):
-        base = run_adaptive(make_plant(), make_ctl(), x)
-        scaled = run_adaptive(make_plant(), make_scaled(), x * 2.0 ** p)
+        base = run_adaptive(make_plant(), grid_of(make_ctl()), x)
+        scaled = run_adaptive(make_plant(), grid_of(make_scaled()), x * 2.0 ** p)
         assert base.diverged_at is None and scaled.diverged_at is None
         assert_same_bits(scaled.error, base.error * 2.0 ** p)
         assert_same_bits(scaled.output, base.output * 2.0 ** p)
@@ -373,19 +372,21 @@ def test_scaling_reference_by_2p_and_step_size_by_2_minus_2p(seed, p):
 def test_guard_stops_the_lean_loop_where_the_controller_raises(bad, primary, s_tap):
     # x(7) overflows the filtered reference, so the update at step 7 puts
     # a non-finite value into the weights: for the grid, into filter (0, 0)
-    # first, where the guard stops the step before filter (0, 1) updates
+    # first, where the guard stops the step before filter (0, 1) updates.
+    # The loop names filter (0, 0) either way; the scalar `FxlmsFilter`
+    # oracle raises without coordinates, having one filter
     x = np.zeros(20)
     x[7] = 1e308
     for make_plant, make_ctl, control in loop_cases([primary], [0.0, 0.5], [s_tap], 4, 0.01):
         ctl = make_ctl()
-        res = run_adaptive(make_plant(), ctl, x)
-        single = isinstance(ctl, FxlmsFilter)
+        res = run_adaptive(make_plant(), grid_of(ctl), x)
         assert res.diverged_at == 7
-        assert res.diverged_coords == (None if single else (0, 0))
+        assert res.diverged_coords == (0, 0)
         assert {"nan": np.isnan, "-inf": np.isneginf, "+inf": np.isposinf}[bad](
             res.final_weights).any()
 
         plant = make_plant()
+        single = plant.n_sources == 1
         ref = make_ctl()
         step = control(ref)
         err, u = [], np.zeros(plant.n_sources)
@@ -394,20 +395,18 @@ def test_guard_stops_the_lean_loop_where_the_controller_raises(bad, primary, s_t
                 err.append(plant.step(x[n], u))
                 u = np.atleast_1d(step(x[n], err[-1]))
         assert exc_info.value.index == 7
-        assert exc_info.value.coords == res.diverged_coords
-        assert_same_bits(res.error, np.squeeze(err) if single else err)
+        assert exc_info.value.coords == (None if single else res.diverged_coords)
+        assert_same_bits(res.error, np.array(err))
         assert len(res.output) == 7
-        np.testing.assert_array_equal(res.final_weights, ref.weights)
+        np.testing.assert_array_equal(res.final_weights, grid_of(ref).weights)
         assert_same_state(ctl, ref)
 
 
 def park(ctl, *filters):
-    """Set the weights of an FxlmsFilter to the first filter, or of the
-    1x2x2 McAncController to the first two."""
-    if isinstance(ctl, FxlmsFilter):
-        ctl.weights = filters[0]
-    else:
-        ctl.weights = np.array([filters[:2]])
+    """Set the J filters of the controller's grid (an FxlmsFilter's has
+    one) to the first J of `filters`."""
+    grid = grid_of(ctl)
+    grid.weights = np.array([filters[:grid.n_sources]])
     return ctl
 
 
@@ -427,13 +426,12 @@ def test_weights_in_the_guard_band_pass_the_exact_check(filters):
                        measurement_noise_std=0.05, seed=4)
     for make_plant, make_ctl, control in cases:
         ctl = park(make_ctl(), *filters)
-        res = run_adaptive(make_plant(), ctl, x)
+        res = run_adaptive(make_plant(), grid_of(ctl), x)
         assert res.diverged_at is None
         ref = park(make_ctl(), *filters)
         err, out = plant_loop(make_plant(), control(ref), x)
-        squeeze = np.squeeze if isinstance(ctl, FxlmsFilter) else np.asarray
-        assert_same_bits(res.error, squeeze(err))
-        assert_same_bits(res.output, squeeze(out))
+        assert_same_bits(res.error, err)
+        assert_same_bits(res.output, out)
         assert_same_state(ctl, ref)
         # still in the band at the end: the screen failed at every step
         v = ctl.weights.reshape(-1, 4)
@@ -446,16 +444,17 @@ def test_weight_just_past_the_guard_trips_where_the_controller_raises():
     # at 0.999 G crosses G with a squared norm far below (2G)^2, so only
     # the exact check behind the screen catches it. The grid parks it in
     # filter (0, 1), behind a filter (0, 0) that fails the screen and
-    # passes the exact check at every step
+    # passes the exact check at every step. The scalar `FxlmsFilter`
+    # oracle raises without coordinates, having one filter
     near = WEIGHT_GUARD * np.array([0.999, 0.2, -0.1, 0.1])
     x = np.random.default_rng(3).standard_normal(400)
     cases = loop_cases([0.0, 0.8, -0.3], [0.0, 0.5, 0.2], [0.0, 0.0, -0.5, -0.2], 4, 1e-5,
                        measurement_noise_std=0.05, seed=4)
     for make_plant, make_ctl, control in cases:
-        single = isinstance(make_ctl(), FxlmsFilter)
+        single = make_plant().n_sources == 1
         filters = [near] if single else [0.5 * near[::-1], near]
         ctl = park(make_ctl(), *filters)
-        res = run_adaptive(make_plant(), ctl, x)
+        res = run_adaptive(make_plant(), grid_of(ctl), x)
 
         plant, ref = make_plant(), park(make_ctl(), *filters)
         step = control(ref)
@@ -469,10 +468,11 @@ def test_weight_just_past_the_guard_trips_where_the_controller_raises():
         assert np.sum(tripped**2) < 4.0 * WEIGHT_GUARD**2
         assert 0 < exc_info.value.index < x.size - 1
         assert res.diverged_at == exc_info.value.index
-        assert res.diverged_coords == exc_info.value.coords == (None if single else (0, 1))
-        assert_same_bits(res.error, np.squeeze(err) if single else err)
+        assert res.diverged_coords == (0, 0 if single else 1)
+        assert exc_info.value.coords == (None if single else res.diverged_coords)
+        assert_same_bits(res.error, np.array(err))
         assert len(res.output) == res.diverged_at
-        assert_same_bits(res.final_weights, ref.weights)
+        assert_same_bits(res.final_weights, grid_of(ref).weights)
         assert_same_state(ctl, ref)
 
 
@@ -838,6 +838,3 @@ def test_empty_reference_gives_empty_results(J, K, taps):
     assert res.diverged_at is None and res.diverged_coords is None
     assert_same_bits(res.final_weights, ref.weights)
     assert_same_state(ctl, ref)
-    if J * K == 1:
-        res = run_adaptive(make_plant(), FxlmsFilter(taps, 0.01, [0.0, 0.5]), np.empty(0))
-        assert res.error.shape == res.output.shape == (0,)

@@ -33,8 +33,7 @@ def oracle_csv(header, rows) -> str:
 
 def oracle_arm_files(arm, rate, decimation, reference):
     files = {}
-    err = np.atleast_2d(arm.error.T).T
-    ref = np.atleast_2d(reference.T).T
+    err, ref = arm.error, reference
     n_mics = err.shape[1]
     for k in range(n_mics):
         suffix = f"_mic{k}" if n_mics > 1 else ""
@@ -93,7 +92,7 @@ def report(rng, n, frames, bins, with_spectra=True):
 def hand_built_result(n_mics, decimation, n=50, frames=4, bins=5):
     rng = np.random.default_rng(100 * n_mics + decimation)
     cut = n - 13
-    shape = (n,) if n_mics == 1 else (n, n_mics)
+    shape = (n, n_mics)
     d = awkward(rng, shape)
     arms = {
         "uncontrolled": ArmResult("uncontrolled",
@@ -102,7 +101,7 @@ def hand_built_result(n_mics, decimation, n=50, frames=4, bins=5):
         "adaptive": ArmResult("adaptive",
                               [report(rng, cut, frames, bins, with_spectra=k > 0)
                                for k in range(n_mics)],
-                              awkward(rng, (cut,) + shape[1:]), None, diverged_at=cut - 1),
+                              awkward(rng, (cut, n_mics)), None, diverged_at=cut - 1),
         "fixed": ArmResult("fixed", [report(rng, n, frames, bins) for _ in range(n_mics)],
                            awkward(rng, shape), None),
     }
@@ -113,14 +112,14 @@ def hand_built_result(n_mics, decimation, n=50, frames=4, bins=5):
                             plateau_reached=False, mu=0.01)
     return ScenarioResult(
         config=cfg, reference=Signal(np.zeros(n), cfg.sample_rate_hz), arms=arms,
-        adaptive_weights=np.zeros(4), fixed_weights=np.zeros(4),
+        adaptive_weights=np.zeros((1, 1, 4)), fixed_weights=np.zeros((1, 1, 4)),
         installed_estimates=np.zeros((1, 1, 3)), sysid_summaries=[], pretrain=pretrain,
         mu=0.01, mse_trace=awkward(rng, -(-cut // decimation)), mse_stride=decimation)
 
 
 def assert_matches_oracle(result, tmp_path):
     decimation = result.mse_stride
-    d = np.atleast_2d(result.arms["uncontrolled"].error.T).T
+    d = result.arms["uncontrolled"].error
     expected = {"mse_trace.csv": oracle_mse_csv(result.mse_trace, decimation)}
     for arm in result.arms.values():
         expected.update(oracle_arm_files(arm, result.config.sample_rate_hz, decimation,

@@ -1,6 +1,8 @@
 """Scenario orchestration: arm isolation, pre-training, divergence, exports."""
 
 import json
+import os
+import re
 
 import numpy as np
 import pytest
@@ -16,6 +18,12 @@ from ancsim.config import (
 from ancsim.filters import FirFilter
 from ancsim.reporting import export_report, summary_dict
 from ancsim.scenario import build_plant, build_reference, run_scenario
+from ancsim.serialization import (
+    FilterSnapshot,
+    GridSnapshot,
+    load_weights_binary,
+    load_weights_json,
+)
 
 
 def small_config(**overrides):
@@ -43,7 +51,7 @@ class TestArms:
         x = build_reference(cfg)
         primary = build_plant(cfg).primaries[0]
         expected = FirFilter(primary).process(x.samples)
-        assert np.array_equal(small_result.arms["uncontrolled"].error, expected)
+        assert np.array_equal(small_result.arms["uncontrolled"].error[:, 0], expected)
 
     def test_all_arms_share_disturbance_length(self, small_result):
         n = len(small_result.reference)
@@ -207,12 +215,12 @@ class TestExport:
         assert n_rows == expected
 
     def test_weight_snapshots_load_back(self, small_result, tmp_path):
-        from ancsim.serialization import load_weights_binary, load_weights_json
         export_report(small_result, tmp_path)
         snap = load_weights_binary(tmp_path / "adaptive_weights.anw")
-        assert np.array_equal(snap.weights, small_result.adaptive_weights)
+        # a single-channel run exports its one filter of the (1, 1, L) grid
+        assert np.array_equal(snap.weights, small_result.adaptive_weights[0, 0])
         snap_j = load_weights_json(tmp_path / "fixed_weights.json")
-        assert np.array_equal(snap_j.weights, small_result.fixed_weights)
+        assert np.array_equal(snap_j.weights, small_result.fixed_weights[0, 0])
 
     def test_byte_identical_across_invocations(self, tmp_path):
         cfg_a = small_config()
@@ -265,3 +273,87 @@ class TestMultichannelScenario:
         for arm in result.arms.values():
             assert arm.error.shape == (len(result.reference), 1)
             assert len(arm.reports) == 1
+
+
+def one_by_one(kind, mu):
+    """A 1 s, 1x1 `combined` config run by the given controller kind."""
+    cfg = small_config()
+    cfg.duration_s = 1.0
+    cfg.composition.switch_times_s = [0.5]
+    cfg.fixed_filter.max_train_s = 2.0
+    cfg.controller.kind = kind
+    cfg.controller.mu = mu
+    return cfg.validate()
+
+
+def export_both(tmp_path, single_mu, multi_mu):
+    """Run and export the 1x1 config as `single` and as `multichannel`;
+    returns (result, out dir) for each, in that order."""
+    runs = []
+    for kind, mu in (("single", single_mu), ("multichannel", multi_mu)):
+        result = run_scenario(one_by_one(kind, mu))
+        export_report(result, tmp_path / kind)
+        runs.append((result, tmp_path / kind))
+    return runs
+
+
+def assert_same_bits(got, want):
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+class TestSingleIsAnExportFormat:
+    """Both controller kinds run the same 1x1x1 grid on a 1x1 plant. The
+    single-channel mu is half the multichannel one (its update carries 2
+    mu); the kind changes only the snapshot format and the divergence
+    coordinates in the export."""
+
+    def test_kinds_export_the_same_csvs_and_weights(self, tmp_path):
+        (single, out_s), (multi, out_m) = export_both(tmp_path, "auto", "auto")
+        csvs = sorted(name for name in os.listdir(out_s) if name.endswith(".csv"))
+        assert len(csvs) == 13
+        assert csvs == sorted(name for name in os.listdir(out_m) if name.endswith(".csv"))
+        for name in csvs:
+            assert (out_s / name).read_bytes() == (out_m / name).read_bytes(), name
+
+        sum_s = json.loads((out_s / "summary.json").read_text())
+        sum_m = json.loads((out_m / "summary.json").read_text())
+        assert sum_m["mu"] == 2.0 * sum_s["mu"] == 2.0 * single.mu
+        assert sum_m["pretrain"]["mu"] == 2.0 * sum_s["pretrain"]["mu"]
+
+        for stem in ("adaptive_weights", "fixed_weights"):
+            for load, ext in ((load_weights_binary, ".anw"), (load_weights_json, ".json")):
+                snap_s, snap_m = load(out_s / (stem + ext)), load(out_m / (stem + ext))
+                assert isinstance(snap_s, FilterSnapshot)
+                assert isinstance(snap_m, GridSnapshot)
+                assert_same_bits(snap_s.weights, snap_m.weights[0, 0])
+                assert_same_bits(snap_s.sec_path_estimate, snap_m.sec_path_estimates[0, 0])
+        assert_same_bits(single.adaptive_weights, multi.adaptive_weights)
+
+    def test_divergence_coordinates_are_null_for_single(self, tmp_path):
+        (single, out_s), (multi, out_m) = export_both(tmp_path, 5.0, 10.0)
+        arms_s = json.loads((out_s / "summary.json").read_text())["arms"]
+        arms_m = json.loads((out_m / "summary.json").read_text())["arms"]
+        at = arms_s["adaptive"]["diverged_at"]
+        assert at == arms_m["adaptive"]["diverged_at"] and 0 < at < len(single.reference)
+        assert arms_s["adaptive"]["diverged_coords"] is None
+        assert arms_m["adaptive"]["diverged_coords"] == [0, 0]
+        # in memory both kinds hold the grid's coordinates
+        assert (single.arms["adaptive"].diverged_coords
+                == multi.arms["adaptive"].diverged_coords == (0, 0))
+
+
+def test_readme_library_block_runs():
+    readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                          "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        text = fh.read()
+    section = text[text.index("## Library"):]
+    block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    namespace = {}
+    exec(compile(block, "README.md", "exec"), namespace)
+    loop = namespace["loop"]
+    assert loop.error.shape == (40_000, 1) and loop.output.shape == (40_000, 1)
+    assert loop.final_weights.shape == (1, 1, 64)
+    assert loop.diverged_at is None

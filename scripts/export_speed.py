@@ -78,13 +78,13 @@ def seeded_result(n):
                          interval_s=1.0, nr_per_interval_db=rng.normal(10, 5, 20), snr_db=1.0,
                          psd=psd, spectro=spectro)
 
-    arms = {name: ArmResult(name, [report()], rng.standard_normal(samples), None)
+    arms = {name: ArmResult(name, [report()], rng.standard_normal((samples, 1)), None)
             for name in ("uncontrolled", "adaptive", "fixed")}
     pretrain = PretrainInfo(seconds_trained=1, nr_per_second_db=[0.5], plateau_reached=False,
                             mu=0.01)
     result = ScenarioResult(
         config=default_config("combined"), reference=Signal(np.zeros(1), 8000.0), arms=arms,
-        adaptive_weights=np.zeros(128), fixed_weights=np.zeros(128),
+        adaptive_weights=np.zeros((1, 1, 128)), fixed_weights=np.zeros((1, 1, 128)),
         installed_estimates=np.zeros((1, 1, 65)), sysid_summaries=[], pretrain=pretrain,
         mu=0.01, mse_trace=rng.random(samples // 8), mse_stride=8)
     rows = samples // 8

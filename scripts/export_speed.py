@@ -37,6 +37,9 @@ from ancsim.signals import Signal  # noqa: E402
 N = int(sys.argv[2]) if len(sys.argv) > 2 else 480_000
 REPS = int(sys.argv[3]) if len(sys.argv) > 3 else 5
 BLOCK, BINS = 8192, 513
+# a tree whose `Spectrogram` still keeps its linear powers takes them too
+LINEAR = ({"power_linear": np.zeros((1, 1))}
+          if "power_linear" in Spectrogram.__dataclass_fields__ else {})
 
 try:
     from ancsim.floatfmt import format_floats  # noqa: E402
@@ -72,8 +75,7 @@ def seeded_result(n):
         psd = PowerSpectrum(freq_hz=freq, power_db=rng.normal(-40, 20, BINS),
                             power_linear=np.zeros(BINS))
         spectro = Spectrogram(times_s=np.arange(frames) * 0.064, freq_hz=freq,
-                              power_db=rng.normal(-40, 20, (frames, BINS)),
-                              power_linear=np.zeros((1, 1)))
+                              power_db=rng.normal(-40, 20, (frames, BINS)), **LINEAR)
         return RunReport(reference=Signal(np.zeros(1), 8000.0), error=Signal(np.zeros(1), 8000.0),
                          interval_s=1.0, nr_per_interval_db=rng.normal(10, 5, 20), snr_db=1.0,
                          psd=psd, spectro=spectro)

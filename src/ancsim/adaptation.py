@@ -275,20 +275,21 @@ def _fit_row(v, x, d, y, step, start):
     """`lms_fit` on one row from sample `start`, writing y; returns (0, n)
     for the sample n whose update tripped the guard, else None. Each
     sample is a dot, a scaled copy of the window and its in-place add to
-    the weights, and the running bound of `mcanc`'s guard rule."""
-    v, y = v[0], y[0]
+    the weights, and the running bound of `mcanc`'s guard rule. The
+    desired samples are read, and the outputs written, through memoryviews
+    of their rows, one Python float at a time."""
+    v = v[0]
     N, v_dot = v.size, v.dot
     x = x[0, start:]
     wins = sliding_window_view(x, N)
     norm = window_norm_bound(x, N)
     term = np.empty(N)
     multiply, add, fabs = np.multiply, np.add, math.fabs
+    ys = memoryview(y[0])
     # infinite until the first update resets it from the weights' norm
     bound = math.inf
-    ys = []
-    for n, (d_n, x_n) in enumerate(zip(d[0, start:].tolist(), wins), start):
-        y_n = v_dot(x_n)
-        ys.append(y_n)
+    for n, (d_n, x_n) in enumerate(zip(memoryview(d[0, start:]), wins), start):
+        y_n = ys[n] = v_dot(x_n)
         if step != 0.0:
             c = step * (d_n - y_n)
             add(v, multiply(x_n, c, out=term), out=v)
@@ -297,9 +298,7 @@ def _fit_row(v, x, d, y, step, start):
                 try:
                     bound = guard_reset(v, n)
                 except DivergenceError:
-                    y[start:n + 1] = ys
                     return 0, n
-    y[start:] = ys
     return None
 
 

@@ -182,8 +182,11 @@ class ExperimentConfig:
         if self.controller.kind == "single" and (self.plant.n_sources != 1
                                                  or self.plant.n_mics != 1):
             raise ConfigError("single-channel controller needs a 1x1 plant")
-        if self.controller.kind == "multichannel" and self.controller.n_refs != 1:
-            raise ConfigError("scenario runs feed one composed reference; n_refs must be 1")
+        if self.controller.n_refs != 1:
+            # either kind runs as a 1xJxK grid over the one composed reference
+            raise ConfigError(
+                f"controller.n_refs must be 1, got {self.controller.n_refs}: "
+                f"scenario runs feed one composed reference")
         if self.fixed_filter.train_source >= len(self.noise_sources):
             raise ConfigError(
                 f"fixed_filter.train_source {self.fixed_filter.train_source} does not "

@@ -109,6 +109,7 @@ def _interval(g, cb, h, irregular):
 
     b_hi, b_lo = mul(g[0], g[1])
     a_hi, a_lo = mul(g[2], g[3])
+    del cp, c0, c1              # spent: a block's temporaries peak below
     return moved(h + 1 - irregular, True), rop(a_hi, a_lo, b_hi), moved(h + 1, False)
 
 
@@ -143,6 +144,7 @@ def _decimal(bits):
     c = np.where(tiny, c * 10, c)
     k = (q * 661_971_961_083 - irregular * 274_743_187_321) >> 41
     h = (q + (-k * 913_124_641_741 >> 38) + 2).astype(np.uint64)
+    del be, t, q                # spent before the interval's temporaries
     g = _g_table().take(k - _K_MIN, axis=1)
     vbl, vb, vbr = _interval(g, c << 2, h, irregular)
     out = c & 1                              # interval ends excluded for odd c

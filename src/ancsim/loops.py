@@ -47,6 +47,15 @@ and one product writing the K update terms behind the weights in a
 take `filters.rowdots`'s plain product instead of a `vecdot`.
 `tests/test_call_counts.py` holds both bodies to these counts.
 
+Both read and write e(n) through a `memoryview` of one float64 buffer,
+each element a Python float (the same IEEE arithmetic as the plant's,
+with less overhead than an array scalar), and that buffer is the (T, K)
+error array the loop returns, without a copy; the measurement noise is
+read through a `memoryview` too. The outputs go to the loudspeaker
+buffer the secondary paths read, and the (T, J) outputs returned are a
+view of it. So a run holds its result, the reference and filtered-
+reference histories its windows read, and nothing per sample.
+
 Both guard the weights with the rule's running norm bound, a few float
 operations and a compare a sample while the weights stay within half the
 guard; the stacked body's bound covers the whole (J, L) stack and adds
@@ -58,7 +67,8 @@ one loudspeaker of one-tap filters (J*L = 1) gets a stack with a second
 lane, held at zero, which numpy adds slot by slot.
 
 `run_fixed` runs frozen weights, for which the loop is LTI end to end:
-each of its passes, controller and path, is one `fir` call.
+each of its passes, controller and path, is one `fir` pass, into the
+same loudspeaker buffer layout as `run_adaptive`'s.
 """
 
 from __future__ import annotations
@@ -72,7 +82,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .acoustics import Plant
 from .errors import DataError, DivergenceError
-from .filters import as_taps, fir
+from .filters import as_taps, fir, rowdots
 from .mcanc import (
     BOUND_GROWTH,
     BOUND_LIMIT,
@@ -152,19 +162,23 @@ class PlantSplit:
             noise = self._noise_std * self._rng.standard_normal((xs.size, self.n_mics))
         return Disturbance(primary, self.silent, noise)
 
-    def drive(self, dist: Disturbance, u: np.ndarray) -> np.ndarray:
-        """Microphone signals (T, K) for known controller outputs u (T, J).
+    def drive(self, dist: Disturbance, u_buf: np.ndarray) -> np.ndarray:
+        """Microphone signals (T, K) for known controller outputs, laid out
+        in a (J, H + 1 + T) buffer as `run_adaptive` lays them out: each
+        loudspeaker's history `u_hist`, one silent sample, then u(0..T-1).
 
         u(n) reaches the paths at step n+1; as in every loop here, the
-        first sample of a call hears silent loudspeakers.
+        first sample of a call hears silent loudspeakers. Each path's
+        terms are the `fir` pass over the history and those samples.
         """
-        T = len(u)
+        H = self.hist
+        T = u_buf.shape[1] - H - 1
         e = dist.primary.copy()
-        for j, paths_j in enumerate(self.sec_taps):
-            u_in = np.concatenate([[0.0], u[:-1, j]])[:T]
+        for row, paths_j in zip(u_buf, self.sec_rev):
             for k, s in enumerate(paths_j):
-                e[:, k] += fir(s, u_in, self.u_hist[j])
-            self.u_hist[j] = np.concatenate([self.u_hist[j], u_in])[T:]
+                # row n is the plant's window at step n, u_buf[j, n+1+H-m:n+1+H]
+                e[:, k] += rowdots(sliding_window_view(row[H - s.size + 1:], s.size)[:T], s)
+        self.u_hist[:] = u_buf[:, T:T + H]
         if dist.noise is not None:
             e += dist.noise
         return e
@@ -253,24 +267,26 @@ def run_adaptive(plant, controller: McAncController, x,
     u_buf = np.zeros((J, H + T + 1))
     u_buf[:, :H] = split.u_hist
 
-    # Python floats: the same IEEE arithmetic as the plant's, less overhead.
-    # Flat, row after row: err[n*K + k] becomes e_k(n) in place.
-    err = dist.primary.ravel().tolist()
-    noise = None if dist.noise is None else dist.noise.ravel().tolist()
+    # The bodies read and write e(n) through a memoryview of the (T, K)
+    # error array, the primary-path outputs to start with. Flat, row after
+    # row: err[n*K + k] is e_k(n).
+    error = dist.primary.copy()
+    err = memoryview(error.reshape(-1))
+    noise = None if dist.noise is None else memoryview(dist.noise.reshape(-1))
     body = _scalar_body if J * K == 1 else _stacked_body
     diverged_at, diverged_coords, steps = body(split, ctl, x_buf, fx_buf, u_buf, err, noise)
 
     done = T if diverged_at is None else steps + 1
-    err = np.array(err[:done * K], dtype=np.float64).reshape(done, K)
-    out = u_buf[:, H + 1:H + 1 + steps].T.copy()
+    error = error[:done]
+    out = u_buf[:, H + 1:H + 1 + steps].T
     split.u_hist[:] = u_buf[:, done:done + H]
     ctl._x[0] = x_buf[done:done + hx]
     ctl._fx[0] = fx_buf[:, :, done:done + L]
     # a step that trips the guard does not count, as in McAncController.step
     ctl._step_count = step0 + steps
     if steps:
-        ctl.last_cost = float(np.dot(err[steps - 1], err[steps - 1]))
-    return LoopResult(error=err, output=out, final_weights=ctl.weights,
+        ctl.last_cost = float(np.dot(error[steps - 1], error[steps - 1]))
+    return LoopResult(error=error, output=out, final_weights=ctl.weights,
                       diverged_at=diverged_at, diverged_coords=diverged_coords)
 
 
@@ -447,8 +463,10 @@ def run_fixed(plant, weights, x, disturbance: Disturbance | None = None) -> Loop
         raise DataError(
             f"frozen weights must have shape (1, {split.n_sources}, taps), "
             f"got {w.shape}")
-    out = np.empty((xs.size, split.n_sources))
-    for j in range(split.n_sources):
-        out[:, j] = fir(as_taps(w[0, j]), xs)
-    err = split.drive(dist, out)
-    return LoopResult(error=err, output=out, final_weights=w.copy())
+    H = split.hist
+    u_buf = np.zeros((split.n_sources, H + 1 + xs.size))
+    u_buf[:, :H] = split.u_hist
+    for j, row in enumerate(u_buf):
+        row[H + 1:] = fir(as_taps(w[0, j]), xs)
+    err = split.drive(dist, u_buf)
+    return LoopResult(error=err, output=u_buf[:, H + 1:].T, final_weights=w.copy())

@@ -71,16 +71,21 @@ class PowerSpectrum:
 
 @dataclass
 class Spectrogram:
+    """STFT power in dB only: the linear powers it was computed from are
+    converted in place, so a report holds one (frames, bins) matrix."""
+
     times_s: np.ndarray        # frame start times
     freq_hz: np.ndarray
     power_db: np.ndarray       # (frames, bins), clamped at DB_FLOOR
-    power_linear: np.ndarray
 
 
-def _to_db(linear: np.ndarray) -> np.ndarray:
+def _to_db(linear: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """10 log10 of the powers, clamped at DB_FLOOR; `out=linear` converts
+    them in place, with the same bits."""
     with np.errstate(divide="ignore"):
-        db = 10.0 * np.log10(linear)
-    return np.maximum(db, DB_FLOOR)
+        db = np.log10(linear, out=out)
+    db *= 10.0
+    return np.maximum(db, DB_FLOOR, out=db)
 
 
 def _segment_power(segment: np.ndarray, window: np.ndarray, win_norm: float) -> np.ndarray:
@@ -115,7 +120,8 @@ def power_spectrum(x: Signal, segment_len: int = 1024, overlap: float = 0.5) -> 
 
 
 def spectrogram(x: Signal, frame_len: int = 1024, hop: int = 512) -> Spectrogram:
-    """Hann-windowed STFT power, frames x one-sided bins."""
+    """Hann-windowed STFT power in dB, frames x one-sided bins. The linear
+    powers are converted in place and not kept."""
     if frame_len < 2 or frame_len & (frame_len - 1):
         raise DomainError(f"frame length must be a power of two, got {frame_len}")
     if frame_len > len(x):
@@ -131,7 +137,7 @@ def spectrogram(x: Signal, frame_len: int = 1024, hop: int = 512) -> Spectrogram
         linear[fi] = _segment_power(x.samples[start:start + frame_len], window, win_norm)
     freq = np.fft.rfftfreq(frame_len, d=1.0 / x.sample_rate_hz)
     return Spectrogram(times_s=starts / x.sample_rate_hz, freq_hz=freq,
-                       power_db=_to_db(linear), power_linear=linear)
+                       power_db=_to_db(linear, out=linear))
 
 
 @dataclass

@@ -293,8 +293,9 @@ def run_scenario(cfg: ExperimentConfig) -> ScenarioResult:
     raw_est, sysid_summaries = resolve_estimates(cfg)
     aligned = loop_aligned_path(raw_est)
     mu = resolve_mu(cfg, reference, aligned)
-    training = build_training_signal(cfg)
-    fixed_weights, pretrain = pretrain_fixed_filter(cfg, aligned, mu, training)
+    # the training signal is released as soon as pre-training returns
+    fixed_weights, pretrain = pretrain_fixed_filter(cfg, aligned, mu,
+                                                    build_training_signal(cfg))
 
     stride = max(cfg.export.error_decimation, 1)
 
@@ -305,6 +306,9 @@ def run_scenario(cfg: ExperimentConfig) -> ScenarioResult:
                        disturbance=dist)
     fixed_res = run_fixed(plant, fixed_weights, reference.samples,
                           disturbance=dist)
+    # every arm holds its own errors: the primary-path outputs go before
+    # the reports
+    del dist
 
     uncontrolled = ArmResult(
         name="uncontrolled",

@@ -41,14 +41,19 @@ class WavFileSpec:
 
 
 def synthesize_noise(spec, seed, duration_s: float, sample_rate_hz: float) -> Signal:
-    """Render one noise source. Same spec and seed give bit-identical output."""
+    """Render one noise source. Same spec and seed give bit-identical output.
+
+    Band noise holds two arrays of about the source's length at its peak:
+    the white noise and its filtered copy, which the returned signal is a
+    view of. The squares that normalize the power go into the spent white
+    noise, and the time axis is made only for added tones."""
     if duration_s <= 0:
         raise ConfigError(f"duration must be positive, got {duration_s}")
     n = int(round(duration_s * sample_rate_hz))
-    t = np.arange(n) / sample_rate_hz
 
     if isinstance(spec, ToneSpec):
         _check_band_edge(spec.freq_hz, sample_rate_hz)
+        t = np.arange(n) / sample_rate_hz
         return Signal(spec.amplitude * np.sin(2 * np.pi * spec.freq_hz * t + spec.phase_rad),
                       sample_rate_hz)
 
@@ -62,7 +67,9 @@ def synthesize_noise(spec, seed, duration_s: float, sample_rate_hz: float) -> Si
         white = rng.standard_normal(n + BANDPASS_TAPS)
         bp = _bandpass(spec.low_hz, spec.high_hz, sample_rate_hz)
         shaped = np.convolve(bp, white)[BANDPASS_TAPS:len(white)]
-        shaped /= np.sqrt(np.mean(shaped**2))
+        # the white noise is spent: the squares go into it
+        shaped /= np.sqrt(np.mean(np.square(shaped, out=white[:n])))
+        t = np.arange(n) / sample_rate_hz if spec.tones else None
         for tone in spec.tones:
             _check_band_edge(tone.freq_hz, sample_rate_hz)
             shaped += tone.amplitude * np.sin(2 * np.pi * tone.freq_hz * t + tone.phase_rad)

@@ -117,8 +117,10 @@ def _identify(plant: Plant, pairs, n_taps: int, mu: float, n_samples: int,
             response += fir(row[k], excitation) if jj == j else s_silent[jj, k]
         if noise is not None:
             response += noise[:, k]
+    # spent before the fit's outputs and errors take their (P, n_samples)
+    del noise
     v = np.zeros((len(pairs), n_taps))
-    _, e, diverged = lms_fit(v, x, responses, mu)
+    e, diverged = lms_fit(v, x, responses, mu)[1:]
 
     for p, (j, k, _) in enumerate(pairs):
         if diverged is not None and diverged[0] == p:

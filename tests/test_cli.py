@@ -205,6 +205,19 @@ class TestExitCodes:
         assert "Traceback" not in proc.stderr
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("command", ["run", "mac"])
+    @pytest.mark.parametrize("kind", ["single", "multichannel"])
+    def test_n_refs_other_than_one_is_two(self, tmp_path, capsys, command, kind):
+        # no run executes a geometry with I = 2, so `mac` prints no row for it
+        cfg_path = tmp_path / "bad.yaml"
+        write_small_config(cfg_path, **{"controller.kind": kind, "controller.n_refs": 2})
+        out = tmp_path / "o"
+        assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert "config error: controller.n_refs must be 1, got 2" in captured.err
+        assert "configured" not in captured.out
+        assert not out.exists()
+
     def test_metric_geometry_is_two_before_the_run(self, tmp_path, capsys):
         cfg_path = tmp_path / "bad.yaml"
         write_small_config(cfg_path, **{"metrics.segment_len": 1000})

@@ -182,6 +182,20 @@ class TestValidation:
         cfg = config_from_dict(doc)
         assert cfg.controller.kind == "multichannel"
 
+    @pytest.mark.parametrize("kind, plant", [
+        ("single", {}),
+        ("multichannel", {"n_sources": 2, "n_mics": 2}),
+    ])
+    def test_n_refs_other_than_one_is_rejected_for_either_kind(self, kind, plant):
+        # both kinds run as a 1xJxK grid over the one composed reference
+        doc = minimal_doc()
+        doc["plant"] = plant
+        doc["controller"] = {"kind": kind, "n_refs": 2}
+        with pytest.raises(ConfigError, match=r"controller\.n_refs must be 1, got 2"):
+            config_from_dict(doc)
+        doc["controller"]["n_refs"] = 1
+        assert config_from_dict(doc).controller.n_refs == 1
+
 
 def small_combined_doc():
     """The 2 s `combined` config as a document."""

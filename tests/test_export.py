@@ -36,8 +36,7 @@ def combined_sized_result(n=160_000, frames=312, bins=513):
         psd = PowerSpectrum(freq_hz=freq, power_db=rng.normal(-40, 20, bins),
                             power_linear=np.zeros(bins))
         spectro = Spectrogram(times_s=np.arange(frames) * 0.064, freq_hz=freq,
-                              power_db=rng.normal(-40, 20, (frames, bins)),
-                              power_linear=np.zeros((1, 1)))
+                              power_db=rng.normal(-40, 20, (frames, bins)))
         return RunReport(reference=Signal(np.zeros(1), 8000.0), error=Signal(np.zeros(1), 8000.0),
                          interval_s=1.0, nr_per_interval_db=rng.normal(10, 5, 20), snr_db=1.0,
                          psd=psd, spectro=spectro)

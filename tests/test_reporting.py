@@ -82,8 +82,7 @@ def report(rng, n, frames, bins, with_spectra=True):
         psd = PowerSpectrum(freq_hz=awkward(rng, bins), power_db=awkward(rng, bins),
                             power_linear=np.zeros(bins))
         spectro = Spectrogram(times_s=awkward(rng, frames), freq_hz=awkward(rng, bins),
-                              power_db=awkward(rng, (frames, bins)),
-                              power_linear=np.zeros((frames, bins)))
+                              power_db=awkward(rng, (frames, bins)))
     return RunReport(reference=Signal(np.zeros(n), 1.0), error=Signal(np.zeros(n), 1.0),
                      interval_s=0.1, nr_per_interval_db=awkward(rng, 7),
                      snr_db=1.0, psd=psd, spectro=spectro)

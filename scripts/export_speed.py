@@ -5,8 +5,7 @@ tree whose `src/` is given.
 
 Formats `n_values` seeded floats over a wide range of magnitudes, with
 signed zeros, infinities and NaN mixed in, in blocks of 8192 into
-newline-separated text, with the tree's formatter (`ancsim.floatfmt` if
-the tree has it, else `repr`). Then exports a seeded hand-built result
+newline-separated text, with `ancsim.floatfmt`. Then exports a seeded hand-built result
 of three arms shaped like `combined`'s (a 513-bin spectrogram per arm,
 error rows decimated by 8) whose spectrograms hold about `n_values`
 powers. Prints the minimum over `reps` repetitions of the microseconds
@@ -29,6 +28,7 @@ sys.path.insert(0, sys.argv[1])
 import numpy as np  # noqa: E402
 
 from ancsim.config import default_config  # noqa: E402
+from ancsim.floatfmt import format_floats  # noqa: E402
 from ancsim.metrics import PowerSpectrum, RunReport, Spectrogram  # noqa: E402
 from ancsim.reporting import export_report  # noqa: E402
 from ancsim.scenario import ArmResult, PretrainInfo, ScenarioResult  # noqa: E402
@@ -37,22 +37,18 @@ from ancsim.signals import Signal  # noqa: E402
 N = int(sys.argv[2]) if len(sys.argv) > 2 else 480_000
 REPS = int(sys.argv[3]) if len(sys.argv) > 3 else 5
 BLOCK, BINS = 8192, 513
-# a tree whose `Spectrogram` still keeps its linear powers takes them too
-LINEAR = ({"power_linear": np.zeros((1, 1))}
-          if "power_linear" in Spectrogram.__dataclass_fields__ else {})
 
-try:
-    from ancsim.floatfmt import format_floats  # noqa: E402
 
-    def text(values):
-        rows = format_floats(values)
-        rows = np.concatenate([rows, np.full((len(rows), 1), 10, np.uint8)], axis=1)
-        return rows.tobytes().translate(None, b"\0")
-    FORMATTER = "floatfmt"
-except ImportError:
-    def text(values):
-        return "".join(repr(v) + "\n" for v in values.tolist()).encode()
-    FORMATTER = "repr"
+def unread(cls, **fields):
+    """The fields an older tree's result classes still hold, which no
+    export reads: a placeholder for each one `cls` has."""
+    return {k: v for k, v in fields.items() if k in cls.__dataclass_fields__}
+
+
+def text(values):
+    rows = format_floats(values)
+    rows = np.concatenate([rows, np.full((len(rows), 1), 10, np.uint8)], axis=1)
+    return rows.tobytes().translate(None, b"\0")
 
 
 def seeded_values(n):
@@ -70,22 +66,23 @@ def seeded_result(n):
     frames = max(1, n // (3 * BINS))
     samples = 8 * max(1, n // 60)
     freq = np.arange(BINS) * 7.8125
+    empty = Signal(np.zeros(1), 8000.0)
 
     def report():
         psd = PowerSpectrum(freq_hz=freq, power_db=rng.normal(-40, 20, BINS),
                             power_linear=np.zeros(BINS))
         spectro = Spectrogram(times_s=np.arange(frames) * 0.064, freq_hz=freq,
-                              power_db=rng.normal(-40, 20, (frames, BINS)), **LINEAR)
-        return RunReport(reference=Signal(np.zeros(1), 8000.0), error=Signal(np.zeros(1), 8000.0),
-                         interval_s=1.0, nr_per_interval_db=rng.normal(10, 5, 20), snr_db=1.0,
-                         psd=psd, spectro=spectro)
+                              power_db=rng.normal(-40, 20, (frames, BINS)))
+        return RunReport(interval_s=1.0, nr_per_interval_db=rng.normal(10, 5, 20), snr_db=1.0,
+                         psd=psd, spectro=spectro, **unread(RunReport, reference=empty, error=empty))
 
-    arms = {name: ArmResult(name, [report()], rng.standard_normal((samples, 1)), None)
+    arms = {name: ArmResult(name, [report()], rng.standard_normal((samples, 1)),
+                            **unread(ArmResult, output=None))
             for name in ("uncontrolled", "adaptive", "fixed")}
     pretrain = PretrainInfo(seconds_trained=1, nr_per_second_db=[0.5], plateau_reached=False,
                             mu=0.01)
     result = ScenarioResult(
-        config=default_config("combined"), reference=Signal(np.zeros(1), 8000.0), arms=arms,
+        config=default_config("combined"), arms=arms, **unread(ScenarioResult, reference=empty),
         adaptive_weights=np.zeros((1, 1, 128)), fixed_weights=np.zeros((1, 1, 128)),
         installed_estimates=np.zeros((1, 1, 65)), sysid_summaries=[], pretrain=pretrain,
         mu=0.01, mse_trace=rng.random(samples // 8), mse_stride=8)
@@ -111,5 +108,5 @@ with tempfile.TemporaryDirectory() as out:
     for name in sorted(os.listdir(out)):
         with open(os.path.join(out, name), "rb") as fh:
             digest.update(fh.read())
-print(f"formatter={FORMATTER} fmt_us={fmt_best:.3f} export_us={export_best:.3f}",
+print(f"fmt_us={fmt_best:.3f} export_us={export_best:.3f}",
       f"values={N} cells={n_cells} sha256={digest.hexdigest()[:16]}")

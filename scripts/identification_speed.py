@@ -8,8 +8,7 @@ repetitions (the minimum discounts slowdowns from other tenants of a
 shared machine):
 
 - `run_us`: `LmsFilter.run`, 64 taps, per sample;
-- `fit1_us`: `lms_fit` over 1 path, per sample (absent from trees
-  without `lms_fit`, as is `fit4_us`);
+- `fit1_us`: `lms_fit` over 1 path, per sample;
 - `fit4_us`: `lms_fit` over 4 paths, per path-sample;
 - `grid_us`: `identify_all_paths` on a 2x2 plant, 64 taps, per
   path-sample, excitation and response synthesis included;
@@ -36,14 +35,9 @@ sys.path.insert(0, sys.argv[1])
 import numpy as np  # noqa: E402
 
 from ancsim.acoustics import synthetic_plant  # noqa: E402
-from ancsim.adaptation import LmsFilter  # noqa: E402
+from ancsim.adaptation import LmsFilter, lms_fit  # noqa: E402
 from ancsim.mcanc import WEIGHT_GUARD  # noqa: E402
 from ancsim.sysid import identify_all_paths  # noqa: E402
-
-try:
-    from ancsim.adaptation import lms_fit  # noqa: E402
-except ImportError:
-    lms_fit = None
 
 T = int(sys.argv[2]) if len(sys.argv) > 2 else 10_000
 REPS = int(sys.argv[3]) if len(sys.argv) > 3 else 5
@@ -73,23 +67,20 @@ def fit(rows, w0=0.0, mu=MU):
 
 for _ in range(REPS):
     timed("run_us", lambda: LmsFilter(N, MU).run(x[0], d[0]), T)
-    if lms_fit is not None:
-        timed("fit1_us", lambda: fit(1), T)
-        timed("fit4_us", lambda: fit(4), 4 * T)
+    timed("fit1_us", lambda: fit(1), T)
+    timed("fit4_us", lambda: fit(4), 4 * T)
     timed("grid_us", lambda: identify_all_paths(plant, N, mu=MU, n_samples=T, seed=31), 4 * T)
-    if lms_fit is not None:
-        timed("fit1p_us", lambda: fit(1, 0.9 * WEIGHT_GUARD / np.sqrt(N), MU / 1000), T)
+    timed("fit1p_us", lambda: fit(1, 0.9 * WEIGHT_GUARD / np.sqrt(N), MU / 1000), T)
 
-digest = hashlib.sha256()
-arrays = [res.estimate.weights for row in outputs["grid_us"] for res in row]
-if lms_fit is not None:
-    arrays += [*outputs["fit1_us"], *outputs["fit4_us"]]
-for a in arrays:
-    digest.update(np.ascontiguousarray(a).tobytes())
-hashes = [f"sha256={digest.hexdigest()[:16]}"]
-if lms_fit is not None:
-    parked = hashlib.sha256()
-    for a in outputs["fit1p_us"]:
-        parked.update(np.ascontiguousarray(a).tobytes())
-    hashes.append(f"parked_sha256={parked.hexdigest()[:16]}")
-print(" ".join(f"{k}={v:.2f}" for k, v in best.items()), *hashes)
+
+def short_sha256(arrays):
+    digest = hashlib.sha256()
+    for a in arrays:
+        digest.update(np.ascontiguousarray(a).tobytes())
+    return digest.hexdigest()[:16]
+
+
+grid = [res.estimate.weights for row in outputs["grid_us"] for res in row]
+print(" ".join(f"{k}={v:.2f}" for k, v in best.items()),
+      f"sha256={short_sha256(grid + [*outputs['fit1_us'], *outputs['fit4_us']])}",
+      f"parked_sha256={short_sha256(outputs['fit1p_us'])}")

@@ -7,7 +7,9 @@ means attenuation. An interval with zero error power but nonzero
 disturbance power yields +inf (unbounded attenuation); zero power on both
 sides yields NaN (undefined). Spectral estimates use Hann-windowed,
 overlap-averaged periodograms normalized so the one-sided bins sum to the
-signal's mean square value (dB re unit variance).
+signal's mean square value (dB re unit variance). One loop frames and
+transforms a signal: a report's PSD is the mean of its spectrogram's
+frames whenever the two hops agree, so each frame is transformed once.
 """
 
 from __future__ import annotations
@@ -88,64 +90,67 @@ def _to_db(linear: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return np.maximum(db, DB_FLOOR, out=db)
 
 
-def _segment_power(segment: np.ndarray, window: np.ndarray, win_norm: float) -> np.ndarray:
-    spec = np.fft.rfft(segment * window)
-    power = (spec.real**2 + spec.imag**2) / win_norm
-    power[1:] *= 2.0
-    if segment.size % 2 == 0:
-        power[-1] /= 2.0  # Nyquist bin is not mirrored
-    return power
-
-
-def power_spectrum(x: Signal, segment_len: int = 1024, overlap: float = 0.5) -> PowerSpectrum:
-    """Averaged one-sided periodogram (Hann window, fractional overlap)."""
-    if segment_len < 2 or segment_len & (segment_len - 1):
-        raise DomainError(f"segment length must be a power of two, got {segment_len}")
-    if segment_len > len(x):
-        raise DataError(
-            f"signal of {len(x)} samples is shorter than segment length {segment_len}")
-    if not (0.0 <= overlap < 1.0):
-        raise DomainError(f"overlap fraction must be in [0, 1), got {overlap}")
-    hop = max(int(round(segment_len * (1.0 - overlap))), 1)
-    window = np.hanning(segment_len)
-    win_norm = segment_len * float(np.sum(window**2))
-    acc = np.zeros(segment_len // 2 + 1)
-    count = 0
-    for start in range(0, len(x) - segment_len + 1, hop):
-        acc += _segment_power(x.samples[start:start + segment_len], window, win_norm)
-        count += 1
-    linear = acc / count
-    freq = np.fft.rfftfreq(segment_len, d=1.0 / x.sample_rate_hz)
-    return PowerSpectrum(freq_hz=freq, power_db=_to_db(linear), power_linear=linear)
-
-
-def spectrogram(x: Signal, frame_len: int = 1024, hop: int = 512) -> Spectrogram:
-    """Hann-windowed STFT power in dB, frames x one-sided bins. The linear
-    powers are converted in place and not kept."""
+def _check_frame_len(x: Signal, frame_len: int, what: str) -> None:
     if frame_len < 2 or frame_len & (frame_len - 1):
-        raise DomainError(f"frame length must be a power of two, got {frame_len}")
+        raise DomainError(f"{what} length must be a power of two, got {frame_len}")
     if frame_len > len(x):
         raise DataError(
-            f"signal of {len(x)} samples is shorter than frame length {frame_len}")
+            f"signal of {len(x)} samples is shorter than {what} length {frame_len}")
+
+
+def _welch_hop(segment_len: int, overlap: float) -> int:
+    """The hop between the segments `power_spectrum` averages."""
+    if not (0.0 <= overlap < 1.0):
+        raise DomainError(f"overlap fraction must be in [0, 1), got {overlap}")
+    return max(int(round(segment_len * (1.0 - overlap))), 1)
+
+
+def _periodograms(x: Signal, frame_len: int, hop: int, keep: bool):
+    """The one per-frame loop: the Hann-windowed one-sided periodograms of
+    the frames starting every `hop` samples (`frame_len` a power of two).
+    Returns the frame starts, the bin frequencies, the periodograms' mean
+    (summed frame by frame, in order) and, if `keep`, their matrix."""
     if not (0 < hop <= frame_len):
         raise DomainError(f"hop must be in (0, frame_len], got {hop}")
     window = np.hanning(frame_len)
     win_norm = frame_len * float(np.sum(window**2))
     starts = np.arange(0, len(x) - frame_len + 1, hop)
-    linear = np.empty((starts.size, frame_len // 2 + 1))
+    acc = np.zeros(frame_len // 2 + 1)
+    linear = np.empty((starts.size, acc.size)) if keep else None
     for fi, start in enumerate(starts):
-        linear[fi] = _segment_power(x.samples[start:start + frame_len], window, win_norm)
+        spec = np.fft.rfft(x.samples[start:start + frame_len] * window)
+        power = (spec.real**2 + spec.imag**2) / win_norm
+        power[1:] *= 2.0
+        power[-1] /= 2.0  # Nyquist bin is not mirrored
+        acc += power
+        if keep:
+            linear[fi] = power
     freq = np.fft.rfftfreq(frame_len, d=1.0 / x.sample_rate_hz)
+    return starts, freq, acc / starts.size, linear
+
+
+def power_spectrum(x: Signal, segment_len: int = 1024, overlap: float = 0.5) -> PowerSpectrum:
+    """Averaged one-sided periodogram (Hann window, fractional overlap)."""
+    _check_frame_len(x, segment_len, "segment")
+    _, freq, mean, _ = _periodograms(x, segment_len, _welch_hop(segment_len, overlap),
+                                     keep=False)
+    return PowerSpectrum(freq_hz=freq, power_db=_to_db(mean), power_linear=mean)
+
+
+def spectrogram(x: Signal, frame_len: int = 1024, hop: int = 512) -> Spectrogram:
+    """Hann-windowed STFT power in dB, frames x one-sided bins. The linear
+    powers are converted in place and not kept."""
+    _check_frame_len(x, frame_len, "frame")
+    starts, freq, _, linear = _periodograms(x, frame_len, hop, keep=True)
     return Spectrogram(times_s=starts / x.sample_rate_hz, freq_hz=freq,
                        power_db=_to_db(linear, out=linear))
 
 
 @dataclass
 class RunReport:
-    """Metrics bundle for one control arm against the shared disturbance."""
+    """Metrics for one control arm against the shared disturbance; it
+    keeps neither signal."""
 
-    reference: Signal
-    error: Signal
     interval_s: float
     nr_per_interval_db: np.ndarray
     snr_db: float
@@ -162,15 +167,22 @@ def build_run_report(d: Signal, e: Signal, interval_s: float = 1.0,
                      hop: int = 512) -> RunReport:
     """Full metrics for one arm. Spectral estimates are skipped (None) when
     the error record is shorter than one segment, e.g. after an early
-    divergence."""
+    divergence. The error is framed once at `hop`; the PSD is the mean of
+    those frames, unless its own hop (`_welch_hop`) differs."""
     require_same_rate(d, e)
     require_same_length(d, e)
     psd = spectro = None
     if len(e) >= segment_len:
-        psd = power_spectrum(e, segment_len, overlap)
-        spectro = spectrogram(e, segment_len, hop)
+        _check_frame_len(e, segment_len, "segment")
+        psd_hop = _welch_hop(segment_len, overlap)
+        starts, freq, mean, linear = _periodograms(e, segment_len, hop, keep=True)
+        if psd_hop != hop:
+            mean = _periodograms(e, segment_len, psd_hop, keep=False)[2]
+        psd = PowerSpectrum(freq_hz=freq, power_db=_to_db(mean), power_linear=mean)
+        spectro = Spectrogram(times_s=starts / e.sample_rate_hz, freq_hz=freq,
+                              power_db=_to_db(linear, out=linear))
     return RunReport(
-        reference=d, error=e, interval_s=interval_s,
+        interval_s=interval_s,
         nr_per_interval_db=noise_reduction_per_interval(d, e, interval_s),
         snr_db=snr_overall(d, e),
         psd=psd, spectro=spectro,

@@ -34,7 +34,7 @@ from .loops import (
     run_uncontrolled_signal,
 )
 from .mcanc import ChannelConfig, McAncController
-from .metrics import build_run_report
+from .metrics import _power_ratio_db, build_run_report
 from .signals import Signal
 from .synth import compose, synthesize_noise
 from .sysid import identify_all_paths
@@ -220,7 +220,7 @@ def pretrain_fixed_filter(cfg: ExperimentConfig, aligned_est: np.ndarray,
             break
         e_power = float(np.sum(res.error**2))
         d_power = float(np.sum(dist.uncontrolled()**2))
-        nr = 10.0 * np.log10(d_power / e_power) if e_power > 0 else np.inf
+        nr = _power_ratio_db(d_power, e_power)
         nr_history.append(nr)
         if b >= 1 and nr - nr_history[-2] < cfg.fixed_filter.min_improvement_db:
             plateau = True
@@ -239,10 +239,11 @@ def pretrain_fixed_filter(cfg: ExperimentConfig, aligned_est: np.ndarray,
 
 @dataclass
 class ArmResult:
+    """One arm's errors and reports; no export reads its outputs."""
+
     name: str
     reports: list          # one RunReport per error microphone
     error: np.ndarray      # (T, K), T shorter on divergence
-    output: np.ndarray | None  # (T, J); None for the uncontrolled arm
     diverged_at: int | None = None
     diverged_coords: tuple | None = None
 
@@ -253,8 +254,9 @@ class ArmResult:
 
 @dataclass
 class ScenarioResult:
+    """What the exports read; `build_reference(config)` rebuilds the reference."""
+
     config: ExperimentConfig
-    reference: Signal
     arms: dict                      # name -> ArmResult
     adaptive_weights: np.ndarray    # (1, J, L), for either kind
     fixed_weights: np.ndarray       # (1, J, L)
@@ -274,16 +276,11 @@ class ScenarioResult:
 
 
 def _reports_for(d: np.ndarray, e: np.ndarray, cfg: ExperimentConfig) -> list:
-    m = cfg.metrics
-    rate = cfg.sample_rate_hz
-    reports = []
-    for k in range(e.shape[1]):
-        n = e.shape[0]
-        reports.append(build_run_report(
-            Signal(d[:n, k], rate), Signal(e[:, k], rate),
-            interval_s=m.interval_s, segment_len=m.segment_len,
-            overlap=m.overlap, hop=m.hop))
-    return reports
+    m, rate, n = cfg.metrics, cfg.sample_rate_hz, e.shape[0]
+    return [build_run_report(Signal(d[:n, k], rate), Signal(e[:, k], rate),
+                             interval_s=m.interval_s, segment_len=m.segment_len,
+                             overlap=m.overlap, hop=m.hop)
+            for k in range(e.shape[1])]
 
 
 def run_scenario(cfg: ExperimentConfig) -> ScenarioResult:
@@ -304,39 +301,27 @@ def run_scenario(cfg: ExperimentConfig) -> ScenarioResult:
     d = dist.uncontrolled()
     res = run_adaptive(plant, build_controller(cfg, aligned, mu), reference.samples,
                        disturbance=dist)
-    fixed_res = run_fixed(plant, fixed_weights, reference.samples,
-                          disturbance=dist)
-    # every arm holds its own errors: the primary-path outputs go before
-    # the reports
-    del dist
+    fixed_error = run_fixed(plant, fixed_weights, reference.samples,
+                            disturbance=dist).error
+    # every arm holds only its errors: the reference, the primary-path
+    # outputs and both loudspeaker buffers go before the reports
+    res.output = None
+    del reference, dist
 
-    uncontrolled = ArmResult(
-        name="uncontrolled",
-        reports=_reports_for(d, d, cfg),
-        error=d, output=None)
-    adaptive = ArmResult(
-        name="adaptive",
-        reports=_reports_for(d, res.error, cfg),
-        error=res.error, output=res.output,
-        diverged_at=res.diverged_at, diverged_coords=res.diverged_coords)
+    uncontrolled = ArmResult("uncontrolled", _reports_for(d, d, cfg), d)
+    adaptive = ArmResult("adaptive", _reports_for(d, res.error, cfg), res.error,
+                         res.diverged_at, res.diverged_coords)
     # the cost e(n).e(n) as McAncController.step forms it, at the exported
     # samples; on divergence it keeps the sample whose update tripped the
     # guard, as the error CSVs do
     rows = res.error[::stride]
     mse_trace = np.vecdot(rows, rows)
-    fixed = ArmResult(
-        name="fixed",
-        reports=_reports_for(d, fixed_res.error, cfg),
-        error=fixed_res.error, output=fixed_res.output)
+    fixed = ArmResult("fixed", _reports_for(d, fixed_error, cfg), fixed_error)
 
-    provenance = {
-        "config_hash": config_hash(cfg),
-        "seed": cfg.seed,
-        "version": __version__,
-        "mu": mu,
-    }
+    provenance = {"config_hash": config_hash(cfg), "seed": cfg.seed,
+                  "version": __version__, "mu": mu}
     return ScenarioResult(
-        config=cfg, reference=reference,
+        config=cfg,
         arms={"uncontrolled": uncontrolled, "adaptive": adaptive, "fixed": fixed},
         adaptive_weights=res.final_weights, fixed_weights=fixed_weights,
         installed_estimates=aligned, sysid_summaries=sysid_summaries,

@@ -1,17 +1,19 @@
 """Test-session set-up shared by every test module.
 
-`pyproject.toml` puts `src` on the test process's import path; the CLI
-tests also start `python -m ancsim.cli` in child processes, which see only
-the environment. Putting `src` on PYTHONPATH lets those children import
-the checkout under test without an install.
+The test process imports `ancsim` from wherever its environment points:
+an install, or a tree's `src` on PYTHONPATH. The CLI tests also start
+`python -m ancsim.cli` in child processes, which see only the
+environment; putting the directory that `ancsim` was imported from at the
+head of their PYTHONPATH makes them import that same tree.
 
 Every hypothesis test runs under one profile: example timing varies too
 much on a shared machine for a per-example deadline, and a failure prints
 the blob that replays it. Tests set only their own `max_examples`.
 
-The report header names the directory `ancsim` was imported from, so a
-run shows which tree it tested: `pyproject.toml`'s `pythonpath` puts
-this checkout's `src` ahead of PYTHONPATH.
+The report header names the directory `ancsim` was imported from, under
+`-q` too, so a run shows which tree it tested: `PYTHONPATH=OTHER/src
+python -m pytest` run from this checkout tests OTHER's code with this
+checkout's tests.
 
 `guard_spy` records where the loops that carry a running weight-norm
 bound (the one-filter bodies and the stacked grid body) leave it for the
@@ -27,13 +29,21 @@ from hypothesis import settings
 import ancsim
 from ancsim import adaptation, loops, mcanc
 
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+IMPORTED_FROM = os.path.dirname(os.path.dirname(os.path.abspath(ancsim.__file__)))
 os.environ["PYTHONPATH"] = os.pathsep.join(
-    p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
+    p for p in (IMPORTED_FROM, os.environ.get("PYTHONPATH")) if p)
 
 
 def pytest_report_header(config):
     return f"ancsim: {os.path.dirname(os.path.abspath(ancsim.__file__))}"
+
+
+@pytest.hookimpl(trylast=True)
+def pytest_sessionstart(session):
+    # `-q` prints no header; the line naming the tree is printed anyway
+    reporter = session.config.pluginmanager.get_plugin("terminalreporter")
+    if reporter is not None and not reporter.showheader:
+        reporter.write_line(pytest_report_header(session.config))
 
 
 settings.register_profile("ancsim", deadline=None, print_blob=True)

@@ -301,6 +301,30 @@ class TestRunDeterminism:
         for name in names:
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
 
+    def test_psd_does_not_depend_on_metrics_hop(self, tmp_path):
+        # at metrics.hop 128 the PSD's own hop (256, from overlap 0.5) differs,
+        # so the PSD frames the errors again: only the spectrograms, and
+        # the config hash, may differ from the run at hop 256
+        outs = {}
+        for hop in (256, 128):
+            cfg_path = tmp_path / f"c{hop}.yaml"
+            write_small_config(cfg_path, **{"metrics.hop": hop})
+            outs[hop] = tmp_path / f"o{hop}"
+            assert main(["run", "--config", str(cfg_path), "--out", str(outs[hop])]) == 0
+        names = sorted(p.name for p in outs[256].iterdir())
+        assert names == sorted(p.name for p in outs[128].iterdir())
+        for name in names:
+            a, b = (outs[hop] / name for hop in (256, 128))
+            if name.endswith("_spectrogram.csv"):
+                rows = [len(p.read_text().splitlines()) - 1 for p in (a, b)]
+                assert rows == [((16000 - 512) // hop + 1) * 257 for hop in (256, 128)]
+            elif name == "summary.json":
+                sa, sb = (json.loads(p.read_text()) for p in (a, b))
+                assert sa["provenance"].pop("config_hash") != sb["provenance"].pop("config_hash")
+                assert sa == sb
+            else:
+                assert a.read_bytes() == b.read_bytes(), name
+
     def test_report_with_interval_override(self, tmp_path):
         cfg_path = tmp_path / "c.yaml"
         write_small_config(cfg_path)

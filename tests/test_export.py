@@ -16,7 +16,6 @@ from ancsim.metrics import PowerSpectrum, RunReport, Spectrogram
 from ancsim.reporting import export_report
 from ancsim.scenario import ArmResult, PretrainInfo, ScenarioResult
 from ancsim.serialization import FilterSnapshot, atomic_write, save_weights_json
-from ancsim.signals import Signal
 
 # Peak traced allocation of one export of `combined_sized_result`, measured
 # at 3.84 MB (4.25 MB for the per-value `repr` writer it replaced). The
@@ -37,16 +36,15 @@ def combined_sized_result(n=160_000, frames=312, bins=513):
                             power_linear=np.zeros(bins))
         spectro = Spectrogram(times_s=np.arange(frames) * 0.064, freq_hz=freq,
                               power_db=rng.normal(-40, 20, (frames, bins)))
-        return RunReport(reference=Signal(np.zeros(1), 8000.0), error=Signal(np.zeros(1), 8000.0),
-                         interval_s=1.0, nr_per_interval_db=rng.normal(10, 5, 20), snr_db=1.0,
+        return RunReport(interval_s=1.0, nr_per_interval_db=rng.normal(10, 5, 20), snr_db=1.0,
                          psd=psd, spectro=spectro)
 
-    arms = {name: ArmResult(name, [report()], rng.standard_normal((n, 1)), None)
+    arms = {name: ArmResult(name, [report()], rng.standard_normal((n, 1)))
             for name in ("uncontrolled", "adaptive", "fixed")}
     pretrain = PretrainInfo(seconds_trained=1, nr_per_second_db=[0.5], plateau_reached=False,
                             mu=0.01)
     return ScenarioResult(
-        config=default_config("combined"), reference=Signal(np.zeros(1), 8000.0), arms=arms,
+        config=default_config("combined"), arms=arms,
         adaptive_weights=np.zeros((1, 1, 128)), fixed_weights=np.zeros((1, 1, 128)),
         installed_estimates=np.zeros((1, 1, 65)), sysid_summaries=[], pretrain=pretrain,
         mu=0.01, mse_trace=rng.random(n // 8), mse_stride=8)

@@ -12,12 +12,13 @@ excitation are as long as its reference, so no stage's arrays outgrow
 U; it runs once untraced first, so that modules the run imports lazily
 are not counted. The budgets:
 
-- What the `ScenarioResult` holds, `held_budget`: the reference (1), the
-  three arms' errors (3), the adaptive and fixed arms' loudspeaker outputs
-  (2), each arm's spectra: its spectrogram in dB (frames x bins / T,
+- What the `ScenarioResult` holds, `held_budget`: the three arms' errors
+  (3), each arm's spectra: its spectrogram in dB (frames x bins / T,
   about 1) with its frame times and bins, and its PSD's bins, dB and
   linear powers; the decimated mse trace (1 / stride); and `SMALL_U` for
-  the rest (interval figures, weights, estimates, objects).
+  the rest (interval figures, weights, estimates, objects). Neither the
+  reference nor any arm's loudspeaker outputs: no export reads them, so
+  `run_scenario` lets them go before the reports.
 - The whole run, `run_scenario` then `export_report`: that, plus the
   largest stage's transients, the export's: the text of the error rows'
   shared "sample_index,time_s,reference," prefixes, at most `PREFIX_ROW`
@@ -104,7 +105,7 @@ def held_budget(cfg):
     T, m = round(cfg.duration_s * cfg.sample_rate_hz), cfg.metrics
     frames, bins = (T - m.segment_len) // m.hop + 1, m.segment_len // 2 + 1
     spectra = 3 * (frames * bins + frames + 4 * bins) / T
-    return 1 + 3 + 2 + spectra + 1 / cfg.export.error_decimation + SMALL_U
+    return 3 + spectra + 1 / cfg.export.error_decimation + SMALL_U
 
 
 def test_result_holds_its_arrays_and_nothing_more(traced):

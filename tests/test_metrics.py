@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import signal as sp_signal
 
 from ancsim.errors import DataError, DomainError
@@ -215,3 +217,74 @@ class TestRunReport:
     def test_rate_mismatch_rejected(self):
         with pytest.raises(DataError):
             build_run_report(Signal(np.ones(100), 8000.0), Signal(np.ones(100), 16000.0))
+
+
+def oracle_psd(x, segment_len, overlap):
+    """The averaged periodogram as one running sum, frame after frame."""
+    hop = max(int(round(segment_len * (1.0 - overlap))), 1)
+    window = np.hanning(segment_len)
+    win_norm = segment_len * float(np.sum(window**2))
+    acc = np.zeros(segment_len // 2 + 1)
+    count = 0
+    for start in range(0, len(x) - segment_len + 1, hop):
+        spec = np.fft.rfft(x[start:start + segment_len] * window)
+        power = (spec.real**2 + spec.imag**2) / win_norm
+        power[1:] *= 2.0
+        power[-1] /= 2.0
+        acc += power
+        count += 1
+    return acc / count
+
+
+def assert_same_bits(got, want):
+    # NaN payloads and signed zeros included: a 2-sample Hann window is all
+    # zeros, so a 2-sample segment's powers are 0/0
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+class TestOneFramingPass:
+    @pytest.mark.parametrize("segment_len, overlap, hop", [
+        (1024, 0.5, 512),    # the default metrics: the hops agree
+        (512, 0.5, 256),
+        (512, 0.5, 128),     # the PSD frames at 256 on its own
+        (256, 0.0, 128),     # and at 256 here
+    ])
+    def test_frames_transformed_per_report(self, monkeypatch, segment_len, overlap, hop):
+        x = sig(np.random.default_rng(11).standard_normal(5000))
+        rfft, calls = np.fft.rfft, []
+        monkeypatch.setattr(np.fft, "rfft", lambda a: calls.append(1) or rfft(a))
+        report = build_run_report(x, x, segment_len=segment_len, overlap=overlap, hop=hop)
+        monkeypatch.undo()
+        psd_hop = max(int(round(segment_len * (1.0 - overlap))), 1)
+        frames = (len(x) - segment_len) // hop + 1
+        psd_frames = (len(x) - segment_len) // psd_hop + 1
+        assert report.spectro.power_db.shape[0] == frames
+        assert len(calls) == (frames if psd_hop == hop else frames + psd_frames)
+
+    @settings(max_examples=150)
+    @given(st.data())
+    def test_psd_is_the_running_sum_of_its_frames(self, data):
+        # both branches of build_run_report, and power_spectrum, give the
+        # bits of one `acc +=` per frame; the spectrogram is unchanged
+        segment_len = 2 ** data.draw(st.integers(1, 9), label="log2 segment_len")
+        overlap = data.draw(st.floats(0.0, 0.999), label="overlap")
+        psd_hop = max(int(round(segment_len * (1.0 - overlap))), 1)
+        hop = data.draw(st.one_of(st.just(psd_hop), st.integers(1, segment_len)), label="hop")
+        n = data.draw(st.integers(segment_len, segment_len + 700), label="n")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        x = rng.standard_normal(n) * 10.0 ** rng.integers(-6, 6)
+        x[rng.random(n) < 0.2] = 0.0
+        e = sig(x)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            report = build_run_report(e, e, interval_s=n / RATE, segment_len=segment_len,
+                                      overlap=overlap, hop=hop)
+            psds = (report.psd, power_spectrum(e, segment_len, overlap))
+            alone = spectrogram(e, segment_len, hop)
+            want = oracle_psd(x, segment_len, overlap)
+            want_db = np.maximum(10.0 * np.log10(want), DB_FLOOR)
+        for psd in psds:
+            assert_same_bits(psd.power_linear, want)
+            assert_same_bits(psd.power_db, want_db)
+        assert_same_bits(report.spectro.power_db, alone.power_db)
+        assert_same_bits(report.spectro.times_s, alone.times_s)

@@ -13,7 +13,6 @@ from ancsim.config import default_config
 from ancsim.metrics import PowerSpectrum, RunReport, Spectrogram
 from ancsim.reporting import _CSV_BLOCK_ROWS, export_report
 from ancsim.scenario import ArmResult, PretrainInfo, ScenarioResult
-from ancsim.signals import Signal
 
 SPECIALS = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -2.5e-310,
             2.2250738585072014e-308, 1e-05, 9.999999999999999e-06, 1.0000000000000002e-05,
@@ -83,8 +82,7 @@ def report(rng, n, frames, bins, with_spectra=True):
                             power_linear=np.zeros(bins))
         spectro = Spectrogram(times_s=awkward(rng, frames), freq_hz=awkward(rng, bins),
                               power_db=awkward(rng, (frames, bins)))
-    return RunReport(reference=Signal(np.zeros(n), 1.0), error=Signal(np.zeros(n), 1.0),
-                     interval_s=0.1, nr_per_interval_db=awkward(rng, 7),
+    return RunReport(interval_s=0.1, nr_per_interval_db=awkward(rng, 7),
                      snr_db=1.0, psd=psd, spectro=spectro)
 
 
@@ -95,14 +93,14 @@ def hand_built_result(n_mics, decimation, n=50, frames=4, bins=5):
     d = awkward(rng, shape)
     arms = {
         "uncontrolled": ArmResult("uncontrolled",
-                                  [report(rng, n, frames, bins) for _ in range(n_mics)], d, None),
+                                  [report(rng, n, frames, bins) for _ in range(n_mics)], d),
         # a diverged arm: shorter record, spectra skipped on its first mic
         "adaptive": ArmResult("adaptive",
                               [report(rng, cut, frames, bins, with_spectra=k > 0)
                                for k in range(n_mics)],
-                              awkward(rng, (cut, n_mics)), None, diverged_at=cut - 1),
+                              awkward(rng, (cut, n_mics)), diverged_at=cut - 1),
         "fixed": ArmResult("fixed", [report(rng, n, frames, bins) for _ in range(n_mics)],
-                           awkward(rng, shape), None),
+                           awkward(rng, shape)),
     }
     cfg = default_config("combined")
     cfg.sample_rate_hz = 7.0 if n_mics == 1 else 8000.0   # 7 makes long time_s reprs
@@ -110,7 +108,7 @@ def hand_built_result(n_mics, decimation, n=50, frames=4, bins=5):
     pretrain = PretrainInfo(seconds_trained=1, nr_per_second_db=[0.5],
                             plateau_reached=False, mu=0.01)
     return ScenarioResult(
-        config=cfg, reference=Signal(np.zeros(n), cfg.sample_rate_hz), arms=arms,
+        config=cfg, arms=arms,
         adaptive_weights=np.zeros((1, 1, 4)), fixed_weights=np.zeros((1, 1, 4)),
         installed_estimates=np.zeros((1, 1, 3)), sysid_summaries=[], pretrain=pretrain,
         mu=0.01, mse_trace=awkward(rng, -(-cut // decimation)), mse_stride=decimation)

@@ -54,7 +54,8 @@ class TestArms:
         assert np.array_equal(small_result.arms["uncontrolled"].error[:, 0], expected)
 
     def test_all_arms_share_disturbance_length(self, small_result):
-        n = len(small_result.reference)
+        n = small_result.arms["uncontrolled"].error.shape[0]
+        assert n == len(build_reference(small_result.config))
         for arm in small_result.arms.values():
             assert arm.error.shape[0] == n
 
@@ -102,6 +103,17 @@ class TestPretrainReplay:
         fixed_last = result.arms["fixed"].reports[0].nr_per_interval_db[-1]
         assert fixed_last > adaptive_last - 1.0
 
+    def test_silent_training_second_is_undefined_as_in_every_arm(self):
+        # zero disturbance and zero error power over a second is 0/0: NaN,
+        # "undefined" in summary.json, as the arms' intervals read it
+        cfg = small_config()
+        cfg.noise_sources[0] = SourceConfig(name="silent", kind="tone",
+                                            freq_hz=200.0, amplitude=0.0)
+        result = run_scenario(cfg.validate())
+        summary = summary_dict(result)
+        assert summary["pretrain"]["nr_per_second_db"] == ["undefined"] * 4
+        assert summary["arms"]["adaptive"]["nr_per_interval_db"][0][0] == "undefined"
+
     def test_pretrain_plateau_rule(self, small_result):
         info = small_result.pretrain
         assert info.seconds_trained >= 2
@@ -117,7 +129,7 @@ class TestDivergenceHandling:
         result = run_scenario(cfg)
         arm = result.arms["adaptive"]
         assert arm.diverged
-        assert arm.error.shape[0] < len(result.reference)
+        assert arm.error.shape[0] < result.arms["uncontrolled"].error.shape[0]
         assert result.any_diverged
         summary = summary_dict(result)
         assert summary["arms"]["adaptive"]["diverged"] is True
@@ -210,7 +222,7 @@ class TestExport:
     def test_error_decimation_respected(self, small_result, tmp_path):
         export_report(small_result, tmp_path)
         n_rows = len((tmp_path / "adaptive_error.csv").read_text().splitlines()) - 1
-        expected = int(np.ceil(len(small_result.reference)
+        expected = int(np.ceil(small_result.arms["uncontrolled"].error.shape[0]
                                / small_result.config.export.error_decimation))
         assert n_rows == expected
 
@@ -271,7 +283,7 @@ class TestMultichannelScenario:
         cfg.validate()
         result = run_scenario(cfg)
         for arm in result.arms.values():
-            assert arm.error.shape == (len(result.reference), 1)
+            assert arm.error.shape == (result.arms["uncontrolled"].error.shape[0], 1)
             assert len(arm.reports) == 1
 
 
@@ -336,7 +348,8 @@ class TestSingleIsAnExportFormat:
         arms_s = json.loads((out_s / "summary.json").read_text())["arms"]
         arms_m = json.loads((out_m / "summary.json").read_text())["arms"]
         at = arms_s["adaptive"]["diverged_at"]
-        assert at == arms_m["adaptive"]["diverged_at"] and 0 < at < len(single.reference)
+        n = single.arms["uncontrolled"].error.shape[0]
+        assert at == arms_m["adaptive"]["diverged_at"] and 0 < at < n
         assert arms_s["adaptive"]["diverged_coords"] is None
         assert arms_m["adaptive"]["diverged_coords"] == [0, 0]
         # in memory both kinds hold the grid's coordinates

@@ -14,6 +14,14 @@ discounts slowdowns from other tenants of a shared machine), then one
 short sha256 of the formatted text and every exported file. Two trees
 that print the same hash wrote the same bytes.
 
+Before that line it prints the export's split by phase, in microseconds
+per float cell, from `reps` more exports with the phases timed (the one
+with the least total): `format` in `format_floats` and `format_ints`,
+`nul_deletion` in the blocks' `tobytes` and `translate`, `write` in
+`atomic_write` given the finished blocks, and `assembly`, the rest. The
+timers wrap what `reporting` looks up (`format_floats`, `format_ints`,
+`_cells`, `atomic_write`), so the split reads any tree that has them.
+
 Run it on two trees in alternation to compare them on one machine.
 """
 
@@ -30,6 +38,7 @@ import numpy as np  # noqa: E402
 from ancsim.config import default_config  # noqa: E402
 from ancsim.floatfmt import format_floats  # noqa: E402
 from ancsim.metrics import PowerSpectrum, RunReport, Spectrogram  # noqa: E402
+from ancsim import reporting  # noqa: E402
 from ancsim.reporting import export_report  # noqa: E402
 from ancsim.scenario import ArmResult, PretrainInfo, ScenarioResult  # noqa: E402
 from ancsim.signals import Signal  # noqa: E402
@@ -90,6 +99,73 @@ def seeded_result(n):
     return result, 3 * (3 * frames * BINS + 2 * BINS + 2 * 20 + 3 * rows) + rows
 
 
+PHASES = dict.fromkeys(("format", "assembly", "nul_deletion", "write"), 0.0)
+
+
+class TimedBytes(bytes):
+    """A block's padded text, whose NUL deletion is timed."""
+
+    def translate(self, *args):
+        t = time.perf_counter()
+        try:
+            return bytes.translate(self, *args)
+        finally:
+            PHASES["nul_deletion"] += time.perf_counter() - t
+
+
+class TimedCells(np.ndarray):
+    """A block's cell matrix, whose conversion to bytes is timed."""
+
+    def tobytes(self, *args, **kwargs):
+        t = time.perf_counter()
+        text = np.ndarray.tobytes(self, *args, **kwargs)
+        PHASES["nul_deletion"] += time.perf_counter() - t
+        return TimedBytes(text)
+
+
+def timed(fn, phase):
+    def wrapper(*args, **kwargs):
+        t = time.perf_counter()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            PHASES[phase] += time.perf_counter() - t
+    return wrapper
+
+
+def phase_split(result, out, n_cells):
+    """Microseconds per float cell of each phase of the fastest of REPS
+    timed exports of `result` into `out`."""
+    cells, write = reporting._cells, reporting.atomic_write
+
+    def finished(path, chunks):
+        blocks = list(chunks)
+        timed(write, "write")(path, blocks)
+
+    patches = {"format_floats": timed(reporting.format_floats, "format"),
+               "format_ints": timed(reporting.format_ints, "format"),
+               "_cells": lambda *parts: cells(*parts).view(TimedCells),
+               "atomic_write": finished}
+    saved = {name: getattr(reporting, name) for name in patches}
+    best = None
+    try:
+        for name, fn in patches.items():
+            setattr(reporting, name, fn)
+        for _ in range(REPS):
+            for phase in PHASES:
+                PHASES[phase] = 0.0
+            t = time.perf_counter()
+            export_report(result, out)
+            total = time.perf_counter() - t
+            PHASES["assembly"] = total - sum(PHASES.values())
+            if best is None or total < best[0]:
+                best = total, dict(PHASES)
+    finally:
+        for name, fn in saved.items():
+            setattr(reporting, name, fn)
+    return {phase: secs / n_cells * 1e6 for phase, secs in best[1].items()}
+
+
 values = seeded_values(N)
 result, n_cells = seeded_result(N)
 digest = hashlib.sha256()
@@ -104,9 +180,12 @@ with tempfile.TemporaryDirectory() as out:
         fmt_us, export_us = (t1 - t0) / N * 1e6, (t2 - t1) / n_cells * 1e6
         fmt_best = fmt_us if fmt_best is None else min(fmt_best, fmt_us)
         export_best = export_us if export_best is None else min(export_best, export_us)
+    with tempfile.TemporaryDirectory() as timed_out:
+        split = phase_split(result, timed_out, n_cells)
     digest.update(formatted)
     for name in sorted(os.listdir(out)):
         with open(os.path.join(out, name), "rb") as fh:
             digest.update(fh.read())
+print("export_split_us " + " ".join(f"{phase}={us:.3f}" for phase, us in split.items()))
 print(f"fmt_us={fmt_best:.3f} export_us={export_best:.3f}",
       f"values={N} cells={n_cells} sha256={digest.hexdigest()[:16]}")

@@ -22,17 +22,19 @@ A `single` run is the 1x1x1 grid of any other run; only its export
 differs: a `FilterSnapshot` and null divergence coordinates.
 
 A CSV goes out in blocks of at most `_CSV_BLOCK_ROWS` rows. A block is
-one uint8 matrix, a row per CSV row: the text matrices of its cells side
-by side with the separators, each cell padded with NUL bytes. One
-`bytes.translate` deletes the NULs of the whole block, and the bytes are
-written in binary mode. No file's full text and no Python string per
-value is ever made. Every arm's error CSV shares its first three columns
-(the row's sample index, its time and the uncontrolled error it is
-referenced to); their text is made once per block, and a diverged arm's
-shorter record takes a leading slice of it. A spectrogram row is its
-frame's index and time, its bin's frequency and its power: the frames'
-and the bins' text is made once per file, and each block gathers its
-rows' share of it.
+one uint8 matrix, allocated once, a row per CSV row: each cell's text
+matrix (NUL-padded, from `floatfmt`) is copied into its column range and
+each separator is written down its columns. One `bytes.translate` deletes
+the NULs of the whole block, and the bytes are written in binary mode.
+That deletion reads every padded byte, so the cells are kept narrow. No
+file's full text and no Python string per value is ever made. Every
+arm's error CSV shares its first three columns (the row's sample index,
+its time and the uncontrolled error it is referenced to); their text is
+made once per block, and a diverged arm's shorter record takes a leading
+slice of it. A spectrogram row is its frame's index and time, its bin's
+frequency and its power: the frames' and the bins' text is made once per
+file with its NULs moved to the end and cut to the longest text, and
+each block copies it into its rows frame by frame.
 """
 
 from __future__ import annotations
@@ -56,12 +58,28 @@ _CSV_BLOCK_ROWS = 8192
 
 
 def _cells(*parts) -> np.ndarray:
-    """The text matrices side by side, one row per CSV row; a bytes part
-    (a separator) is repeated on every row."""
-    rows = next(len(p) for p in parts if not isinstance(p, bytes))
-    return np.concatenate(
-        [np.broadcast_to(np.frombuffer(p, np.uint8), (rows, len(p)))
-         if isinstance(p, bytes) else p for p in parts], axis=1)
+    """The parts side by side in one matrix, a row per CSV row: a text
+    matrix fills its columns, a bytes part (a separator) is written down
+    its columns on every row, and an int part leaves that many columns for
+    the caller to fill."""
+    rows = next(len(p) for p in parts if isinstance(p, np.ndarray))
+    widths = [p if isinstance(p, int) else len(p) if isinstance(p, bytes) else p.shape[1]
+              for p in parts]
+    cells = np.empty((rows, sum(widths)), np.uint8)
+    start = 0
+    for p, w in zip(parts, widths):
+        if not isinstance(p, int):
+            cells[:, start:start + w] = np.frombuffer(p, np.uint8) if isinstance(p, bytes) else p
+        start += w
+    return cells
+
+
+def _compact(text: np.ndarray) -> np.ndarray:
+    """The rows of a text matrix with their NULs moved to the end, cut to
+    the longest row's text."""
+    nul = text == 0
+    width = int((~nul).sum(axis=1).max(initial=0))
+    return np.take_along_axis(text, np.argsort(nul, axis=1, kind="stable")[:, :width], axis=1)
 
 
 def _rows(*parts) -> bytes:
@@ -142,18 +160,31 @@ def _error_prefixes(reference: np.ndarray, rate: float, decimation: int):
 def _spectrogram_csv(spectro):
     """The spectrogram CSV, frame after frame, a bin per row. Each row is
     its frame's "frame_index,time_s," text, its bin's "freq_hz," text and
-    its power; those texts are made once per file."""
+    its power; those texts are made once per file, without their NULs. A
+    block copies the bins' text from a tiling of it and each frame's text
+    down its rows: the first frame's, then whole frames, then the last's."""
     if spectro is None:
         return _csv("frame_index,time_s,freq_hz,power_db", 0, None)
     n_frames, n_bins = spectro.power_db.shape
-    frames = _cells(format_ints(np.arange(n_frames)), b",",
-                    format_floats(spectro.times_s), b",")
-    bins = _cells(format_floats(spectro.freq_hz), b",")
+    frames = _compact(_cells(format_ints(np.arange(n_frames)), b",",
+                             format_floats(spectro.times_s), b","))
+    bins = _compact(_cells(format_floats(spectro.freq_hz), b","))
+    wf, wb = frames.shape[1], bins.shape[1]
+    bins = np.tile(bins, (-(-_CSV_BLOCK_ROWS // n_bins) + 1, 1))   # a block's from any bin
     power = spectro.power_db.reshape(-1)
 
     def block(r):
-        row = np.arange(r.start, r.stop)
-        return _rows(frames[row // n_bins], bins[row % n_bins], format_floats(power[r]), b"\n")
+        cells = _cells(wf + wb, format_floats(power[r]), b"\n")
+        f, b = divmod(r.start, n_bins)
+        cells[:, wf:wf + wb] = bins[b:b + len(cells)]
+        head = min(-b % n_bins, len(cells))
+        whole = (len(cells) - head) // n_bins
+        cells[:head, :wf] = frames[f]
+        f += head > 0
+        middle = cells[head:head + whole * n_bins, :wf].reshape(whole, n_bins, wf)   # a view
+        middle[:] = frames[f:f + whole, None]
+        cells[head + whole * n_bins:, :wf] = frames[min(f + whole, n_frames - 1)]
+        return cells.tobytes().translate(None, b"\0")
     return _csv("frame_index,time_s,freq_hz,power_db", n_frames * n_bins, block)
 
 

@@ -222,7 +222,8 @@ def pretrain_fixed_filter(cfg: ExperimentConfig, aligned_est: np.ndarray,
         d_power = float(np.sum(dist.uncontrolled()**2))
         nr = _power_ratio_db(d_power, e_power)
         nr_history.append(nr)
-        if b >= 1 and nr - nr_history[-2] < cfg.fixed_filter.min_improvement_db:
+        # a NaN step (silent seconds, 0/0) is no improvement either
+        if b >= 1 and not nr - nr_history[-2] >= cfg.fixed_filter.min_improvement_db:
             plateau = True
             break
     if diverged_at is not None:

@@ -17,6 +17,11 @@ samples, so set-up work cancels:
 
 Item stores into arrays have no hook; each body makes the one its
 docstring names.
+
+Float text (`floatfmt`) runs whole-array passes through operators, which
+no wrapped callable sees, so its inputs, tables and new arrays are an
+ndarray subclass, `Lanes`, that counts every ufunc and array-function
+call made on it.
 """
 
 import builtins
@@ -27,9 +32,10 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from ancsim import adaptation, loops
+from ancsim import adaptation, floatfmt, loops
 from ancsim.acoustics import Plant, synthetic_plant
 from ancsim.adaptation import lms_fit
+from ancsim.floatfmt import CHUNK
 from ancsim.loops import loop_aligned_path, run_adaptive
 from ancsim.mcanc import ChannelConfig, McAncController
 
@@ -188,3 +194,85 @@ def test_fit_rows_runs_a_fixed_handful_of_calls(P):
 def test_fit_row_runs_a_dot_a_product_and_an_add():
     per = per_sample(adaptation, fit_run(1, 8))
     assert per == {"ndarray.dot": 1, "multiply": 1, "add": 1, "row": 1}
+
+
+def plain(obj):
+    """`obj` with every `Lanes` array in it (nested in tuples, lists and
+    dicts) viewed as a plain ndarray."""
+    if isinstance(obj, Lanes):
+        return obj.view(np.ndarray)
+    if isinstance(obj, (tuple, list)):
+        return type(obj)(plain(o) for o in obj)
+    if isinstance(obj, dict):
+        return {k: plain(v) for k, v in obj.items()}
+    return obj
+
+
+def lanes(obj):
+    """`obj`'s arrays, tuple items included, viewed as `Lanes`."""
+    if isinstance(obj, tuple):
+        return tuple(lanes(o) for o in obj)
+    return obj.view(Lanes) if type(obj) is np.ndarray else obj
+
+
+class Lanes(np.ndarray):
+    """An array whose ufunc calls (operators and in-place operators
+    included) and array-function calls count into `Lanes.calls`. What
+    they return is again `Lanes`, so every pass over a chunk counts."""
+
+    calls = Counter()
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        Lanes.calls[ufunc.__name__ + ("" if method == "__call__" else "." + method)] += 1
+        return lanes(getattr(ufunc, method)(*plain(inputs), **plain(kwargs)))
+
+    def __array_function__(self, func, types, args, kwargs):
+        Lanes.calls[func.__name__] += 1
+        return lanes(func(*plain(args), **plain(kwargs)))
+
+
+class LanesNumpy:
+    """Stands in for `np` in `floatfmt`: the arrays it makes are `Lanes`."""
+
+    def __getattr__(self, name):
+        attr = getattr(np, name)
+        if name in ("empty", "zeros", "ascontiguousarray"):
+            return lambda *args, **kwargs: lanes(attr(*args, **kwargs))
+        return attr
+
+
+def format_calls(values):
+    """The counted calls of `floatfmt.format_floats(values)`, its tables
+    and every array it makes counted as `Lanes`."""
+    tables = {name: getattr(floatfmt, name)() for name in ("_g_table", "_layout_tables")}
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(floatfmt, "np", LanesNumpy())
+        for name, table in tables.items():
+            patch.setattr(floatfmt, name, lambda table=table: lanes(table))
+        Lanes.calls = Counter()
+        floatfmt.format_floats(np.asarray(values, np.float64).view(Lanes))
+        return Lanes.calls
+
+
+def wide_values(n, seed):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal(n) * 10.0 ** rng.integers(-12, 12, n)
+
+
+def test_float_text_makes_a_fixed_number_of_passes_per_chunk():
+    # float text is numpy time: every pass over a chunk's lanes costs about
+    # the same, whatever it computes. Decode, exponent and table gather,
+    # the interval's limb products and rounding (about 60), digit choice,
+    # D and its digit bytes, the last digit's position, the mask gather
+    # and the store: 174 calls a chunk. A chunk holding a zero, a
+    # subnormal, an infinity or nan adds the passes that fix those lanes.
+    two, three = format_calls(wide_values(2 * CHUNK, 1)), format_calls(wide_values(3 * CHUNK, 2))
+    per_chunk = three - two
+    assert not two - three, "three chunks made fewer calls of some kind than two"
+    assert sum(per_chunk.values()) == 174, per_chunk
+    assert per_chunk["where"] == 2 and per_chunk["searchsorted"] == 0
+    rare = wide_values(3 * CHUNK, 3)
+    rare[[5, CHUNK + 5]] = [0.0, np.nan]
+    rare[[6, CHUNK + 6]] = [5e-324, -np.inf]
+    extra = format_calls(rare) - three
+    assert sum(extra.values()) == 2 * 15, extra

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 import yaml
 
+from ancsim import scenario
 from ancsim.cli import main
 from ancsim.config import config_to_dict, default_config, save_config
 from ancsim.scenario import run_scenario
@@ -223,6 +224,24 @@ class TestExitCodes:
         write_small_config(cfg_path, **{"metrics.segment_len": 1000})
         assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
         assert "metrics.segment_len" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("field, value, named", [
+        ("metrics.segment_len", 2, "metrics.segment_len must be a power of two of at least 4"),
+        ("metrics.segment_len", 32768,
+         "metrics.segment_len 32768 is longer than the run's 16000 samples"),
+        ("fixed_filter.max_train_s", 0.5, "fixed_filter.max_train_s 0.5 is below 1 s"),
+    ])
+    def test_configs_that_failed_late_are_two_before_identification(
+            self, tmp_path, capsys, monkeypatch, field, value, named):
+        def identification(cfg):
+            raise AssertionError("identification ran")
+
+        monkeypatch.setattr(scenario, "resolve_estimates", identification)
+        cfg_path = tmp_path / "bad.yaml"
+        write_small_config(cfg_path, **{field: value})
+        assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+        assert named in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     def test_non_finite_wav_sample_is_four(self, tmp_path, capsys):

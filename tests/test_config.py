@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ancsim.config import (
+    _LOADER,
     ExperimentConfig,
     config_from_dict,
     config_hash,
@@ -19,6 +20,10 @@ from ancsim.config import (
 )
 from ancsim.errors import ConfigError
 from ancsim.synth import ToneSpec
+
+
+WORKLOADS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                         "perfbench", "workloads")
 
 
 def minimal_doc():
@@ -150,10 +155,41 @@ class TestValidation:
 
     def test_metric_geometry_edges_accepted(self):
         doc = minimal_doc()
-        doc["metrics"] = {"segment_len": 1, "hop": 1}
-        assert config_from_dict(doc).metrics.segment_len == 1
+        doc["metrics"] = {"segment_len": 4, "hop": 1}
+        assert config_from_dict(doc).metrics.segment_len == 4
         doc["metrics"] = {"segment_len": 512, "hop": 512}
         assert config_from_dict(doc).metrics.hop == 512
+        doc["metrics"] = {"segment_len": 16384, "hop": 512}
+        doc["duration_s"] = 2.048                    # exactly one frame of 16384 samples
+        assert config_from_dict(doc).metrics.segment_len == 16384
+
+    @pytest.mark.parametrize("segment_len", [1, 2])
+    def test_segment_len_below_four_is_rejected(self, segment_len):
+        # 1 passed the power-of-two test, and a 2-sample Hann window is all
+        # zeros, so every PSD and spectrogram bin would be 0/0
+        doc = minimal_doc()
+        doc["metrics"] = {"segment_len": segment_len, "hop": 1}
+        with pytest.raises(ConfigError, match=re.escape(
+                f"metrics.segment_len must be a power of two of at least 4, got {segment_len}")):
+            config_from_dict(doc)
+
+    def test_segment_len_longer_than_the_run_is_rejected(self):
+        # no frame would fit: every PSD and spectrogram CSV would be empty
+        doc = minimal_doc()
+        doc["metrics"] = {"segment_len": 32768, "hop": 512}
+        with pytest.raises(ConfigError, match=re.escape(
+                "metrics.segment_len 32768 is longer than the run's 16000 samples")):
+            config_from_dict(doc)
+
+    @pytest.mark.parametrize("seconds", [0.5, 0.999])
+    def test_max_train_s_below_one_second_is_rejected(self, seconds):
+        doc = minimal_doc()
+        doc["fixed_filter"] = {"max_train_s": seconds}
+        with pytest.raises(ConfigError, match=re.escape(
+                f"fixed_filter.max_train_s {seconds} is below 1 s")):
+            config_from_dict(doc)
+        doc["fixed_filter"] = {"max_train_s": 1.0}
+        assert config_from_dict(doc).fixed_filter.max_train_s == 1.0
 
     @pytest.mark.parametrize("bad", [-0.01, float("nan"), True, [0.1]])
     def test_numeric_mu_is_finite_and_non_negative(self, bad):
@@ -362,6 +398,24 @@ def test_any_leaf_value_loads_or_raises_config_error(path, value):
         got = got[key]
     if not isinstance(value, list):
         assert type(got) is type(value) and got == value
+
+
+@settings(max_examples=200)
+@given(path=st.sampled_from(_DEFAULT_LEAVES), value=_VALUES)
+def test_libyaml_reads_any_document_as_the_python_loader(path, value):
+    # load_config parses with libyaml where PyYAML has it; documents must
+    # not depend on which parser read them (repr: nan equals nan)
+    doc = config_to_dict(default_config("combined"))
+    set_leaf(doc, path, value)
+    text = yaml.safe_dump(doc)
+    assert repr(yaml.load(text, Loader=_LOADER)) == repr(yaml.load(text, Loader=yaml.SafeLoader))
+
+
+@pytest.mark.parametrize("name", sorted(os.listdir(WORKLOADS)))
+def test_libyaml_reads_every_workload_as_the_python_loader(name):
+    with open(os.path.join(WORKLOADS, name), encoding="utf-8") as fh:
+        text = fh.read()
+    assert yaml.load(text, Loader=_LOADER) == yaml.load(text, Loader=yaml.SafeLoader)
 
 
 def test_readme_config_block_is_the_combined_default():

@@ -18,11 +18,13 @@ from ancsim.scenario import ArmResult, PretrainInfo, ScenarioResult
 from ancsim.serialization import FilterSnapshot, atomic_write, save_weights_json
 
 # Peak traced allocation of one export of `combined_sized_result`, measured
-# at 3.84 MB (4.25 MB for the per-value `repr` writer it replaced). The
-# bound leaves about 30% for allocator and numpy variation. Holding one
-# spectrogram CSV's whole text (160k rows, about 8 MB) or formatting one
-# arm's 160k powers in a single pass would cross it.
-EXPORT_PEAK_BOUND_MB = 5.0
+# at 2.39 MB (3.38 MB before float text kept about 20 lanes a value alive
+# instead of 30 and blocks were assembled in one matrix; 4.25 MB for the
+# per-value `repr` writer). The bound leaves about 30% for allocator and
+# numpy variation. Holding one spectrogram CSV's whole text (160k rows,
+# about 8 MB) or formatting one arm's 160k powers in a single pass would
+# cross it.
+EXPORT_PEAK_BOUND_MB = 3.2
 
 
 def combined_sized_result(n=160_000, frames=312, bins=513):

@@ -8,8 +8,12 @@ switch to scientific notation.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ancsim import reporting
 from ancsim.config import default_config
+from ancsim.floatfmt import format_floats, format_ints
 from ancsim.metrics import PowerSpectrum, RunReport, Spectrogram
 from ancsim.reporting import _CSV_BLOCK_ROWS, export_report
 from ancsim.scenario import ArmResult, PretrainInfo, ScenarioResult
@@ -139,3 +143,61 @@ def test_files_longer_than_a_row_block_match_oracle(tmp_path):
     # error and spectrogram files that end past the second block boundary
     result = hand_built_result(1, 1, n=2 * _CSV_BLOCK_ROWS + 20, frames=21, bins=1000)
     assert_matches_oracle(result, tmp_path)
+
+
+def concatenated_cells(*parts) -> np.ndarray:
+    """The block writer before blocks were assembled in one preallocated
+    matrix: the text matrices and broadcast separators concatenated. Kept
+    as the assembly's oracle."""
+    rows = next(len(p) for p in parts if not isinstance(p, bytes))
+    return np.concatenate([np.broadcast_to(np.frombuffer(p, np.uint8), (rows, len(p)))
+                           if isinstance(p, bytes) else p for p in parts], axis=1)
+
+
+def concatenated(*parts) -> bytes:
+    return concatenated_cells(*parts).tobytes().translate(None, b"\0")
+
+
+FLOATS = st.one_of(st.floats(allow_nan=True, allow_infinity=True), st.sampled_from(SPECIALS),
+                   st.integers(-10 ** 17, 10 ** 17).map(float))
+ROW_COUNTS = st.sampled_from([0, 1, _CSV_BLOCK_ROWS - 1, _CSV_BLOCK_ROWS, _CSV_BLOCK_ROWS + 1])
+
+
+@settings(max_examples=40, deadline=None)
+@given(rows=ROW_COUNTS, columns=st.lists(st.lists(FLOATS, min_size=1, max_size=12),
+                                         min_size=1, max_size=3),
+       index=st.booleans(), sep=st.sampled_from([b",", b", ", b""]))
+def test_blocks_assemble_as_the_concatenated_cells(rows, columns, index, sep):
+    # each column cycles its drawn values over the rows: cells of every
+    # width, sign and special, side by side with separators of 0-2 bytes
+    parts = [format_ints(np.arange(rows) * 7919), sep] if index else []
+    for values in columns:
+        parts += [format_floats(np.resize(np.array(values), rows)), sep]
+    parts[-1] = b"\n"
+    assert reporting._rows(*parts) == concatenated(*parts)
+
+
+@settings(max_examples=25, deadline=None)
+@given(shape=st.sampled_from([(1, 1), (1, _CSV_BLOCK_ROWS - 1), (_CSV_BLOCK_ROWS - 1, 1),
+                              (16, 512), (512, 16), (3, 2731), (2731, 3)]),
+       times=st.lists(FLOATS, min_size=1, max_size=8),
+       freqs=st.lists(FLOATS, min_size=1, max_size=8),
+       powers=st.lists(FLOATS, min_size=1, max_size=12))
+def test_spectrogram_blocks_assemble_as_gathered_rows(shape, times, freqs, powers):
+    # 1, 8191, 8192 and 8193 rows: the frames' and bins' text compacted
+    # once and copied frame by frame equals gathering their padded rows
+    n_frames, n_bins = shape
+    spectro = Spectrogram(times_s=np.resize(np.array(times), n_frames),
+                          freq_hz=np.resize(np.array(freqs), n_bins),
+                          power_db=np.resize(np.array(powers), shape))
+    frames = concatenated_cells(format_ints(np.arange(n_frames)), b",",
+                                format_floats(spectro.times_s), b",")
+    bins = concatenated_cells(format_floats(spectro.freq_hz), b",")
+    row = np.arange(n_frames * n_bins)
+    want = b"frame_index,time_s,freq_hz,power_db\n" + concatenated(
+        frames[row // n_bins], bins[row % n_bins], format_floats(spectro.power_db), b"\n")
+    assert b"".join(reporting._spectrogram_csv(spectro)) == want
+
+
+def test_an_empty_spectrogram_is_its_header():
+    assert b"".join(reporting._spectrogram_csv(None)) == b"frame_index,time_s,freq_hz,power_db\n"

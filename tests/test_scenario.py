@@ -105,21 +105,24 @@ class TestPretrainReplay:
 
     def test_silent_training_second_is_undefined_as_in_every_arm(self):
         # zero disturbance and zero error power over a second is 0/0: NaN,
-        # "undefined" in summary.json, as the arms' intervals read it
+        # "undefined" in summary.json, as the arms' intervals read it; a
+        # NaN step is no improvement, so the plateau rule stops training
+        # after the second such second
         cfg = small_config()
         cfg.noise_sources[0] = SourceConfig(name="silent", kind="tone",
                                             freq_hz=200.0, amplitude=0.0)
         result = run_scenario(cfg.validate())
         summary = summary_dict(result)
-        assert summary["pretrain"]["nr_per_second_db"] == ["undefined"] * 4
+        assert summary["pretrain"]["nr_per_second_db"] == ["undefined"] * 2
+        assert summary["pretrain"]["plateau_reached"] is True
         assert summary["arms"]["adaptive"]["nr_per_interval_db"][0][0] == "undefined"
 
     def test_pretrain_plateau_rule(self, small_result):
         info = small_result.pretrain
         assert info.seconds_trained >= 2
-        if info.plateau_reached:
-            assert (info.nr_per_second_db[-1] - info.nr_per_second_db[-2]
-                    < small_result.config.fixed_filter.min_improvement_db)
+        if info.plateau_reached:      # a NaN step counts as no improvement
+            assert not (info.nr_per_second_db[-1] - info.nr_per_second_db[-2]
+                        >= small_result.config.fixed_filter.min_improvement_db)
 
 
 class TestDivergenceHandling:

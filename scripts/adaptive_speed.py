@@ -18,11 +18,18 @@ spread over every tap) and adapts at a hundredth of the step size, so
 that at the default length they stay past it: every sample leaves the
 running norm bound for the squared norm and the exact check. It prints
 that fallback's cost beside the common path's, and its own hash,
-`parked_sha256`. A last case, `1x2x2P`, parks the 1x2x2 controller the
+`parked_sha256`. A case `1x2x2P` parks the 1x2x2 controller the
 same way, the norm of 0.9 of the guard spread over every tap of both
-filters, so that every sample of the stacked body takes the squared norm
-and the exact check, filter by filter; its hash is `grid_parked_sha256`,
+filters, so that every sample of the grid takes the squared norm and the
+exact check, filter by filter; its hash is `grid_parked_sha256`,
 which trees without that case do not print.
+
+Each case's plant has the default secondary paths, which start with 4
+zero taps, so `run_adaptive` runs 5 samples a pass. A case `1x1x1D0`
+gives the 1x1x1 plant paths without that delay (`secondary.delay: 0`),
+which run a sample a pass; its hash is `undelayed_sha256`, which trees
+without that case do not print. `widths=` names each case's samples a
+pass (1 on trees that run every case a sample at a time).
 
 Run it on two trees in alternation to compare them on one machine.
 """
@@ -35,8 +42,9 @@ sys.path.insert(0, sys.argv[1])
 
 import numpy as np  # noqa: E402
 
-from ancsim.acoustics import synthetic_plant  # noqa: E402
-from ancsim.loops import loop_aligned_path, run_adaptive  # noqa: E402
+from ancsim import loops  # noqa: E402
+from ancsim.acoustics import DEFAULT_SECONDARY, PathSpec, synthetic_plant  # noqa: E402
+from ancsim.loops import PlantSplit, loop_aligned_path, run_adaptive  # noqa: E402
 from ancsim.mcanc import WEIGHT_GUARD, ChannelConfig, McAncController  # noqa: E402
 
 T = int(sys.argv[2]) if len(sys.argv) > 2 else 16_000
@@ -44,14 +52,19 @@ REPS = int(sys.argv[3]) if len(sys.argv) > 3 else 5
 MU = 1e-4
 # (J, K, L, label suffix)
 CASES = [(1, 1, 128, ""), (2, 2, 128, ""), (3, 2, 128, ""), (4, 4, 128, ""), (2, 2, 1, "L1"),
-         (1, 1, 128, "P"), (2, 2, 128, "P")]
+         (1, 1, 128, "P"), (2, 2, 128, "P"), (1, 1, 128, "D0")]
+UNDELAYED = PathSpec(delay=0, decay=DEFAULT_SECONDARY.decay, taps=DEFAULT_SECONDARY.taps,
+                     gain=DEFAULT_SECONDARY.gain)
 
 x = np.random.default_rng(0).standard_normal(T)
-# the common cases, the parked one-filter case and the parked grid
-digests = {key: hashlib.sha256() for key in ("", "P", "GP")}
-figures = []
+# the common cases, the parked one-filter case, the parked grid and the
+# undelayed paths
+digests = {key: hashlib.sha256() for key in ("", "P", "GP", "D0")}
+figures, widths = [], []
 for J, K, L, suffix in CASES:
-    plant = synthetic_plant(n_sources=J, n_mics=K, seed=77, measurement_noise_std=0.01)
+    secondary = UNDELAYED if suffix == "D0" else DEFAULT_SECONDARY
+    plant = synthetic_plant(n_sources=J, n_mics=K, seed=77, measurement_noise_std=0.01,
+                            secondary=secondary)
     est = loop_aligned_path(np.array([[plant.true_secondary(j, k) for k in range(K)]
                                       for j in range(J)]))
     chan = ChannelConfig(1, J, K, L, est.shape[2])
@@ -62,6 +75,8 @@ for J, K, L, suffix in CASES:
             ctl.weights = np.full((1, J, L), 0.9 * WEIGHT_GUARD / np.sqrt(J * L))
         else:
             ctl = McAncController(chan, MU, est)
+        width = getattr(loops, "_block_width", lambda *args: 1)(
+            PlantSplit(plant), ctl, np.concatenate([ctl._x[0], x]))
         t0 = time.perf_counter()
         res = run_adaptive(plant, ctl, x)
         us = (time.perf_counter() - t0) / T * 1e6
@@ -71,10 +86,12 @@ for J, K, L, suffix in CASES:
     if suffix == "P":
         digest = digests["P" if J == 1 else "GP"]
     else:
-        digest = digests[""]
+        digest = digests[suffix if suffix == "D0" else ""]
     for a in (res.error, res.output, res.final_weights):
         digest.update(np.ascontiguousarray(a).tobytes())
     figures.append(f"1x{J}x{K}{suffix}_us={best:.2f}")
+    widths.append(f"1x{J}x{K}{suffix}:{width}")
 print(" ".join(figures), f"sha256={digests[''].hexdigest()[:16]}",
       f"parked_sha256={digests['P'].hexdigest()[:16]}",
-      f"grid_parked_sha256={digests['GP'].hexdigest()[:16]}")
+      f"grid_parked_sha256={digests['GP'].hexdigest()[:16]}",
+      f"undelayed_sha256={digests['D0'].hexdigest()[:16]}", "widths=" + ",".join(widths))

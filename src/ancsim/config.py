@@ -168,27 +168,33 @@ class ExperimentConfig:
             times = self.composition.switch_times_s
             if len(times) != len(self.noise_sources) - 1:
                 raise ConfigError(
-                    f"{len(self.noise_sources)} sources need "
+                    f"composition.switch_times_s: {len(self.noise_sources)} sources need "
                     f"{len(self.noise_sources) - 1} switch times, got {len(times)}")
             if any(not (0 < t < self.duration_s) for t in times):
-                raise ConfigError("switch times must lie inside (0, duration_s)")
+                raise ConfigError("composition.switch_times_s: switch times must lie inside "
+                                  "(0, duration_s)")
             if sorted(times) != list(times):
-                raise ConfigError("switch times must be increasing")
+                raise ConfigError("composition.switch_times_s: switch times must be increasing")
         elif self.composition.gains and (len(self.composition.gains)
                                          != len(self.noise_sources)):
-            raise ConfigError("one gain per source is required when gains are given")
+            raise ConfigError("composition.gains: one gain per source is required when "
+                              "gains are given")
         nyquist = self.sample_rate_hz / 2
-        for src in self.noise_sources:
-            tones = [t.freq_hz for t in src.tones]
-            for edge in (src.freq_hz, src.low_hz, src.high_hz, *tones):
+        for i, src in enumerate(self.noise_sources):
+            tones = [(f"tones[{t}].freq_hz", tone.freq_hz) for t, tone in enumerate(src.tones)]
+            for name, edge in (("freq_hz", src.freq_hz), ("low_hz", src.low_hz),
+                               ("high_hz", src.high_hz), *tones):
                 if edge is not None and edge >= nyquist:
                     raise ConfigError(
-                        f"source {src.name}: {edge} Hz is not below Nyquist ({nyquist} Hz)")
+                        f"noise_sources[{i}].{name} (source {src.name}): {edge} Hz is not "
+                        f"below Nyquist ({nyquist} Hz)")
             if src.kind == "wav-file" and src.path and not os.path.exists(src.path):
                 raise ConfigError(f"source {src.name}: file {src.path} does not exist")
         if self.controller.kind == "single" and (self.plant.n_sources != 1
                                                  or self.plant.n_mics != 1):
-            raise ConfigError("single-channel controller needs a 1x1 plant")
+            raise ConfigError(
+                f"controller.kind single needs a 1x1 plant, got "
+                f"plant.n_sources {self.plant.n_sources} and plant.n_mics {self.plant.n_mics}")
         if self.controller.n_refs != 1:
             # either kind runs as a 1xJxK grid over the one composed reference
             raise ConfigError(

@@ -25,46 +25,52 @@ loop gives (T, K) errors and (T, J) outputs. It inlines
 filtered references do not depend on the control either, so they come
 from one `fir` pass per path, the dot `step` forms over the same window;
 only the secondary paths, the controller outputs and the weight updates
-stay per-sample. The weight guard follows `mcanc`'s guard rule, as
-`adaptation.lms_fit` does.
+depend on the recursion. The weight guard follows `mcanc`'s guard rule,
+as `adaptation.lms_fit` does.
 
-The geometry picks the per-sample body; both give the same bits. Each
-draws its windows, and the slots its outputs go to, as the rows of
-`sliding_window_view`s zipped together, so no sample indexes an array to
-find them, and each passes ufunc operands positionally (numpy parses
-keywords on every call). One filter and one mic (J = K = 1) run the
-scalar body, in straight lines: a window and a dot for the path, a
-window, a dot and a store for the output, a window, a product into a
-scratch buffer and an in-place add for the update: 8 array operations a
-sample, with no temporary and no inner loop. Every other geometry runs
-the stacked body, 10 operations whatever J and K are (two more per
-further distinct secondary-path length): a window and one `np.vecdot`
-for every path of one length, one `tolist` of their outputs, a window, a
-slot and one `np.vecdot` for every output, a coefficient store, a window
-and one product writing the K update terms behind the weights in a
-(K+1, J, L) stack, and one `np.add.reduce` over its outer axis
-(elementwise, the adds `step` makes term by term). Rows of one element
-take `filters.rowdots`'s plain product instead of a `vecdot`.
-`tests/test_call_counts.py` holds both bodies to these counts.
+The plant's own delay sets how many samples the loop runs a pass. When
+every true secondary path starts with d zero taps, u(n) reaches no mic
+before step n + d + 1, so the errors, update coefficients and update
+terms of B = d + 1 consecutive samples do not depend on those samples'
+outputs (`_block_width` gives the rule and when it holds). The block body
+forms them a pass at a time: one `np.vecdot` for every path of one
+length, one `tolist` of the terms, the errors and coefficients as Python
+floats (the plant's IEEE arithmetic, with less overhead than array
+scalars, read and written through `memoryview`s of the noise and of the
+(T, K) error array the loop returns), a coefficient store and one
+product writing every update term c x_f behind the weights in a
+(B*K + 1, J, L) stack. What stays per sample is the weight recursion,
+B*K in-place adds of each row into the next, the adds `step` makes in
+mic order; one `np.vecdot` then forms the B outputs from the rows that
+hold each sample's weights. With the windows of the paths, x, x_f and
+the output slots, a pass makes 7 + 2 G + B*K array operations for G
+distinct path lengths: 14 for 5 samples of the workloads' 1x1x1 plant
+(d = 4), 11 for one sample of an undelayed 1x2x2 grid. Each draws its
+windows, and the slots its outputs go to, as the rows of
+`sliding_window_view`s zipped together, so no pass indexes an array to
+find them, and passes ufunc operands positionally (numpy parses
+keywords on every call). Rows of one element take `filters.rowdots`'s
+plain product instead of a `vecdot`.
 
-Both read and write e(n) through a `memoryview` of one float64 buffer,
-each element a Python float (the same IEEE arithmetic as the plant's,
-with less overhead than an array scalar), and that buffer is the (T, K)
-error array the loop returns, without a copy; the measurement noise is
-read through a `memoryview` too. The outputs go to the loudspeaker
-buffer the secondary paths read, and the (T, J) outputs returned are a
-view of it. So a run holds its result, the reference and filtered-
-reference histories its windows read, and nothing per sample.
+One filter and one mic with d = 0 run the scalar body instead, about 4x
+faster there than a pass of one sample: a window and a dot for the path,
+a window, a dot and a store for the output, a window, a product into a
+scratch buffer and an in-place add for the update, 8 array operations a
+sample. `tests/test_call_counts.py` holds both bodies to their counts.
+The outputs go to the loudspeaker buffer the secondary paths read, and
+the (T, J) outputs returned are a view of it. So a run holds its
+result, the reference and filtered-reference histories its windows read,
+and the buffers of one pass.
 
 Both guard the weights with the rule's running norm bound, a few float
-operations and a compare a sample while the weights stay within half the
-guard; the stacked body's bound covers the whole (J, L) stack and adds
-the magnitudes of the K update coefficients. The squared norm and the
-exact check take over only past it. Each stacked call carries more
-overhead, so at 1x1x1 the scalar body is the faster one. numpy sums a
-reduction pairwise once it has 8 or more slots of one element each, so
-one loudspeaker of one-tap filters (J*L = 1) gets a stack with a second
-lane, held at zero, which numpy adds slot by slot.
+operations and a compare a sample (a pass) while the weights stay within
+half the guard; over a grid the bound covers the whole (J, L) stack and
+adds the magnitudes of the K update coefficients. A pass adds all its
+coefficients at once, with one more BOUND_GROWTH a pass as the margin
+for that sum's roundings; where the bound fails, the pass's samples take
+it one at a time, on the pass's weight rows. The squared norm and the
+exact check take over only past it, at the steps and filters a check at
+every step would reach.
 
 `run_fixed` runs frozen weights, for which the loop is LTI end to end:
 each of its passes, controller and path, is one `fir` pass, into the
@@ -86,6 +92,7 @@ from .filters import as_taps, fir, rowdots
 from .mcanc import (
     BOUND_GROWTH,
     BOUND_LIMIT,
+    WEIGHT_GUARD,
     McAncController,
     guard_reset,
     window_norm_bound,
@@ -236,9 +243,10 @@ def run_adaptive(plant, controller: McAncController, x,
     Divergence truncates the run at the failing step instead of
     propagating, so partial traces remain available for diagnostics.
 
-    One filter and one mic run `_scalar_body`, every other geometry
-    `_stacked_body`; the module docstring gives each one's calls a sample
-    and why the count of filters and mics picks one.
+    `_block_body` runs d + 1 samples a pass (`_block_width`), d the
+    leading zero taps of every secondary path; one filter and one mic run
+    `_scalar_body` where d = 0. The module docstring gives each one's
+    calls.
     """
     xs, ctl = as_samples(x), controller
     if ctl.n_refs != 1:
@@ -273,8 +281,12 @@ def run_adaptive(plant, controller: McAncController, x,
     error = dist.primary.copy()
     err = memoryview(error.reshape(-1))
     noise = None if dist.noise is None else memoryview(dist.noise.reshape(-1))
-    body = _scalar_body if J * K == 1 else _stacked_body
-    diverged_at, diverged_coords, steps = body(split, ctl, x_buf, fx_buf, u_buf, err, noise)
+    width = _block_width(split, ctl, x_buf)
+    if width == 1 and J * K == 1:
+        result = _scalar_body(split, ctl, x_buf, fx_buf, u_buf, err, noise)
+    else:
+        result = _block_body(split, ctl, x_buf, fx_buf, u_buf, err, noise, width)
+    diverged_at, diverged_coords, steps = result
 
     done = T if diverged_at is None else steps + 1
     error = error[:done]
@@ -288,6 +300,160 @@ def run_adaptive(plant, controller: McAncController, x,
         ctl.last_cost = float(np.dot(error[steps - 1], error[steps - 1]))
     return LoopResult(error=error, output=out, final_weights=ctl.weights,
                       diverged_at=diverged_at, diverged_coords=diverged_coords)
+
+
+def _block_width(split, ctl, x_buf) -> int:
+    """B = d + 1, d the leading taps that compare equal to 0.0 (-0.0
+    included) on every true secondary path: u(n) reaches no mic before
+    step n + d + 1, so B consecutive errors need no output of their own
+    pass. An output slot not yet written holds +0.0 and meets only those
+    zero taps. Its product, like a finite output's, is a signed zero, which
+    changes no `ddot` sum (the accumulators start at +0.0). So B = 1 where
+    a path has one tap (`rowdots`' plain product keeps a zero's sign) or
+    where the reference could make an output overflow, from weights within
+    the guard or from the starting weights."""
+    paths = [s for row in split.sec_taps for s in row]
+    v = ctl._v[0]
+    # |u| <= L max|w| max|x|; NaN fails the compare
+    top = v.shape[1] * (WEIGHT_GUARD + float(np.abs(v).max())) * max(
+        float(x_buf.max()), -float(x_buf.min()))
+    if min(s.size for s in paths) == 1 or not (top <= 2.0**1000):
+        return 1
+    return 1 + min(next(iter(np.flatnonzero(s)), s.size) for s in paths)
+
+
+def _block_body(split, ctl, x_buf, fx_buf, u_buf, err, noise, width):
+    """`run_adaptive`'s loop, `width` samples a pass (the last pass takes
+    what is left), guarded by `mcanc`'s running norm bound over the whole
+    (J, L) stack of filters. Returns (diverged_at, coords, steps)."""
+    J, K, H = split.n_sources, split.n_mics, split.hist
+    T = len(err) // K
+    if not T:
+        return None, None, 0
+    v, neg_mu = ctl._v[0], -ctl.mu
+    L, hx = v.shape[1], ctl._x.shape[1]
+    step0 = ctl._step_count
+    multiply, add, fabs = np.multiply, np.add, math.fabs
+    # row n of each: x(n)'s window, x_f(n)'s (K, J, L) windows, mic-major,
+    # and u(n)'s slot, column H+1+n of u_buf; one-tap filters take the
+    # plain product into a trailing axis of that slot
+    x_wins = sliding_window_view(x_buf[hx - L + 1:], L)[:, None]
+    fx = fx_buf[:, :, 1:]
+    fx_wins = sliding_window_view(fx, L, axis=2).transpose(2, 1, 0, 3)
+    u_rows = u_buf.T[H + 1:]
+    out_dot = np.vecdot
+    if L == 1:
+        out_dot, u_rows = multiply, u_rows[:, :, None]
+    # Secondary paths, one dot per distinct length m: row n of its windows
+    # is every loudspeaker's plant window at step n, u_buf[j, n+1+H-m:n+1+H],
+    # against that length's reversed taps (J, K, m). Paths of another
+    # length hold zeros there and their dots go unread: padding a path's
+    # taps would regroup its `ddot` blocks. One-tap paths take the plain
+    # product `rowdots` takes.
+    lengths = sorted({s.size for row in split.sec_rev for s in row})
+    g_of = {m: g for g, m in enumerate(lengths)}
+    groups = []
+    for m in lengths:
+        taps = np.zeros((J, K, m))
+        for j, row in enumerate(split.sec_rev):
+            for k, s in enumerate(row):
+                if s.size == m:
+                    taps[j, k] = s
+        wins = sliding_window_view(u_buf, m, axis=1)[:, H - m + 1:].transpose(1, 0, 2)
+        groups.append((np.vecdot if m > 1 else multiply, taps, wins[:, :, None]))
+    update = neg_mu != 0.0
+    norm = window_norm_bound(fx, J * L)
+    # infinite until the first step resets it from the weights' norm
+    bound = math.inf
+    w = v
+    full = T - T % width
+    try:
+        for start, stop, B in ((0, full, width), (full, T, T - full)):
+            if stop == start:
+                continue
+            # A pass's (B*K + 1, J, L) stack holds the weights, then the
+            # update terms, sample by sample in mic order. Adding each row
+            # into the next makes the adds `step` makes, the last one into
+            # the other stack's first row; rows 0, K, ... are the weights
+            # the outputs read, row (i+1)*K those after sample i.
+            stacks = [np.empty((B * K + 1, J, L)) for _ in range(2)]
+            stacks[0][:] = w
+            sides = []
+            for s, other in (stacks, stacks[::-1]):
+                rows = list(s[:B * K]) + [other[0]]
+                sides.append((s[:B * K:K], s[1:].reshape(B, K, J, L),
+                              [(rows[r], s[r + 1], rows[r + 1]) for r in range(B * K)],
+                              rows[K::K]))
+            cur, nxt = sides
+            # each path length's terms of the pass, (B, J, K); each
+            # sample's and mic's in terms.ravel(), loudspeaker by loudspeaker
+            terms = np.empty((len(groups), B, J, K))
+            paths = [(dot, taps, t if taps.shape[2] > 1 else t[..., None])
+                     for (dot, taps, _), t in zip(groups, terms)]
+            (path_dot, path_taps, path_out), *more = paths
+            t_flat = terms.reshape(-1)
+            mic_terms = [[((g_of[split.sec_rev[j][k].size] * B + i) * J + j) * K + k
+                          for j in range(J)] for i in range(B) for k in range(K)]
+            c = np.empty((B, K, 1, 1))
+            c_flat = c.reshape(-1)
+            growth = BOUND_GROWTH ** (B + 1)
+
+            def blocks(a):
+                return a[start:stop].reshape(((stop - start) // B, B) + a.shape[1:])
+
+            more_wins = zip(*[blocks(g[2]) for g in groups[1:]]) if more else repeat(())
+            rows = zip(range(start, stop, B), blocks(groups[0][2]), blocks(x_wins),
+                       blocks(fx_wins), blocks(u_rows), more_wins)
+            for n0, p_win, x_win, fx_win, u_out, p_wins in rows:
+                path_dot(p_win, path_taps, path_out)
+                if more:
+                    for (dot, taps, out), win in zip(more, p_wins):
+                        dot(win, taps, out)
+                # e(n) in `Plant.step`'s order: source by source, then noise
+                vals = t_flat.tolist()
+                coefs = []
+                c_sum = 0.0
+                for i, terms_i in enumerate(mic_terms, n0 * K):
+                    e = err[i]
+                    for t in terms_i:
+                        e += vals[t]
+                    if noise is not None:
+                        e += noise[i]
+                    err[i] = e
+                    coef = neg_mu * e
+                    coefs.append(coef)
+                    c_sum += fabs(coef)
+                weights, t_rows, chain, after = cur
+                if update:
+                    c_flat[:] = coefs
+                    multiply(c, fx_win, t_rows)
+                    for a, t, out in chain:
+                        add(a, t, out)
+                out_dot(weights, x_win, u_out)
+                if not update:
+                    continue
+                # the bound over a whole pass, one more BOUND_GROWTH covering
+                # the sum's B*K - 1 further roundings; where it fails, the
+                # pass's samples take it one at a time
+                passed = bound
+                bound = (passed + c_sum * norm) * growth
+                if not (bound <= BOUND_LIMIT):
+                    bound = passed
+                    for i in range(B):
+                        bound = (bound + sum(map(fabs, coefs[i * K:i * K + K])) * norm) \
+                            * BOUND_GROWTH
+                        if not (bound <= BOUND_LIMIT):
+                            bound = guard_reset(after[i], step0 + n0 + i)
+                cur, nxt = nxt, cur
+            w = cur[0][0]
+    except DivergenceError as exc:
+        # filters up to the one that tripped hold their update, as in `step`
+        n, j = exc.index - step0, exc.coords[1]
+        v[:] = after[n - n0]
+        v[j + 1:] = weights[n - n0][j + 1:]
+        return n, exc.coords, n
+    v[:] = w
+    return None, None, T
 
 
 def _scalar_body(split, ctl, x_buf, fx_buf, u_buf, err, noise):
@@ -332,119 +498,6 @@ def _scalar_body(split, ctl, x_buf, fx_buf, u_buf, err, noise):
                     bound = guard_reset(v, step0 + n, (0, 0))
                 except DivergenceError as exc:
                     return n, exc.coords, n
-    return None, None, T
-
-
-def _stacked_body(split, ctl, x_buf, fx_buf, u_buf, err, noise):
-    """`run_adaptive`'s per-sample loop as a fixed handful of calls over
-    stacked operands, whatever J and K are, guarded by `mcanc`'s running
-    norm bound over the whole (J, L) stack of filters. Returns
-    (diverged_at, coords, steps)."""
-    J, K, H = split.n_sources, split.n_mics, split.hist
-    T = len(err) // K
-    if not T:
-        return None, None, 0
-    v, neg_mu = ctl._v[0], -ctl.mu
-    L, hx = v.shape[1], ctl._x.shape[1]
-    step0 = ctl._step_count
-    vecdot, multiply, add_reduce, fabs = np.vecdot, np.multiply, np.add.reduce, math.fabs
-
-    # Secondary paths: one dot per distinct path length m, of every
-    # loudspeaker's newest m samples, (J, 1, m), against that length's
-    # reversed taps, (J, K, m). Paths of another length hold zeros there
-    # and their dots go unread: padding a path's taps would regroup its
-    # `ddot` blocks. Outputs land in pout[g] as (K, J). One-tap paths take
-    # the plain product `rowdots` takes, into a trailing axis of pout[g].
-    lengths = sorted({s.size for row in split.sec_rev for s in row})
-    pout = np.empty((len(lengths), K, J))
-    paths, path_wins = [], []
-    for g, m in enumerate(lengths):
-        taps = np.zeros((J, K, m))
-        for j, row in enumerate(split.sec_rev):
-            for k, s in enumerate(row):
-                if s.size == m:
-                    taps[j, k] = s
-        out = pout[g].T
-        paths.append((vecdot, taps, out) if m > 1 else (multiply, taps, out[:, :, None]))
-        # row n is u_buf[j, n+1+H-m:n+1+H], the plant's window at step n
-        wins = sliding_window_view(u_buf, m, axis=1)[:, H - m + 1:].transpose(1, 0, 2)
-        path_wins.append(wins[:, :, None, :])
-    # each mic's path terms in pout.ravel(), loudspeaker by loudspeaker
-    g_of = {m: g for g, m in enumerate(lengths)}
-    mic_terms = [[(g_of[split.sec_rev[j][k].size] * K + k) * J + j for j in range(J)]
-                 for k in range(K)]
-    p_flat = pout.reshape(-1)
-
-    # row n of each: x(n)'s window, x_f(n)'s (K, J, L) windows, mic-major
-    # like the terms, and u(n)'s slot, column H+1+n of u_buf; one-tap
-    # filters take the plain product into a trailing axis of that slot
-    x_wins = sliding_window_view(x_buf[hx - L + 1:], L)
-    fx = fx_buf[:, :, 1:]
-    fx_wins = sliding_window_view(fx, L, axis=2).transpose(2, 1, 0, 3)
-    u_rows = u_buf.T[H + 1:]
-    out_dot = vecdot
-    if L == 1:
-        out_dot, u_rows = multiply, u_rows[:, :, None]
-    # Two (K+1, J, L) stacks: the weights, then the K update terms. One
-    # outer-axis reduction of one stack into the other's weight slot adds
-    # ((w + t_0) + t_1) + ... elementwise, the adds `step` makes in mic
-    # order; the initial -0.0 adds nothing, where numpy's default +0.0
-    # would turn an all -0.0 sum into +0.0. With one weight a slot (one
-    # loudspeaker of one-tap filters) numpy would sum the slots pairwise
-    # once there are 8 or more, so that stack gets a second lane, held at
-    # zero, and adds slot by slot as every wider stack does.
-    lanes = L + (J * L == 1)
-    stacks = [np.zeros((K + 1, J, lanes)) for _ in range(2)]
-    stacks[0][0, :, :L] = v
-    cur, nxt = [(S, S[0, :, :L], S[1:, :, :L], S[0]) for S in stacks]
-    c = np.empty((K, 1, 1))
-    c_flat = c.reshape(-1)
-    norm = window_norm_bound(fx, J * L)
-    # infinite until the first step resets it from the weights' norm
-    bound = math.inf
-    # the first path length in straight lines, any further ones in a loop
-    (path_dot, path_taps, path_out), *more = paths
-    more_wins = zip(*path_wins[1:]) if more else repeat(())
-    rows = zip(path_wins[0], x_wins, fx_wins, u_rows, more_wins)
-    try:
-        for n, (p_win, x_win, fx_win, u_row, p_wins) in enumerate(rows):
-            path_dot(p_win, path_taps, path_out)
-            if more:
-                for (dot, taps, out), win in zip(more, p_wins):
-                    dot(win, taps, out)
-            vals = p_flat.tolist()
-            at = n * K
-            coefs = []
-            c_sum = 0.0
-            for k, terms in enumerate(mic_terms):
-                i = at + k
-                e = err[i]
-                for t in terms:
-                    e += vals[t]
-                if noise is not None:
-                    e += noise[i]
-                err[i] = e
-                coef = neg_mu * e
-                coefs.append(coef)
-                c_sum += fabs(coef)
-            S, w, t_slots, _ = cur
-            out_dot(w, x_win, u_row)
-            if neg_mu != 0.0:
-                c_flat[:] = coefs
-                multiply(c, fx_win, t_slots)
-                _, w_next, _, w_lanes = nxt
-                add_reduce(S, 0, None, w_lanes, False, -0.0)
-                bound = (bound + c_sum * norm) * BOUND_GROWTH
-                if not (bound <= BOUND_LIMIT):
-                    bound = guard_reset(w_next, step0 + n)
-                cur, nxt = nxt, cur
-    except DivergenceError as exc:
-        # filters up to the one that tripped hold their update, as in `step`
-        j = exc.coords[1]
-        w_next[j + 1:] = cur[1][j + 1:]
-        v[:] = w_next
-        return n, exc.coords, n
-    v[:] = cur[1]
     return None, None, T
 
 

@@ -32,9 +32,12 @@ arm's error CSV shares its first three columns (the row's sample index,
 its time and the uncontrolled error it is referenced to); their text is
 made once per block, and a diverged arm's shorter record takes a leading
 slice of it. A spectrogram row is its frame's index and time, its bin's
-frequency and its power: the frames' and the bins' text is made once per
-file with its NULs moved to the end and cut to the longest text, and
-each block copies it into its rows frame by frame.
+frequency and its power: the frames' and the bins' text is made with its
+NULs moved to the end and cut to the longest text, and each block copies
+it into its rows frame by frame. The arms share their spectra's
+frequencies, frame times and interval starts, so an export makes the text
+of each distinct such array once (a diverged arm's fewer frames are
+another array).
 """
 
 from __future__ import annotations
@@ -87,6 +90,22 @@ def _rows(*parts) -> bytes:
     return _cells(*parts).tobytes().translate(None, b"\0")
 
 
+def _shared(memo: dict, make, values: np.ndarray):
+    """`make(values)`, made once per `memo` for arrays of equal bytes."""
+    key = (make, values.tobytes())
+    if key not in memo:
+        memo[key] = make(values)
+    return memo[key]
+
+
+def _frame_text(times: np.ndarray) -> np.ndarray:
+    return _compact(_cells(format_ints(np.arange(len(times))), b",", format_floats(times), b","))
+
+
+def _bin_text(freqs: np.ndarray) -> np.ndarray:
+    return _compact(_cells(format_floats(freqs), b","))
+
+
 def _csv(header: str, n_rows: int, block):
     """Yield the header line, then `block(rows)` for each slice of at most
     `_CSV_BLOCK_ROWS` of the n_rows rows."""
@@ -114,9 +133,10 @@ def _json_safe(value):
     return value
 
 
-def _arm_files(arm, decimation: int, prefixes):
+def _arm_files(arm, decimation: int, prefixes, memo: dict):
     """Yield (file name, byte chunks) for each of the arm's CSVs; `prefixes`
-    holds each mic's shared error-row prefix blocks (`_error_prefixes`)."""
+    holds each mic's shared error-row prefix blocks (`_error_prefixes`) and
+    `memo` the export's shared text (`_shared`)."""
     n_mics = arm.error.shape[1]
     for k in range(n_mics):
         suffix = f"_mic{k}" if n_mics > 1 else ""
@@ -133,16 +153,16 @@ def _arm_files(arm, decimation: int, prefixes):
         yield f"{arm.name}_nr{suffix}.csv", _csv(
             "interval_index,start_s,nr_db", len(nr),
             lambda r, nr=nr, starts=starts: _rows(
-                format_ints(np.arange(r.start, r.stop)), b",", format_floats(starts[r]),
-                b",", format_floats(nr[r]), b"\n"))
+                format_ints(np.arange(r.start, r.stop)), b",",
+                _shared(memo, format_floats, starts[r]), b",", format_floats(nr[r]), b"\n"))
 
         psd = report.psd
         yield f"{arm.name}_psd{suffix}.csv", _csv(
             "freq_hz,power_db", 0 if psd is None else len(psd.freq_hz),
-            lambda r, psd=psd: _rows(format_floats(psd.freq_hz[r]), b",",
+            lambda r, psd=psd: _rows(_shared(memo, format_floats, psd.freq_hz[r]), b",",
                                      format_floats(psd.power_db[r]), b"\n"))
 
-        yield f"{arm.name}_spectrogram{suffix}.csv", _spectrogram_csv(report.spectro)
+        yield f"{arm.name}_spectrogram{suffix}.csv", _spectrogram_csv(report.spectro, memo)
 
 
 def _error_prefixes(reference: np.ndarray, rate: float, decimation: int):
@@ -157,18 +177,18 @@ def _error_prefixes(reference: np.ndarray, rate: float, decimation: int):
             for ref in reference[::decimation].T]
 
 
-def _spectrogram_csv(spectro):
+def _spectrogram_csv(spectro, memo: dict | None = None):
     """The spectrogram CSV, frame after frame, a bin per row. Each row is
     its frame's "frame_index,time_s," text, its bin's "freq_hz," text and
-    its power; those texts are made once per file, without their NULs. A
-    block copies the bins' text from a tiling of it and each frame's text
+    its power; those texts are made once per `memo`, without their NULs.
+    A block copies the bins' text from a tiling of it and each frame's text
     down its rows: the first frame's, then whole frames, then the last's."""
     if spectro is None:
         return _csv("frame_index,time_s,freq_hz,power_db", 0, None)
+    memo = {} if memo is None else memo
     n_frames, n_bins = spectro.power_db.shape
-    frames = _compact(_cells(format_ints(np.arange(n_frames)), b",",
-                             format_floats(spectro.times_s), b","))
-    bins = _compact(_cells(format_floats(spectro.freq_hz), b","))
+    frames = _shared(memo, _frame_text, spectro.times_s)
+    bins = _shared(memo, _bin_text, spectro.freq_hz)
     wf, wb = frames.shape[1], bins.shape[1]
     bins = np.tile(bins, (-(-_CSV_BLOCK_ROWS // n_bins) + 1, 1))   # a block's from any bin
     power = spectro.power_db.reshape(-1)
@@ -194,8 +214,9 @@ def _text_files(result):
     decimation = result.config.export.error_decimation
     # a shorter (diverged) arm's rows are a leading slice of these
     prefixes = _error_prefixes(result.arms["uncontrolled"].error, rate, decimation)
+    memo = {}
     for arm in result.arms.values():
-        yield from _arm_files(arm, decimation, prefixes)
+        yield from _arm_files(arm, decimation, prefixes, memo)
 
     trace, stride = result.mse_trace, result.mse_stride
     yield "mse_trace.csv", _csv(

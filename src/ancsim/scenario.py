@@ -159,7 +159,8 @@ def resolve_mu(cfg: ExperimentConfig, reference: Signal, aligned_est: np.ndarray
             xf = fir(aligned_est[j, k], reference.samples)
             p_xf = max(p_xf, float(np.mean(xf**2)))
     if p_xf == 0.0:
-        raise ConfigError("cannot auto-scale mu: filtered reference has zero power")
+        raise ConfigError("controller.mu auto cannot scale: the filtered reference through "
+                          f"the estimates has zero power (sysid.n_samples {cfg.sysid.n_samples})")
     if ctl.kind == "multichannel":
         # conservative stacked-correlation bound mu < 2 / (I*J*K*L*P_xf);
         # at 1x1x1 this is exactly twice the single-channel rule below,

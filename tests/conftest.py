@@ -16,8 +16,8 @@ python -m pytest` run from this checkout tests OTHER's code with this
 checkout's tests.
 
 `guard_spy` records where the loops that carry a running weight-norm
-bound (the one-filter bodies and the stacked grid body) leave it for the
-guard's exact tiers.
+bound (`run_adaptive`'s bodies and the one-row `lms_fit`) leave it for
+the guard's exact tiers.
 """
 
 import os

@@ -1,11 +1,11 @@
 """Array operations per sample of the adaptive recursions' bodies.
 
-numpy time follows calls, not multiplies, so each per-sample body has a
-closed-form count of array operations, given in its module docstring.
-Counts are deterministic: a change that adds an operation a sample fails
-here instead of hiding in host noise. Three kinds are counted, each as
-the difference between a short run and a longer one over the extra
-samples, so set-up work cancels:
+numpy time follows calls, not multiplies, so each body has a closed-form
+count of array operations a sample, or a pass of several samples, given
+in its module docstring. Counts are deterministic: a change that adds an
+operation fails here instead of hiding in host noise. Three kinds are
+counted, each as the difference between a short run and a longer one
+over the extra samples or passes, so set-up work cancels:
 
 - calls of the numpy callables a body looks up through its module's
   `np`, which the test wraps (`sys.setprofile` does not report a ufunc's
@@ -33,7 +33,7 @@ import numpy as np
 import pytest
 
 from ancsim import adaptation, floatfmt, loops
-from ancsim.acoustics import Plant, synthetic_plant
+from ancsim.acoustics import DEFAULT_SECONDARY, PathSpec, Plant, synthetic_plant
 from ancsim.adaptation import lms_fit
 from ancsim.floatfmt import CHUNK
 from ancsim.loops import loop_aligned_path, run_adaptive
@@ -101,6 +101,14 @@ def counting(module, counts):
 def per_sample(module, run, short=20, long=60):
     """Operations per sample of `run(T)`: the counts of a `long` run less
     those of a `short` one, over the extra samples."""
+    return per_block(module, run, 1, short, long)
+
+
+def per_block(module, run, width, short=4, long=12):
+    """Operations per pass of `width` samples of `run(T)`: the counts of a
+    run of `long` passes less those of one of `short`, over the extra
+    passes."""
+    short, long = short * width, long * width
     counts = []
     for T in (short, long):
         with counting(module, Counter()) as c:
@@ -109,9 +117,10 @@ def per_sample(module, run, short=20, long=60):
     extra = counts[1] - counts[0]
     assert not counts[0] - counts[1], "a shorter run made more calls"
     per = {}
+    passes = (long - short) // width
     for name, n in extra.items():
-        assert n % (long - short) == 0, (name, n)
-        per[name] = n // (long - short)
+        assert n % passes == 0, (name, n)
+        per[name] = n // passes
     return per
 
 
@@ -132,42 +141,63 @@ def adaptive_run(plant, taps):
     return run
 
 
-def two_length_plant():
-    """A 1x2x2 plant whose secondary paths have 3 and 5 taps."""
-    s3, s5 = np.array([0.0, 0.5, 0.2]), np.array([0.0, 0.0, 0.4, -0.1, 0.05])
+def two_length_plant(delay=0):
+    """A 1x2x2 plant whose secondary paths have 3 and 5 taps, all of them
+    with `delay` more leading zero taps."""
+    s3 = np.r_[np.zeros(delay), 0.3, 0.5, 0.2]
+    s5 = np.r_[np.zeros(delay), 0.1, 0.0, 0.4, -0.1, 0.05]
     return Plant([np.array([0.0, 0.8, -0.3])] * 2, [[s3, s5], [s5, 0.7 * s3]],
                  measurement_noise_std=0.01, seed=3)
 
 
-@pytest.mark.parametrize("plant, taps, lengths", [
-    (synthetic_plant(n_sources=2, n_mics=2, seed=77, measurement_noise_std=0.01), 16, 1),
-    (synthetic_plant(n_sources=3, n_mics=2, seed=77, measurement_noise_std=0.01), 16, 1),
-    (two_length_plant(), 8, 2),
-    (synthetic_plant(n_sources=2, n_mics=2, seed=77, measurement_noise_std=0.01), 1, 1),
-], ids=["1x2x2", "1x3x2", "1x2x2_two_lengths", "1x2x2L1"])
-def test_stacked_body_runs_a_fixed_handful_of_operations(plant, taps, lengths):
-    # one path dot per distinct path length, then the outputs' tolist,
-    # the output dot, the update product and the outer-axis reduction;
-    # one window per path length, x(n)'s and x_f(n)'s windows and u(n)'s
-    # slot; and no guard dot while the running bound holds. One-tap
-    # filters take the output as a plain product instead of a `vecdot`.
-    # With the coefficient store that makes 8 + 2 * lengths.
-    per = per_sample(loops, adaptive_run(plant, taps))
-    out_dot = "vecdot" if taps > 1 else "multiply"
-    want = Counter({"vecdot": lengths, "ndarray.tolist": 1, "multiply": 1,
-                    "add.reduce": 1, "row": 3 + lengths})
-    want[out_dot] += 1
-    assert per == dict(want)
-    assert sum(per.values()) + 1 == 8 + 2 * lengths
+# no leading zero tap: every output reaches the mics at the next step
+UNDELAYED = PathSpec(delay=0, decay=0.5, taps=16, gain=0.5)
+
+
+def grid_plant(J, K, secondary=UNDELAYED):
+    return synthetic_plant(n_sources=J, n_mics=K, seed=77, measurement_noise_std=0.01,
+                           secondary=secondary)
 
 
 def test_scalar_body_runs_eight_operations():
-    # the path's window and dot, x(n)'s window, dot and store, x_f(n)'s
-    # window, the scaled copy and the in-place add
-    plant = synthetic_plant(seed=77, measurement_noise_std=0.01)
+    # an undelayed path, one filter and one mic: the path's window and
+    # dot, x(n)'s window, dot and store, x_f(n)'s window, the scaled copy
+    # and the in-place add
+    plant = synthetic_plant(seed=77, measurement_noise_std=0.01, secondary=UNDELAYED)
     per = per_sample(loops, adaptive_run(plant, 16))
     assert per == {"ndarray.dot": 2, "multiply": 1, "add": 1, "row": 3}
     assert sum(per.values()) + 1 == 8
+
+
+@pytest.mark.parametrize("plant, taps, width, lengths", [
+    (synthetic_plant(seed=77), 16, 5, 1),
+    (grid_plant(1, 1, DEFAULT_SECONDARY), 16, 5, 1),
+    (grid_plant(2, 2, DEFAULT_SECONDARY), 16, 5, 1),
+    (grid_plant(3, 2, DEFAULT_SECONDARY), 16, 5, 1),
+    (two_length_plant(delay=1), 8, 2, 2),
+    (grid_plant(2, 2, DEFAULT_SECONDARY), 1, 5, 1),
+    (grid_plant(2, 2), 16, 1, 1),
+    (grid_plant(3, 2), 16, 1, 1),
+    (two_length_plant(), 8, 1, 2),
+    (grid_plant(2, 2), 1, 1, 1),
+], ids=["1x1x1", "1x1x1_noisy", "1x2x2", "1x3x2", "1x2x2_two_lengths", "1x2x2L1",
+        "undelayed_1x2x2", "undelayed_1x3x2", "undelayed_1x2x2_two_lengths",
+        "undelayed_1x2x2L1"])
+def test_block_body_runs_a_fixed_handful_of_operations_a_pass(plant, taps, width, lengths):
+    # paths that start with width - 1 zero taps run width samples a pass,
+    # a grid of undelayed paths one: a window and a dot per distinct path
+    # length, the terms' tolist, x's and x_f's windows and the output
+    # slots, the update terms' product, one in-place add per term
+    # (width * K), the outputs' dot (a plain product for one-tap filters)
+    # and no guard dot while the running bound holds. With the
+    # coefficients' store that makes 7 + 2 * lengths + width * K
+    K = plant.n_mics
+    per = per_block(loops, adaptive_run(plant, taps), width)
+    want = Counter({"vecdot": lengths, "ndarray.tolist": 1, "multiply": 1,
+                    "add": width * K, "row": 3 + lengths})
+    want["vecdot" if taps > 1 else "multiply"] += 1
+    assert per == dict(want)
+    assert sum(per.values()) + 1 == 7 + 2 * lengths + width * K
 
 
 def fit_run(P, N):

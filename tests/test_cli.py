@@ -1,13 +1,20 @@
 """CLI surface: subcommands, exit codes, determinism of exports."""
 
+import contextlib
+import io
 import json
+import os
+import re
 import struct
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ancsim import scenario
 from ancsim.cli import main
@@ -353,3 +360,101 @@ class TestRunDeterminism:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["interval_s"] == 0.5
         assert len(summary["arms"]["adaptive"]["nr_per_interval_db"][0]) == 4
+
+
+# The run-level fuzz: short configs around a 0.25 s `combined` whose
+# drawn fields include the secondary paths' delay, so the adaptive loop
+# runs passes of several widths, and fields that fail validation.
+FIELD_NAMED = re.compile(
+    r"\b(sample_rate_hz|duration_s|seed|noise_sources\[\d+\]\.\w+|"
+    r"(composition|plant(\.primary|\.secondary)?|controller|sysid|fixed_filter|metrics|export)"
+    r"\.\w+)\b")
+
+RUN_FIELDS = {
+    ("plant", "secondary", "delay"): st.integers(0, 7),
+    ("plant", "secondary", "taps"): st.integers(1, 8),
+    ("plant", "primary", "delay"): st.integers(0, 6),
+    ("plant", "measurement_noise_std"): st.sampled_from([0.0, 0.02]),
+    ("controller", "taps"): st.integers(1, 24),
+    ("controller", "mu"): st.sampled_from(["auto", 0.0, 0.002, 5.0]),
+    ("sysid", "n_samples"): st.integers(1, 600),
+    ("sysid", "taps"): st.integers(1, 24),
+    ("sysid", "mode"): st.sampled_from(["identify", "exact"]),
+    ("metrics", "segment_len"): st.sampled_from([2, 4, 64, 256, 4096]),
+    ("metrics", "hop"): st.sampled_from([1, 32, 128]),
+    ("metrics", "interval_s"): st.sampled_from([0.05, 0.125, 0.3]),
+    ("export", "error_decimation"): st.integers(1, 16),
+    ("noise_sources", 0, "high_hz"): st.sampled_from([900.0, 3999.0, 4000.0]),
+}
+GEOMETRIES = [("single", 1, 1), ("multichannel", 1, 1), ("multichannel", 1, 2),
+              ("multichannel", 2, 2), ("single", 2, 1)]
+
+
+def run_doc(geometry, fields):
+    cfg = default_config("combined", duration_s=2.0, seed=7)
+    cfg.duration_s = 0.25
+    cfg.composition.switch_times_s = [0.125]
+    cfg.controller.taps = 16
+    cfg.sysid.taps = 12
+    cfg.sysid.n_samples = 400
+    cfg.fixed_filter.max_train_s = 1.0
+    cfg.metrics.interval_s = 0.125
+    cfg.metrics.segment_len = 256
+    cfg.metrics.hop = 128
+    doc = config_to_dict(cfg)
+    doc["controller"]["kind"], doc["plant"]["n_sources"], doc["plant"]["n_mics"] = geometry
+    for path, value in fields.items():
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+    return doc
+
+
+@settings(max_examples=30)
+@given(geometry=st.sampled_from(GEOMETRIES),
+       fields=st.fixed_dictionaries({}, optional=RUN_FIELDS))
+@example(("single", 2, 1), {})      # the kind's message named no field
+@example(("single", 1, 1), {("sysid", "n_samples"): 1})   # nor did auto mu's
+@example(("single", 1, 1), {("noise_sources", 0, "high_hz"): 4000.0})
+@example(("multichannel", 2, 2), {("plant", "secondary", "delay"): 0,
+                                  ("plant", "measurement_noise_std"): 0.02})
+@example(("multichannel", 1, 2), {("plant", "secondary", "delay"): 7,
+                                  ("plant", "secondary", "taps"): 8,
+                                  ("controller", "mu"): 5.0})
+def test_any_drawn_config_runs_or_exits_with_its_code(geometry, fields):
+    # exit 0 with finite, non-empty CSVs; 2 naming a field, before
+    # identification unless the rule needs its estimates (auto mu's); 3
+    # with the divergence in summary.json; or 4. Never a traceback or exit 1
+    identified = []
+    resolve = scenario.resolve_estimates
+
+    def watched(cfg):
+        identified.append(True)
+        return resolve(cfg)
+
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+        patch.setattr(scenario, "resolve_estimates", watched)
+        cfg_path, out = os.path.join(tmp, "c.yaml"), os.path.join(tmp, "out")
+        with open(cfg_path, "w", encoding="utf-8") as fh:
+            yaml.safe_dump(run_doc(geometry, fields), fh)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(["run", "--config", cfg_path, "--out", out])
+        message = err.getvalue()
+        assert code in (0, 2, 3, 4), message
+        if code == 2:
+            assert FIELD_NAMED.search(message), message
+            assert not identified or "controller.mu auto" in message, message
+        elif code == 3:
+            with open(os.path.join(out, "summary.json"), encoding="utf-8") as fh:
+                summary = json.load(fh)
+            diverged = [arm["diverged_at"] for arm in summary["arms"].values() if arm["diverged"]]
+            assert diverged or summary["pretrain"]["diverged_at"] is not None
+            assert all(isinstance(at, int) for at in diverged)
+        elif code == 0:
+            for name in sorted(os.listdir(out)):
+                if name.endswith(".csv"):
+                    rows = np.loadtxt(os.path.join(out, name), delimiter=",", skiprows=1,
+                                      ndmin=2)
+                    assert rows.size and np.isfinite(rows).all(), name

@@ -16,7 +16,13 @@ from ancsim.adaptation import FxlmsFilter, LmsFilter
 from ancsim.config import PlantConfig, default_config
 from ancsim.errors import DivergenceError
 from ancsim.filters import FirFilter
-from ancsim.loops import PlantSplit, run_adaptive, run_fixed, run_uncontrolled_signal
+from ancsim.loops import (
+    PlantSplit,
+    _block_width,
+    run_adaptive,
+    run_fixed,
+    run_uncontrolled_signal,
+)
 from ancsim.mcanc import GUARD_SCREEN, WEIGHT_GUARD, ChannelConfig, McAncController
 from ancsim.scenario import (
     build_controller,
@@ -850,3 +856,103 @@ def test_empty_reference_gives_empty_results(J, K, taps):
     assert res.diverged_at is None and res.diverged_coords is None
     assert_same_bits(res.final_weights, ref.weights)
     assert_same_state(ctl, ref)
+
+
+def stepped_calls(plant, ctl, calls):
+    """The per-sample oracle of `run_adaptive` over consecutive calls on
+    one split: `Plant.step` errors and the controller's `_advance` (its
+    `step` without the finite-input check), each call from silent
+    loudspeakers. Yields (errors, outputs, diverged_at, coords) after
+    each call, up to and including a call that trips the guard."""
+    J, K = plant.n_sources, plant.n_mics
+    for x in calls:
+        err, out, at, coords = [], [], None, None
+        u = np.zeros(J)
+        for n, xn in enumerate(x):
+            err.append(plant.step(xn, u))
+            try:
+                u = ctl._advance(np.array([xn]), err[-1])
+            except DivergenceError as exc:
+                at, coords = n, exc.coords
+                break
+            out.append(u)
+        yield np.array(err).reshape(-1, K), np.array(out).reshape(-1, J), at, coords
+        if at is not None:
+            return
+
+
+def random_delayed_case(seed, J, K, L, noisy, mu):
+    """A 1xJxK loop whose secondary paths each start with 0-5 zero taps,
+    some -0.0, then taps of both signs (some paths of one tap), with
+    estimates and parked weights of both signs and a reference with silent
+    stretches, cut into two calls of random lengths."""
+    rng = np.random.default_rng(seed)
+
+    def path():
+        lead = np.where(rng.random(int(rng.integers(0, 6))) < 0.5, -0.0, 0.0)
+        tail = rng.standard_normal(int(rng.integers(1, 4))) * 0.5
+        return np.r_[lead, tail] if rng.random() < 0.9 else tail[:1]
+
+    primaries = [rng.standard_normal(int(rng.integers(1, 6))) * 0.5 for _ in range(K)]
+    secondaries = [[path() for _ in range(K)] for _ in range(J)]
+    M = int(rng.integers(1, 7))
+    est = rng.standard_normal((J, K, M)) * 0.4
+    w0 = rng.standard_normal((1, J, L)) * 0.05
+    w0[rng.random(w0.shape) < 0.3] = -0.0
+    T = int(rng.integers(0, 90))
+    x = rng.standard_normal(T)
+    x[rng.random(T) < 0.2] = 0.0
+    cut = int(rng.integers(0, T + 1))
+
+    def make_plant():
+        return Plant(primaries, secondaries, measurement_noise_std=0.05 * noisy, seed=seed)
+
+    def make_ctl():
+        ctl = McAncController(ChannelConfig(1, J, K, L, M), mu, est)
+        ctl.weights = w0
+        return ctl
+
+    return make_plant, make_ctl, [x[:cut], x[cut:]]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([(1, 1), (1, 2), (2, 2)]),
+       st.sampled_from([1, 3, 8]), st.booleans(), st.sampled_from([0.0, 0.02, 20.0]))
+@example(11, (1, 1), 8, False, 0.02)
+@example(20, (2, 2), 3, True, 0.02)
+@example(4, (1, 2), 8, True, 0.0)       # no update
+@example(3, (2, 2), 8, False, 20.0)     # trips inside a pass
+@example(5, (1, 1), 1, True, 20.0)
+def test_block_passes_match_the_per_sample_loop(seed, geometry, L, noisy, mu):
+    # paths of several delays: each pass runs their shortest plus one
+    # samples, the last pass of a call what is left; errors, outputs,
+    # weights and a trip inside a pass are those of the per-sample loop,
+    # sign bits included, and the split carries across the two calls
+    make_plant, make_ctl, calls = random_delayed_case(seed, *geometry, L, noisy, mu)
+    split, ctl = PlantSplit(make_plant()), make_ctl()
+    ref = make_ctl()
+    for x, (err, out, at, coords) in zip(calls, stepped_calls(make_plant(), ref, calls)):
+        res = run_adaptive(split, ctl, x)
+        assert (res.diverged_at, res.diverged_coords) == (at, coords)
+        assert_same_bits(res.error, err)
+        assert_same_bits(res.output, out)
+        assert_same_bits(res.final_weights, ref.weights)
+        assert_same_state(ctl, ref)
+
+
+@pytest.mark.parametrize("paths, width", [
+    ([[[0.0, 0.0, 0.3]]], 3),
+    ([[[-0.0, 0.0, -0.0, 0.0, 0.2, 0.1]]], 5),
+    ([[[0.0, 0.0, 0.3], [0.0, 0.5]], [[0.0, -0.0, -0.0, 0.1], [0.0, 0.0, 0.0]]], 2),
+    ([[[0.0, 0.0, 0.3], [0.0]]], 1),          # a path of one tap
+    ([[[0.4, 0.0, 0.3]]], 1),
+], ids=["two_zeros", "signed_zeros", "least_of_every_path", "one_tap", "undelayed"])
+def test_block_width_is_one_more_than_the_zero_taps_every_path_starts_with(paths, width):
+    J, K = len(paths), len(paths[0])
+    split = PlantSplit(Plant([np.array([0.5])] * K, [[np.array(s) for s in row] for row in paths]))
+    ctl = McAncController(ChannelConfig(1, J, K, 4, 2), 0.01, np.zeros((J, K, 2)))
+    x_buf = np.ones(10)
+    assert _block_width(split, ctl, x_buf) == width
+    # a reference that could overflow an output puts every path a sample a pass
+    x_buf[3] = 1e300
+    assert _block_width(split, ctl, x_buf) == 1

@@ -201,3 +201,35 @@ def test_spectrogram_blocks_assemble_as_gathered_rows(shape, times, freqs, power
 
 def test_an_empty_spectrogram_is_its_header():
     assert b"".join(reporting._spectrogram_csv(None)) == b"frame_index,time_s,freq_hz,power_db\n"
+
+
+def test_an_export_formats_each_shared_array_once(tmp_path, monkeypatch):
+    # every arm's spectra have the same frequencies and frame times and
+    # every NR file the same interval starts, each in its own equal array;
+    # the diverged arm has fewer frames, another array. Each distinct one
+    # is formatted once per export, and the bytes are the oracle's
+    result = hand_built_result(2, 1, frames=6, bins=9)
+    rng = np.random.default_rng(5)
+    freqs, times = awkward(rng, 9), awkward(rng, 6)
+    for arm in result.arms.values():
+        n_frames = 4 if arm.diverged else 6
+        for rep in arm.reports:
+            if rep.psd is not None:
+                rep.psd.freq_hz = freqs.copy()
+                rep.spectro = Spectrogram(times_s=times[:n_frames].copy(), freq_hz=freqs.copy(),
+                                          power_db=awkward(rng, (n_frames, 9)))
+    seen = []
+
+    def spy(values):
+        seen.append(np.array(values))
+        return format_floats(values)
+
+    monkeypatch.setattr(reporting, "format_floats", spy)
+    assert_matches_oracle(result, tmp_path)
+
+    def calls(values):
+        return sum(a.shape == values.shape and a.tobytes() == values.tobytes() for a in seen)
+
+    starts = np.arange(7) * 0.1
+    assert calls(freqs) == 2          # the bins' text and the PSD's frequencies
+    assert calls(times) == calls(times[:4]) == calls(starts) == 1

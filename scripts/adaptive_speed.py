@@ -21,15 +21,13 @@ that fallback's cost beside the common path's, and its own hash,
 `parked_sha256`. A case `1x2x2P` parks the 1x2x2 controller the
 same way, the norm of 0.9 of the guard spread over every tap of both
 filters, so that every sample of the grid takes the squared norm and the
-exact check, filter by filter; its hash is `grid_parked_sha256`,
-which trees without that case do not print.
+exact check, filter by filter; its hash is `grid_parked_sha256`.
 
 Each case's plant has the default secondary paths, which start with 4
 zero taps, so `run_adaptive` runs 5 samples a pass. A case `1x1x1D0`
 gives the 1x1x1 plant paths without that delay (`secondary.delay: 0`),
-which run a sample a pass; its hash is `undelayed_sha256`, which trees
-without that case do not print. `widths=` names each case's samples a
-pass (1 on trees that run every case a sample at a time).
+which run a sample a pass; its hash is `undelayed_sha256`. `widths=`
+names each case's samples a pass.
 
 Run it on two trees in alternation to compare them on one machine.
 """
@@ -75,8 +73,7 @@ for J, K, L, suffix in CASES:
             ctl.weights = np.full((1, J, L), 0.9 * WEIGHT_GUARD / np.sqrt(J * L))
         else:
             ctl = McAncController(chan, MU, est)
-        width = getattr(loops, "_block_width", lambda *args: 1)(
-            PlantSplit(plant), ctl, np.concatenate([ctl._x[0], x]))
+        width = loops._block_width(PlantSplit(plant), ctl, np.concatenate([ctl._x[0], x]))
         t0 = time.perf_counter()
         res = run_adaptive(plant, ctl, x)
         us = (time.perf_counter() - t0) / T * 1e6

@@ -41,17 +41,10 @@ from ancsim.metrics import PowerSpectrum, RunReport, Spectrogram  # noqa: E402
 from ancsim import reporting  # noqa: E402
 from ancsim.reporting import export_report  # noqa: E402
 from ancsim.scenario import ArmResult, PretrainInfo, ScenarioResult  # noqa: E402
-from ancsim.signals import Signal  # noqa: E402
 
 N = int(sys.argv[2]) if len(sys.argv) > 2 else 480_000
 REPS = int(sys.argv[3]) if len(sys.argv) > 3 else 5
 BLOCK, BINS = 8192, 513
-
-
-def unread(cls, **fields):
-    """The fields an older tree's result classes still hold, which no
-    export reads: a placeholder for each one `cls` has."""
-    return {k: v for k, v in fields.items() if k in cls.__dataclass_fields__}
 
 
 def text(values):
@@ -75,7 +68,6 @@ def seeded_result(n):
     frames = max(1, n // (3 * BINS))
     samples = 8 * max(1, n // 60)
     freq = np.arange(BINS) * 7.8125
-    empty = Signal(np.zeros(1), 8000.0)
 
     def report():
         psd = PowerSpectrum(freq_hz=freq, power_db=rng.normal(-40, 20, BINS),
@@ -83,15 +75,14 @@ def seeded_result(n):
         spectro = Spectrogram(times_s=np.arange(frames) * 0.064, freq_hz=freq,
                               power_db=rng.normal(-40, 20, (frames, BINS)))
         return RunReport(interval_s=1.0, nr_per_interval_db=rng.normal(10, 5, 20), snr_db=1.0,
-                         psd=psd, spectro=spectro, **unread(RunReport, reference=empty, error=empty))
+                         psd=psd, spectro=spectro)
 
-    arms = {name: ArmResult(name, [report()], rng.standard_normal((samples, 1)),
-                            **unread(ArmResult, output=None))
+    arms = {name: ArmResult(name, [report()], rng.standard_normal((samples, 1)))
             for name in ("uncontrolled", "adaptive", "fixed")}
     pretrain = PretrainInfo(seconds_trained=1, nr_per_second_db=[0.5], plateau_reached=False,
                             mu=0.01)
     result = ScenarioResult(
-        config=default_config("combined"), arms=arms, **unread(ScenarioResult, reference=empty),
+        config=default_config("combined"), arms=arms,
         adaptive_weights=np.zeros((1, 1, 128)), fixed_weights=np.zeros((1, 1, 128)),
         installed_estimates=np.zeros((1, 1, 65)), sysid_summaries=[], pretrain=pretrain,
         mu=0.01, mse_trace=rng.random(samples // 8), mse_stride=8)

@@ -15,10 +15,10 @@ through the secondary-path estimate:
 
 `lms_fit` runs `LmsFilter.step`'s arithmetic for P independent filters at
 once: `LmsFilter.run` is its P = 1 case; identification fits whole grids.
-It has two per-sample bodies, and the row count picks one. One row takes
-`loops.run_adaptive`'s one-filter form: a dot for y(n), a product of the
-window into a scratch buffer and an in-place add to the weights, guarded
-by `mcanc`'s running norm bound, with no array call beyond those while
+It has two per-sample bodies, and the row count picks one. One row runs
+in straight lines: a dot for y(n), a product of the window into a
+scratch buffer and an in-place add to the weights, guarded by `mcanc`'s
+running norm bound, with no array call beyond those while
 the weights stay within half the guard. Several rows take one
 `np.vecdot` over the stacked windows for every output, so the calls a
 sample stay fixed as P grows, and screen every row with one dot. The

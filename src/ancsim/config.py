@@ -188,8 +188,10 @@ class ExperimentConfig:
                     raise ConfigError(
                         f"noise_sources[{i}].{name} (source {src.name}): {edge} Hz is not "
                         f"below Nyquist ({nyquist} Hz)")
-            if src.kind == "wav-file" and src.path and not os.path.exists(src.path):
-                raise ConfigError(f"source {src.name}: file {src.path} does not exist")
+            if src.kind == "wav-file" and not (src.path and os.path.exists(src.path)):
+                raise ConfigError(
+                    f"noise_sources[{i}].path (source {src.name}): "
+                    + (f"file {src.path} does not exist" if src.path else "wav-file needs a path"))
         if self.controller.kind == "single" and (self.plant.n_sources != 1
                                                  or self.plant.n_mics != 1):
             raise ConfigError(

@@ -45,25 +45,21 @@ mic order; one `np.vecdot` then forms the B outputs from the rows that
 hold each sample's weights. With the windows of the paths, x, x_f and
 the output slots, a pass makes 7 + 2 G + B*K array operations for G
 distinct path lengths: 14 for 5 samples of the workloads' 1x1x1 plant
-(d = 4), 11 for one sample of an undelayed 1x2x2 grid. Each draws its
-windows, and the slots its outputs go to, as the rows of
-`sliding_window_view`s zipped together, so no pass indexes an array to
-find them, and passes ufunc operands positionally (numpy parses
-keywords on every call). Rows of one element take `filters.rowdots`'s
-plain product instead of a `vecdot`.
+(d = 4), 10 for one sample of an undelayed 1x1x1 plant and 11 for one
+of an undelayed 1x2x2 grid; `tests/test_call_counts.py` holds the body
+to that count. Each pass draws its windows, and the slots its outputs go
+to, as the rows of `sliding_window_view`s zipped together, so no pass
+indexes an array to find them, and passes ufunc operands positionally
+(numpy parses keywords on every call). Rows of one element take
+`filters.rowdots`'s plain product instead of a `vecdot`.
 
-One filter and one mic with d = 0 run the scalar body instead, about 4x
-faster there than a pass of one sample: a window and a dot for the path,
-a window, a dot and a store for the output, a window, a product into a
-scratch buffer and an in-place add for the update, 8 array operations a
-sample. `tests/test_call_counts.py` holds both bodies to their counts.
 The outputs go to the loudspeaker buffer the secondary paths read, and
 the (T, J) outputs returned are a view of it. So a run holds its
 result, the reference and filtered-reference histories its windows read,
 and the buffers of one pass.
 
-Both guard the weights with the rule's running norm bound, a few float
-operations and a compare a sample (a pass) while the weights stay within
+The body guards the weights with the rule's running norm bound, a few
+float operations and a compare a pass while the weights stay within
 half the guard; over a grid the bound covers the whole (J, L) stack and
 adds the magnitudes of the K update coefficients. A pass adds all its
 coefficients at once, with one more BOUND_GROWTH a pass as the margin
@@ -241,12 +237,14 @@ def run_adaptive(plant, controller: McAncController, x,
     state advances exactly as repeated `step` calls would advance it.
 
     Divergence truncates the run at the failing step instead of
-    propagating, so partial traces remain available for diagnostics.
+    propagating, so partial traces remain available for diagnostics. A
+    `PlantSplit` cannot be resumed after a diverged call: its primary
+    paths and noise generator have advanced over the whole of x, past
+    the step that tripped.
 
     `_block_body` runs d + 1 samples a pass (`_block_width`), d the
-    leading zero taps of every secondary path; one filter and one mic run
-    `_scalar_body` where d = 0. The module docstring gives each one's
-    calls.
+    leading zero taps of every secondary path, one a pass where d = 0.
+    The module docstring gives its calls.
     """
     xs, ctl = as_samples(x), controller
     if ctl.n_refs != 1:
@@ -281,12 +279,8 @@ def run_adaptive(plant, controller: McAncController, x,
     error = dist.primary.copy()
     err = memoryview(error.reshape(-1))
     noise = None if dist.noise is None else memoryview(dist.noise.reshape(-1))
-    width = _block_width(split, ctl, x_buf)
-    if width == 1 and J * K == 1:
-        result = _scalar_body(split, ctl, x_buf, fx_buf, u_buf, err, noise)
-    else:
-        result = _block_body(split, ctl, x_buf, fx_buf, u_buf, err, noise, width)
-    diverged_at, diverged_coords, steps = result
+    diverged_at, diverged_coords, steps = _block_body(
+        split, ctl, x_buf, fx_buf, u_buf, err, noise, _block_width(split, ctl, x_buf))
 
     done = T if diverged_at is None else steps + 1
     error = error[:done]
@@ -319,7 +313,7 @@ def _block_width(split, ctl, x_buf) -> int:
         float(x_buf.max()), -float(x_buf.min()))
     if min(s.size for s in paths) == 1 or not (top <= 2.0**1000):
         return 1
-    return 1 + min(next(iter(np.flatnonzero(s)), s.size) for s in paths)
+    return 1 + min(int(next(iter(np.flatnonzero(s)), s.size)) for s in paths)
 
 
 def _block_body(split, ctl, x_buf, fx_buf, u_buf, err, noise, width):
@@ -453,51 +447,6 @@ def _block_body(split, ctl, x_buf, fx_buf, u_buf, err, noise, width):
         v[j + 1:] = weights[n - n0][j + 1:]
         return n, exc.coords, n
     v[:] = w
-    return None, None, T
-
-
-def _scalar_body(split, ctl, x_buf, fx_buf, u_buf, err, noise):
-    """`run_adaptive`'s per-sample loop for one filter and one mic, in
-    straight lines: a path dot, a control dot and its store, a scaled copy
-    of the filtered-reference window and its in-place add to the weights
-    (`v += c * x_f` in two calls, without a temporary), and the running
-    bound of `mcanc`'s guard rule. Returns (diverged_at, coords, steps)."""
-    H, T = split.hist, len(err)
-    if not T:
-        return None, None, 0
-    v, neg_mu = ctl._v[0, 0], -ctl.mu
-    L, hx = v.size, ctl._x.shape[1]
-    step0 = ctl._step_count
-    s = split.sec_rev[0][0]
-    path_dot, control_dot = s.dot, v.dot
-    u_row = u_buf[0]
-    # row n of each is the window step n reads: the loudspeaker's newest
-    # s.size samples, x(n) and x_f(n) back L samples; u(n) goes to H+1+n
-    u_wins = sliding_window_view(u_row[H - s.size + 1:], s.size)
-    x_wins = sliding_window_view(x_buf[hx - L + 1:], L)
-    fx = fx_buf[0, 0, 1:]
-    fx_wins = sliding_window_view(fx, L)
-    u_at = H + 1
-    norm = window_norm_bound(fx, L)
-    term = np.empty(L)
-    multiply, add, fabs = np.multiply, np.add, math.fabs
-    # infinite until the first step resets it from the weights' norm
-    bound = math.inf
-    for n, (u_win, x_win, fx_win) in enumerate(zip(u_wins, x_wins, fx_wins)):
-        e = err[n] + path_dot(u_win)
-        if noise is not None:
-            e += noise[n]
-        err[n] = e
-        u_row[u_at + n] = control_dot(x_win)
-        if neg_mu != 0.0:
-            c = neg_mu * e
-            add(v, multiply(fx_win, c, out=term), out=v)
-            bound = (bound + fabs(c) * norm) * BOUND_GROWTH
-            if not (bound <= BOUND_LIMIT):
-                try:
-                    bound = guard_reset(v, step0 + n, (0, 0))
-                except DivergenceError as exc:
-                    return n, exc.coords, n
     return None, None, T
 
 

@@ -23,11 +23,12 @@ output and each filtered reference is its own `np.dot` (in the loop a
 grid's outputs come from one `np.vecdot`, the same `ddot` per filter,
 and the filtered references from `filters.fir`, which forms the same dot
 over the same window), and each (i, j) filter adds its K update terms to
-its weights one at a time in microphone order. The loop's one
-outer-axis `np.add.reduce` over a stack of (weights, term 0, ...,
-term K-1), started from -0.0, makes that same sequence of adds
-elementwise; a matrix product or einsum would sum in another order and
-change the last bits that the bit-exactness tests pin.
+its weights one at a time in microphone order. The loop makes that same
+sequence of adds elementwise: a pass of B samples holds the weights and
+then every sample's K update terms, in microphone order, in one
+(B*K + 1, J, L) stack, and adds each row in place into the next, B*K
+adds. A matrix product or einsum would sum in another order and change
+the last bits that the bit-exactness tests pin.
 
 The filtered-reference sum runs over all M estimate taps (m = 0..M-1);
 the complexity table's per-step charge of I*J*K*M multiply-accumulates
@@ -48,12 +49,12 @@ WEIGHT_GUARD = 1e6
 # The guard rule of the loops, cheapest test first; each test passes only
 # weights that the next one would pass too, so no tier hides a trip.
 #
-# 1. Running bound (every body of `loops.run_adaptive`, and the one-row
+# 1. Running bound (`loops.run_adaptive`, and the one-row
 #    `adaptation.lms_fit`). B >= ||w||_2 over the n weights a step updates
 #    is carried from step to step as
 #        B <- (B + (|c_0| + ... + |c_{K-1}|) * N) * BOUND_GROWTH,
-#    where c_k is the step's update coefficient for mic k (K = 1 in the
-#    one-filter loops) and N >= the 2-norm of every window of the call
+#    where c_k is the step's update coefficient for mic k (K = 1 for one
+#    mic and in `lms_fit`) and N >= the 2-norm of every window of the call
 #    that multiplies a c_k, sqrt(n) * max|x| over the call: n = L for one
 #    filter, n = J * L for a grid's (J, L) stack of filters, whose K
 #    windows are each a (J, L) block of filtered references. While

@@ -66,21 +66,29 @@ def _source_seeds(cfg: ExperimentConfig):
     return children[:-1], children[-1]  # per-source seeds, training seed
 
 
+def _render_source(cfg: ExperimentConfig, i: int, seed, duration_s: float) -> Signal:
+    """Noise source i over `duration_s`. A recording whose rate or length
+    does not fit the run is a config error that names its path field."""
+    src = cfg.noise_sources[i]
+    try:
+        return synthesize_noise(src.to_spec(), seed, duration_s, cfg.sample_rate_hz)
+    except ConfigError as exc:
+        if src.kind != "wav-file":
+            raise
+        raise ConfigError(f"noise_sources[{i}].path (source {src.name}): {exc}") from exc
+
+
 def build_reference(cfg: ExperimentConfig) -> Signal:
     """Render every source and compose the run's reference signal."""
     seeds, _ = _source_seeds(cfg)
     comp = cfg.composition
     if comp.mode == "concatenate":
         boundaries = [0.0] + list(comp.switch_times_s) + [cfg.duration_s]
-        sources = []
-        for i, src in enumerate(cfg.noise_sources):
-            seg = boundaries[i + 1] - boundaries[i]
-            sources.append(synthesize_noise(src.to_spec(), seeds[i], seg,
-                                            cfg.sample_rate_hz))
+        sources = [_render_source(cfg, i, seeds[i], boundaries[i + 1] - boundaries[i])
+                   for i in range(len(cfg.noise_sources))]
         return compose(sources, "concatenate", switch_times_s=comp.switch_times_s)
-    sources = [synthesize_noise(src.to_spec(), seeds[i], cfg.duration_s,
-                                cfg.sample_rate_hz)
-               for i, src in enumerate(cfg.noise_sources)]
+    sources = [_render_source(cfg, i, seeds[i], cfg.duration_s)
+               for i in range(len(cfg.noise_sources))]
     return compose(sources, "mix", gains=comp.gains or None)
 
 
@@ -88,9 +96,8 @@ def build_training_signal(cfg: ExperimentConfig) -> Signal:
     """Fresh realization of the training source, long enough for the
     pre-training plateau rule."""
     _, train_seed = _source_seeds(cfg)
-    spec = cfg.noise_sources[cfg.fixed_filter.train_source].to_spec()
-    return synthesize_noise(spec, train_seed, cfg.fixed_filter.max_train_s,
-                            cfg.sample_rate_hz)
+    return _render_source(cfg, cfg.fixed_filter.train_source, train_seed,
+                          cfg.fixed_filter.max_train_s)
 
 
 @dataclass

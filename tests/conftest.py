@@ -16,7 +16,7 @@ python -m pytest` run from this checkout tests OTHER's code with this
 checkout's tests.
 
 `guard_spy` records where the loops that carry a running weight-norm
-bound (`run_adaptive`'s bodies and the one-row `lms_fit`) leave it for
+bound (`run_adaptive`'s body and the one-row `lms_fit`) leave it for
 the guard's exact tiers.
 """
 

@@ -159,16 +159,6 @@ def grid_plant(J, K, secondary=UNDELAYED):
                            secondary=secondary)
 
 
-def test_scalar_body_runs_eight_operations():
-    # an undelayed path, one filter and one mic: the path's window and
-    # dot, x(n)'s window, dot and store, x_f(n)'s window, the scaled copy
-    # and the in-place add
-    plant = synthetic_plant(seed=77, measurement_noise_std=0.01, secondary=UNDELAYED)
-    per = per_sample(loops, adaptive_run(plant, 16))
-    assert per == {"ndarray.dot": 2, "multiply": 1, "add": 1, "row": 3}
-    assert sum(per.values()) + 1 == 8
-
-
 @pytest.mark.parametrize("plant, taps, width, lengths", [
     (synthetic_plant(seed=77), 16, 5, 1),
     (grid_plant(1, 1, DEFAULT_SECONDARY), 16, 5, 1),
@@ -176,12 +166,13 @@ def test_scalar_body_runs_eight_operations():
     (grid_plant(3, 2, DEFAULT_SECONDARY), 16, 5, 1),
     (two_length_plant(delay=1), 8, 2, 2),
     (grid_plant(2, 2, DEFAULT_SECONDARY), 1, 5, 1),
+    (grid_plant(1, 1), 16, 1, 1),
     (grid_plant(2, 2), 16, 1, 1),
     (grid_plant(3, 2), 16, 1, 1),
     (two_length_plant(), 8, 1, 2),
     (grid_plant(2, 2), 1, 1, 1),
 ], ids=["1x1x1", "1x1x1_noisy", "1x2x2", "1x3x2", "1x2x2_two_lengths", "1x2x2L1",
-        "undelayed_1x2x2", "undelayed_1x3x2", "undelayed_1x2x2_two_lengths",
+        "undelayed_1x1x1", "undelayed_1x2x2", "undelayed_1x3x2", "undelayed_1x2x2_two_lengths",
         "undelayed_1x2x2L1"])
 def test_block_body_runs_a_fixed_handful_of_operations_a_pass(plant, taps, width, lengths):
     # paths that start with width - 1 zero taps run width samples a pass,

@@ -49,6 +49,23 @@ def run_cli(*argv):
                           capture_output=True, text=True)
 
 
+WAV_SOURCES = ["valid", "missing", "rate", "short", "malformed"]
+
+
+def write_wav_source(case, path, seconds):
+    """A recording for a wav-file source that needs `seconds` at 8 kHz:
+    one that fits, none at all, one at 16 kHz, one too short by 0.1 s or
+    bytes that are no WAV stream."""
+    if case == "malformed":
+        with open(path, "wb") as fh:
+            fh.write(b"RIFF\x04\x00\x00\x00WAVEdata\xff\xff\x00\x00")
+    elif case != "missing":
+        rate = 16000.0 if case == "rate" else 8000.0
+        n = int(round((seconds - 0.1 if case == "short" else seconds) * rate))
+        samples = 0.3 * np.random.default_rng(5).standard_normal(n)
+        write_wav(path, Signal(samples, rate), fmt="float32")
+
+
 class TestInProcess:
     def test_synth_writes_wav(self, tmp_path):
         cfg_path = tmp_path / "c.yaml"
@@ -303,16 +320,19 @@ class TestExitCodes:
                        str(blocker / "nested"))
         assert proc.returncode == 4
 
-    def test_missing_wav_source_is_config_error(self, tmp_path):
+    @pytest.mark.parametrize("case", ["missing", "rate", "short"])
+    def test_unusable_wav_source_is_config_error_naming_its_path(self, tmp_path, case):
         cfg_path = tmp_path / "c.yaml"
         write_small_config(cfg_path)
         doc = yaml.safe_load(cfg_path.read_text())
-        doc["noise_sources"] = [
-            {"name": "rec", "kind": "wav-file", "path": str(tmp_path / "nope.wav")}]
+        path = tmp_path / "rec.wav"
+        write_wav_source(case, path, 2.0)
+        doc["noise_sources"] = [{"name": "rec", "kind": "wav-file", "path": str(path)}]
         doc["composition"] = {"mode": "mix", "gains": [1.0]}
         cfg_path.write_text(yaml.safe_dump(doc))
         proc = run_cli("run", "--config", str(cfg_path), "--out", str(tmp_path / "o"))
         assert proc.returncode == 2
+        assert "noise_sources[0].path (source rec): " in proc.stderr, proc.stderr
 
 
 class TestRunDeterminism:
@@ -364,7 +384,8 @@ class TestRunDeterminism:
 
 # The run-level fuzz: short configs around a 0.25 s `combined` whose
 # drawn fields include the secondary paths' delay, so the adaptive loop
-# runs passes of several widths, and fields that fail validation.
+# runs passes of several widths, and fields that fail validation. Its
+# second source may be a recording, usable or not (`WAV_SOURCES`).
 FIELD_NAMED = re.compile(
     r"\b(sample_rate_hz|duration_s|seed|noise_sources\[\d+\]\.\w+|"
     r"(composition|plant(\.primary|\.secondary)?|controller|sysid|fixed_filter|metrics|export)"
@@ -390,7 +411,7 @@ GEOMETRIES = [("single", 1, 1), ("multichannel", 1, 1), ("multichannel", 1, 2),
               ("multichannel", 2, 2), ("single", 2, 1)]
 
 
-def run_doc(geometry, fields):
+def run_doc(geometry, fields, wav_path=None):
     cfg = default_config("combined", duration_s=2.0, seed=7)
     cfg.duration_s = 0.25
     cfg.composition.switch_times_s = [0.125]
@@ -408,24 +429,35 @@ def run_doc(geometry, fields):
         for key in path[:-1]:
             node = node[key]
         node[path[-1]] = value
+    if wav_path is not None:
+        doc["noise_sources"][1].update(name="rec", kind="wav-file", path=wav_path)
     return doc
 
 
 @settings(max_examples=30)
 @given(geometry=st.sampled_from(GEOMETRIES),
-       fields=st.fixed_dictionaries({}, optional=RUN_FIELDS))
-@example(("single", 2, 1), {})      # the kind's message named no field
-@example(("single", 1, 1), {("sysid", "n_samples"): 1})   # nor did auto mu's
-@example(("single", 1, 1), {("noise_sources", 0, "high_hz"): 4000.0})
+       fields=st.fixed_dictionaries({}, optional=RUN_FIELDS),
+       wav=st.sampled_from([None] + WAV_SOURCES))
+@example(("single", 2, 1), {}, None)      # the kind's message named no field
+@example(("single", 1, 1), {("sysid", "n_samples"): 1}, None)   # nor did auto mu's
+@example(("single", 1, 1), {("noise_sources", 0, "high_hz"): 4000.0}, None)
 @example(("multichannel", 2, 2), {("plant", "secondary", "delay"): 0,
-                                  ("plant", "measurement_noise_std"): 0.02})
+                                  ("plant", "measurement_noise_std"): 0.02}, None)
 @example(("multichannel", 1, 2), {("plant", "secondary", "delay"): 7,
                                   ("plant", "secondary", "taps"): 8,
-                                  ("controller", "mu"): 5.0})
-def test_any_drawn_config_runs_or_exits_with_its_code(geometry, fields):
+                                  ("controller", "mu"): 5.0}, None)
+@example(("single", 1, 1), {}, "valid")
+# nor did an unusable recording's
+@example(("single", 1, 1), {}, "missing")
+@example(("multichannel", 1, 2), {}, "rate")
+@example(("single", 1, 1), {}, "short")
+@example(("multichannel", 2, 2), {}, "malformed")
+def test_any_drawn_config_runs_or_exits_with_its_code(geometry, fields, wav):
     # exit 0 with finite, non-empty CSVs; 2 naming a field, before
     # identification unless the rule needs its estimates (auto mu's); 3
-    # with the divergence in summary.json; or 4. Never a traceback or exit 1
+    # with the divergence in summary.json; or 4. Never a traceback or exit
+    # 1. A recording that is missing, at another rate or too short exits
+    # 2, one that is no WAV stream 2 or 4
     identified = []
     resolve = scenario.resolve_estimates
 
@@ -436,13 +468,21 @@ def test_any_drawn_config_runs_or_exits_with_its_code(geometry, fields):
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
         patch.setattr(scenario, "resolve_estimates", watched)
         cfg_path, out = os.path.join(tmp, "c.yaml"), os.path.join(tmp, "out")
+        wav_path = None
+        if wav is not None:
+            wav_path = os.path.join(tmp, "rec.wav")
+            write_wav_source(wav, wav_path, 0.125)
         with open(cfg_path, "w", encoding="utf-8") as fh:
-            yaml.safe_dump(run_doc(geometry, fields), fh)
+            yaml.safe_dump(run_doc(geometry, fields, wav_path), fh)
         err = io.StringIO()
         with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
             code = main(["run", "--config", cfg_path, "--out", out])
         message = err.getvalue()
         assert code in (0, 2, 3, 4), message
+        if wav in ("missing", "rate", "short"):
+            assert code == 2, message
+        elif wav == "malformed":
+            assert code in (2, 4), message
         if code == 2:
             assert FIELD_NAMED.search(message), message
             assert not identified or "controller.mu auto" in message, message

@@ -6,6 +6,8 @@ the one a per-sample `Plant.step` loop produces, down to the sign of a
 zero, so each comparison here is `np.array_equal` plus equal sign bits.
 """
 
+import pathlib
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -13,7 +15,7 @@ from hypothesis import strategies as st
 
 from ancsim.acoustics import Plant
 from ancsim.adaptation import FxlmsFilter, LmsFilter
-from ancsim.config import PlantConfig, default_config
+from ancsim.config import PlantConfig, default_config, load_config
 from ancsim.errors import DivergenceError
 from ancsim.filters import FirFilter
 from ancsim.loops import (
@@ -952,7 +954,23 @@ def test_block_width_is_one_more_than_the_zero_taps_every_path_starts_with(paths
     split = PlantSplit(Plant([np.array([0.5])] * K, [[np.array(s) for s in row] for row in paths]))
     ctl = McAncController(ChannelConfig(1, J, K, 4, 2), 0.01, np.zeros((J, K, 2)))
     x_buf = np.ones(10)
+    assert type(_block_width(split, ctl, x_buf)) is int
     assert _block_width(split, ctl, x_buf) == width
     # a reference that could overflow an output puts every path a sample a pass
     x_buf[3] = 1e300
     assert _block_width(split, ctl, x_buf) == 1
+
+
+WORKLOADS = sorted((pathlib.Path(__file__).resolve().parent.parent
+                    / "perfbench" / "workloads").glob("*.json"))
+
+
+@pytest.mark.parametrize("path", WORKLOADS, ids=[p.stem for p in WORKLOADS])
+def test_every_workload_runs_five_samples_a_pass(path):
+    # the workloads' secondary paths start with 4 zero taps; a change to
+    # the default paths that lost them would show only in the speed
+    cfg = load_config(path)
+    J, K = cfg.plant.n_sources, cfg.plant.n_mics
+    ctl = build_controller(cfg, np.zeros((J, K, 2)), 0.01)
+    x_buf = np.concatenate([ctl._x[0], build_reference(cfg).samples])
+    assert _block_width(PlantSplit(build_plant(cfg)), ctl, x_buf) == 5

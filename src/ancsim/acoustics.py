@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DataError, DomainError
 from .filters import as_taps, fir
-from .ranges import NonNegativeInt, PositiveInt
+from .ranges import Decay, NonNegativeInt, PositiveInt, Scale
 from .signals import as_samples
 
 
@@ -168,9 +168,9 @@ class PathSpec:
     zero taps, `taps` total length."""
 
     delay: NonNegativeInt
-    decay: float
+    decay: Decay
     taps: PositiveInt
-    gain: float
+    gain: Scale
 
     def impulse_response(self) -> np.ndarray:
         if not (0 <= self.delay < self.taps):

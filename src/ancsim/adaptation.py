@@ -15,18 +15,8 @@ through the secondary-path estimate:
 
 `lms_fit` runs `LmsFilter.step`'s arithmetic for P independent filters at
 once: `LmsFilter.run` is its P = 1 case; identification fits whole grids.
-It has two per-sample bodies, and the row count picks one. One row runs
-in straight lines: a dot for y(n), a product of the window into a
-scratch buffer and an in-place add to the weights, guarded by `mcanc`'s
-running norm bound, with no array call beyond those while
-the weights stay within half the guard. Several rows take one
-`np.vecdot` over the stacked windows for every output, so the calls a
-sample stay fixed as P grows, and screen every row with one dot. The
-stacked body's fixed array calls cost more than the one-row body's whole
-sample, and per-row dots cost more than one `np.vecdot` once P > 1, so
-neither body is the faster at both.
-Both form each output with the same `cblas_ddot` and each update with
-the same elementwise operations, bit for bit.
+Its two per-sample bodies, one for one row and one for several, carry
+`mcanc`'s running norm bound and give the same bits.
 
 `FxlmsFilter` has no recursion of its own: it is the 1x1x1 case of the
 multichannel controller in `mcanc`, whose bare-mu update with coefficient
@@ -52,8 +42,6 @@ from .filters import FirFilter
 from .mcanc import (
     BOUND_GROWTH,
     BOUND_LIMIT,
-    GUARD_SCREEN,
-    WEIGHT_GUARD,
     ChannelConfig,
     McAncController,
     check_weights,
@@ -189,15 +177,6 @@ class FxlmsFilter:
     def sec_path_estimate(self) -> np.ndarray:
         return self.controller.sec_estimates[0, 0]
 
-    @property
-    def filtered_reference_window(self) -> np.ndarray:
-        """X_f(n) = [x_f(n), ..., x_f(n-N+1)] as of the last step."""
-        return self.controller._fx[0, 0, 0, ::-1].copy()
-
-    @property
-    def reference_window(self) -> np.ndarray:
-        return self.controller._x[0, -self.n_taps:][::-1].copy()
-
     def step(self, x: float, e_measured: float) -> float:
         if not (math.isfinite(x) and math.isfinite(e_measured)):
             raise DataError("non-finite input to FxLMS step")
@@ -244,17 +223,17 @@ def lms_fit(v: np.ndarray, x: np.ndarray, d: np.ndarray, mu: float):
     tripped and the sample where it did. Rows before p finish; the others
     stop at sample n or earlier.
 
-    The row count picks the per-sample body. One row (`LmsFilter.run`,
+    The row count picks the per-sample body; both carry the guard rule's
+    running norm bound in place of a guard dot. One row (`LmsFilter.run`,
     every 1x1 identification) runs `_fit_row`: per sample one dot, one
-    product into a scratch buffer and one in-place add, the fewest calls,
-    with the guard rule's running norm bound in place of a guard dot.
+    product into a scratch buffer and one in-place add, the fewest calls.
     Several rows run `_fit_rows`: six calls a sample whatever P is, on
     rows drawn from zipped views, operands positional. One `np.vecdot`
     forms every row's output, the same `cblas_ddot` per row;
     two calls form the coefficients, one product and one in-place add
-    update the weights, and one dot screens every row. That dot stays: a
-    running bound would need sum_p |c_p|, a call of its own. Each body is
-    the faster one for its row count; neither changes a bit.
+    update the weights, and one `tolist` of the coefficients gives the
+    bound its sum_p |c_p|. Each body is the faster one for its row count;
+    neither changes a bit.
     """
     P = v.shape[0]
     T = d.shape[1]
@@ -278,7 +257,7 @@ def _fit_row(v, x, d, y, step, start):
     the weights, and the running bound of `mcanc`'s guard rule. The
     desired samples are read, and the outputs written, through memoryviews
     of their rows, one Python float at a time."""
-    v = v[0]
+    rows, v = v, v[0]
     N, v_dot = v.size, v.dot
     x = x[0, start:]
     wins = sliding_window_view(x, N)
@@ -296,7 +275,7 @@ def _fit_row(v, x, d, y, step, start):
             bound = (bound + fabs(c) * norm) * BOUND_GROWTH
             if not (bound <= BOUND_LIMIT):
                 try:
-                    bound = guard_reset(v, n)
+                    bound = guard_reset(rows, n)
                 except DivergenceError:
                     return 0, n
     return None
@@ -307,18 +286,24 @@ def _fit_rows(v, x, d, y, step, start):
     (p, n) for the first row whose update at sample n tripped the guard,
     else None. Each sample is one `np.vecdot` for every row's output, the
     coefficients in two calls, one product of their column with the
-    windows, one in-place add to the weights and one screen dot over every
-    row. One-tap rows take the plain product `rowdots` takes."""
+    windows, one in-place add to the weights and one `tolist` of the
+    coefficients for the running bound of `mcanc`'s guard rule, over the
+    (P, N) stack; `guard_reset` names the first tripping row as (0, p).
+    One-tap rows take the plain product `rowdots` takes."""
     P, N = v.shape
-    vecdot, multiply, subtract, add, vdot = np.vecdot, np.multiply, np.subtract, np.add, np.vdot
+    vecdot, multiply, subtract, add, fabs = np.vecdot, np.multiply, np.subtract, np.add, math.fabs
     # row n: the rows' windows X(n), from sample `start` on
-    wins = sliding_window_view(x[:, start:], N, axis=1).transpose(1, 0, 2)
+    x = x[:, start:]
+    wins = sliding_window_view(x, N, axis=1).transpose(1, 0, 2)
+    norm = window_norm_bound(x, N)
     c_col, update = np.empty((P, 1)), np.empty((P, N))
     c = c_col[:, 0]
     dot, v_dot, c_x, t_x = vecdot, v, c_col, update
     if N == 1:
         # one-tap rows: `rowdots`'s plain product, on squeezed operands
         dot, v_dot, c_x, t_x, wins = multiply, v[:, 0], c, update[:, 0], wins[:, :, 0]
+    # infinite until the first update resets it from the weights' norm
+    bound = math.inf
     for n, (x_n, d_n, y_n) in enumerate(zip(wins, d.T[start:], y.T[start:]), start):
         dot(v_dot, x_n, y_n)
         if step != 0.0:
@@ -326,10 +311,12 @@ def _fit_rows(v, x, d, y, step, start):
             multiply(step, c, c)
             multiply(c_x, x_n, t_x)
             add(v, update, v)
-            if not (vdot(v, v) <= GUARD_SCREEN):
-                tripped = np.flatnonzero(~(np.abs(v).max(axis=1) <= WEIGHT_GUARD))
-                if tripped.size:
-                    return int(tripped[0]), n
+            bound = (bound + sum(map(fabs, c.tolist())) * norm) * BOUND_GROWTH
+            if not (bound <= BOUND_LIMIT):
+                try:
+                    bound = guard_reset(v, n)
+                except DivergenceError as exc:
+                    return exc.coords[1], n
     return None
 
 

@@ -61,9 +61,8 @@ def cmd_synth(args) -> int:
     sig = build_reference(cfg)
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "reference.wav")
-    clipped = write_wav(path, sig, fmt="float32")
-    print(f"wrote {path}: {len(sig)} samples at {sig.sample_rate_hz:.0f} Hz"
-          + (f", {clipped} clipped" if clipped else ""))
+    write_wav(path, sig)
+    print(f"wrote {path}: {len(sig)} samples at {sig.sample_rate_hz:.0f} Hz")
     return EXIT_OK
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
+import math
 import numbers
 import os
 import sys
@@ -28,7 +29,7 @@ import yaml
 
 from .acoustics import DEFAULT_PRIMARY, DEFAULT_SECONDARY, PathSpec
 from .errors import ConfigError
-from .ranges import Fraction, NonNegative, NonNegativeInt, Positive, PositiveInt
+from .ranges import Fraction, NonNegative, NonNegativeInt, NonNegativeScale, Positive, PositiveInt, Scale
 from .synth import BandNoiseSpec, ToneSpec, WavFileSpec
 
 SCHEMA_VERSION = 1
@@ -39,7 +40,7 @@ class SourceConfig:
     name: str
     kind: Literal["tone", "band-noise", "wav-file"]
     freq_hz: NonNegative | None = None
-    amplitude: float = 1.0
+    amplitude: Scale = 1.0
     phase_rad: float = 0.0
     low_hz: Positive | None = None
     high_hz: Positive | None = None
@@ -47,26 +48,19 @@ class SourceConfig:
     path: str | None = None
 
     def to_spec(self):
+        """The synthesis spec of a validated source."""
         if self.kind == "tone":
-            if self.freq_hz is None:
-                raise ConfigError(f"source {self.name}: tone needs freq_hz")
             return ToneSpec(self.freq_hz, self.amplitude, self.phase_rad)
         if self.kind == "band-noise":
-            if self.low_hz is None or self.high_hz is None:
-                raise ConfigError(f"source {self.name}: band-noise needs low_hz and high_hz")
             return BandNoiseSpec(self.low_hz, self.high_hz, tuple(self.tones))
-        if self.kind == "wav-file":
-            if not self.path:
-                raise ConfigError(f"source {self.name}: wav-file needs path")
-            return WavFileSpec(self.path)
-        raise ConfigError(f"source {self.name}: unknown kind {self.kind!r}")
+        return WavFileSpec(self.path)
 
 
 @dataclass
 class CompositionConfig:
     mode: Literal["concatenate", "mix"] = "concatenate"
     switch_times_s: list[float] = field(default_factory=list)
-    gains: list[float] = field(default_factory=list)
+    gains: list[Scale] = field(default_factory=list)
 
 
 @dataclass
@@ -75,12 +69,28 @@ class PlantConfig:
     n_sources: PositiveInt = 1
     n_mics: PositiveInt = 1
     seed: NonNegativeInt = 77
-    measurement_noise_std: NonNegative = 0.0
+    measurement_noise_std: NonNegativeScale = 0.0
     primary: PathSpec = DEFAULT_PRIMARY
     secondary: PathSpec = DEFAULT_SECONDARY
-    perturbation: float = 0.1
-    primary_taps: list[float] = field(default_factory=list)                  # explicit kind
-    secondary_taps: list[list[list[float]]] = field(default_factory=list)    # [J][K][taps]
+    perturbation: Scale = 0.1
+    primary_taps: list[Scale] = field(default_factory=list)                  # explicit kind
+    secondary_taps: list[list[list[Scale]]] = field(default_factory=list)    # [J][K][taps]
+
+    def check_paths(self) -> None:
+        """An explicit plant lists a primary path and a J x K grid of
+        secondary paths; every secondary path must reach its mic."""
+        J, K, grid = self.n_sources, self.n_mics, self.secondary_taps
+        if self.kind == "synthetic":
+            silent = [] if self.secondary.gain else ["plant.secondary.gain"]
+        elif not self.primary_taps:
+            raise ConfigError("plant.primary_taps: an explicit plant needs a primary path")
+        elif len(grid) != J or any(len(row) != K for row in grid):
+            raise ConfigError(f"plant.secondary_taps must list {J} rows of {K} paths")
+        else:
+            silent = [f"plant.secondary_taps[{j}][{k}]" for j in range(J) for k in range(K)
+                      if not any(grid[j][k])]
+        if silent:
+            raise ConfigError(f"{silent[0]}: a silent secondary path reaches no mic")
 
 
 @dataclass
@@ -145,10 +155,18 @@ class ExperimentConfig:
         for name, spec in (("primary", self.plant.primary), ("secondary", self.plant.secondary)):
             if spec.delay >= spec.taps:
                 raise ConfigError(f"plant.{name}.delay {spec.delay} must be below taps {spec.taps}")
+        for name, seconds in (("duration_s", self.duration_s),
+                              ("fixed_filter.max_train_s", self.fixed_filter.max_train_s)):
+            if not math.isfinite(seconds * self.sample_rate_hz):
+                raise ConfigError(f"{name} {seconds} at sample_rate_hz {self.sample_rate_hz} "
+                                  f"gives more samples than a float can hold")
         if self.metrics.interval_s > self.duration_s:
             raise ConfigError(
                 f"metrics.interval_s {self.metrics.interval_s} is longer than "
                 f"duration_s {self.duration_s}; no interval would complete")
+        if round(self.metrics.interval_s * self.sample_rate_hz) < 1:
+            raise ConfigError(
+                f"metrics.interval_s {self.metrics.interval_s} is shorter than one sample")
         seg = self.metrics.segment_len
         if seg < 4 or seg & (seg - 1):
             # a 2-sample Hann window is all zeros: every bin would be 0/0
@@ -181,6 +199,16 @@ class ExperimentConfig:
                               "gains are given")
         nyquist = self.sample_rate_hz / 2
         for i, src in enumerate(self.noise_sources):
+            for name in {"tone": ("freq_hz",), "band-noise": ("low_hz", "high_hz")}.get(
+                    src.kind, ()):
+                if getattr(src, name) is None:
+                    raise ConfigError(
+                        f"noise_sources[{i}].{name} (source {src.name}): a {src.kind} "
+                        f"source needs it")
+            if src.kind == "band-noise" and not src.low_hz < src.high_hz:
+                raise ConfigError(
+                    f"noise_sources[{i}].low_hz (source {src.name}): {src.low_hz} Hz is not "
+                    f"below high_hz {src.high_hz} Hz")
             tones = [(f"tones[{t}].freq_hz", tone.freq_hz) for t, tone in enumerate(src.tones)]
             for name, edge in (("freq_hz", src.freq_hz), ("low_hz", src.low_hz),
                                ("high_hz", src.high_hz), *tones):
@@ -192,6 +220,7 @@ class ExperimentConfig:
                 raise ConfigError(
                     f"noise_sources[{i}].path (source {src.name}): "
                     + (f"file {src.path} does not exist" if src.path else "wav-file needs a path"))
+        self.plant.check_paths()
         if self.controller.kind == "single" and (self.plant.n_sources != 1
                                                  or self.plant.n_mics != 1):
             raise ConfigError(

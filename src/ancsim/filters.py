@@ -2,18 +2,19 @@
 
 `fir` filters a whole block given the samples that preceded it; every
 linear time-invariant pass in the library (the plant's paths, frozen
-controllers, filtered references) goes through it. Output n is the dot
-of the reversed weights with the chronological window ending at x(n):
-the `cblas_ddot` that `ndarray.dot` forms on two vectors, reached for
-every window at once through `rowdots`, one `np.vecdot` call. A one-tap
-filter is a plain product instead: `ndarray.dot` forms a one-element dot
-that way, which keeps a -0.0 that `ddot` would add to +0.0. So a pass
-split anywhere equals one whole pass, and equals per-sample filtering,
-bit for bit. Samples before the first one given are zeros, matching the
+controllers, filtered references) goes through it, and band-noise
+synthesis through its `rowdots`. Output n is the dot of the reversed
+weights with the chronological window ending at x(n): the `cblas_ddot`
+that `ndarray.dot` forms on two vectors, reached for every window at
+once through `rowdots`, one `np.vecdot` call. A one-tap filter is a
+plain product instead: `ndarray.dot` forms a one-element dot that way,
+which keeps a -0.0 that `ddot` would add to +0.0. So a pass split
+anywhere equals one whole pass, and equals per-sample filtering, bit for
+bit. Samples before the first one given are zeros, matching the
 x(k) = 0 for k < 0 convention of the convolution sums. The adaptive
 loops' per-sample bodies follow the same rule: they call `np.vecdot`
-directly, and `np.multiply` for rows of one element, to save `rowdots`'s
-own call.
+directly, and `np.multiply` for rows of one element, to save
+`rowdots`'s own call.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import math
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import DataError, DomainError
+from .errors import DataError
 from .signals import as_samples
 
 
@@ -102,22 +103,6 @@ class FirFilter:
         out = fir(self._weights, x, self._x)
         self._x = np.concatenate([self._x, x])[x.size:]
         return out
-
-    def frequency_response(self, freq_hz: float, sample_rate_hz: float) -> complex:
-        """Evaluate H(e^{j*omega}) = sum_i w_i e^{-j*omega*i} at one frequency.
-
-        Valid for 0 <= freq_hz <= sample_rate_hz / 2. The response is that
-        of the current weight snapshot; for a filter whose weights are being
-        adapted it describes the frozen coefficients only.
-        """
-        if sample_rate_hz <= 0:
-            raise DomainError(f"sample rate must be positive, got {sample_rate_hz}")
-        if not (0.0 <= freq_hz <= sample_rate_hz / 2):
-            raise DomainError(
-                f"frequency {freq_hz} Hz outside [0, {sample_rate_hz / 2}] Hz")
-        omega = 2.0 * np.pi * freq_hz / sample_rate_hz
-        phases = np.exp(-1j * omega * np.arange(self._weights.size))
-        return complex(np.dot(self._weights, phases))
 
     def reset(self) -> None:
         self._x[:] = 0.0

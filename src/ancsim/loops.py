@@ -134,7 +134,9 @@ class PlantSplit:
 
     Built from a plant's tap arrays and seed: the plant's own state is
     neither read nor advanced, so the split starts where a freshly built
-    (or reset) plant starts.
+    (or reset) plant starts. A diverged `run_adaptive` call spends it
+    (`_spent_at`, that call's tripping step): its primary paths and noise
+    generator have advanced past that step, so every later use raises.
     """
 
     def __init__(self, plant: Plant):
@@ -152,9 +154,18 @@ class PlantSplit:
         # loudspeaker's paths
         self.x_hist = np.zeros(max(p.size for p in self._primaries))
         self.u_hist = np.zeros((self.n_sources, self.hist))
+        self._spent_at = None
+
+    def _require_unspent(self) -> None:
+        if self._spent_at is not None:
+            raise DataError(
+                f"plant split is spent: a run_adaptive call diverged at its step "
+                f"{self._spent_at}, and its primary paths and noise had advanced over "
+                f"the whole call; build a new split")
 
     def disturbance(self, x) -> Disturbance:
         """Advance the primary paths and the noise generator over x."""
+        self._require_unspent()
         xs = as_samples(x)
         primary = np.empty((xs.size, self.n_mics))
         for k, p in enumerate(self._primaries):
@@ -193,6 +204,7 @@ def _as_split(plant) -> PlantSplit:
 
 def _split_and_disturbance(plant, xs: np.ndarray, disturbance):
     split = _as_split(plant)
+    split._require_unspent()
     if disturbance is None:
         disturbance = split.disturbance(xs)
     elif disturbance.primary.shape[0] != xs.size:
@@ -237,10 +249,10 @@ def run_adaptive(plant, controller: McAncController, x,
     state advances exactly as repeated `step` calls would advance it.
 
     Divergence truncates the run at the failing step instead of
-    propagating, so partial traces remain available for diagnostics. A
-    `PlantSplit` cannot be resumed after a diverged call: its primary
-    paths and noise generator have advanced over the whole of x, past
-    the step that tripped.
+    propagating, so partial traces remain available for diagnostics. It
+    also spends a `PlantSplit`: its primary paths and noise generator
+    have advanced over the whole of x, past the step that tripped, so a
+    later call on it raises DataError.
 
     `_block_body` runs d + 1 samples a pass (`_block_width`), d the
     leading zero taps of every secondary path, one a pass where d = 0.
@@ -282,6 +294,8 @@ def run_adaptive(plant, controller: McAncController, x,
     diverged_at, diverged_coords, steps = _block_body(
         split, ctl, x_buf, fx_buf, u_buf, err, noise, _block_width(split, ctl, x_buf))
 
+    if diverged_at is not None:
+        split._spent_at = diverged_at
     done = T if diverged_at is None else steps + 1
     error = error[:done]
     out = u_buf[:, H + 1:H + 1 + steps].T

@@ -49,21 +49,22 @@ WEIGHT_GUARD = 1e6
 # The guard rule of the loops, cheapest test first; each test passes only
 # weights that the next one would pass too, so no tier hides a trip.
 #
-# 1. Running bound (`loops.run_adaptive`, and the one-row
-#    `adaptation.lms_fit`). B >= ||w||_2 over the n weights a step updates
-#    is carried from step to step as
+# 1. Running bound (`loops.run_adaptive` and `adaptation.lms_fit`).
+#    B >= ||w||_2 over the n weights a step updates is carried from step
+#    to step as
 #        B <- (B + (|c_0| + ... + |c_{K-1}|) * N) * BOUND_GROWTH,
 #    where c_k is the step's update coefficient for mic k (K = 1 for one
-#    mic and in `lms_fit`) and N >= the 2-norm of every window of the call
-#    that multiplies a c_k, sqrt(n) * max|x| over the call: n = L for one
-#    filter, n = J * L for a grid's (J, L) stack of filters, whose K
-#    windows are each a (J, L) block of filtered references. While
-#    B <= BOUND_LIMIT no weight can be past the guard, and the step costs
-#    a few float operations.
-# 2. Squared norm. Past the bound (`guard_reset`), or at every step of the
-#    several-row `lms_fit`, one dot s over the n weights: squares summing
-#    within GUARD_SCREEN = (WEIGHT_GUARD / 2)^2 put every |w| within the
-#    guard. The bound resets to sqrt(s) * BOUND_GROWTH.
+#    mic and for a one-row `lms_fit`) or for row k of a P-row `lms_fit`
+#    (K = P), and N >= the 2-norm of every window of the call that
+#    multiplies a c_k, sqrt(m) * max|x| over the call for windows of m
+#    samples: m = L for one filter, a row's taps in a fit, J * L for a
+#    grid's (J, L) stack of filters, whose K windows are each a (J, L)
+#    block of filtered references. While B <= BOUND_LIMIT no weight can
+#    be past the guard, and the step costs a few float operations.
+# 2. Squared norm. Past the bound (`guard_reset`), one dot s over the n
+#    weights: squares summing within GUARD_SCREEN = (WEIGHT_GUARD / 2)^2
+#    put every |w| within the guard. The bound resets to
+#    sqrt(s) * BOUND_GROWTH.
 # 3. `check_weights`, the exact test, filter by filter in `step`'s order,
 #    only where s fails the screen: at the steps the screen alone would
 #    send there, so a trip happens at the same step, with the same
@@ -73,10 +74,14 @@ WEIGHT_GUARD = 1e6
 # fl(c_k x_k) to it one at a time, so a weight takes K rounded adds of
 # terms rounded once each, |w'_i| <= (1 + u)^(K+1) (|w_i| + sum_k |c_k|
 # |x_k,i|), and over the n weights ||w'|| <= (1 + u)^(K+1) (||w|| +
-# sum_k |c_k| N). Computing N (a square root and a product), the K - 1
-# adds of sum_k |c_k|, its product with N, the sum with B and the product
-# with BOUND_GROWTH rounds down by at most (1 - u) each, K + 4 roundings,
-# and (1 + 2^-30)(1 - u)^(K+4) > (1 + u)^(K+1) for every K below 2^21.
+# sum_k |c_k| N). In a P-row fit a weight takes one rounded add of its
+# own row's term, rounded once: 2 of the K + 1 roundings with K = P, and
+# the stack's update, c_p x_p row by row, has 2-norm at most
+# sum_p |c_p| N.
+# Computing N (a square root and a product), the K - 1 adds of
+# sum_k |c_k|, its product with N, the sum with B and the product with
+# BOUND_GROWTH rounds down by at most (1 - u) each, K + 4 roundings, and
+# (1 + 2^-30)(1 - u)^(K+4) > (1 + u)^(K+1) for every K below 2^21.
 # For any summation order s >= (1 - n u) ||w||^2, so the reset holds below
 # n = 2^23 weights and B then exceeds ||w|| by about 2^-31 relative,
 # enough to send every step whose s fails the screen to tier 3 (past 2^23
@@ -108,22 +113,17 @@ def window_norm_bound(x: np.ndarray, taps: int) -> float:
     return math.sqrt(taps) * max(float(x.max()), -float(x.min()))
 
 
-def guard_reset(weights: np.ndarray, step: int, coords=None) -> float:
+def guard_reset(weights: np.ndarray, step: int) -> float:
     """Tiers 2 and 3 of the guard rule, for weights the running bound no
     longer clears: the squared-norm screen over every weight, then
-    `check_weights` where it fails. `weights` is one filter, checked with
-    `coords`, or a contiguous (J, L) stack, checked filter by filter as
-    (0, j) in `step`'s order. Returns the bound reset from the squared
-    norm."""
-    one = weights.ndim == 1
-    flat = weights if one else weights.reshape(-1)
+    `check_weights` where it fails. `weights` is a (J, L) stack of
+    filters (a fit's (P, N) rows), checked filter by filter as (0, j) in
+    `step`'s order. Returns the bound reset from the squared norm."""
+    flat = weights.reshape(-1)
     sq = flat.dot(flat)
     if not (sq <= GUARD_SCREEN):
-        if one:
-            check_weights(weights, step, coords)
-        else:
-            for j, w in enumerate(weights):
-                check_weights(w, step, (0, j))
+        for j, w in enumerate(weights):
+            check_weights(w, step, (0, j))
     return math.sqrt(sq) * BOUND_GROWTH
 
 

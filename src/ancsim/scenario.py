@@ -24,7 +24,7 @@ import numpy as np
 from ._version import __version__
 from .acoustics import Plant, synthetic_plant
 from .config import ExperimentConfig, config_hash
-from .errors import ConfigError
+from .errors import ConfigError, DataError
 from .filters import fir
 from .loops import (
     PlantSplit,
@@ -49,16 +49,8 @@ def build_plant(cfg: ExperimentConfig) -> Plant:
             primary=p.primary, secondary=p.secondary,
             perturbation=p.perturbation,
             measurement_noise_std=p.measurement_noise_std)
-    if p.kind == "explicit":
-        if not p.primary_taps or not p.secondary_taps:
-            raise ConfigError("explicit plant needs primary_taps and secondary_taps")
-        if len(p.secondary_taps) != p.n_sources:
-            raise ConfigError(f"secondary_taps must list {p.n_sources} rows")
-        if any(len(row) != p.n_mics for row in p.secondary_taps):
-            raise ConfigError(f"each secondary_taps row must list {p.n_mics} paths")
-        return Plant([p.primary_taps] * p.n_mics, p.secondary_taps,
-                     measurement_noise_std=p.measurement_noise_std, seed=p.seed)
-    raise ConfigError(f"unknown plant kind {p.kind!r}")
+    return Plant([p.primary_taps] * p.n_mics, p.secondary_taps,
+                 measurement_noise_std=p.measurement_noise_std, seed=p.seed)
 
 
 def _source_seeds(cfg: ExperimentConfig):
@@ -89,7 +81,10 @@ def build_reference(cfg: ExperimentConfig) -> Signal:
         return compose(sources, "concatenate", switch_times_s=comp.switch_times_s)
     sources = [_render_source(cfg, i, seeds[i], cfg.duration_s)
                for i in range(len(cfg.noise_sources))]
-    return compose(sources, "mix", gains=comp.gains or None)
+    try:
+        return compose(sources, "mix", gains=comp.gains or None)
+    except DataError as exc:
+        raise ConfigError(f"composition.mode mix: {exc}") from None
 
 
 def build_training_signal(cfg: ExperimentConfig) -> Signal:
@@ -296,6 +291,8 @@ def run_scenario(cfg: ExperimentConfig) -> ScenarioResult:
     """Execute sysid, pre-training, and the three comparison arms."""
     cfg.validate()
     reference = build_reference(cfg)
+    if cfg.noise_sources[cfg.fixed_filter.train_source].kind == "wav-file":
+        build_training_signal(cfg)      # a recording too short to train on fails here
     raw_est, sysid_summaries = resolve_estimates(cfg)
     aligned = loop_aligned_path(raw_est)
     mu = resolve_mu(cfg, reference, aligned)

@@ -1,10 +1,10 @@
 """Noise synthesis and composition for experiment references.
 
-Band-limited sources are seeded white noise shaped by an FIR band-pass
-and normalized to unit power; recordings come in through WAV files. The
-two composition modes mirror the evaluation scenarios: `concatenate`
-abuts sources at switch times, `mix` sums them with per-source gains and
-renormalizes to unit power.
+Band-limited sources are seeded white noise shaped by an FIR band-pass,
+the dots `filters.fir` forms, and normalized to unit power; recordings
+come in through WAV files. The two composition modes mirror the evaluation
+scenarios: `concatenate` abuts sources at switch times, `mix` sums them
+with per-source gains and renormalizes to unit power.
 """
 
 from __future__ import annotations
@@ -12,8 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, DataError
+from .filters import rowdots
+from .ranges import Scale
 from .signals import Signal, require_same_rate
 
 BANDPASS_TAPS = 511
@@ -22,7 +25,7 @@ BANDPASS_TAPS = 511
 @dataclass(frozen=True)
 class ToneSpec:
     freq_hz: float
-    amplitude: float = 1.0
+    amplitude: Scale = 1.0
     phase_rad: float = 0.0
 
 
@@ -44,9 +47,9 @@ def synthesize_noise(spec, seed, duration_s: float, sample_rate_hz: float) -> Si
     """Render one noise source. Same spec and seed give bit-identical output.
 
     Band noise holds two arrays of about the source's length at its peak:
-    the white noise and its filtered copy, which the returned signal is a
-    view of. The squares that normalize the power go into the spent white
-    noise, and the time axis is made only for added tones."""
+    the white noise and its filtered copy, which the returned signal is.
+    The squares that normalize the power go into the spent white noise,
+    and the time axis is made only for added tones."""
     if duration_s <= 0:
         raise ConfigError(f"duration must be positive, got {duration_s}")
     n = int(round(duration_s * sample_rate_hz))
@@ -66,7 +69,10 @@ def synthesize_noise(spec, seed, duration_s: float, sample_rate_hz: float) -> Si
         rng = np.random.default_rng(seed)
         white = rng.standard_normal(n + BANDPASS_TAPS)
         bp = _bandpass(spec.low_hz, spec.high_hz, sample_rate_hz)
-        shaped = np.convolve(bp, white)[BANDPASS_TAPS:len(white)]
+        # the full convolution past the band-pass's start-up: `fir`'s dot of
+        # the reversed taps with every window, without the zero-padded copy
+        # of the noise that only the start-up would read
+        shaped = rowdots(sliding_window_view(white[1:], BANDPASS_TAPS), bp[::-1].copy())
         # the white noise is spent: the squares go into it
         shaped /= np.sqrt(np.mean(np.square(shaped, out=white[:n])))
         t = np.arange(n) / sample_rate_hz if spec.tones else None

@@ -125,7 +125,8 @@ def _identify(plant: Plant, pairs, n_taps: int, mu: float, n_samples: int,
     for p, (j, k, _) in enumerate(pairs):
         if diverged is not None and diverged[0] == p:
             raise DivergenceError(
-                f"identification of path ({j}, {k}) diverged", index=diverged[1])
+                f"identification of path ({j}, {k}) diverged at sample {diverged[1]}",
+                index=diverged[1])
         weights, true_taps = v[p, ::-1].copy(), plant.true_secondary(j, k)
         tail_energy = float(np.dot(true_taps[n_taps:], true_taps[n_taps:]))
         total_energy = float(np.dot(true_taps, true_taps))

@@ -1,30 +1,26 @@
-"""Mono WAV input/output: 16-bit PCM and 32-bit IEEE float.
+"""Mono WAV input and output.
 
-16-bit samples map to [-1, 1) by division by 32768; writing is the exact
-inverse with round-half-away-from-zero, so data already on the 16-bit
-grid round-trips bit-identically. Values outside the representable range
-clamp to the rail and are counted as clipped. Float32 files are read
-exactly; writing rounds float64 data to float32. A file that would not
-make a valid `Signal` (a NaN or infinite float sample, a zero sample
-rate) is malformed, so reading raises only `WavError`s.
+Reading takes 16-bit PCM and 32-bit IEEE float. 16-bit samples map to
+[-1, 1) by division by 32768; float32 samples are read exactly. A file
+that would not make a valid `Signal` (a NaN or infinite float sample, a
+zero sample rate) is malformed, so reading raises only `WavError`s.
+Writing makes 32-bit float files only, each sample rounded from float64
+to float32, through `serialization.atomic_write`, so a failed write
+leaves no partial file.
 """
 
 from __future__ import annotations
 
 import struct
-import warnings
 
 import numpy as np
 
 from .errors import EmptyWavError, MalformedWavError, UnsupportedWavError
+from .serialization import atomic_write
 from .signals import Signal
 
 FORMAT_PCM = 0x0001
 FORMAT_IEEE_FLOAT = 0x0003
-
-
-class ClippingWarning(UserWarning):
-    """Samples were clamped to the representable range during a write."""
 
 
 def read_wav(path) -> Signal:
@@ -86,41 +82,13 @@ def read_wav(path) -> Signal:
     return Signal(samples, float(sample_rate))
 
 
-def write_wav(path, sig: Signal, fmt: str = "pcm16") -> int:
-    """Write a mono WAV; returns the number of clipped samples."""
+def write_wav(path, sig: Signal) -> None:
+    """Write a mono 32-bit IEEE float WAV: the fmt, fact and data chunks.
+    Float32 samples fill whole words, so the data chunk needs no pad."""
     rate = int(round(sig.sample_rate_hz))
-    if fmt == "pcm16":
-        scaled = sig.samples * 32768.0
-        quantized = np.copysign(np.floor(np.abs(scaled) + 0.5), scaled)
-        clipped = int(np.sum((quantized > 32767.0) | (quantized < -32768.0)))
-        quantized = np.clip(quantized, -32768.0, 32767.0)
-        payload = quantized.astype("<i2").tobytes()
-        blob = _render(rate, channels=1, bits=16, format_tag=FORMAT_PCM,
-                       payload=payload, n_frames=len(sig))
-    elif fmt == "float32":
-        payload = sig.samples.astype("<f4").tobytes()
-        clipped = 0
-        blob = _render(rate, channels=1, bits=32, format_tag=FORMAT_IEEE_FLOAT,
-                       payload=payload, n_frames=len(sig))
-    else:
-        raise UnsupportedWavError(f"unknown write format {fmt!r}; use pcm16 or float32")
-    with open(path, "wb") as fh:
-        fh.write(blob)
-    if clipped:
-        warnings.warn(f"{path}: clipped {clipped} samples to the 16-bit range",
-                      ClippingWarning, stacklevel=2)
-    return clipped
-
-
-def _render(rate, channels, bits, format_tag, payload, n_frames) -> bytes:
-    block_align = channels * bits // 8
-    byte_rate = rate * block_align
-    fmt_chunk = struct.pack("<4sIHHIIHH", b"fmt ", 16, format_tag, channels,
-                            rate, byte_rate, block_align, bits)
-    chunks = fmt_chunk
-    if format_tag == FORMAT_IEEE_FLOAT:
-        chunks += struct.pack("<4sII", b"fact", 4, n_frames)
-    data_header = struct.pack("<4sI", b"data", len(payload))
-    pad = b"\x00" if len(payload) % 2 else b""
-    body = chunks + data_header + payload + pad
-    return struct.pack("<4sI4s", b"RIFF", 4 + len(body), b"WAVE") + body
+    payload = sig.samples.astype("<f4").tobytes()
+    chunks = (struct.pack("<4sIHHIIHH", b"fmt ", 16, FORMAT_IEEE_FLOAT, 1, rate, 4 * rate, 4, 32)
+              + struct.pack("<4sII", b"fact", 4, len(sig))
+              + struct.pack("<4sI", b"data", len(payload)))
+    riff = struct.pack("<4sI4s", b"RIFF", 4 + len(chunks) + len(payload), b"WAVE")
+    atomic_write(path, (riff, chunks, payload))

@@ -16,8 +16,8 @@ python -m pytest` run from this checkout tests OTHER's code with this
 checkout's tests.
 
 `guard_spy` records where the loops that carry a running weight-norm
-bound (`run_adaptive`'s body and the one-row `lms_fit`) leave it for
-the guard's exact tiers.
+bound (`run_adaptive`'s body and `lms_fit`'s) leave it for the guard's
+exact tiers.
 """
 
 import os
@@ -63,9 +63,9 @@ class GuardSpy:
     def watching(self):
         reset, check = mcanc.guard_reset, mcanc.check_weights
 
-        def spy_reset(weights, step, coords=None):
+        def spy_reset(weights, step):
             self.resets.append(step)
-            return reset(weights, step, coords)
+            return reset(weights, step)
 
         def spy_check(weights, step, coords=None):
             self.checks.append(step)

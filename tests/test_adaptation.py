@@ -368,6 +368,33 @@ class TestLmsFitRunningBound:
         assert_same_bits(e, e_ref)
         assert_same_bits(w, w_ref)
 
+    def test_several_rows_check_where_the_stack_fails_the_screen(self, guard_spy):
+        # row 1 is parked about 1 under half the guard and climbs 0.04 a
+        # step, row 0 stays small: the stack's squared norm, one dot over
+        # both rows, crosses the screen, and every row is checked from there
+        rng = np.random.default_rng(4)
+        T, N, mu = 200, 3, 1e-4
+        w0 = np.array([0.1 * rng.standard_normal(N), [0.3e6, -0.4e6 * (1.0 - 2.5e-6), 0.0]])
+        x = np.concatenate([np.zeros((2, N - 1)),
+                            [rng.standard_normal(T), np.full(T, 1e-3)]], axis=1)
+        d = np.array([rng.standard_normal(T), np.full(T, -1e6)])
+        v = w0[:, ::-1].copy()
+        with guard_spy.watching():
+            y, e, diverged = lms_fit(v, x, d, mu)
+        rows, fails = [LmsFilter(N, mu) for _ in w0], []
+        for lms, w in zip(rows, w0):
+            lms.weights = w
+        for n in range(T):
+            for p, lms in enumerate(rows):
+                lms.step(x[p, N - 1 + n], d[p, n])
+            stack = np.concatenate([lms._v for lms in rows])
+            if not (stack.dot(stack) <= GUARD_SCREEN):
+                fails.append(n)
+        assert diverged is None and 0 < len(fails) < T
+        assert guard_spy.checks == [n for n in fails for _ in rows]
+        assert guard_spy.checked == [(0, p) for _ in fails for p in range(2)]
+        assert_same_bits(v[:, ::-1], [lms.weights for lms in rows])
+
     def test_bound_resets_from_the_norm_and_runs_on(self, guard_spy):
         # w follows d = +-1e4: every |c| is about 2e4 while |w| stays near
         # 1e4, so the bound passes BOUND_LIMIT every ~25 steps and each
@@ -486,7 +513,7 @@ class TestFxlmsStep:
             # weights, so e = d + u is computable before the step; build the
             # dot product in the same chronological orientation the filter
             # uses internally so the comparison is bit-exact
-            chrono = np.concatenate([fx.reference_window[:-1][::-1], [x]])
+            chrono = np.concatenate([fx.controller._x[0, 1 - n_taps:], [x]])
             u_pred = float(np.dot(fx.weights[::-1], chrono))
             e_plant = d + u_pred
             u = fx.step(x, e_plant)
@@ -502,7 +529,7 @@ class TestFxlmsStep:
         for x in xs:
             fx.step(x, rng.standard_normal() * 0.1)
         replay = FirFilter(s_hat).process(xs)
-        np.testing.assert_array_equal(fx.filtered_reference_window, replay[-4:][::-1])
+        np.testing.assert_array_equal(fx.controller._fx[0, 0, 0], replay[-4:])
 
     def test_update_sign_and_magnitude(self):
         # single tap, known values: W(n+1) = W(n) - 2 mu e x_f
@@ -632,7 +659,7 @@ def test_fxlms_state_window_matches_gradient_construction():
     for x in xs:
         fx.step(x, 0.0)
     xf_direct = FirFilter(s).process(xs)
-    np.testing.assert_array_equal(fx.filtered_reference_window, xf_direct[:-7:-1])
+    np.testing.assert_array_equal(fx.controller._fx[0, 0, 0], xf_direct[-6:])
 
 
 class TestDeterminism:

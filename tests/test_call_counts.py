@@ -206,10 +206,12 @@ def fit_run(P, N):
 @pytest.mark.parametrize("P", [2, 4])
 def test_fit_rows_runs_a_fixed_handful_of_calls(P):
     # whatever P is: the outputs' vecdot, the coefficients' subtract and
-    # scale, the update product, the in-place add and the one screen dot,
-    # over rows of windows, desired samples and outputs
+    # scale, the update product, the in-place add and the coefficients'
+    # tolist for the running bound, over rows of windows, desired samples
+    # and outputs
     per = per_sample(adaptation, fit_run(P, 8))
-    assert per == {"vecdot": 1, "subtract": 1, "multiply": 2, "add": 1, "vdot": 1, "row": 3}
+    assert per == {"vecdot": 1, "subtract": 1, "multiply": 2, "add": 1, "ndarray.tolist": 1,
+                   "row": 3}
 
 
 def test_fit_row_runs_a_dot_a_product_and_an_add():

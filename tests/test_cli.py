@@ -1,6 +1,7 @@
 """CLI surface: subcommands, exit codes, determinism of exports."""
 
 import contextlib
+import copy
 import io
 import json
 import os
@@ -13,12 +14,14 @@ import tempfile
 import numpy as np
 import pytest
 import yaml
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from test_config import _VALUES, _leaves
 
 from ancsim import scenario
 from ancsim.cli import main
-from ancsim.config import config_to_dict, default_config, save_config
+from ancsim.config import config_from_dict, config_to_dict, default_config, save_config
+from ancsim.errors import ConfigError
 from ancsim.scenario import run_scenario
 from ancsim.serialization import load_weights_binary, load_weights_json
 from ancsim.signals import Signal
@@ -63,7 +66,7 @@ def write_wav_source(case, path, seconds):
         rate = 16000.0 if case == "rate" else 8000.0
         n = int(round((seconds - 0.1 if case == "short" else seconds) * rate))
         samples = 0.3 * np.random.default_rng(5).standard_normal(n)
-        write_wav(path, Signal(samples, rate), fmt="float32")
+        write_wav(path, Signal(samples, rate))
 
 
 class TestInProcess:
@@ -74,6 +77,21 @@ class TestInProcess:
         assert main(["synth", "--config", str(cfg_path), "--out", str(out)]) == 0
         sig = read_wav(out / "reference.wav")
         assert len(sig) == 16000
+
+    def test_a_synth_whose_write_fails_leaves_no_partial_wav(self, tmp_path, monkeypatch):
+        cfg_path = tmp_path / "c.yaml"
+        write_small_config(cfg_path)
+        out = tmp_path / "synth"
+
+        def broken(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", broken)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            assert main(["synth", "--config", str(cfg_path), "--out", str(out)]) == 4
+        assert "disk full" in err.getvalue()
+        assert os.listdir(out) == []
 
     def test_mac_table(self, tmp_path, capsys):
         cfg_path = tmp_path / "c.yaml"
@@ -270,7 +288,7 @@ class TestExitCodes:
 
     def test_non_finite_wav_sample_is_four(self, tmp_path, capsys):
         wav = tmp_path / "rec.wav"
-        write_wav(wav, Signal(np.zeros(16000), 8000.0), fmt="float32")
+        write_wav(wav, Signal(np.zeros(16000), 8000.0))
         blob = bytearray(wav.read_bytes())
         blob[-4:] = struct.pack("<f", float("nan"))
         wav.write_bytes(bytes(blob))
@@ -385,9 +403,11 @@ class TestRunDeterminism:
 # The run-level fuzz: short configs around a 0.25 s `combined` whose
 # drawn fields include the secondary paths' delay, so the adaptive loop
 # runs passes of several widths, and fields that fail validation. Its
-# second source may be a recording, usable or not (`WAV_SOURCES`).
+# second source may be a recording, usable or not (`WAV_SOURCES`), and
+# any one leaf may take any value the config fuzz of `test_config.py`
+# draws.
 FIELD_NAMED = re.compile(
-    r"\b(sample_rate_hz|duration_s|seed|noise_sources\[\d+\]\.\w+|"
+    r"\b(sample_rate_hz|duration_s|seed|schema_version|noise_sources\[\d+\]\.\w+|"
     r"(composition|plant(\.primary|\.secondary)?|controller|sysid|fixed_filter|metrics|export)"
     r"\.\w+)\b")
 
@@ -434,30 +454,78 @@ def run_doc(geometry, fields, wav_path=None):
     return doc
 
 
+RUN_LEAVES = sorted(_leaves(run_doc(GEOMETRIES[0], {})), key=str)
+
+
+def within_budget(doc):
+    """Whether a document that loads runs in a fraction of a second: at
+    most 4000 samples of run and 32000 of training, 64 taps a filter or
+    path, 4000 identification samples, a 2x2 plant and 2e5 spectrogram
+    cells an arm (frames of segment_len / 2 bins). A document that does
+    not load costs nothing."""
+    try:
+        cfg = config_from_dict(copy.deepcopy(doc))
+    except ConfigError:
+        return True
+    rate, p, m = cfg.sample_rate_hz, cfg.plant, cfg.metrics
+    n = cfg.duration_s * rate
+    taps = [cfg.controller.taps, cfg.sysid.taps, p.primary.taps, p.secondary.taps,
+            len(p.primary_taps), *(len(t) for row in p.secondary_taps for t in row)]
+    return (n <= 4000 and cfg.fixed_filter.max_train_s * rate <= 32000 and max(taps) <= 64
+            and cfg.sysid.n_samples <= 4000 and p.n_sources * p.n_mics <= 4
+            and n / m.hop * m.segment_len <= 4e5)
+
+
 @settings(max_examples=30)
 @given(geometry=st.sampled_from(GEOMETRIES),
        fields=st.fixed_dictionaries({}, optional=RUN_FIELDS),
-       wav=st.sampled_from([None] + WAV_SOURCES))
-@example(("single", 2, 1), {}, None)      # the kind's message named no field
-@example(("single", 1, 1), {("sysid", "n_samples"): 1}, None)   # nor did auto mu's
-@example(("single", 1, 1), {("noise_sources", 0, "high_hz"): 4000.0}, None)
+       wav=st.sampled_from([None] + WAV_SOURCES),
+       leaf=st.none() | st.tuples(st.sampled_from(RUN_LEAVES), _VALUES))
+@example(("single", 2, 1), {}, None, None)      # the kind's message named no field
+@example(("single", 1, 1), {("sysid", "n_samples"): 1}, None, None)   # nor did auto mu's
+@example(("single", 1, 1), {("noise_sources", 0, "high_hz"): 4000.0}, None, None)
 @example(("multichannel", 2, 2), {("plant", "secondary", "delay"): 0,
-                                  ("plant", "measurement_noise_std"): 0.02}, None)
+                                  ("plant", "measurement_noise_std"): 0.02}, None, None)
 @example(("multichannel", 1, 2), {("plant", "secondary", "delay"): 7,
                                   ("plant", "secondary", "taps"): 8,
-                                  ("controller", "mu"): 5.0}, None)
-@example(("single", 1, 1), {}, "valid")
+                                  ("controller", "mu"): 5.0}, None, None)
+@example(("single", 1, 1), {}, "valid", None)
 # nor did an unusable recording's
-@example(("single", 1, 1), {}, "missing")
-@example(("multichannel", 1, 2), {}, "rate")
-@example(("single", 1, 1), {}, "short")
-@example(("multichannel", 2, 2), {}, "malformed")
-def test_any_drawn_config_runs_or_exits_with_its_code(geometry, fields, wav):
+@example(("single", 1, 1), {}, "missing", None)
+@example(("multichannel", 1, 2), {}, "rate", None)
+@example(("single", 1, 1), {}, "short", None)
+@example(("multichannel", 2, 2), {}, "malformed", None)
+# any leaf's value: a missing band edge named only its source, the rest
+# ran until an error named no field, or until a sum overflowed
+@example(("single", 1, 1), {}, None, (("noise_sources", 0, "high_hz"), None))
+@example(("single", 1, 1), {}, None, (("noise_sources", 0, "low_hz"), 2000.0))
+@example(("single", 1, 1), {}, None, (("metrics", "interval_s"), 1e-6))
+@example(("single", 1, 1), {}, None, (("plant", "measurement_noise_std"), 1e308))
+@example(("single", 1, 1), {}, None, (("plant", "primary", "decay"), 1e300))
+@example(("single", 1, 1), {}, None, (("plant", "primary", "gain"), 1e308))
+@example(("single", 1, 1), {}, None,
+         (("noise_sources", 0, "tones"), [{"freq_hz": 100.0, "amplitude": 1e308}]))
+@example(("single", 1, 1), {("composition", "mode"): "mix"}, None,
+         (("composition", "gains"), [0.0, 0.0]))
+@example(("single", 1, 1), {}, None, (("plant", "kind"), "explicit"))
+@example(("single", 1, 1), {}, None, (("plant", "secondary", "gain"), 0.0))
+@example(("single", 1, 1), {}, "valid", (("fixed_filter", "train_source"), 1))
+# a run longer than a float can count raised OverflowError
+@example(("single", 1, 1), {}, None, (("duration_s",), 1e308))
+# schema_version's message named it, but the pattern did not know it
+@example(("single", 1, 1), {}, None, (("schema_version",), 2))
+# a diverged identification exported nothing and named no sample
+@example(("single", 1, 1), {}, None, (("sysid", "mu"), 5.0))
+# a silent disturbance: its noise reduction is the documented nan
+@example(("single", 1, 1), {}, None, (("plant", "primary", "gain"), 0.0))
+def test_any_drawn_config_runs_or_exits_with_its_code(geometry, fields, wav, leaf):
     # exit 0 with finite, non-empty CSVs; 2 naming a field, before
     # identification unless the rule needs its estimates (auto mu's); 3
     # with the divergence in summary.json; or 4. Never a traceback or exit
     # 1. A recording that is missing, at another rate or too short exits
     # 2, one that is no WAV stream 2 or 4
+    if leaf is not None:
+        fields = {**fields, leaf[0]: leaf[1]}
     identified = []
     resolve = scenario.resolve_estimates
 
@@ -472,8 +540,10 @@ def test_any_drawn_config_runs_or_exits_with_its_code(geometry, fields, wav):
         if wav is not None:
             wav_path = os.path.join(tmp, "rec.wav")
             write_wav_source(wav, wav_path, 0.125)
+        doc = run_doc(geometry, fields, wav_path)
+        assume(within_budget(doc))
         with open(cfg_path, "w", encoding="utf-8") as fh:
-            yaml.safe_dump(run_doc(geometry, fields, wav_path), fh)
+            yaml.safe_dump(doc, fh)
         err = io.StringIO()
         with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
             code = main(["run", "--config", cfg_path, "--out", out])
@@ -486,6 +556,11 @@ def test_any_drawn_config_runs_or_exits_with_its_code(geometry, fields, wav):
         if code == 2:
             assert FIELD_NAMED.search(message), message
             assert not identified or "controller.mu auto" in message, message
+        elif code == 3 and not os.path.exists(out):
+            # identification diverged: nothing is exported, and the
+            # message names the path and the sample
+            assert re.search(r"identification of path \(\d+, \d+\) diverged at sample \d+",
+                             message), message
         elif code == 3:
             with open(os.path.join(out, "summary.json"), encoding="utf-8") as fh:
                 summary = json.load(fh)
@@ -493,8 +568,24 @@ def test_any_drawn_config_runs_or_exits_with_its_code(geometry, fields, wav):
             assert diverged or summary["pretrain"]["diverged_at"] is not None
             assert all(isinstance(at, int) for at in diverged)
         elif code == 0:
-            for name in sorted(os.listdir(out)):
-                if name.endswith(".csv"):
-                    rows = np.loadtxt(os.path.join(out, name), delimiter=",", skiprows=1,
-                                      ndmin=2)
-                    assert rows.size and np.isfinite(rows).all(), name
+            assert_exports_finite(out)
+
+
+def assert_exports_finite(out):
+    """Every CSV holds data rows of finite cells, but for the noise
+    reduction dB the export documents as inf, -inf or nan: +inf where the
+    error is silent, and any of them only in an interval whose disturbance
+    is silent (the uncontrolled arm's own NR there is nan, 0/0)."""
+    for name in sorted(os.listdir(out)):
+        if not name.endswith(".csv"):
+            continue
+        rows = np.loadtxt(os.path.join(out, name), delimiter=",", skiprows=1, ndmin=2)
+        assert rows.size, name
+        if not name.split("_")[1].startswith("nr"):
+            assert np.isfinite(rows).all(), name
+            continue
+        silent = np.isnan(np.loadtxt(os.path.join(out, "uncontrolled_" + name.split("_", 1)[1]),
+                                     delimiter=",", skiprows=1, ndmin=2)[:, 2])
+        nr = rows[:, 2]
+        assert np.isfinite(rows[:, :2]).all(), name
+        assert (np.isfinite(nr) | (nr == np.inf) | silent).all(), name

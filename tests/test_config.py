@@ -5,7 +5,7 @@ import re
 
 import pytest
 import yaml
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ancsim.config import (
@@ -385,6 +385,10 @@ _VALUES = st.recursive(
 
 @settings(max_examples=400)
 @given(path=st.sampled_from(_DEFAULT_LEAVES), value=_VALUES)
+# a run longer than a float can count raised OverflowError
+@example(("duration_s",), 1e308)
+@example(("sample_rate_hz",), 1e308)
+@example(("fixed_filter", "max_train_s"), 1e308)
 def test_any_leaf_value_loads_or_raises_config_error(path, value):
     doc = config_to_dict(default_config("combined"))
     set_leaf(doc, path, value)

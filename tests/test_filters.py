@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ancsim.errors import DataError, DomainError
+from ancsim.errors import DataError
 from ancsim.filters import FirFilter, fir
 
 
@@ -160,35 +160,3 @@ class TestFirProcess:
     def test_non_finite_weights_rejected(self):
         with pytest.raises(DataError):
             FirFilter([1.0, np.inf])
-
-
-class TestFrequencyResponse:
-    def test_identity_any_frequency(self):
-        f = FirFilter([1.0, 0.0, 0.0])
-        for freq in (0.0, 123.4, 4000.0):
-            assert f.frequency_response(freq, 8000.0) == pytest.approx(1.0 + 0.0j)
-
-    def test_averager_nulls_nyquist(self):
-        h = FirFilter([0.5, 0.5]).frequency_response(4000.0, 8000.0)
-        assert abs(h) < 1e-12
-
-    def test_differencer_nulls_dc(self):
-        h = FirFilter([1.0, -1.0]).frequency_response(0.0, 8000.0)
-        assert abs(h) < 1e-12
-
-    def test_out_of_nyquist_rejected(self):
-        f = FirFilter([1.0])
-        with pytest.raises(DomainError):
-            f.frequency_response(4001.0, 8000.0)
-        with pytest.raises(DomainError):
-            f.frequency_response(-1.0, 8000.0)
-
-    def test_matches_dft_of_impulse_response(self):
-        rng = np.random.default_rng(5)
-        w = rng.standard_normal(8)
-        f = FirFilter(w)
-        rate = 8000.0
-        for freq in (0.0, 500.0, 1234.5, 4000.0):
-            omega = 2 * np.pi * freq / rate
-            oracle = sum(w[i] * np.exp(-1j * omega * i) for i in range(8))
-            assert f.frequency_response(freq, rate) == pytest.approx(oracle)

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from ancsim.acoustics import Plant
 from ancsim.adaptation import FxlmsFilter, LmsFilter
 from ancsim.config import PlantConfig, default_config, load_config
-from ancsim.errors import DivergenceError
+from ancsim.errors import DataError, DivergenceError
 from ancsim.filters import FirFilter
 from ancsim.loops import (
     PlantSplit,
@@ -278,6 +278,27 @@ def test_split_carries_state_across_calls():
     cases = loop_cases([0.0, 0.8, -0.3], [0.0, 0.5, 0.2], [0.0, 0.0, 0.5, 0.2], 8, 0.01,
                        measurement_noise_std=0.05, seed=4)
     assert_blocks_match_plant_step(cases, [x[a:a + 300] for a in range(0, 900, 300)])
+
+
+def test_a_split_past_a_diverged_call_is_spent():
+    # the first call trips the guard; its primary paths and noise ran over
+    # the whole call, so every later use of the split raises and names
+    # the step that tripped
+    x = np.random.default_rng(3).standard_normal(400)
+    plant = Plant([np.array([0.0, 0.8])], [[np.array([0.0, 0.5])]],
+                  measurement_noise_std=0.05, seed=4)
+    split = PlantSplit(plant)
+    res = run_adaptive(split, FxlmsFilter(4, 50.0, [0.0, 0.5]).controller, x[:200])
+    assert res.diverged_at is not None and res.diverged_at < 199
+    spent = rf"diverged at its step {res.diverged_at}\b"
+    with pytest.raises(DataError, match=spent):
+        run_adaptive(split, FxlmsFilter(4, 0.0, [0.0, 0.5]).controller, x[200:])
+    with pytest.raises(DataError, match=spent):
+        run_fixed(split, np.zeros((1, 1, 4)), x[200:])
+    with pytest.raises(DataError, match=spent):
+        split.disturbance(x[200:])
+    with pytest.raises(DataError, match=spent):
+        run_uncontrolled_signal(split, x[200:])
 
 
 def test_split_carries_estimate_history_longer_than_the_control_filter():

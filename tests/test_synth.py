@@ -117,6 +117,37 @@ class TestScipyFree:
         assert proc.stdout.strip() == "[]"
 
 
+def convolve_band_noise(spec, seed, n, rate):
+    """The band-noise recipe with `np.convolve` as its FIR pass."""
+    white = np.random.default_rng(seed).standard_normal(n + BANDPASS_TAPS)
+    bp = _bandpass(spec.low_hz, spec.high_hz, rate)
+    shaped = np.convolve(bp, white)[BANDPASS_TAPS:len(white)]
+    shaped = shaped / np.sqrt(np.mean(shaped**2))
+    t = np.arange(n) / rate
+    for tone in spec.tones:
+        shaped = shaped + tone.amplitude * np.sin(2 * np.pi * tone.freq_hz * t + tone.phase_rad)
+    return shaped
+
+
+@settings(max_examples=100)
+@given(rate=st.sampled_from([8000.0, 16000.0, 44100.0, 1000.0]),
+       edges=st.tuples(st.floats(1e-4, 1.0 - 1e-4), st.floats(1e-4, 1.0 - 1e-4)),
+       seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3000),
+       tones=st.lists(st.tuples(st.floats(0.0, 1.0 - 1e-4), st.floats(-4.0, 4.0),
+                                st.floats(-np.pi, np.pi)), max_size=2))
+def test_band_noise_equals_direct_convolution(rate, edges, seed, n, tones):
+    # bit for bit, sign bits included, against full convolution sliced
+    # past the band-pass's start-up
+    low_hz, high_hz = sorted(e * rate / 2 for e in edges)
+    assume(low_hz < high_hz)
+    spec = BandNoiseSpec(low_hz, high_hz,
+                         tuple(ToneSpec(f * rate / 2, a, ph) for f, a, ph in tones))
+    out = synthesize_noise(spec, seed, n / rate, rate).samples
+    expected = convolve_band_noise(spec, seed, n, rate)
+    assert np.array_equal(out, expected)
+    assert np.array_equal(np.signbit(out), np.signbit(expected))
+
+
 class TestCompose:
     def test_concatenate_abuts(self):
         a = synthesize_noise(ToneSpec(100.0), 0, 1.0, RATE)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from ancsim.errors import EmptyWavError, MalformedWavError, UnsupportedWavError, WavError
 from ancsim.signals import Signal
-from ancsim.wavio import ClippingWarning, read_wav, write_wav
+from ancsim.wavio import read_wav, write_wav
 
 
 def pcm16_bytes(values, rate=8000, channels=1):
@@ -88,7 +88,7 @@ class TestRead:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_float_sample_is_malformed(self, tmp_path, bad):
         path = tmp_path / "nan.wav"
-        write_wav(path, Signal(np.zeros(6), 8000.0), fmt="float32")
+        write_wav(path, Signal(np.zeros(6), 8000.0))
         blob = bytearray(path.read_bytes())
         blob[-12:-8] = struct.pack("<f", bad)  # sample 3 of 6
         path.write_bytes(bytes(blob))
@@ -107,11 +107,12 @@ def _valid_file(fmt):
     [0.25, 0.5) in magnitude, so one edit of a float32 sample's top byte
     to 0x7f or 0xff makes it NaN or infinite."""
     rng = np.random.default_rng(5)
-    magnitude = np.round(rng.uniform(0.25, 0.5, 16) * 32768) / 32768
-    sig = Signal(magnitude * rng.choice([-1.0, 1.0], 16), 8000.0)
+    ints = np.round(rng.uniform(0.25, 0.5, 16) * 32768) * rng.choice([-1.0, 1.0], 16)
+    if fmt == "pcm16":
+        return pcm16_bytes([int(v) for v in ints])
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "valid.wav")
-        write_wav(path, sig, fmt=fmt)
+        write_wav(path, Signal(ints / 32768, 8000.0))
         with open(path, "rb") as fh:
             return fh.read()
 
@@ -145,41 +146,33 @@ class TestRoundTrip:
     def test_pcm16_grid_bit_identical(self, tmp_path):
         rng = np.random.default_rng(0)
         ints = rng.integers(-32768, 32768, size=500)
-        sig = Signal(ints / 32768.0, 8000.0)
         path = tmp_path / "grid.wav"
-        assert write_wav(path, sig) == 0
+        path.write_bytes(pcm16_bytes(ints.tolist()))
         back = read_wav(path)
-        assert np.array_equal(back.samples, sig.samples)
+        assert np.array_equal(back.samples, ints / 32768.0)
         assert back.sample_rate_hz == 8000.0
-
-    def test_rounding_half_away_from_zero(self, tmp_path):
-        # 0.5/32768 and -0.5/32768 sit exactly between grid points
-        sig = Signal(np.array([0.5, -0.5, 1.5, -1.5]) / 32768.0, 8000.0)
-        path = tmp_path / "round.wav"
-        write_wav(path, sig)
-        back = read_wav(path)
-        assert (back.samples * 32768.0).tolist() == [1.0, -1.0, 2.0, -2.0]
-
-    def test_full_scale_clips_with_warning(self, tmp_path):
-        sig = Signal(np.array([1.0, -1.0, 0.99999, -1.00001]), 8000.0)
-        path = tmp_path / "clip.wav"
-        with pytest.warns(ClippingWarning):
-            clipped = write_wav(path, sig)
-        assert clipped == 2  # +1.0 overflows the grid; -1.0 maps exactly
-        back = read_wav(path)
-        assert back.samples[0] == 32767 / 32768.0
-        assert back.samples[1] == -1.0
 
     def test_float32_lossless_for_float32_data(self, tmp_path):
         rng = np.random.default_rng(1)
         data = rng.standard_normal(300).astype(np.float32).astype(np.float64)
         sig = Signal(data, 44100.0)
         path = tmp_path / "f32.wav"
-        assert write_wav(path, sig, fmt="float32") == 0
+        write_wav(path, sig)
         back = read_wav(path)
         assert np.array_equal(back.samples, data)
         assert back.sample_rate_hz == 44100.0
 
-    def test_unknown_format_rejected(self, tmp_path):
-        with pytest.raises(UnsupportedWavError):
-            write_wav(tmp_path / "x.wav", Signal(np.zeros(4), 8000.0), fmt="pcm24")
+    def test_a_write_that_fails_leaves_the_old_file_and_no_temporary(self, tmp_path,
+                                                                      monkeypatch):
+        path = tmp_path / "reference.wav"
+        write_wav(path, Signal(np.zeros(4), 8000.0))
+        before = path.read_bytes()
+
+        def broken(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", broken)
+        with pytest.raises(OSError):
+            write_wav(path, Signal(np.ones(8), 8000.0))
+        assert os.listdir(tmp_path) == ["reference.wav"]
+        assert path.read_bytes() == before

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, DomainError
-from .filters import as_taps, fir
+from .filters import as_taps, dot, fir
 from .ranges import Decay, NonNegativeInt, PositiveInt, Scale
 from .signals import as_samples
 
@@ -120,9 +120,9 @@ class Plant:
         u_win[:, -1] = u
         e = np.empty(self.n_mics)
         for k, (p, window) in enumerate(self._p_terms):
-            e[k] = np.dot(p, window)
+            e[k] = dot(p, window)
         for k, s, window in self._s_terms:
-            e[k] += np.dot(s, window)
+            e[k] += dot(s, window)
         if self.measurement_noise_std > 0.0:
             e += self.measurement_noise_std * self._rng.standard_normal(self.n_mics)
         return e

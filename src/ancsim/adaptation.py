@@ -21,7 +21,8 @@ Its two per-sample bodies, one for one row and one for several, carry
 `FxlmsFilter` has no recursion of its own: it is the 1x1x1 case of the
 multichannel controller in `mcanc`, whose bare-mu update with coefficient
 2 mu is this one exactly (doubling is exact). The weight guard lives in
-`mcanc` beside that recursion; `LmsFilter` imports it from there.
+`mcanc` beside that recursion; `LmsFilter` imports it from there. Every
+dot is `filters`', except in `wiener_solve`, which no export reads.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from .errors import (
     DivergenceError,
     UndefinedBoundError,
 )
-from .filters import FirFilter
+from .filters import FirFilter, dot, row_reduction
 from .mcanc import (
     BOUND_GROWTH,
     BOUND_LIMIT,
@@ -95,7 +96,7 @@ class LmsFilter:
         window, v = self._x, self._v
         window[:-1] = window[1:]
         window[-1] = x
-        y = float(np.dot(v, window))
+        y = float(dot(v, window))
         e = d - y
         if self.mu != 0.0:
             v += (2.0 * self.mu * e) * window
@@ -181,7 +182,7 @@ class FxlmsFilter:
         if not (math.isfinite(x) and math.isfinite(e_measured)):
             raise DataError("non-finite input to FxLMS step")
         try:
-            return float(self.controller._advance((x,), (e_measured,))[0])
+            return float(self.controller._advance((x,), np.array((e_measured,)))[0])
         except DivergenceError as err:
             # one filter: no grid coordinates to report
             raise DivergenceError(f"adaptive weights exceeded guard at step {err.index}",
@@ -217,10 +218,9 @@ def lms_fit(v: np.ndarray, x: np.ndarray, d: np.ndarray, mu: float):
     filter p's N - 1 history samples, then its T new ones, and row p of
     `d` (P, T) its desired samples. Each sample takes `step`'s arithmetic,
     so each row equals its own `step` loop bit for bit: y(n) is the
-    `ndarray.dot` of the weights with the window (never a matrix product,
-    which sums in another order), then V += (2 mu e(n)) X(n). y and e are
-    (P, T); `diverged` is None or (p, n), the first row whose guard ever
-    tripped and the sample where it did. Rows before p finish; the others
+    `filters.dot` of the weights with the window, then V += (2 mu e(n))
+    X(n). y and e are (P, T); `diverged` is None or (p, n), the first row
+    whose guard ever tripped and the sample where it did. Rows before p finish; the others
     stop at sample n or earlier.
 
     The row count picks the per-sample body; both carry the guard rule's
@@ -228,12 +228,11 @@ def lms_fit(v: np.ndarray, x: np.ndarray, d: np.ndarray, mu: float):
     every 1x1 identification) runs `_fit_row`: per sample one dot, one
     product into a scratch buffer and one in-place add, the fewest calls.
     Several rows run `_fit_rows`: six calls a sample whatever P is, on
-    rows drawn from zipped views, operands positional. One `np.vecdot`
-    forms every row's output, the same `cblas_ddot` per row;
-    two calls form the coefficients, one product and one in-place add
-    update the weights, and one `tolist` of the coefficients gives the
-    bound its sum_p |c_p|. Each body is the faster one for its row count;
-    neither changes a bit.
+    rows drawn from zipped views, operands positional: one row dot for
+    every row's output, two calls for the coefficients, one product and
+    one in-place add for the weights, and one `tolist` of the coefficients
+    for the bound's sum_p |c_p|. Each body is the faster one for its row
+    count; neither changes a bit.
     """
     P = v.shape[0]
     T = d.shape[1]
@@ -258,7 +257,7 @@ def _fit_row(v, x, d, y, step, start):
     desired samples are read, and the outputs written, through memoryviews
     of their rows, one Python float at a time."""
     rows, v = v, v[0]
-    N, v_dot = v.size, v.dot
+    N, v_dot = v.size, dot.__get__(v)
     x = x[0, start:]
     wins = sliding_window_view(x, N)
     norm = window_norm_bound(x, N)
@@ -284,32 +283,30 @@ def _fit_row(v, x, d, y, step, start):
 def _fit_rows(v, x, d, y, step, start):
     """`lms_fit` on every row from sample `start`, writing y; returns
     (p, n) for the first row whose update at sample n tripped the guard,
-    else None. Each sample is one `np.vecdot` for every row's output, the
+    else None. Each sample is one row dot for every row's output, the
     coefficients in two calls, one product of their column with the
     windows, one in-place add to the weights and one `tolist` of the
     coefficients for the running bound of `mcanc`'s guard rule, over the
-    (P, N) stack; `guard_reset` names the first tripping row as (0, p).
-    One-tap rows take the plain product `rowdots` takes."""
+    (P, N) stack; `guard_reset` names the first tripping row as (0, p)."""
     P, N = v.shape
-    vecdot, multiply, subtract, add, fabs = np.vecdot, np.multiply, np.subtract, np.add, math.fabs
+    dot, index = row_reduction(N)
+    multiply, subtract, add, fabs = np.multiply, np.subtract, np.add, math.fabs
     # row n: the rows' windows X(n), from sample `start` on
     x = x[:, start:]
     wins = sliding_window_view(x, N, axis=1).transpose(1, 0, 2)
     norm = window_norm_bound(x, N)
     c_col, update = np.empty((P, 1)), np.empty((P, N))
-    c = c_col[:, 0]
-    dot, v_dot, c_x, t_x = vecdot, v, c_col, update
-    if N == 1:
-        # one-tap rows: `rowdots`'s plain product, on squeezed operands
-        dot, v_dot, c_x, t_x, wins = multiply, v[:, 0], c, update[:, 0], wins[:, :, 0]
+    # the outputs, desired samples and coefficients shaped as `dot` writes
+    c, c_out = c_col[:, 0], c_col[:, 0][index]
     # infinite until the first update resets it from the weights' norm
     bound = math.inf
-    for n, (x_n, d_n, y_n) in enumerate(zip(wins, d.T[start:], y.T[start:]), start):
-        dot(v_dot, x_n, y_n)
+    rows = zip(wins, d.T[start:][index], y.T[start:][index])
+    for n, (x_n, d_n, y_n) in enumerate(rows, start):
+        dot(v, x_n, y_n)
         if step != 0.0:
-            subtract(d_n, y_n, c)
-            multiply(step, c, c)
-            multiply(c_x, x_n, t_x)
+            subtract(d_n, y_n, c_out)
+            multiply(step, c_out, c_out)
+            multiply(c_col, x_n, update)
             add(v, update, v)
             bound = (bound + sum(map(fabs, c.tolist())) * norm) * BOUND_GROWTH
             if not (bound <= BOUND_LIMIT):

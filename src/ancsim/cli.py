@@ -1,7 +1,8 @@
 """Command-line harness.
 
 Subcommands: synth, identify, pretrain, run, report, mac. Exit codes:
-0 success, 2 configuration error, 3 adaptive divergence, 4 file I/O error.
+0 success, 2 configuration error (a config whose arrays cannot be
+allocated included), 3 adaptive divergence, 4 file I/O error.
 `report` re-executes the scenario deterministically from the config (the
 runs are seed-reproducible), applying any metric overrides before export.
 """
@@ -236,7 +237,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    # a config whose arrays cannot be allocated: numpy's message gives the size
+    except (ConfigError, MemoryError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except DivergenceError as exc:

@@ -1,20 +1,19 @@
-"""FIR filtering as one stateless pass.
+"""The package's one home for dots, and FIR filtering as one pass.
 
-`fir` filters a whole block given the samples that preceded it; every
-linear time-invariant pass in the library (the plant's paths, frozen
-controllers, filtered references) goes through it, and band-noise
-synthesis through its `rowdots`. Output n is the dot of the reversed
-weights with the chronological window ending at x(n): the `cblas_ddot`
-that `ndarray.dot` forms on two vectors, reached for every window at
-once through `rowdots`, one `np.vecdot` call. A one-tap filter is a
-plain product instead: `ndarray.dot` forms a one-element dot that way,
-which keeps a -0.0 that `ddot` would add to +0.0. So a pass split
-anywhere equals one whole pass, and equals per-sample filtering, bit for
-bit. Samples before the first one given are zeros, matching the
-x(k) = 0 for k < 0 convention of the convolution sums. The adaptive
-loops' per-sample bodies follow the same rule: they call `np.vecdot`
-directly, and `np.multiply` for rows of one element, to save
-`rowdots`'s own call.
+Every dot an export or an oracle depends on is one of two names bound
+here: `dot` for one pair of vectors and `vecdot` for every pair of rows
+along the last axis, the same `cblas_ddot` per pair. `row_reduction`
+states the one-element rule once. No other module spells a reduction
+(`tests/test_reductions.py` parses the sources), so rebinding these
+names changes every export's arithmetic at once; the one exception is
+`adaptation.wiener_solve`, library API that no export reads.
+
+`fir` filters a whole block given the samples that preceded it: the
+plant's paths, frozen controllers and filtered references. Output n is
+the dot of the reversed weights with the window ending at x(n), all of
+them in one `rowdots` call, so a pass split anywhere equals one whole
+pass, and per-sample filtering, bit for bit. Samples before the first
+one given are zeros, the x(k) = 0 for k < 0 of the convolution sums.
 """
 
 from __future__ import annotations
@@ -38,15 +37,29 @@ def as_taps(weights) -> np.ndarray:
     return w.copy()
 
 
+# the method, 0.2 us a call cheaper than `np.dot`; `dot.__get__(v)` is `v.dot`
+dot = np.ndarray.dot
+vecdot = np.vecdot
+
+
+def row_reduction(n: int):
+    """(reduction, index) for rows of n elements: `reduction(a, b,
+    out[index])` writes the dots of a's and b's rows into `out`, their
+    broadcast shape less the last axis. The one-element rule: a dot of
+    one-element rows is their plain product, as `dot` forms it, which
+    keeps a -0.0 that a `ddot` sum would add to +0.0; `np.multiply` keeps
+    the rows' trailing axis, so `out` takes one too."""
+    if n == 1:
+        return np.multiply, (..., None)
+    return vecdot, ...
+
+
 def fir(weights, x, history=None) -> np.ndarray:
     """y(n) = sum_i w_i x(n-i) for every sample of x.
 
     `history` holds the samples before x, oldest first; the window reads
-    zeros beyond it. Each output is the `cblas_ddot` of `w_rev` with its
-    own window, the dot `FirFilter.process_sample` forms; `rowdots` forms
-    all of them in one call. Do not replace these dots by a matrix
-    product, `einsum` or an FFT convolution: those add the terms in
-    another order and change the last bits.
+    zeros beyond it. Each output is the dot `FirFilter.process_sample`
+    forms over its window; `rowdots` forms all of them in one call.
     """
     w_rev = np.asarray(weights, dtype=np.float64)[::-1].copy()
     x = np.asarray(x, dtype=np.float64)
@@ -57,14 +70,13 @@ def fir(weights, x, history=None) -> np.ndarray:
     return rowdots(sliding_window_view(h, w_rev.size), w_rev)
 
 
-def rowdots(a, b, out=None):
+def rowdots(a, b) -> np.ndarray:
     """The dot of every pair of rows of a and b (broadcast), along the
-    last axis: one `np.vecdot` call, the `cblas_ddot` `ndarray.dot` forms
-    for each pair. Rows of one element are a plain product instead, as
-    `ndarray.dot` forms them: a `ddot` sum would turn -0.0 into +0.0."""
-    if a.shape[-1] == 1:
-        return np.multiply(a[..., 0], b[..., 0], out=out)
-    return np.vecdot(a, b, out=out)
+    last axis, in one call of `row_reduction`'s reduction."""
+    reduction, index = row_reduction(a.shape[-1])
+    out = np.empty(np.broadcast_shapes(a.shape[:-1], b.shape[:-1]))
+    reduction(a, b, out[index])
+    return out
 
 
 class FirFilter:
@@ -95,7 +107,7 @@ class FirFilter:
         window = self._x
         window[:-1] = window[1:]
         window[-1] = x
-        return float(np.dot(self._w_rev, window))
+        return float(dot(self._w_rev, window))
 
     def process(self, samples) -> np.ndarray:
         """Filter an array of samples, advancing state."""

@@ -13,60 +13,53 @@ primary-path outputs, the outputs of silent secondary paths and the
 measurement noise do not depend on the control, so
 `PlantSplit.disturbance` computes them in one `filters.fir` pass per
 microphone (a `Disturbance`) that every arm over the same reference can
-share; each such pass is one `np.vecdot` call, with no Python-level call
-per sample. Every term is the same `np.dot` over the same window that
-`Plant.step` forms, added in the order `Plant.step` adds it, so each loop
-reproduces a per-sample `Plant.step` run bit for bit.
+share. Every dot here is `filters`' (its `dot`, or `row_reduction`'s
+reduction for a whole pass), the one `Plant.step` forms over the same
+window, and every term is added in the order `Plant.step` adds it, so
+each loop reproduces a per-sample `Plant.step` run bit for bit.
 
 There is one adaptive loop, `run_adaptive`, for every 1xJxK
 `McAncController`, the single-channel FxLMS being its 1x1x1 case; every
 loop gives (T, K) errors and (T, J) outputs. It inlines
 `McAncController.step` over flat histories in its operand order. The
 filtered references do not depend on the control either, so they come
-from one `fir` pass per path, the dot `step` forms over the same window;
-only the secondary paths, the controller outputs and the weight updates
-depend on the recursion. The weight guard follows `mcanc`'s guard rule,
-as `adaptation.lms_fit` does.
+from one `fir` pass per path; only the secondary paths, the controller
+outputs and the weight updates depend on the recursion. The weight guard
+follows `mcanc`'s guard rule, as `adaptation.lms_fit` does.
 
 The plant's own delay sets how many samples the loop runs a pass. When
 every true secondary path starts with d zero taps, u(n) reaches no mic
 before step n + d + 1, so the errors, update coefficients and update
 terms of B = d + 1 consecutive samples do not depend on those samples'
 outputs (`_block_width` gives the rule and when it holds). The block body
-forms them a pass at a time: one `np.vecdot` for every path of one
-length, one `tolist` of the terms, the errors and coefficients as Python
-floats (the plant's IEEE arithmetic, with less overhead than array
-scalars, read and written through `memoryview`s of the noise and of the
-(T, K) error array the loop returns), a coefficient store and one
-product writing every update term c x_f behind the weights in a
-(B*K + 1, J, L) stack. What stays per sample is the weight recursion,
-B*K in-place adds of each row into the next, the adds `step` makes in
-mic order; one `np.vecdot` then forms the B outputs from the rows that
-hold each sample's weights. With the windows of the paths, x, x_f and
-the output slots, a pass makes 7 + 2 G + B*K array operations for G
-distinct path lengths: 14 for 5 samples of the workloads' 1x1x1 plant
-(d = 4), 10 for one sample of an undelayed 1x1x1 plant and 11 for one
-of an undelayed 1x2x2 grid; `tests/test_call_counts.py` holds the body
-to that count. Each pass draws its windows, and the slots its outputs go
-to, as the rows of `sliding_window_view`s zipped together, so no pass
-indexes an array to find them, and passes ufunc operands positionally
-(numpy parses keywords on every call). Rows of one element take
-`filters.rowdots`'s plain product instead of a `vecdot`.
+forms them a pass at a time: one row dot for every path of one length,
+one `tolist` of the terms, the errors and coefficients as Python floats
+(the plant's IEEE arithmetic, with less overhead than array scalars,
+read and written through `memoryview`s of the noise and of the (T, K)
+error array the loop returns), a coefficient store and one product
+writing every update term c x_f behind the weights in a (B*K + 1, J, L)
+stack. What stays per sample is the weight recursion, B*K in-place adds
+of each row into the next, the adds `step` makes in mic order; one row
+dot then forms the B outputs from the rows that hold each sample's
+weights. With the windows of the paths, x, x_f and the output slots, a
+pass makes 7 + 2 G + B*K array operations for G distinct path lengths:
+14 for 5 samples of the workloads' 1x1x1 plant (d = 4), 10 for one
+sample of an undelayed 1x1x1 plant and 11 for one of an undelayed 1x2x2
+grid; `tests/test_call_counts.py` holds the body to that count. Each
+pass draws its windows, and the slots its outputs go to, as the rows of
+`sliding_window_view`s zipped together, so no pass indexes an array to
+find them, and passes ufunc operands positionally (numpy parses keywords
+on every call).
 
 The outputs go to the loudspeaker buffer the secondary paths read, and
 the (T, J) outputs returned are a view of it. So a run holds its
 result, the reference and filtered-reference histories its windows read,
 and the buffers of one pass.
 
-The body guards the weights with the rule's running norm bound, a few
-float operations and a compare a pass while the weights stay within
-half the guard; over a grid the bound covers the whole (J, L) stack and
-adds the magnitudes of the K update coefficients. A pass adds all its
-coefficients at once, with one more BOUND_GROWTH a pass as the margin
-for that sum's roundings; where the bound fails, the pass's samples take
-it one at a time, on the pass's weight rows. The squared norm and the
-exact check take over only past it, at the steps and filters a check at
-every step would reach.
+The body guards the whole (J, L) stack with `mcanc`'s running norm
+bound. A pass adds all its coefficients at once, with one more
+BOUND_GROWTH as the margin for that sum's roundings; where the bound
+fails, the pass's samples take it one at a time, on their weight rows.
 
 `run_fixed` runs frozen weights, for which the loop is LTI end to end:
 each of its passes, controller and path, is one `fir` pass, into the
@@ -84,7 +77,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .acoustics import Plant
 from .errors import DataError, DivergenceError
-from .filters import as_taps, fir, rowdots
+from .filters import as_taps, dot, fir, row_reduction, rowdots
 from .mcanc import (
     BOUND_GROWTH,
     BOUND_LIMIT,
@@ -254,9 +247,8 @@ def run_adaptive(plant, controller: McAncController, x,
     have advanced over the whole of x, past the step that tripped, so a
     later call on it raises DataError.
 
-    `_block_body` runs d + 1 samples a pass (`_block_width`), d the
-    leading zero taps of every secondary path, one a pass where d = 0.
-    The module docstring gives its calls.
+    `_block_body` runs d + 1 samples a pass (`_block_width`); the module
+    docstring gives its calls.
     """
     xs, ctl = as_samples(x), controller
     if ctl.n_refs != 1:
@@ -305,7 +297,7 @@ def run_adaptive(plant, controller: McAncController, x,
     # a step that trips the guard does not count, as in McAncController.step
     ctl._step_count = step0 + steps
     if steps:
-        ctl.last_cost = float(np.dot(error[steps - 1], error[steps - 1]))
+        ctl.last_cost = float(dot(error[steps - 1], error[steps - 1]))
     return LoopResult(error=error, output=out, final_weights=ctl.weights,
                       diverged_at=diverged_at, diverged_coords=diverged_coords)
 
@@ -317,9 +309,10 @@ def _block_width(split, ctl, x_buf) -> int:
     pass. An output slot not yet written holds +0.0 and meets only those
     zero taps. Its product, like a finite output's, is a signed zero, which
     changes no `ddot` sum (the accumulators start at +0.0). So B = 1 where
-    a path has one tap (`rowdots`' plain product keeps a zero's sign) or
-    where the reference could make an output overflow, from weights within
-    the guard or from the starting weights."""
+    a path has one tap (the one-element rule of `filters.row_reduction`: a
+    plain product keeps a zero's sign) or where the reference could make
+    an output overflow, from weights within the guard or from the starting
+    weights."""
     paths = [s for row in split.sec_taps for s in row]
     v = ctl._v[0]
     # |u| <= L max|w| max|x|; NaN fails the compare
@@ -343,21 +336,18 @@ def _block_body(split, ctl, x_buf, fx_buf, u_buf, err, noise, width):
     step0 = ctl._step_count
     multiply, add, fabs = np.multiply, np.add, math.fabs
     # row n of each: x(n)'s window, x_f(n)'s (K, J, L) windows, mic-major,
-    # and u(n)'s slot, column H+1+n of u_buf; one-tap filters take the
-    # plain product into a trailing axis of that slot
+    # and u(n)'s slot, column H+1+n of u_buf, shaped for `out_dot`
     x_wins = sliding_window_view(x_buf[hx - L + 1:], L)[:, None]
     fx = fx_buf[:, :, 1:]
     fx_wins = sliding_window_view(fx, L, axis=2).transpose(2, 1, 0, 3)
-    u_rows = u_buf.T[H + 1:]
-    out_dot = np.vecdot
-    if L == 1:
-        out_dot, u_rows = multiply, u_rows[:, :, None]
+    out_dot, index = row_reduction(L)
+    u_rows = u_buf.T[H + 1:][index]
     # Secondary paths, one dot per distinct length m: row n of its windows
     # is every loudspeaker's plant window at step n, u_buf[j, n+1+H-m:n+1+H],
     # against that length's reversed taps (J, K, m). Paths of another
     # length hold zeros there and their dots go unread: padding a path's
-    # taps would regroup its `ddot` blocks. One-tap paths take the plain
-    # product `rowdots` takes.
+    # taps would regroup its `ddot` blocks. Each length has its own
+    # reduction and output index, `filters.row_reduction`'s.
     lengths = sorted({s.size for row in split.sec_rev for s in row})
     g_of = {m: g for g, m in enumerate(lengths)}
     groups = []
@@ -368,7 +358,7 @@ def _block_body(split, ctl, x_buf, fx_buf, u_buf, err, noise, width):
                 if s.size == m:
                     taps[j, k] = s
         wins = sliding_window_view(u_buf, m, axis=1)[:, H - m + 1:].transpose(1, 0, 2)
-        groups.append((np.vecdot if m > 1 else multiply, taps, wins[:, :, None]))
+        groups.append((*row_reduction(m), taps, wins[:, :, None]))
     update = neg_mu != 0.0
     norm = window_norm_bound(fx, J * L)
     # infinite until the first step resets it from the weights' norm
@@ -396,8 +386,8 @@ def _block_body(split, ctl, x_buf, fx_buf, u_buf, err, noise, width):
             # each path length's terms of the pass, (B, J, K); each
             # sample's and mic's in terms.ravel(), loudspeaker by loudspeaker
             terms = np.empty((len(groups), B, J, K))
-            paths = [(dot, taps, t if taps.shape[2] > 1 else t[..., None])
-                     for (dot, taps, _), t in zip(groups, terms)]
+            paths = [(path_dot, taps, t[index])
+                     for (path_dot, index, taps, _), t in zip(groups, terms)]
             (path_dot, path_taps, path_out), *more = paths
             t_flat = terms.reshape(-1)
             mic_terms = [[((g_of[split.sec_rev[j][k].size] * B + i) * J + j) * K + k
@@ -409,14 +399,14 @@ def _block_body(split, ctl, x_buf, fx_buf, u_buf, err, noise, width):
             def blocks(a):
                 return a[start:stop].reshape(((stop - start) // B, B) + a.shape[1:])
 
-            more_wins = zip(*[blocks(g[2]) for g in groups[1:]]) if more else repeat(())
-            rows = zip(range(start, stop, B), blocks(groups[0][2]), blocks(x_wins),
+            more_wins = zip(*[blocks(g[3]) for g in groups[1:]]) if more else repeat(())
+            rows = zip(range(start, stop, B), blocks(groups[0][3]), blocks(x_wins),
                        blocks(fx_wins), blocks(u_rows), more_wins)
             for n0, p_win, x_win, fx_win, u_out, p_wins in rows:
                 path_dot(p_win, path_taps, path_out)
                 if more:
-                    for (dot, taps, out), win in zip(more, p_wins):
-                        dot(win, taps, out)
+                    for (more_dot, taps, out), win in zip(more, p_wins):
+                        more_dot(win, taps, out)
                 # e(n) in `Plant.step`'s order: source by source, then noise
                 vals = t_flat.tolist()
                 coefs = []

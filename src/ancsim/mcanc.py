@@ -19,16 +19,13 @@ single-channel derivation carries 2 mu: `adaptation.FxlmsFilter` is the
 This is the library's one FxLMS recursion. `McAncController.step` runs it
 one sample at a time and `loops.run_adaptive` inlines it over flat
 histories, in the same operand order, for every 1xJxK geometry. Each
-output and each filtered reference is its own `np.dot` (in the loop a
-grid's outputs come from one `np.vecdot`, the same `ddot` per filter,
-and the filtered references from `filters.fir`, which forms the same dot
-over the same window), and each (i, j) filter adds its K update terms to
-its weights one at a time in microphone order. The loop makes that same
-sequence of adds elementwise: a pass of B samples holds the weights and
-then every sample's K update terms, in microphone order, in one
-(B*K + 1, J, L) stack, and adds each row in place into the next, B*K
-adds. A matrix product or einsum would sum in another order and change
-the last bits that the bit-exactness tests pin.
+output and each filtered reference is its own `filters.dot`, the dot the
+loop forms a pass at a time, and each (i, j) filter adds its K update
+terms to its weights one at a time in microphone order. The loop makes
+that same sequence of adds elementwise: a pass of B samples holds the
+weights and then every sample's K update terms, in microphone order, in
+one (B*K + 1, J, L) stack, and adds each row in place into the next,
+B*K adds.
 
 The filtered-reference sum runs over all M estimate taps (m = 0..M-1);
 the complexity table's per-step charge of I*J*K*M multiply-accumulates
@@ -43,6 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, DivergenceError
+from .filters import dot
 
 # Any adapted weight beyond this magnitude flags the run as diverged.
 WEIGHT_GUARD = 1e6
@@ -120,7 +118,7 @@ def guard_reset(weights: np.ndarray, step: int) -> float:
     filters (a fit's (P, N) rows), checked filter by filter as (0, j) in
     `step`'s order. Returns the bound reset from the squared norm."""
     flat = weights.reshape(-1)
-    sq = flat.dot(flat)
+    sq = dot(flat, flat)
     if not (sq <= GUARD_SCREEN):
         for j, w in enumerate(weights):
             check_weights(w, step, (0, j))
@@ -254,7 +252,7 @@ class McAncController:
         return self._advance(x, e, counter)
 
     def _advance(self, x, e, counter: MacCounter | None = None) -> np.ndarray:
-        """`step` on inputs already checked: I and K finite samples."""
+        """`step` on checked inputs: I finite samples and an array of K."""
         cfg = self.cfg
         I, J, K = cfg.n_refs, cfg.n_sources, cfg.n_mics
         L, M = cfg.control_taps, cfg.estimate_taps
@@ -268,7 +266,7 @@ class McAncController:
         for j in range(J):
             for i in range(I):
                 w = v[i, j]
-                y = float(np.dot(w, xh[i, -L:]))
+                y = float(dot(w, xh[i, -L:]))
                 # no leading 0.0: it would turn a -0.0 output into +0.0
                 u[j] = y if i == 0 else u[j] + y
                 n_output += w.size
@@ -278,7 +276,7 @@ class McAncController:
             for j in range(J):
                 for k in range(K):
                     s = est_rev[j, k]
-                    fx[i, j, k, -1] = float(np.dot(s, x_win_m))
+                    fx[i, j, k, -1] = float(dot(s, x_win_m))
                     n_filtered_x += s.size
 
         if self.mu != 0.0:
@@ -291,7 +289,7 @@ class McAncController:
                         v_ij += (-mu * e[k]) * fx_ijk
                         n_update += fx_ijk.size
                     check_weights(v_ij, self._step_count, coords=(i, j))
-        self.last_cost = float(np.dot(e, e))
+        self.last_cost = float(dot(e, e))
         n_update += len(e)
         if counter is not None:
             counter.output += n_output

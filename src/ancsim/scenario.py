@@ -25,7 +25,7 @@ from ._version import __version__
 from .acoustics import Plant, synthetic_plant
 from .config import ExperimentConfig, config_hash
 from .errors import ConfigError, DataError
-from .filters import fir
+from .filters import fir, rowdots
 from .loops import (
     PlantSplit,
     loop_aligned_path,
@@ -321,7 +321,7 @@ def run_scenario(cfg: ExperimentConfig) -> ScenarioResult:
     # samples; on divergence it keeps the sample whose update tripped the
     # guard, as the error CSVs do
     rows = res.error[::stride]
-    mse_trace = np.vecdot(rows, rows)
+    mse_trace = rowdots(rows, rows)
     fixed = ArmResult("fixed", _reports_for(d, fixed_error, cfg), fixed_error)
 
     provenance = {"config_hash": config_hash(cfg), "seed": cfg.seed,

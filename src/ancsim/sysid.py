@@ -17,7 +17,7 @@ import numpy as np
 from .acoustics import Plant
 from .adaptation import check_lms_args, lms_fit
 from .errors import DataError, DivergenceError
-from .filters import FirFilter, fir
+from .filters import FirFilter, dot, fir
 from .signals import Signal
 
 
@@ -52,10 +52,10 @@ def misalignment_db(true_taps, estimate_taps) -> float:
     n = max(t.size, s.size)
     t = np.pad(t, (0, n - t.size))
     s = np.pad(s, (0, n - s.size))
-    denom = float(np.dot(t, t))
+    denom = float(dot(t, t))
     if denom == 0.0:
         raise DataError("true path has zero energy")
-    err = float(np.dot(t - s, t - s))
+    err = float(dot(t - s, t - s))
     if err == 0.0:
         return -np.inf
     return 10.0 * np.log10(err / denom)
@@ -128,8 +128,8 @@ def _identify(plant: Plant, pairs, n_taps: int, mu: float, n_samples: int,
                 f"identification of path ({j}, {k}) diverged at sample {diverged[1]}",
                 index=diverged[1])
         weights, true_taps = v[p, ::-1].copy(), plant.true_secondary(j, k)
-        tail_energy = float(np.dot(true_taps[n_taps:], true_taps[n_taps:]))
-        total_energy = float(np.dot(true_taps, true_taps))
+        tail_energy = float(dot(true_taps[n_taps:], true_taps[n_taps:]))
+        total_energy = float(dot(true_taps, true_taps))
         undermodeled = tail_energy > 0.01 * total_energy
         if undermodeled:
             warnings.warn(

@@ -395,6 +395,41 @@ class TestLmsFitRunningBound:
         assert guard_spy.checked == [(0, p) for _ in fails for p in range(2)]
         assert_same_bits(v[:, ::-1], [lms.weights for lms in rows])
 
+    def test_two_rows_climbing_together_check_and_trip_where_their_steps_do(self, guard_spy):
+        # both rows parked with the stack's norm 10 under half the guard,
+        # weights along their constant windows, each weight climbing 0.2 a
+        # step: the stack's norm grows 0.4 a step, more than either row's
+        # |c| N of 0.28, so only a bound that adds every row's |c| reaches
+        # BOUND_LIMIT by the step the stack fails the screen. At step 60 row
+        # 1's desired sample jumps and its weights pass the guard.
+        T, N, mu, trip = 80, 2, 1e-4, 60
+        w0 = np.full((2, N), 0.5 * (0.5 * WEIGHT_GUARD - 10.0))
+        x = np.concatenate([np.zeros((2, N - 1)), np.full((2, T), 1e-3)], axis=1)
+        d = np.full((2, T), 1e6)
+        d[1, trip] = 1e13
+        v = w0[:, ::-1].copy()
+        with guard_spy.watching():
+            y, e, diverged = lms_fit(v, x, d, mu)
+        rows, fails, y_ref = [LmsFilter(N, mu) for _ in w0], [], [[], []]
+        for lms, w in zip(rows, w0):
+            lms.weights = w
+        for n in range(T):
+            y_ref[0].append(rows[0].step(x[0, N - 1 + n], d[0, n])[0])
+            if n < trip:
+                y_ref[1].append(rows[1].step(x[1, N - 1 + n], d[1, n])[0])
+                stack = np.concatenate([lms._v for lms in rows])
+                if not (stack.dot(stack) <= GUARD_SCREEN):
+                    fails.append(n)
+        with pytest.raises(DivergenceError) as err:
+            rows[1].step(x[1, N - 1 + trip], d[1, trip])
+        assert err.value.index == trip and diverged == (1, trip)
+        assert 10 < fails[0] and fails == list(range(fails[0], trip))
+        assert guard_spy.checks == [n for n in fails for _ in rows] + [trip, trip]
+        assert guard_spy.checked == [(0, p) for _ in range(len(fails) + 1) for p in (0, 1)]
+        assert_same_bits(y[0], y_ref[0])
+        assert_same_bits(y[1, :trip], y_ref[1])
+        assert_same_bits(v[0, ::-1], rows[0].weights)
+
     def test_bound_resets_from_the_norm_and_runs_on(self, guard_spy):
         # w follows d = +-1e4: every |c| is about 2e4 while |w| stays near
         # 1e4, so the bound passes BOUND_LIMIT every ~25 steps and each

@@ -8,10 +8,11 @@ counted, each as the difference between a short run and a longer one
 over the extra samples or passes, so set-up work cancels:
 
 - calls of the numpy callables a body looks up through its module's
-  `np`, which the test wraps (`sys.setprofile` does not report a ufunc's
-  own call, such as `np.multiply` or `np.vecdot`);
-- ndarray methods such as `ndarray.dot`, from `sys.setprofile`'s
-  `c_call` events;
+  `np`, or takes from `filters` (its `vecdot`, or the `np.multiply` of
+  its one-element rule), which the test wraps (`sys.setprofile` does not
+  report a ufunc's own call, such as `np.multiply` or `np.vecdot`);
+- ndarray methods such as `ndarray.dot` (`filters.dot` bound to an
+  array), from `sys.setprofile`'s `c_call` events;
 - rows the body draws from arrays through `zip`: its windows, output
   slots and desired-sample rows.
 
@@ -32,7 +33,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from ancsim import adaptation, floatfmt, loops
+from ancsim import adaptation, filters, floatfmt, loops
 from ancsim.acoustics import DEFAULT_SECONDARY, PathSpec, Plant, synthetic_plant
 from ancsim.adaptation import lms_fit
 from ancsim.floatfmt import CHUNK
@@ -71,9 +72,9 @@ class CountingNumpy:
 
 @contextmanager
 def counting(module, counts):
-    """Count, into `counts`, the numpy calls `module` makes through `np`,
-    every ndarray method called and every row `module` draws from an
-    array through `zip`."""
+    """Count, into `counts`, the numpy calls `module` makes through `np`
+    or through the row reductions of `filters`, every ndarray method
+    called and every row `module` draws from an array through `zip`."""
 
     def rows(a):
         for row in a:
@@ -89,7 +90,9 @@ def counting(module, counts):
             counts["ndarray." + arg.__name__] += 1
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(module, "np", CountingNumpy(counts))
+        for mod in {module, filters}:
+            patch.setattr(mod, "np", CountingNumpy(counts))
+        patch.setattr(filters, "vecdot", counted(filters.vecdot, "vecdot", counts))
         patch.setattr(module, "zip", counting_zip, raising=False)
         sys.setprofile(profile)
         try:

@@ -312,6 +312,25 @@ class TestExitCodes:
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
         assert summary["arms"]["adaptive"]["diverged"] is True
 
+    @pytest.mark.parametrize("fields", [
+        {"duration_s": 1e12, "composition.switch_times_s": [5e11]},
+        {"sysid.n_samples": 10**15},
+    ], ids=["reference_28_PiB", "identification_7_PiB"])
+    def test_an_allocation_past_any_memory_is_two_without_a_traceback(self, tmp_path, fields):
+        doc = config_to_dict(default_config("combined"))
+        for key, value in fields.items():
+            *parents, leaf = key.split(".")
+            node = doc
+            for part in parents:
+                node = node[part]
+            node[leaf] = value
+        cfg_path = tmp_path / "c.yaml"
+        cfg_path.write_text(yaml.safe_dump(doc))
+        proc = run_cli("run", "--config", str(cfg_path), "--out", str(tmp_path / "o"))
+        assert proc.returncode == 2
+        assert re.fullmatch(r"config error: Unable to allocate .*PiB.*\n", proc.stderr)
+        assert "Traceback" not in proc.stderr
+
     def test_pretrain_divergence_is_three_with_silent_weights(self, tmp_path, capsys):
         cfg_path = tmp_path / "c.yaml"
         write_small_config(cfg_path, **{"controller.mu": 5.0})

@@ -19,18 +19,14 @@ import numpy as np
 from ._version import __version__
 from .config import default_config, load_config, save_config
 from .errors import AncError, ConfigError, DivergenceError, WavError
-from .loops import loop_aligned_path
 from .mcanc import ChannelConfig, mac_count, mac_measure
 from .reporting import _json_safe, export_report, summary_dict, weight_snapshot
 from .scenario import (
     build_plant,
     build_reference,
-    build_training_signal,
     installed_estimate_taps,
-    pretrain_fixed_filter,
-    resolve_estimates,
-    resolve_mu,
     run_scenario,
+    scenario_stages,
 )
 from .serialization import (
     FilterSnapshot,
@@ -94,12 +90,14 @@ def cmd_identify(args) -> int:
 
 def cmd_pretrain(args) -> int:
     cfg = _load(args)
-    reference = build_reference(cfg)
-    raw_est, _ = resolve_estimates(cfg)
-    aligned = loop_aligned_path(raw_est)
-    mu = resolve_mu(cfg, reference, aligned)
-    training = build_training_signal(cfg)
-    weights, info = pretrain_fixed_filter(cfg, aligned, mu, training)
+    # the scenario's stages up to pre-training, so these weights are the
+    # ones `run` exports
+    for stage, product in scenario_stages(cfg):
+        if stage == "identification":
+            aligned, _ = product
+        elif stage == "pretrain":
+            weights, info = product
+            break
     os.makedirs(args.out, exist_ok=True)
     snap = weight_snapshot(cfg.controller.kind, weights, aligned)
     save_weights_binary(os.path.join(args.out, "fixed_weights.anw"), snap)

@@ -67,9 +67,6 @@ class PowerSpectrum:
     power_db: np.ndarray       # clamped at DB_FLOOR
     power_linear: np.ndarray   # unclamped, sums to the mean square value
 
-    def peak_freq_hz(self) -> float:
-        return float(self.freq_hz[int(np.argmax(self.power_linear))])
-
 
 @dataclass
 class Spectrogram:

@@ -177,7 +177,7 @@ def _error_prefixes(reference: np.ndarray, rate: float, decimation: int):
             for ref in reference[::decimation].T]
 
 
-def _spectrogram_csv(spectro, memo: dict | None = None):
+def _spectrogram_csv(spectro, memo: dict):
     """The spectrogram CSV, frame after frame, a bin per row. Each row is
     its frame's "frame_index,time_s," text, its bin's "freq_hz," text and
     its power; those texts are made once per `memo`, without their NULs.
@@ -185,7 +185,6 @@ def _spectrogram_csv(spectro, memo: dict | None = None):
     down its rows: the first frame's, then whole frames, then the last's."""
     if spectro is None:
         return _csv("frame_index,time_s,freq_hz,power_db", 0, None)
-    memo = {} if memo is None else memo
     n_frames, n_bins = spectro.power_db.shape
     frames = _shared(memo, _frame_text, spectro.times_s)
     bins = _shared(memo, _bin_text, spectro.freq_hz)

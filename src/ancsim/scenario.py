@@ -1,14 +1,14 @@
 """Scenario orchestration: the adaptive-versus-fixed comparison.
 
-A scenario renders its noise sources, composes the reference, resolves
-secondary-path estimates (offline identification or the true paths),
-pre-trains the fixed control filter on its designated training source,
-and then runs three arms over the identical disturbance realization:
-uncontrolled, adaptive from zero weights, and the frozen pre-trained
-filter. The disturbance and the measurement noise do not depend on the
-control, so the uncontrolled run computes them once and the two
-controlled arms reuse that one realization; each controlled arm starts
-from silent secondary paths and fresh controller state.
+A scenario runs nine stages: `reference` composes the reference from the
+noise sources; `identification` resolves the secondary-path estimates
+(offline identification or the true paths); `mu` the step size (below);
+`training` renders the training source, on which `pretrain` trains and
+freezes the fixed filter; then three arms over one disturbance
+realization, `uncontrolled`, `adaptive` from zero weights and `fixed`;
+last, `reports`. The disturbance and the measurement noise do not depend
+on the control, so the uncontrolled run computes them once and both
+controlled arms reuse it, each from silent paths and fresh state.
 
 Step sizes: `auto` resolves to `mu_scale` times the stability limit of
 the update actually applied (which carries a factor 2 in front of mu),
@@ -118,12 +118,12 @@ def installed_estimate_taps(cfg: ExperimentConfig) -> int:
 
 
 def resolve_estimates(cfg: ExperimentConfig):
-    """Secondary-path estimates as a (J, K, taps) array plus summaries.
+    """The estimates a run installs, (J, K, taps + 1), plus summaries.
 
     `identify` runs offline white-noise identification against the
     quiescent plant; `exact` copies the true paths. Either way the
-    estimates are then shifted by the loop's one-sample latency before
-    installation.
+    estimates are then shifted by the loop's one-sample latency
+    (`loop_aligned_path`).
     """
     p = cfg.plant
     plant = build_plant(cfg)
@@ -135,7 +135,7 @@ def resolve_estimates(cfg: ExperimentConfig):
                 est[j, k, :true.size] = true
         summaries = [SysidSummary(j, k, None, 0.0, False)
                      for j in range(p.n_sources) for k in range(p.n_mics)]
-        return est, summaries
+        return loop_aligned_path(est), summaries
     results = identify_all_paths(
         plant, cfg.sysid.taps, mu=cfg.sysid.mu, n_samples=cfg.sysid.n_samples,
         seed=cfg.sysid.seed, sample_rate_hz=cfg.sample_rate_hz)
@@ -146,7 +146,7 @@ def resolve_estimates(cfg: ExperimentConfig):
                               results[j][k].residual_power,
                               results[j][k].undermodeled)
                  for j in range(p.n_sources) for k in range(p.n_mics)]
-    return est, summaries
+    return loop_aligned_path(est), summaries
 
 
 def resolve_mu(cfg: ExperimentConfig, reference: Signal, aligned_est: np.ndarray) -> float:
@@ -287,28 +287,36 @@ def _reports_for(d: np.ndarray, e: np.ndarray, cfg: ExperimentConfig) -> list:
             for k in range(e.shape[1])]
 
 
-def run_scenario(cfg: ExperimentConfig) -> ScenarioResult:
-    """Execute sysid, pre-training, and the three comparison arms."""
+def scenario_stages(cfg: ExperimentConfig):
+    """`run_scenario` a stage at a time: yields (stage, product) after each
+    stage. The products, in order: the reference, `resolve_estimates`'
+    pair, mu, the training signal, (frozen weights, PretrainInfo), the
+    disturbance, the adaptive LoopResult, the fixed error, the result."""
     cfg.validate()
     reference = build_reference(cfg)
     if cfg.noise_sources[cfg.fixed_filter.train_source].kind == "wav-file":
         build_training_signal(cfg)      # a recording too short to train on fails here
-    raw_est, sysid_summaries = resolve_estimates(cfg)
-    aligned = loop_aligned_path(raw_est)
+    yield "reference", reference
+    aligned, sysid_summaries = resolve_estimates(cfg)
+    yield "identification", (aligned, sysid_summaries)
     mu = resolve_mu(cfg, reference, aligned)
-    # the training signal is released as soon as pre-training returns
-    fixed_weights, pretrain = pretrain_fixed_filter(cfg, aligned, mu,
-                                                    build_training_signal(cfg))
-
-    stride = max(cfg.export.error_decimation, 1)
+    yield "mu", mu
+    training = build_training_signal(cfg)
+    yield "training", training
+    fixed_weights, pretrain = pretrain_fixed_filter(cfg, aligned, mu, training)
+    del training        # released as soon as pre-training returns
+    yield "pretrain", (fixed_weights, pretrain)
 
     plant = build_plant(cfg)
     dist = run_uncontrolled_signal(plant, reference.samples)
+    yield "uncontrolled", dist
     d = dist.uncontrolled()
     res = run_adaptive(plant, build_controller(cfg, aligned, mu), reference.samples,
                        disturbance=dist)
+    yield "adaptive", res
     fixed_error = run_fixed(plant, fixed_weights, reference.samples,
                             disturbance=dist).error
+    yield "fixed", fixed_error
     # every arm holds only its errors: the reference, the primary-path
     # outputs and both loudspeaker buffers go before the reports
     res.output = None
@@ -320,13 +328,14 @@ def run_scenario(cfg: ExperimentConfig) -> ScenarioResult:
     # the cost e(n).e(n) as McAncController.step forms it, at the exported
     # samples; on divergence it keeps the sample whose update tripped the
     # guard, as the error CSVs do
+    stride = max(cfg.export.error_decimation, 1)
     rows = res.error[::stride]
     mse_trace = rowdots(rows, rows)
     fixed = ArmResult("fixed", _reports_for(d, fixed_error, cfg), fixed_error)
 
     provenance = {"config_hash": config_hash(cfg), "seed": cfg.seed,
                   "version": __version__, "mu": mu}
-    return ScenarioResult(
+    yield "reports", ScenarioResult(
         config=cfg,
         arms={"uncontrolled": uncontrolled, "adaptive": adaptive, "fixed": fixed},
         adaptive_weights=res.final_weights, fixed_weights=fixed_weights,
@@ -334,3 +343,10 @@ def run_scenario(cfg: ExperimentConfig) -> ScenarioResult:
         pretrain=pretrain, mu=mu,
         mse_trace=mse_trace, mse_stride=stride,
         provenance=provenance)
+
+
+def run_scenario(cfg: ExperimentConfig) -> ScenarioResult:
+    """Every stage of `scenario_stages`; returns the last one's result."""
+    for _, product in scenario_stages(cfg):
+        pass
+    return product

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,25 +20,15 @@ class Signal:
 
     samples: np.ndarray
     sample_rate_hz: float
-    label: str = field(default="", compare=False)
 
     def __post_init__(self):
-        self.samples = np.asarray(self.samples, dtype=np.float64)
-        if self.samples.ndim != 1:
-            raise DataError(f"signal must be 1-D, got shape {self.samples.shape}")
-        if not np.all(np.isfinite(self.samples)):
-            bad = int(np.flatnonzero(~np.isfinite(self.samples))[0])
-            raise DataError(f"non-finite sample at index {bad}")
+        self.samples = as_samples(self.samples)
         self.sample_rate_hz = float(self.sample_rate_hz)
         if not (self.sample_rate_hz > 0):
             raise DataError(f"sample rate must be positive, got {self.sample_rate_hz}")
 
     def __len__(self) -> int:
         return len(self.samples)
-
-    @property
-    def duration_s(self) -> float:
-        return len(self.samples) / self.sample_rate_hz
 
 
 def require_same_rate(*signals: Signal) -> float:

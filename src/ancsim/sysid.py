@@ -140,7 +140,7 @@ def _identify(plant: Plant, pairs, n_taps: int, mu: float, n_samples: int,
             estimate=FirFilter(weights),
             misalignment_db=misalignment_db(true_taps, weights),
             residual_power=float(np.mean(e[p, -max(n_samples // 10, 1):] ** 2)),
-            excitation=Signal(x[p, n_taps - 1:], sample_rate_hz, label=f"excitation_{j}_{k}"),
-            response=Signal(responses[p], sample_rate_hz, label=f"response_{j}_{k}"),
+            excitation=Signal(x[p, n_taps - 1:], sample_rate_hz),
+            response=Signal(responses[p], sample_rate_hz),
             undermodeled=undermodeled,
         )

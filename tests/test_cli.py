@@ -154,8 +154,11 @@ class TestInProcess:
         write_small_config(cfg_path)
         out = tmp_path / "pre"
         assert main(["pretrain", "--config", str(cfg_path), "--out", str(out)]) == 0
-        assert (out / "fixed_weights.anw").exists()
-        assert (out / "fixed_weights.json").exists()
+        # the weights `run` exports for the same config, byte for byte
+        run_out = tmp_path / "run"
+        assert main(["run", "--config", str(cfg_path), "--out", str(run_out)]) == 0
+        for name in ("fixed_weights.anw", "fixed_weights.json"):
+            assert (out / name).read_bytes() == (run_out / name).read_bytes(), name
 
     def test_init_config_round_trips(self, tmp_path):
         path = tmp_path / "generated.yaml"

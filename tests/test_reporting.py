@@ -196,11 +196,12 @@ def test_spectrogram_blocks_assemble_as_gathered_rows(shape, times, freqs, power
     row = np.arange(n_frames * n_bins)
     want = b"frame_index,time_s,freq_hz,power_db\n" + concatenated(
         frames[row // n_bins], bins[row % n_bins], format_floats(spectro.power_db), b"\n")
-    assert b"".join(reporting._spectrogram_csv(spectro)) == want
+    assert b"".join(reporting._spectrogram_csv(spectro, {})) == want
 
 
 def test_an_empty_spectrogram_is_its_header():
-    assert b"".join(reporting._spectrogram_csv(None)) == b"frame_index,time_s,freq_hz,power_db\n"
+    header = b"frame_index,time_s,freq_hz,power_db\n"
+    assert b"".join(reporting._spectrogram_csv(None, {})) == header
 
 
 def test_an_export_formats_each_shared_array_once(tmp_path, monkeypatch):

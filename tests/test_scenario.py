@@ -7,6 +7,7 @@ import re
 import numpy as np
 import pytest
 
+from ancsim import scenario
 from ancsim.acoustics import PathSpec
 from ancsim.config import (
     CompositionConfig,
@@ -71,6 +72,32 @@ class TestArms:
         prov = small_result.provenance
         assert set(prov) >= {"config_hash", "seed", "version", "mu"}
         assert prov["seed"] == 11
+
+
+class TestStages:
+    def test_nine_stages_in_order_each_owning_its_adaptive_calls(self, monkeypatch):
+        # pre-training's one-second blocks all run inside `pretrain`, and
+        # the adaptive arm is the one call inside `adaptive`
+        calls = []
+        run_adaptive = scenario.run_adaptive
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return run_adaptive(*args, **kwargs)
+
+        monkeypatch.setattr(scenario, "run_adaptive", counted)
+        per_stage = {}
+        for stage, product in scenario.scenario_stages(small_config()):
+            per_stage[stage] = len(calls) - sum(per_stage.values())
+            if stage == "pretrain":
+                seconds_trained = product[1].seconds_trained
+        assert list(per_stage) == ["reference", "identification", "mu", "training",
+                                   "pretrain", "uncontrolled", "adaptive", "fixed",
+                                   "reports"]
+        assert seconds_trained >= 2
+        assert per_stage == {**dict.fromkeys(per_stage, 0),
+                             "pretrain": seconds_trained, "adaptive": 1}
+        assert isinstance(product, scenario.ScenarioResult)
 
 
 class TestTrivialPlant:

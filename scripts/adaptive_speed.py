@@ -26,8 +26,11 @@ exact check, filter by filter; its hash is `grid_parked_sha256`.
 Each case's plant has the default secondary paths, which start with 4
 zero taps, so `run_adaptive` runs 5 samples a pass. A case `1x1x1D0`
 gives the 1x1x1 plant paths without that delay (`secondary.delay: 0`),
-which run a sample a pass; its hash is `undelayed_sha256`. `widths=`
-names each case's samples a pass.
+which run a sample a pass; its hash is `undelayed_sha256`. A case
+`1x2x2R` gives the 1x2x2 plant's paths at 16, 6, 9 and 5 taps, which the
+plant pads to 16; its estimates are those paths padded to the longest,
+and its hash is `ragged_sha256`. `widths=` names each case's samples a
+pass.
 
 Run it on two trees in alternation to compare them on one machine.
 """
@@ -41,7 +44,7 @@ sys.path.insert(0, sys.argv[1])
 import numpy as np  # noqa: E402
 
 from ancsim import loops  # noqa: E402
-from ancsim.acoustics import DEFAULT_SECONDARY, PathSpec, synthetic_plant  # noqa: E402
+from ancsim.acoustics import DEFAULT_SECONDARY, PathSpec, Plant, synthetic_plant  # noqa: E402
 from ancsim.loops import PlantSplit, loop_aligned_path, run_adaptive  # noqa: E402
 from ancsim.mcanc import WEIGHT_GUARD, ChannelConfig, McAncController  # noqa: E402
 
@@ -50,21 +53,28 @@ REPS = int(sys.argv[3]) if len(sys.argv) > 3 else 5
 MU = 1e-4
 # (J, K, L, label suffix)
 CASES = [(1, 1, 128, ""), (2, 2, 128, ""), (3, 2, 128, ""), (4, 4, 128, ""), (2, 2, 1, "L1"),
-         (1, 1, 128, "P"), (2, 2, 128, "P"), (1, 1, 128, "D0")]
+         (1, 1, 128, "P"), (2, 2, 128, "P"), (1, 1, 128, "D0"), (2, 2, 128, "R")]
+# the 1x2x2R case's path lengths
+RAGGED = [[16, 6], [9, 5]]
 UNDELAYED = PathSpec(delay=0, decay=DEFAULT_SECONDARY.decay, taps=DEFAULT_SECONDARY.taps,
                      gain=DEFAULT_SECONDARY.gain)
 
 x = np.random.default_rng(0).standard_normal(T)
-# the common cases, the parked one-filter case, the parked grid and the
-# undelayed paths
-digests = {key: hashlib.sha256() for key in ("", "P", "GP", "D0")}
+# the common cases, the parked one-filter case, the parked grid, the
+# undelayed paths and the ragged ones
+digests = {key: hashlib.sha256() for key in ("", "P", "GP", "D0", "R")}
 figures, widths = [], []
 for J, K, L, suffix in CASES:
     secondary = UNDELAYED if suffix == "D0" else DEFAULT_SECONDARY
     plant = synthetic_plant(n_sources=J, n_mics=K, seed=77, measurement_noise_std=0.01,
                             secondary=secondary)
-    est = loop_aligned_path(np.array([[plant.true_secondary(j, k) for k in range(K)]
-                                      for j in range(J)]))
+    if suffix == "R":
+        ragged = [[plant.true_secondary(j, k)[:n] for k, n in enumerate(row)]
+                  for j, row in enumerate(RAGGED)]
+        plant = Plant(plant.primaries, ragged, measurement_noise_std=0.01, seed=77)
+    paths = [plant.true_secondary(j, k) for j in range(J) for k in range(K)]
+    M = max(s.size for s in paths)
+    est = loop_aligned_path(np.reshape([np.pad(s, (0, M - s.size)) for s in paths], (J, K, M)))
     chan = ChannelConfig(1, J, K, L, est.shape[2])
     best = None
     for _ in range(REPS):
@@ -83,7 +93,7 @@ for J, K, L, suffix in CASES:
     if suffix == "P":
         digest = digests["P" if J == 1 else "GP"]
     else:
-        digest = digests[suffix if suffix == "D0" else ""]
+        digest = digests[suffix if suffix in ("D0", "R") else ""]
     for a in (res.error, res.output, res.final_weights):
         digest.update(np.ascontiguousarray(a).tobytes())
     figures.append(f"1x{J}x{K}{suffix}_us={best:.2f}")
@@ -91,4 +101,5 @@ for J, K, L, suffix in CASES:
 print(" ".join(figures), f"sha256={digests[''].hexdigest()[:16]}",
       f"parked_sha256={digests['P'].hexdigest()[:16]}",
       f"grid_parked_sha256={digests['GP'].hexdigest()[:16]}",
-      f"undelayed_sha256={digests['D0'].hexdigest()[:16]}", "widths=" + ",".join(widths))
+      f"undelayed_sha256={digests['D0'].hexdigest()[:16]}",
+      f"ragged_sha256={digests['R'].hexdigest()[:16]}", "widths=" + ",".join(widths))

@@ -1,8 +1,8 @@
 """Destructive-interference arithmetic and the simulated acoustic plant.
 
-The plant is plain data: its primary and secondary paths are tap arrays,
-which the loops filter with `filters.fir`; `Plant.step` is the per-sample
-oracle over the same arrays.
+The plant is plain data: its primary and secondary paths are two tap
+arrays, which the loops filter with `filters.fir`; `Plant.step` is the
+per-sample oracle over the same arrays.
 
 Sign conventions, kept distinct on purpose: the plant ADDS the secondary
 contribution to the disturbance (error = disturbance + paths * outputs),
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, DomainError
-from .filters import as_taps, dot, fir
+from .filters import as_taps, dot, rowdots
 from .ranges import Decay, NonNegativeInt, PositiveInt, Scale
 from .signals import as_samples
 
@@ -73,12 +73,12 @@ class Plant:
     """Simulated acoustic environment between controller and microphones,
     held as plain data.
 
-    `primaries` holds one primary path per error microphone (K tap arrays),
-    carrying the reference to the disturbance; `secondaries` holds a J x K
-    grid of secondary paths (J rows of K tap arrays), carrying each
-    loudspeaker to each microphone. Every path keeps its own length.
-    Optional white measurement noise is drawn from a generator seeded with
-    `seed`, so identical seeds give identical realizations.
+    `primaries` (K, P) holds one primary path per error microphone, carrying
+    the reference to the disturbance; `secondaries` (J, K, H) the grid of
+    paths from each loudspeaker to each microphone. Each path is padded
+    with trailing zeros to the longest of its kind, as `true_secondary`
+    returns it. Optional white measurement noise is drawn from a generator
+    seeded with `seed`, so identical seeds give identical realizations.
 
     `step` is the per-sample oracle: it keeps the recent reference and
     loudspeaker samples and forms each path's output as one dot over its
@@ -87,11 +87,11 @@ class Plant:
 
     def __init__(self, primary_paths, secondary_paths,
                  measurement_noise_std: float = 0.0, seed: int = 0):
-        self.primaries = [as_taps(p) for p in primary_paths]
-        self.secondaries = [[as_taps(s) for s in row] for row in secondary_paths]
-        self.n_sources = len(self.secondaries)          # J
-        self.n_mics = len(self.primaries)               # K
-        for j, row in enumerate(self.secondaries):
+        primaries = [as_taps(p) for p in primary_paths]
+        secondaries = [[as_taps(s) for s in row] for row in secondary_paths]
+        self.n_sources = len(secondaries)               # J
+        self.n_mics = len(primaries)                    # K
+        for j, row in enumerate(secondaries):
             if len(row) != self.n_mics:
                 raise DataError(
                     f"secondary path row {j} has {len(row)} entries, expected {self.n_mics}")
@@ -99,6 +99,9 @@ class Plant:
             raise DataError("plant needs at least one source and one microphone")
         if measurement_noise_std < 0:
             raise DomainError("measurement noise std must be non-negative")
+        self.primaries = _padded(primaries)
+        self.secondaries = _padded([s for row in secondaries for s in row]).reshape(
+            self.n_sources, self.n_mics, -1)
         self.measurement_noise_std = float(measurement_noise_std)
         self.seed = seed
         self.reset()
@@ -119,10 +122,11 @@ class Plant:
         u_win[:, :-1] = u_win[:, 1:]
         u_win[:, -1] = u
         e = np.empty(self.n_mics)
-        for k, (p, window) in enumerate(self._p_terms):
-            e[k] = dot(p, window)
-        for k, s, window in self._s_terms:
-            e[k] += dot(s, window)
+        for k, p in enumerate(self._p_rev):
+            e[k] = dot(p, x_win)
+        for window, row in zip(u_win, self._s_rev):
+            for k, s in enumerate(row):
+                e[k] += dot(s, window)
         if self.measurement_noise_std > 0.0:
             e += self.measurement_noise_std * self._rng.standard_normal(self.n_mics)
         return e
@@ -139,27 +143,30 @@ class Plant:
     def silent_outputs(self) -> tuple[np.ndarray, np.ndarray]:
         """Each path's output while its input is silent: (K,) primaries and
         (J, K) secondaries. Each is the path's dot over a zero window, as
-        `step` forms it, so a lone negative tap gives -0.0."""
-        zero = np.zeros(1)
-        return (np.array([fir(p, zero)[0] for p in self.primaries]),
-                np.array([[fir(s, zero)[0] for s in row] for row in self.secondaries]))
+        `step` forms it, so a negative tap of a one-tap path gives -0.0."""
+        return (rowdots(np.zeros(self.primaries.shape[-1]), self.primaries),
+                rowdots(np.zeros(self.secondaries.shape[-1]), self.secondaries))
 
     def true_secondary(self, j: int, k: int) -> np.ndarray:
         """Impulse response of the true path from source j to microphone k."""
-        return self.secondaries[j][k].copy()
+        return self.secondaries[j, k].copy()
 
     def reset(self) -> None:
         """Zero the reference and loudspeaker histories and rewind the
         noise generator."""
-        P = max(p.size for p in self.primaries)
-        H = max(s.size for row in self.secondaries for s in row)
-        self._x, self._u = np.zeros(P), np.zeros((self.n_sources, H))
-        # reversed taps and each path's window: views of the histories,
-        # which `step` shifts in place
-        self._p_terms = [(p[::-1].copy(), self._x[P - p.size:]) for p in self.primaries]
-        self._s_terms = [(k, s[::-1].copy(), self._u[j, H - s.size:])
-                         for j, row in enumerate(self.secondaries) for k, s in enumerate(row)]
+        self._x = np.zeros(self.primaries.shape[1])
+        self._u = np.zeros((self.n_sources, self.secondaries.shape[2]))
+        # reversed taps pair with the histories, which `step` shifts in place
+        self._p_rev = self.primaries[:, ::-1].copy()
+        self._s_rev = self.secondaries[..., ::-1].copy()
         self._rng = np.random.default_rng(self.seed)
+
+
+def _padded(paths) -> np.ndarray:
+    """The paths as the rows of one array, each padded with trailing zeros
+    to the longest."""
+    n = max(p.size for p in paths)
+    return np.array([np.pad(p, (0, n - p.size)) for p in paths])
 
 
 @dataclass(frozen=True)

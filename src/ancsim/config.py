@@ -193,6 +193,21 @@ class ExperimentConfig:
                                   "(0, duration_s)")
             if sorted(times) != list(times):
                 raise ConfigError("composition.switch_times_s: switch times must be increasing")
+            # each segment's samples as `build_reference` renders them, and
+            # each boundary as `synth.compose` checks it
+            bounds, end = [0.0, *times, self.duration_s], 0
+            for i, (start, stop) in enumerate(zip(bounds, bounds[1:])):
+                n = int(round((stop - start) * self.sample_rate_hz))
+                end += n
+                if n < 1:
+                    raise ConfigError(
+                        f"composition.switch_times_s: segment {i} from {start} s to {stop} s "
+                        f"holds no sample at sample_rate_hz {self.sample_rate_hz}")
+                boundary = int(round(stop * self.sample_rate_hz))
+                if i < len(times) and end != boundary:
+                    raise ConfigError(
+                        f"composition.switch_times_s: switch time {stop} s expects a boundary "
+                        f"at sample {boundary}, but segment {i} ends at sample {end}")
         elif self.composition.gains and (len(self.composition.gains)
                                          != len(self.noise_sources)):
             raise ConfigError("composition.gains: one gain per source is required when "
@@ -231,6 +246,10 @@ class ExperimentConfig:
             raise ConfigError(
                 f"controller.n_refs must be 1, got {self.controller.n_refs}: "
                 f"scenario runs feed one composed reference")
+        if round(self.sample_rate_hz) < 1:
+            raise ConfigError(
+                f"sample_rate_hz {self.sample_rate_hz}: one pre-training second rounds to "
+                f"no sample")
         if self.fixed_filter.max_train_s < 1.0:
             raise ConfigError(
                 f"fixed_filter.max_train_s {self.fixed_filter.max_train_s} is below 1 s; "

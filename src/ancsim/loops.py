@@ -32,8 +32,8 @@ every true secondary path starts with d zero taps, u(n) reaches no mic
 before step n + d + 1, so the errors, update coefficients and update
 terms of B = d + 1 consecutive samples do not depend on those samples'
 outputs (`_block_width` gives the rule and when it holds). The block body
-forms them a pass at a time: one row dot for every path of one length,
-one `tolist` of the terms, the errors and coefficients as Python floats
+forms them a pass at a time: one row dot over every secondary path, one
+`tolist` of the terms, the errors and coefficients as Python floats
 (the plant's IEEE arithmetic, with less overhead than array scalars,
 read and written through `memoryview`s of the noise and of the (T, K)
 error array the loop returns), a coefficient store and one product
@@ -42,14 +42,13 @@ stack. What stays per sample is the weight recursion, B*K in-place adds
 of each row into the next, the adds `step` makes in mic order; one row
 dot then forms the B outputs from the rows that hold each sample's
 weights. With the windows of the paths, x, x_f and the output slots, a
-pass makes 7 + 2 G + B*K array operations for G distinct path lengths:
-14 for 5 samples of the workloads' 1x1x1 plant (d = 4), 10 for one
-sample of an undelayed 1x1x1 plant and 11 for one of an undelayed 1x2x2
-grid; `tests/test_call_counts.py` holds the body to that count. Each
-pass draws its windows, and the slots its outputs go to, as the rows of
-`sliding_window_view`s zipped together, so no pass indexes an array to
-find them, and passes ufunc operands positionally (numpy parses keywords
-on every call).
+pass makes 9 + B*K array operations: 14 for 5 samples of the workloads'
+1x1x1 plant (d = 4), 10 for one sample of an undelayed 1x1x1 plant and
+11 for one of an undelayed 1x2x2 grid; `tests/test_call_counts.py` holds
+the body to that count. Each pass draws its windows, and the slots its
+outputs go to, as the rows of `sliding_window_view`s zipped together, so
+no pass indexes an array to find them, and passes ufunc operands
+positionally (numpy parses keywords on every call).
 
 The outputs go to the loudspeaker buffer the secondary paths read, and
 the (T, J) outputs returned are a view of it. So a run holds its
@@ -70,7 +69,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -140,12 +138,12 @@ class PlantSplit:
         self._rng = np.random.default_rng(plant.seed)
         self.sec_taps = plant.secondaries
         # reversed taps pair with chronological windows, as in `fir`
-        self.sec_rev = [[w[::-1].copy() for w in row] for row in self.sec_taps]
+        self.sec_rev = self.sec_taps[..., ::-1].copy()
         _, self.silent = plant.silent_outputs()
-        self.hist = max(w.size for row in self.sec_taps for w in row)
+        self.hist = self.sec_taps.shape[2]
         # newest samples that reached the primary paths and each
         # loudspeaker's paths
-        self.x_hist = np.zeros(max(p.size for p in self._primaries))
+        self.x_hist = np.zeros(self._primaries.shape[1])
         self.u_hist = np.zeros((self.n_sources, self.hist))
         self._spent_at = None
 
@@ -183,8 +181,8 @@ class PlantSplit:
         e = dist.primary.copy()
         for row, paths_j in zip(u_buf, self.sec_rev):
             for k, s in enumerate(paths_j):
-                # row n is the plant's window at step n, u_buf[j, n+1+H-m:n+1+H]
-                e[:, k] += rowdots(sliding_window_view(row[H - s.size + 1:], s.size)[:T], s)
+                # row n is the plant's window at step n, u_buf[j, n+1:n+1+H]
+                e[:, k] += rowdots(sliding_window_view(row[1:], H)[:T], s)
         self.u_hist[:] = u_buf[:, T:T + H]
         if dist.noise is not None:
             e += dist.noise
@@ -309,18 +307,18 @@ def _block_width(split, ctl, x_buf) -> int:
     pass. An output slot not yet written holds +0.0 and meets only those
     zero taps. Its product, like a finite output's, is a signed zero, which
     changes no `ddot` sum (the accumulators start at +0.0). So B = 1 where
-    a path has one tap (the one-element rule of `filters.row_reduction`: a
-    plain product keeps a zero's sign) or where the reference could make
-    an output overflow, from weights within the guard or from the starting
-    weights."""
-    paths = [s for row in split.sec_taps for s in row]
-    v = ctl._v[0]
+    the paths have one tap, H = 1 (the one-element rule of
+    `filters.row_reduction`: a plain product keeps a zero's sign), or where
+    the reference could make an output overflow, from weights within the
+    guard or from the starting weights."""
+    H, v = split.hist, ctl._v[0]
     # |u| <= L max|w| max|x|; NaN fails the compare
     top = v.shape[1] * (WEIGHT_GUARD + float(np.abs(v).max())) * max(
         float(x_buf.max()), -float(x_buf.min()))
-    if min(s.size for s in paths) == 1 or not (top <= 2.0**1000):
+    if H == 1 or not (top <= 2.0**1000):
         return 1
-    return 1 + min(int(next(iter(np.flatnonzero(s)), s.size)) for s in paths)
+    # the first tap column that some path does not hold at zero
+    return 1 + int(next(iter(np.flatnonzero(split.sec_taps.any(axis=(0, 1)))), H))
 
 
 def _block_body(split, ctl, x_buf, fx_buf, u_buf, err, noise, width):
@@ -342,23 +340,12 @@ def _block_body(split, ctl, x_buf, fx_buf, u_buf, err, noise, width):
     fx_wins = sliding_window_view(fx, L, axis=2).transpose(2, 1, 0, 3)
     out_dot, index = row_reduction(L)
     u_rows = u_buf.T[H + 1:][index]
-    # Secondary paths, one dot per distinct length m: row n of its windows
-    # is every loudspeaker's plant window at step n, u_buf[j, n+1+H-m:n+1+H],
-    # against that length's reversed taps (J, K, m). Paths of another
-    # length hold zeros there and their dots go unread: padding a path's
-    # taps would regroup its `ddot` blocks. Each length has its own
-    # reduction and output index, `filters.row_reduction`'s.
-    lengths = sorted({s.size for row in split.sec_rev for s in row})
-    g_of = {m: g for g, m in enumerate(lengths)}
-    groups = []
-    for m in lengths:
-        taps = np.zeros((J, K, m))
-        for j, row in enumerate(split.sec_rev):
-            for k, s in enumerate(row):
-                if s.size == m:
-                    taps[j, k] = s
-        wins = sliding_window_view(u_buf, m, axis=1)[:, H - m + 1:].transpose(1, 0, 2)
-        groups.append((*row_reduction(m), taps, wins[:, :, None]))
+    # the secondary paths, one dot: row n of the windows is every
+    # loudspeaker's plant window at step n, u_buf[j, n+1:n+1+H], against
+    # the reversed taps (J, K, H)
+    path_dot, path_index = row_reduction(H)
+    path_taps = split.sec_rev
+    p_wins = sliding_window_view(u_buf, H, axis=1)[:, 1:].transpose(1, 0, 2)[:, :, None]
     update = neg_mu != 0.0
     norm = window_norm_bound(fx, J * L)
     # infinite until the first step resets it from the weights' norm
@@ -383,15 +370,13 @@ def _block_body(split, ctl, x_buf, fx_buf, u_buf, err, noise, width):
                               [(rows[r], s[r + 1], rows[r + 1]) for r in range(B * K)],
                               rows[K::K]))
             cur, nxt = sides
-            # each path length's terms of the pass, (B, J, K); each
-            # sample's and mic's in terms.ravel(), loudspeaker by loudspeaker
-            terms = np.empty((len(groups), B, J, K))
-            paths = [(path_dot, taps, t[index])
-                     for (path_dot, index, taps, _), t in zip(groups, terms)]
-            (path_dot, path_taps, path_out), *more = paths
+            # the path terms of the pass, (B, J, K); each sample's and
+            # mic's in terms.ravel(), loudspeaker by loudspeaker
+            terms = np.empty((B, J, K))
+            path_out = terms[path_index]
             t_flat = terms.reshape(-1)
-            mic_terms = [[((g_of[split.sec_rev[j][k].size] * B + i) * J + j) * K + k
-                          for j in range(J)] for i in range(B) for k in range(K)]
+            mic_terms = [[(i * J + j) * K + k for j in range(J)]
+                         for i in range(B) for k in range(K)]
             c = np.empty((B, K, 1, 1))
             c_flat = c.reshape(-1)
             growth = BOUND_GROWTH ** (B + 1)
@@ -399,14 +384,10 @@ def _block_body(split, ctl, x_buf, fx_buf, u_buf, err, noise, width):
             def blocks(a):
                 return a[start:stop].reshape(((stop - start) // B, B) + a.shape[1:])
 
-            more_wins = zip(*[blocks(g[3]) for g in groups[1:]]) if more else repeat(())
-            rows = zip(range(start, stop, B), blocks(groups[0][3]), blocks(x_wins),
-                       blocks(fx_wins), blocks(u_rows), more_wins)
-            for n0, p_win, x_win, fx_win, u_out, p_wins in rows:
+            rows = zip(range(start, stop, B), blocks(p_wins), blocks(x_wins),
+                       blocks(fx_wins), blocks(u_rows))
+            for n0, p_win, x_win, fx_win, u_out in rows:
                 path_dot(p_win, path_taps, path_out)
-                if more:
-                    for (more_dot, taps, out), win in zip(more, p_wins):
-                        more_dot(win, taps, out)
                 # e(n) in `Plant.step`'s order: source by source, then noise
                 vals = t_flat.tolist()
                 coefs = []

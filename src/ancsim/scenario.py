@@ -104,16 +104,12 @@ class SysidSummary:
     undermodeled: bool
 
 
-def _longest_secondary(plant: Plant) -> int:
-    return max(s.size for row in plant.secondaries for s in row)
-
-
 def installed_estimate_taps(cfg: ExperimentConfig) -> int:
     """Length M of the loop-aligned estimates `run_scenario` installs: the
-    identification length, or the longest true secondary path in `exact`
+    identification length, or the true secondary paths' length in `exact`
     mode, plus the loop's one-sample latency."""
     if cfg.sysid.mode == "exact":
-        return _longest_secondary(build_plant(cfg)) + 1
+        return build_plant(cfg).secondaries.shape[2] + 1
     return cfg.sysid.taps + 1
 
 
@@ -128,14 +124,9 @@ def resolve_estimates(cfg: ExperimentConfig):
     p = cfg.plant
     plant = build_plant(cfg)
     if cfg.sysid.mode == "exact":
-        est = np.zeros((p.n_sources, p.n_mics, _longest_secondary(plant)))
-        for j in range(p.n_sources):
-            for k in range(p.n_mics):
-                true = plant.true_secondary(j, k)
-                est[j, k, :true.size] = true
         summaries = [SysidSummary(j, k, None, 0.0, False)
                      for j in range(p.n_sources) for k in range(p.n_mics)]
-        return loop_aligned_path(est), summaries
+        return loop_aligned_path(plant.secondaries), summaries
     results = identify_all_paths(
         plant, cfg.sysid.taps, mu=cfg.sysid.mu, n_samples=cfg.sysid.n_samples,
         seed=cfg.sysid.seed, sample_rate_hz=cfg.sample_rate_hz)

@@ -50,9 +50,9 @@ def synthesize_noise(spec, seed, duration_s: float, sample_rate_hz: float) -> Si
     the white noise and its filtered copy, which the returned signal is.
     The squares that normalize the power go into the spent white noise,
     and the time axis is made only for added tones."""
-    if duration_s <= 0:
-        raise ConfigError(f"duration must be positive, got {duration_s}")
     n = int(round(duration_s * sample_rate_hz))
+    if duration_s <= 0 or n < 1:
+        raise ConfigError(f"duration {duration_s} s at {sample_rate_hz} Hz holds no sample")
 
     if isinstance(spec, ToneSpec):
         _check_band_edge(spec.freq_hz, sample_rate_hz)

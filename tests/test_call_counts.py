@@ -129,11 +129,9 @@ def per_block(module, run, width, short=4, long=12):
 
 def adaptive_run(plant, taps):
     """`run_adaptive(T)` of a fresh McAncController with loop-aligned true
-    paths as estimates (zero-padded to the longest), over white noise."""
+    paths as estimates, over white noise."""
     J, K = plant.n_sources, plant.n_mics
-    M = max(s.size for row in plant.secondaries for s in row)
-    est = loop_aligned_path(np.array([[np.pad(s, (0, M - s.size)) for s in row]
-                                      for row in plant.secondaries]))
+    est = loop_aligned_path(plant.secondaries)
 
     def run(T):
         ctl = McAncController(ChannelConfig(1, J, K, taps, est.shape[2]), 1e-4, est)
@@ -145,8 +143,9 @@ def adaptive_run(plant, taps):
 
 
 def two_length_plant(delay=0):
-    """A 1x2x2 plant whose secondary paths have 3 and 5 taps, all of them
-    with `delay` more leading zero taps."""
+    """A 1x2x2 plant whose secondary paths are given with 3 and 5 taps,
+    all of them with `delay` more leading zero taps; the plant pads them
+    to one length."""
     s3 = np.r_[np.zeros(delay), 0.3, 0.5, 0.2]
     s5 = np.r_[np.zeros(delay), 0.1, 0.0, 0.4, -0.1, 0.05]
     return Plant([np.array([0.0, 0.8, -0.3])] * 2, [[s3, s5], [s5, 0.7 * s3]],
@@ -162,36 +161,37 @@ def grid_plant(J, K, secondary=UNDELAYED):
                            secondary=secondary)
 
 
-@pytest.mark.parametrize("plant, taps, width, lengths", [
-    (synthetic_plant(seed=77), 16, 5, 1),
-    (grid_plant(1, 1, DEFAULT_SECONDARY), 16, 5, 1),
-    (grid_plant(2, 2, DEFAULT_SECONDARY), 16, 5, 1),
-    (grid_plant(3, 2, DEFAULT_SECONDARY), 16, 5, 1),
-    (two_length_plant(delay=1), 8, 2, 2),
-    (grid_plant(2, 2, DEFAULT_SECONDARY), 1, 5, 1),
-    (grid_plant(1, 1), 16, 1, 1),
-    (grid_plant(2, 2), 16, 1, 1),
-    (grid_plant(3, 2), 16, 1, 1),
-    (two_length_plant(), 8, 1, 2),
-    (grid_plant(2, 2), 1, 1, 1),
+@pytest.mark.parametrize("plant, taps, width", [
+    (synthetic_plant(seed=77), 16, 5),
+    (grid_plant(1, 1, DEFAULT_SECONDARY), 16, 5),
+    (grid_plant(2, 2, DEFAULT_SECONDARY), 16, 5),
+    (grid_plant(3, 2, DEFAULT_SECONDARY), 16, 5),
+    (two_length_plant(delay=1), 8, 2),
+    (grid_plant(2, 2, DEFAULT_SECONDARY), 1, 5),
+    (grid_plant(1, 1), 16, 1),
+    (grid_plant(2, 2), 16, 1),
+    (grid_plant(3, 2), 16, 1),
+    (two_length_plant(), 8, 1),
+    (grid_plant(2, 2), 1, 1),
 ], ids=["1x1x1", "1x1x1_noisy", "1x2x2", "1x3x2", "1x2x2_two_lengths", "1x2x2L1",
         "undelayed_1x1x1", "undelayed_1x2x2", "undelayed_1x3x2", "undelayed_1x2x2_two_lengths",
         "undelayed_1x2x2L1"])
-def test_block_body_runs_a_fixed_handful_of_operations_a_pass(plant, taps, width, lengths):
+def test_block_body_runs_a_fixed_handful_of_operations_a_pass(plant, taps, width):
     # paths that start with width - 1 zero taps run width samples a pass,
-    # a grid of undelayed paths one: a window and a dot per distinct path
-    # length, the terms' tolist, x's and x_f's windows and the output
-    # slots, the update terms' product, one in-place add per term
-    # (width * K), the outputs' dot (a plain product for one-tap filters)
-    # and no guard dot while the running bound holds. With the
-    # coefficients' store that makes 7 + 2 * lengths + width * K
+    # a grid of undelayed paths one: the paths' window and dot (one for
+    # paths given at two lengths too, which the plant pads to one), the
+    # terms' tolist, x's and x_f's windows and the output slots, the
+    # update terms' product, one in-place add per term (width * K), the
+    # outputs' dot (a plain product for one-tap filters) and no guard dot
+    # while the running bound holds. With the coefficients' store that
+    # makes 9 + width * K
     K = plant.n_mics
     per = per_block(loops, adaptive_run(plant, taps), width)
-    want = Counter({"vecdot": lengths, "ndarray.tolist": 1, "multiply": 1,
-                    "add": width * K, "row": 3 + lengths})
+    want = Counter({"vecdot": 1, "ndarray.tolist": 1, "multiply": 1,
+                    "add": width * K, "row": 4})
     want["vecdot" if taps > 1 else "multiply"] += 1
     assert per == dict(want)
-    assert sum(per.values()) + 1 == 7 + 2 * lengths + width * K
+    assert sum(per.values()) + 1 == 9 + width * K
 
 
 def fit_run(P, N):

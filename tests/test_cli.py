@@ -289,6 +289,42 @@ class TestExitCodes:
         assert named in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("times", [[0.99999], [0.0000625], [0.0001875, 0.0003125]],
+                             ids=["last_segment_empty", "first_segment_empty",
+                                  "boundary_missed"])
+    def test_a_switch_time_no_segment_renders_is_two_naming_it(self, tmp_path, capsys, times):
+        # at 8 kHz: a last segment of 0.08 samples or a first of 0.5 round
+        # to none; with a third source, segments of 1.5 and 1.0 samples
+        # round to 2 and 1, which miss the second boundary at round(2.5) = 2
+        cfg = default_config("combined", duration_s=1.0)
+        if len(times) == 2:
+            cfg.noise_sources.append(copy.deepcopy(cfg.noise_sources[0]))
+        cfg.composition.switch_times_s = times
+        cfg_path = tmp_path / "bad.yaml"
+        save_config(cfg_path, cfg)
+        assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+        assert "config error: composition.switch_times_s" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_a_rate_whose_second_rounds_to_no_sample_is_two(self, tmp_path, capsys):
+        # the default run scaled to 0.4 Hz: pre-training's one-second
+        # blocks would hold round(0.4) = 0 samples
+        cfg = default_config("combined", duration_s=100.0)
+        cfg.composition.switch_times_s = [50.0]
+        for src in cfg.noise_sources:
+            src.low_hz, src.high_hz = 0.01, 0.1
+        cfg.metrics.segment_len, cfg.metrics.hop, cfg.metrics.interval_s = 4, 2, 10.0
+        cfg.sysid.taps = cfg.controller.taps = 4
+        cfg.sysid.n_samples = 500
+        cfg.sample_rate_hz = 1.0
+        cfg.validate()
+        cfg.sample_rate_hz = 0.4
+        cfg_path = tmp_path / "bad.yaml"
+        save_config(cfg_path, cfg)
+        assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+        assert "config error: sample_rate_hz 0.4" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_non_finite_wav_sample_is_four(self, tmp_path, capsys):
         wav = tmp_path / "rec.wav"
         write_wav(wav, Signal(np.zeros(16000), 8000.0))

@@ -967,9 +967,11 @@ def test_block_passes_match_the_per_sample_loop(seed, geometry, L, noisy, mu):
     ([[[0.0, 0.0, 0.3]]], 3),
     ([[[-0.0, 0.0, -0.0, 0.0, 0.2, 0.1]]], 5),
     ([[[0.0, 0.0, 0.3], [0.0, 0.5]], [[0.0, -0.0, -0.0, 0.1], [0.0, 0.0, 0.0]]], 2),
-    ([[[0.0, 0.0, 0.3], [0.0]]], 1),          # a path of one tap
+    ([[[0.0], [-0.0]]], 1),                   # paths of one tap, a product each
+    ([[[0.0, 0.0, 0.3], [0.0]]], 3),          # a one-tap path padded to three
     ([[[0.4, 0.0, 0.3]]], 1),
-], ids=["two_zeros", "signed_zeros", "least_of_every_path", "one_tap", "undelayed"])
+], ids=["two_zeros", "signed_zeros", "least_of_every_path", "one_tap", "one_tap_padded",
+        "undelayed"])
 def test_block_width_is_one_more_than_the_zero_taps_every_path_starts_with(paths, width):
     J, K = len(paths), len(paths[0])
     split = PlantSplit(Plant([np.array([0.5])] * K, [[np.array(s) for s in row] for row in paths]))

@@ -21,19 +21,33 @@ Through `run_adaptive` at 1x1x1 and 1x2x2, with measurement noise:
 - causality: a call over a prefix of the reference gives, bit for bit,
   the prefix of a longer call's errors and outputs, whatever tail pass
   the prefix's length leaves.
+
+Trailing zero taps: a plant pads every path to the longest of its kind,
+so paths given at their own lengths and the same paths padded to the
+grid's longest are one plant. Its disturbance, both loops and its
+identification are the same bits, and an explicit run's exports the
+same bytes, but for the config hash in `summary.json`.
 """
 
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from ancsim.acoustics import synthetic_plant
-from ancsim.config import default_config
-from ancsim.loops import loop_aligned_path, run_adaptive
+from ancsim.acoustics import DEFAULT_PRIMARY, Plant, synthetic_plant
+from ancsim.config import PlantConfig, config_hash, default_config
+from ancsim.loops import (
+    loop_aligned_path,
+    run_adaptive,
+    run_fixed,
+    run_uncontrolled_signal,
+)
 from ancsim.mcanc import ChannelConfig, McAncController
 from ancsim.reporting import export_report
 from ancsim.scenario import run_scenario
+from ancsim.sysid import identify_all_paths
 
 WEIGHTS = {"adaptive_weights.anw", "adaptive_weights.json",
            "fixed_weights.anw", "fixed_weights.json"}
@@ -120,3 +134,91 @@ def test_a_prefix_of_the_reference_gives_the_prefix_of_the_run(J, K):
     whole, prefix = adaptive_run(J, K, x, 2e-3), adaptive_run(J, K, x[:7001], 2e-3)
     assert np.array_equal(bits(prefix.error), bits(whole.error[:7001]))
     assert np.array_equal(bits(prefix.output), bits(whole.output[:7001]))
+
+
+def padded(paths):
+    """Every path with trailing +0.0 taps up to the longest."""
+    n = max(len(p) for p in paths)
+    return [np.pad(np.asarray(p, dtype=np.float64), (0, n - len(p))) for p in paths]
+
+
+def padded_grid(rows):
+    """A J x K grid of paths, every one padded to the grid's longest."""
+    flat, K = padded([s for row in rows for s in row]), len(rows[0])
+    return [flat[j * K:(j + 1) * K] for j in range(len(rows))]
+
+
+def plant_bits(primaries, secondaries, noise_std, seed):
+    """Every array a seeded 1xJxK loop and identification give on the
+    plant with these paths, over a reference with silent stretches."""
+    J, K = len(secondaries), len(primaries)
+    plant = Plant(primaries, secondaries, measurement_noise_std=noise_std, seed=seed)
+    rng = np.random.default_rng(seed)
+    x = np.r_[np.zeros(10), rng.standard_normal(100), np.zeros(20), rng.standard_normal(70)]
+    est = 0.4 * rng.standard_normal((J, K, 3))
+    dist = run_uncontrolled_signal(plant, x)
+    adaptive = run_adaptive(plant, McAncController(ChannelConfig(1, J, K, 4, 3), 0.01, est),
+                            x, disturbance=dist)
+    fixed = run_fixed(plant, 0.1 * rng.standard_normal((1, J, 4)), x, disturbance=dist)
+    out = [dist.uncontrolled(), adaptive.error, adaptive.output, adaptive.final_weights,
+           np.array([-1 if adaptive.diverged_at is None else adaptive.diverged_at]),
+           fixed.error, fixed.output]
+    for row in identify_all_paths(plant, 8, n_samples=150, seed=seed):
+        for r in row:
+            out += [r.estimate.weights, r.response.samples,
+                    np.array([r.misalignment_db, r.residual_power])]
+    return out
+
+
+@settings(max_examples=30)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([1, 2]), st.sampled_from([1, 2]),
+       st.sampled_from([0.0, 0.02]))
+@example(79, 1, 2, 0.0)     # a one-tap primary path in a longer pair, over silence
+@example(200, 1, 2, 0.0)
+def test_trailing_zero_taps_up_to_the_longest_path_change_no_bit(seed, J, K, noise_std):
+    # paths of 1-8 taps, each after 0 to all-but-one leading zeros of
+    # either sign; a one-tap path in a longer grid is padded, so over
+    # silence its dot sums to +0.0 where a plain product keeps -0.0
+    rng = np.random.default_rng(seed)
+
+    def path():
+        taps = 0.5 * rng.standard_normal(int(rng.integers(1, 9)))
+        lead = int(rng.integers(0, taps.size))
+        taps[:lead] = np.where(rng.random(lead) < 0.5, -0.0, 0.0)
+        return taps
+
+    primaries = [path() for _ in range(K)]
+    secondaries = [[path() for _ in range(K)] for _ in range(J)]
+    twin = plant_bits(padded(primaries), padded_grid(secondaries), noise_std, seed)
+    for got, want in zip(plant_bits(primaries, secondaries, noise_std, seed), twin,
+                         strict=True):
+        assert np.array_equal(bits(got), bits(want))
+
+
+RAGGED = [[[0.0, 0.0, 0.5, 0.25, 0.125, 0.06, 0.03, 0.015, 0.008, 0.004, 0.002, 0.001,
+            0.0005, 0.0002, 0.0001, 0.00005], [0.0, 0.0, -0.3, 0.1, 0.05]],
+          [[0.0, 0.0, 0.4, -0.2, 0.1, 0.05, 0.02, 0.01, 0.005], [0.0, 0.0, 0.6]]]
+
+
+def explicit_config(secondary_taps, mode):
+    cfg = small_config()
+    cfg.controller.kind = "multichannel"
+    cfg.controller.taps = 32
+    cfg.sysid.mode, cfg.sysid.taps = mode, 16
+    cfg.plant = PlantConfig(kind="explicit", n_sources=2, n_mics=2, measurement_noise_std=0.01,
+                            primary_taps=DEFAULT_PRIMARY.impulse_response().tolist(),
+                            secondary_taps=secondary_taps)
+    return cfg.validate()
+
+
+@pytest.mark.parametrize("mode", ["identify", "exact"])
+def test_an_explicit_ragged_plant_exports_its_padded_twin(tmp_path, mode):
+    ragged = explicit_config(RAGGED, mode)
+    twin = explicit_config([[p.tolist() for p in row] for row in padded_grid(RAGGED)], mode)
+    assert config_hash(ragged) != config_hash(twin)
+    files = run(ragged, tmp_path / "ragged")[1]
+    want = run(twin, tmp_path / "twin")[1]
+    assert set(files) == set(want)
+    files["summary.json"] = files["summary.json"].replace(
+        config_hash(ragged).encode(), config_hash(twin).encode())
+    assert [n for n in files if files[n] != want[n]] == []

@@ -198,3 +198,10 @@ class TestCompose:
         a = Signal(np.ones(100), 8000.0)
         with pytest.raises(ConfigError):
             compose([a], "overlay")
+
+
+@pytest.mark.parametrize("spec", [BandNoiseSpec(40.0, 1400.0), ToneSpec(200.0)])
+def test_a_source_of_no_sample_is_a_config_error(spec):
+    # 0.5 samples round to none
+    with pytest.raises(ConfigError, match="holds no sample"):
+        synthesize_noise(spec, 3, 0.0000625, RATE)

@@ -1,8 +1,8 @@
 """Destructive-interference arithmetic and the simulated acoustic plant.
 
 The plant is plain data: its primary and secondary paths are two tap
-arrays, which the loops filter with `filters.fir`; `Plant.step` is the
-per-sample oracle over the same arrays.
+arrays, each filtered as one stack by one `filters.fir` call in the
+loops; `Plant.step` is the per-sample oracle over the same arrays.
 
 Sign conventions, kept distinct on purpose: the plant ADDS the secondary
 contribution to the disturbance (error = disturbance + paths * outputs),
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, DomainError
-from .filters import as_taps, dot, rowdots
+from .filters import as_taps, dot, fir
 from .ranges import Decay, NonNegativeInt, PositiveInt, Scale
 from .signals import as_samples
 
@@ -141,11 +141,11 @@ class Plant:
         return out
 
     def silent_outputs(self) -> tuple[np.ndarray, np.ndarray]:
-        """Each path's output while its input is silent: (K,) primaries and
-        (J, K) secondaries. Each is the path's dot over a zero window, as
-        `step` forms it, so a negative tap of a one-tap path gives -0.0."""
-        return (rowdots(np.zeros(self.primaries.shape[-1]), self.primaries),
-                rowdots(np.zeros(self.secondaries.shape[-1]), self.secondaries))
+        """Each path's output while its input is silent, (K,) primaries and
+        (J, K) secondaries: the `fir` pass over one silent sample, the dot
+        `step` forms over a zero window, so a one-tap path's negative tap
+        gives -0.0."""
+        return fir(self.primaries, [0.0])[:, 0], fir(self.secondaries, [0.0])[..., 0]
 
     def true_secondary(self, j: int, k: int) -> np.ndarray:
         """Impulse response of the true path from source j to microphone k."""

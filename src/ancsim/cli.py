@@ -20,10 +20,10 @@ from ._version import __version__
 from .config import default_config, load_config, save_config
 from .errors import AncError, ConfigError, DivergenceError, WavError
 from .mcanc import ChannelConfig, mac_count, mac_measure
-from .reporting import _json_safe, export_report, summary_dict, weight_snapshot
+from .reporting import export_report, summary_dict, sysid_entries, weight_snapshot
 from .scenario import (
-    build_plant,
     build_reference,
+    identify_estimates,
     installed_estimate_taps,
     run_scenario,
     scenario_stages,
@@ -34,7 +34,6 @@ from .serialization import (
     save_weights_binary,
     save_weights_json,
 )
-from .sysid import identify_all_paths
 from .wavio import write_wav
 
 EXIT_OK = 0
@@ -65,25 +64,16 @@ def cmd_synth(args) -> int:
 
 def cmd_identify(args) -> int:
     cfg = _load(args)
-    results = identify_all_paths(
-        build_plant(cfg), cfg.sysid.taps, mu=cfg.sysid.mu,
-        n_samples=cfg.sysid.n_samples, seed=cfg.sysid.seed,
-        sample_rate_hz=cfg.sample_rate_hz)
+    est, summaries = identify_estimates(cfg)
     os.makedirs(args.out, exist_ok=True)
-    summary = []
-    for j, row in enumerate(results):
-        for k, res in enumerate(row):
-            stem = os.path.join(args.out, f"estimate_j{j}_k{k}")
-            snap = FilterSnapshot(res.estimate.weights, np.zeros(0))
-            save_weights_binary(stem + ".anw", snap)
-            save_weights_json(stem + ".json", snap)
-            summary.append({"j": j, "k": k,
-                            "misalignment_db": res.misalignment_db,
-                            "residual_power": res.residual_power,
-                            "undermodeled": res.undermodeled})
-            print(f"path ({j},{k}): misalignment {res.misalignment_db:.1f} dB")
-    # strict JSON: a perfect estimate's -inf dB becomes "silent", as in summary.json
-    doc = json.dumps(_json_safe({"paths": summary}), indent=1, sort_keys=True) + "\n"
+    for s in summaries:
+        stem = os.path.join(args.out, f"estimate_j{s.j}_k{s.k}")
+        snap = FilterSnapshot(est[s.j, s.k], np.zeros(0))
+        save_weights_binary(stem + ".anw", snap)
+        save_weights_json(stem + ".json", snap)
+        print(f"path ({s.j},{s.k}): misalignment {s.misalignment_db:.1f} dB")
+    # the entries of summary.json's `sysid`, strict JSON as there
+    doc = json.dumps({"paths": sysid_entries(summaries)}, indent=1, sort_keys=True) + "\n"
     atomic_write(os.path.join(args.out, "identification.json"), (doc.encode(),))
     return EXIT_OK
 
@@ -161,7 +151,7 @@ def cmd_mac(args) -> int:
                       "K": g.n_mics, "L": g.control_taps, "M": g.estimate_taps,
                       "output": m.output, "filtered_x": m.filtered_x,
                       "update": m.update, "total": m.total})
-    if args.measure:
+    if args.measure is not None:
         measured = mac_measure(rows[0][1], n_samples=args.measure)
         print(f"instrumented: {measured} MACs/sample over {args.measure} samples")
     if args.out:
@@ -178,6 +168,14 @@ def cmd_init_config(args) -> int:
     save_config(args.out, cfg.validate())
     print(f"wrote {args.out}")
     return EXIT_OK
+
+
+def positive_int(text: str) -> int:
+    """An argparse type: an integer of at least 1."""
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -219,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mac", help="multiply-accumulate complexity table")
     common(p)
-    p.add_argument("--measure", type=int, metavar="SAMPLES",
+    p.add_argument("--measure", type=positive_int, metavar="SAMPLES",
                    help="also run the instrumented counter")
     p.set_defaults(func=cmd_mac)
 

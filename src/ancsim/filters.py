@@ -8,12 +8,12 @@ states the one-element rule once. No other module spells a reduction
 names changes every export's arithmetic at once; the one exception is
 `adaptation.wiener_solve`, library API that no export reads.
 
-`fir` filters a whole block given the samples that preceded it: the
-plant's paths, frozen controllers and filtered references. Output n is
-the dot of the reversed weights with the window ending at x(n), all of
-them in one `rowdots` call, so a pass split anywhere equals one whole
-pass, and per-sample filtering, bit for bit. Samples before the first
-one given are zeros, the x(k) = 0 for k < 0 of the convolution sums.
+`fir` filters a whole block given the samples that preceded it, through
+one path or a stack: the plant's paths, frozen controllers and filtered
+references. Output n is the dot of a path's reversed weights with the
+window ending at x(n), all of them in one `rowdots` call, so a pass split
+anywhere, per-sample filtering and each path's own pass give its bits.
+Samples before the first one given are zeros, the x(k) = 0 for k < 0.
 """
 
 from __future__ import annotations
@@ -55,19 +55,22 @@ def row_reduction(n: int):
 
 
 def fir(weights, x, history=None) -> np.ndarray:
-    """y(n) = sum_i w_i x(n-i) for every sample of x.
+    """y(n) = sum_i w_i x(n-i) for every sample of x, through each path of
+    `weights`: (N,) taps give (T,) outputs, a (..., N) stack (..., T).
 
     `history` holds the samples before x, oldest first; the window reads
     zeros beyond it. Each output is the dot `FirFilter.process_sample`
     forms over its window; `rowdots` forms all of them in one call.
     """
-    w_rev = np.asarray(weights, dtype=np.float64)[::-1].copy()
+    w = np.atleast_1d(np.asarray(weights, dtype=np.float64))
+    # each path checked by `as_taps`, reversed into a row of its own
+    w_rev = as_taps(w[..., ::-1].ravel()).reshape(w.shape[:-1] + (1, -1))
     x = np.asarray(x, dtype=np.float64)
     if not x.size:
-        return np.empty(0)
+        return np.empty(w.shape[:-1] + (0,))
     past = () if history is None else history
-    h = np.concatenate([np.zeros(w_rev.size - 1), past, x])[len(past):]
-    return rowdots(sliding_window_view(h, w_rev.size), w_rev)
+    h = np.concatenate([np.zeros(w.shape[-1] - 1), past, x])[len(past):]
+    return rowdots(sliding_window_view(h, w.shape[-1]), w_rev)
 
 
 def rowdots(a, b) -> np.ndarray:

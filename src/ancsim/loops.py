@@ -11,21 +11,22 @@ before it is installed in a controller.
 The loops do not step a `Plant`; they read its tap arrays. The
 primary-path outputs, the outputs of silent secondary paths and the
 measurement noise do not depend on the control, so
-`PlantSplit.disturbance` computes them in one `filters.fir` pass per
-microphone (a `Disturbance`) that every arm over the same reference can
-share. Every dot here is `filters`' (its `dot`, or `row_reduction`'s
-reduction for a whole pass), the one `Plant.step` forms over the same
-window, and every term is added in the order `Plant.step` adds it, so
-each loop reproduces a per-sample `Plant.step` run bit for bit.
+`PlantSplit.disturbance` computes them, the K primary paths in one
+`filters.fir` call, as a `Disturbance` that every arm over the same
+reference can share. Every dot here is `filters`' (its `dot`, or
+`row_reduction`'s reduction for a whole pass), the one `Plant.step`
+forms over the same window, and every term is added in the order
+`Plant.step` adds it, so each loop reproduces a per-sample `Plant.step`
+run bit for bit.
 
 There is one adaptive loop, `run_adaptive`, for every 1xJxK
 `McAncController`, the single-channel FxLMS being its 1x1x1 case; every
 loop gives (T, K) errors and (T, J) outputs. It inlines
 `McAncController.step` over flat histories in its operand order. The
-filtered references do not depend on the control either, so they come
-from one `fir` pass per path; only the secondary paths, the controller
-outputs and the weight updates depend on the recursion. The weight guard
-follows `mcanc`'s guard rule, as `adaptation.lms_fit` does.
+filtered references do not depend on the control either, so one `fir`
+call forms them over the J x K estimates; only the secondary paths, the
+controller outputs and the weight updates depend on the recursion. The
+weight guard follows `mcanc`'s guard rule, as `adaptation.lms_fit` does.
 
 The plant's own delay sets how many samples the loop runs a pass. When
 every true secondary path starts with d zero taps, u(n) reaches no mic
@@ -61,8 +62,8 @@ BOUND_GROWTH as the margin for that sum's roundings; where the bound
 fails, the pass's samples take it one at a time, on their weight rows.
 
 `run_fixed` runs frozen weights, for which the loop is LTI end to end:
-each of its passes, controller and path, is one `fir` pass, into the
-same loudspeaker buffer layout as `run_adaptive`'s.
+one `fir` call forms the J outputs, in `run_adaptive`'s buffer layout,
+and `PlantSplit.drive` one call a loudspeaker its K paths' terms.
 """
 
 from __future__ import annotations
@@ -75,7 +76,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .acoustics import Plant
 from .errors import DataError, DivergenceError
-from .filters import as_taps, dot, fir, row_reduction, rowdots
+from .filters import dot, fir, row_reduction
 from .mcanc import (
     BOUND_GROWTH,
     BOUND_LIMIT,
@@ -137,8 +138,6 @@ class PlantSplit:
         self._noise_std = plant.measurement_noise_std
         self._rng = np.random.default_rng(plant.seed)
         self.sec_taps = plant.secondaries
-        # reversed taps pair with chronological windows, as in `fir`
-        self.sec_rev = self.sec_taps[..., ::-1].copy()
         _, self.silent = plant.silent_outputs()
         self.hist = self.sec_taps.shape[2]
         # newest samples that reached the primary paths and each
@@ -158,9 +157,7 @@ class PlantSplit:
         """Advance the primary paths and the noise generator over x."""
         self._require_unspent()
         xs = as_samples(x)
-        primary = np.empty((xs.size, self.n_mics))
-        for k, p in enumerate(self._primaries):
-            primary[:, k] = fir(p, xs, self.x_hist)
+        primary = fir(self._primaries, xs, self.x_hist).T
         self.x_hist = np.concatenate([self.x_hist, xs])[xs.size:]
         noise = None
         if self._noise_std > 0.0:
@@ -173,16 +170,15 @@ class PlantSplit:
         loudspeaker's history `u_hist`, one silent sample, then u(0..T-1).
 
         u(n) reaches the paths at step n+1; as in every loop here, the
-        first sample of a call hears silent loudspeakers. Each path's
-        terms are the `fir` pass over the history and those samples.
+        first sample of a call hears silent loudspeakers. Each loudspeaker's
+        K paths take one `fir` call over the history and those samples.
         """
         H = self.hist
         T = u_buf.shape[1] - H - 1
         e = dist.primary.copy()
-        for row, paths_j in zip(u_buf, self.sec_rev):
-            for k, s in enumerate(paths_j):
-                # row n is the plant's window at step n, u_buf[j, n+1:n+1+H]
-                e[:, k] += rowdots(sliding_window_view(row[1:], H)[:T], s)
+        for row, paths_j in zip(u_buf, self.sec_taps):
+            # output n's window is the plant's at step n, row[n+1:n+1+H]
+            e += fir(paths_j, row[H:H + T], row[:H]).T
         self.u_hist[:] = u_buf[:, T:T + H]
         if dist.noise is not None:
             e += dist.noise
@@ -256,20 +252,16 @@ def run_adaptive(plant, controller: McAncController, x,
         raise DataError(
             f"plant has {split.n_sources} sources and {split.n_mics} mics, "
             f"controller drives {ctl.n_sources} and listens to {ctl.n_mics}")
-    T, J, K, H = xs.size, split.n_sources, split.n_mics, split.hist
+    T, J, H = xs.size, split.n_sources, split.hist
     L, hx = ctl._v.shape[2], ctl._x.shape[1]
     step0 = ctl._step_count
 
     # flat histories: the controller's stored windows, then this call's
     # samples; x(n) sits at index hx+n and x_f(n) at L+n
     x_buf = np.concatenate([ctl._x[0], xs])
-    fx_buf = np.empty((J, K, L + T))
-    fx_buf[:, :, :L] = ctl._fx[0]
     # the filtered references do not depend on the control: `fir` forms the
     # dot `step` forms, over the same window of the stored reference history
-    for j in range(J):
-        for k in range(K):
-            fx_buf[j, k, L:] = fir(ctl._est[j, k], xs, ctl._x[0])
+    fx_buf = np.concatenate([ctl._fx[0], fir(ctl._est, xs, ctl._x[0])], axis=2)
     # loudspeaker history, then u_j(n-1) at column H+n; the first sample of
     # every call reaches the paths as silence
     u_buf = np.zeros((J, H + T + 1))
@@ -344,7 +336,7 @@ def _block_body(split, ctl, x_buf, fx_buf, u_buf, err, noise, width):
     # loudspeaker's plant window at step n, u_buf[j, n+1:n+1+H], against
     # the reversed taps (J, K, H)
     path_dot, path_index = row_reduction(H)
-    path_taps = split.sec_rev
+    path_taps = split.sec_taps[..., ::-1].copy()
     p_wins = sliding_window_view(u_buf, H, axis=1)[:, 1:].transpose(1, 0, 2)[:, :, None]
     update = neg_mu != 0.0
     norm = window_norm_bound(fx, J * L)
@@ -453,7 +445,6 @@ def run_fixed(plant, weights, x, disturbance: Disturbance | None = None) -> Loop
     H = split.hist
     u_buf = np.zeros((split.n_sources, H + 1 + xs.size))
     u_buf[:, :H] = split.u_hist
-    for j, row in enumerate(u_buf):
-        row[H + 1:] = fir(as_taps(w[0, j]), xs)
+    u_buf[:, H + 1:] = fir(w[0], xs)
     err = split.drive(dist, u_buf)
     return LoopResult(error=err, output=u_buf[:, H + 1:].T, final_weights=w.copy())

@@ -264,13 +264,17 @@ def summary_dict(result) -> dict:
             "mu": result.pretrain.mu,
             "diverged_at": result.pretrain.diverged_at,
         },
-        "sysid": [
-            {"j": s.j, "k": s.k, "misalignment_db": _json_safe(s.misalignment_db),
-             "residual_power": _json_safe(s.residual_power),
-             "undermodeled": s.undermodeled}
-            for s in result.sysid_summaries
-        ],
+        "sysid": sysid_entries(result.sysid_summaries),
     }
+
+
+def sysid_entries(summaries) -> list:
+    """One JSON entry a `SysidSummary`, as summary.json's `sysid` and
+    identification.json's `paths` hold them; a perfect estimate's -inf dB
+    is "silent"."""
+    return [{"j": s.j, "k": s.k, "misalignment_db": _json_safe(s.misalignment_db),
+             "residual_power": _json_safe(s.residual_power), "undermodeled": s.undermodeled}
+            for s in summaries]
 
 
 def export_report(result, out_dir) -> list:

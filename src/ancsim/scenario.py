@@ -113,30 +113,32 @@ def installed_estimate_taps(cfg: ExperimentConfig) -> int:
     return cfg.sysid.taps + 1
 
 
+def identify_estimates(cfg: ExperimentConfig):
+    """Offline white-noise identification of every path of the quiescent
+    plant, whatever `sysid.mode` says: the (J, K, taps) estimates and one
+    `SysidSummary` a path, j-major."""
+    results = identify_all_paths(
+        build_plant(cfg), cfg.sysid.taps, mu=cfg.sysid.mu, n_samples=cfg.sysid.n_samples,
+        seed=cfg.sysid.seed, sample_rate_hz=cfg.sample_rate_hz)
+    est = np.stack([np.stack([r.estimate.weights for r in row]) for row in results])
+    summaries = [SysidSummary(j, k, r.misalignment_db, r.residual_power, r.undermodeled)
+                 for j, row in enumerate(results) for k, r in enumerate(row)]
+    return est, summaries
+
+
 def resolve_estimates(cfg: ExperimentConfig):
     """The estimates a run installs, (J, K, taps + 1), plus summaries.
 
-    `identify` runs offline white-noise identification against the
-    quiescent plant; `exact` copies the true paths. Either way the
-    estimates are then shifted by the loop's one-sample latency
-    (`loop_aligned_path`).
+    `identify` runs `identify_estimates`; `exact` copies the true paths.
+    Either way the estimates are then shifted by the loop's one-sample
+    latency (`loop_aligned_path`).
     """
     p = cfg.plant
-    plant = build_plant(cfg)
     if cfg.sysid.mode == "exact":
         summaries = [SysidSummary(j, k, None, 0.0, False)
                      for j in range(p.n_sources) for k in range(p.n_mics)]
-        return loop_aligned_path(plant.secondaries), summaries
-    results = identify_all_paths(
-        plant, cfg.sysid.taps, mu=cfg.sysid.mu, n_samples=cfg.sysid.n_samples,
-        seed=cfg.sysid.seed, sample_rate_hz=cfg.sample_rate_hz)
-    est = np.stack([np.stack([results[j][k].estimate.weights
-                              for k in range(p.n_mics)])
-                    for j in range(p.n_sources)])
-    summaries = [SysidSummary(j, k, results[j][k].misalignment_db,
-                              results[j][k].residual_power,
-                              results[j][k].undermodeled)
-                 for j in range(p.n_sources) for k in range(p.n_mics)]
+        return loop_aligned_path(build_plant(cfg).secondaries), summaries
+    est, summaries = identify_estimates(cfg)
     return loop_aligned_path(est), summaries
 
 
@@ -145,12 +147,8 @@ def resolve_mu(cfg: ExperimentConfig, reference: Signal, aligned_est: np.ndarray
     ctl = cfg.controller
     if ctl.mu != "auto":
         return float(ctl.mu)
-    p_xf = 0.0
-    J, K = aligned_est.shape[:2]
-    for j in range(J):
-        for k in range(K):
-            xf = fir(aligned_est[j, k], reference.samples)
-            p_xf = max(p_xf, float(np.mean(xf**2)))
+    xf = fir(aligned_est, reference.samples)
+    p_xf = float(np.mean(np.square(xf, out=xf), axis=-1).max())
     if p_xf == 0.0:
         raise ConfigError("controller.mu auto cannot scale: the filtered reference through "
                           f"the estimates has zero power (sysid.n_samples {cfg.sysid.n_samples})")

@@ -194,6 +194,35 @@ def test_block_body_runs_a_fixed_handful_of_operations_a_pass(plant, taps, width
     assert sum(per.values()) + 1 == 9 + width * K
 
 
+def vecdots_in_fir(run):
+    """The `vecdot` calls made inside `loops`' calls of `fir` while run()
+    runs."""
+    counts = Counter()
+    fir = loops.fir
+
+    def counted_fir(*args):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(filters, "vecdot", counted(filters.vecdot, "vecdot", counts))
+            return fir(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(loops, "fir", counted_fir)
+        run()
+    return counts["vecdot"]
+
+
+def test_a_grid_filters_its_references_and_its_primaries_in_one_vecdot_each():
+    # a 1x2x2 run: two primary paths and four filtered references, each
+    # stack one `fir` call, whose one `vecdot` forms every row
+    plant = grid_plant(2, 2, DEFAULT_SECONDARY)
+    x = np.random.default_rng(1).standard_normal(40)
+    dist = loops.PlantSplit(plant).disturbance(x)
+    assert vecdots_in_fir(lambda: loops.PlantSplit(plant).disturbance(x)) == 1
+    est = loop_aligned_path(plant.secondaries)
+    ctl = McAncController(ChannelConfig(1, 2, 2, 16, est.shape[2]), 1e-4, est)
+    assert vecdots_in_fir(lambda: run_adaptive(plant, ctl, x, disturbance=dist)) == 1
+
+
 def fit_run(P, N):
     rng = np.random.default_rng(2)
 

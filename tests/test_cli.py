@@ -108,6 +108,30 @@ class TestInProcess:
         # taps behind the loop's one-sample latency
         assert configured["total"] == 2 * 48 + 25 + 1
 
+    @pytest.mark.parametrize("samples", ["0", "-1"])
+    def test_mac_measure_below_one_is_two_before_any_output(self, tmp_path, capsys, samples):
+        cfg_path = tmp_path / "c.yaml"
+        write_small_config(cfg_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["mac", "--config", str(cfg_path), "--measure", samples])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument --measure: must be at least 1, got {samples}" in captured.err
+
+    def test_identify_records_the_paths_a_run_records(self, tmp_path):
+        # one rendering of the identification: identify's `paths` are the
+        # `sysid` entries of a run's summary on the same config
+        cfg_path = tmp_path / "c.yaml"
+        write_small_config(cfg_path, **{"plant.n_sources": 2, "plant.n_mics": 2,
+                                        "controller.kind": "multichannel"})
+        assert main(["identify", "--config", str(cfg_path), "--out", str(tmp_path / "i")]) == 0
+        assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "r")]) == 0
+        paths = json.loads((tmp_path / "i" / "identification.json").read_text())["paths"]
+        summary = json.loads((tmp_path / "r" / "summary.json").read_text())
+        assert [(p["j"], p["k"]) for p in paths] == [(0, 0), (0, 1), (1, 0), (1, 1)]
+        assert paths == summary["sysid"]
+
     @pytest.mark.parametrize("mode", ["identify", "exact"])
     def test_mac_configured_row_is_the_installed_controller(self, tmp_path, mode):
         cfg_path = tmp_path / "c.yaml"

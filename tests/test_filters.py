@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ancsim.errors import DataError
@@ -160,3 +160,45 @@ class TestFirProcess:
     def test_non_finite_weights_rejected(self):
         with pytest.raises(DataError):
             FirFilter([1.0, np.inf])
+
+
+class TestFirStack:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        shape=st.sampled_from([(1,), (3,), (2, 2), (4, 4), (2, 1, 3)]),
+        n_taps=st.sampled_from([1, 2, 15, 16, 17, 65]),
+        n_past=st.sampled_from([0, 5, 80]),
+        length=st.sampled_from([0, 1, 40]),
+        seed=st.integers(min_value=0, max_value=2**31),
+    )
+    @example(shape=(2, 2), n_taps=1, n_past=5, length=40, seed=0)     # one-tap rows
+    @example(shape=(2, 2), n_taps=17, n_past=80, length=0, seed=1)    # an empty block
+    def test_each_row_of_a_stack_is_its_own_pass(self, shape, n_taps, n_past, length, seed):
+        # signed zeros in taps, history and input: a row's zero outputs
+        # must carry the oracle's signs too
+        rng = np.random.default_rng(seed)
+        w = rng.uniform(-2, 2, shape + (n_taps,))
+        xs = rng.uniform(-2, 2, n_past + length)
+        for a in (w, xs):
+            a[rng.random(a.shape) < 0.2] = 0.0
+            a[rng.random(a.shape) < 0.2] = -0.0
+        past, x = xs[:n_past], xs[n_past:]
+        got = fir(w, x, past if n_past else None)
+        assert got.shape == shape + (length,)
+        for idx in np.ndindex(shape):
+            want = direct_convolution(w[idx], xs)[n_past:]
+            assert np.array_equal(got[idx], want)
+            assert np.array_equal(np.signbit(got[idx]), np.signbit(want))
+
+    @pytest.mark.parametrize("weights", [[], np.zeros((2, 0)), np.zeros((0, 0))])
+    def test_no_taps_is_a_data_error(self, weights):
+        with pytest.raises(DataError, match="at least one tap"):
+            fir(weights, [1.0, 2.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_taps_are_a_data_error(self, bad):
+        w = np.ones((2, 2, 3))
+        w[1, 0, 2] = bad
+        for weights in (w[1, 0], w):
+            with pytest.raises(DataError, match="finite"):
+                fir(weights, [1.0, 2.0])

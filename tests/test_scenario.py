@@ -16,7 +16,7 @@ from ancsim.config import (
     SourceConfig,
     default_config,
 )
-from ancsim.filters import FirFilter
+from ancsim.filters import FirFilter, fir
 from ancsim.reporting import export_report, summary_dict
 from ancsim.scenario import build_plant, build_reference, run_scenario
 from ancsim.serialization import (
@@ -290,6 +290,21 @@ class TestMultichannelScenario:
         assert result.adaptive_weights.shape == (1, 2, 32)
         for rep in result.arms["adaptive"].reports:
             assert rep.snr_db > 3.0
+
+    def test_auto_mu_takes_the_largest_path_power_as_each_path_alone_gives_it(self):
+        # one `fir` call over the grid: each path's power has the bits of
+        # its own pass and mean, and the largest sets mu
+        cfg = small_config()
+        cfg.plant = PlantConfig(kind="synthetic", n_sources=2, n_mics=2, seed=5)
+        cfg.controller.kind = "multichannel"
+        cfg.validate()
+        reference = build_reference(cfg)
+        aligned, _ = scenario.resolve_estimates(cfg)
+        powers = [float(np.mean(fir(path, reference.samples) ** 2))
+                  for path in aligned.reshape(-1, aligned.shape[-1])]
+        assert len(set(powers)) == 4
+        want = cfg.controller.mu_scale * 2.0 / (4 * cfg.controller.taps * max(powers))
+        assert scenario.resolve_mu(cfg, reference, aligned) == want
 
     def test_multichannel_export(self, tmp_path):
         cfg = small_config()

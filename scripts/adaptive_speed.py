@@ -32,6 +32,14 @@ plant pads to 16; its estimates are those paths padded to the longest,
 and its hash is `ragged_sha256`. `widths=` names each case's samples a
 pass.
 
+A lanes case runs the 1x1x1 and 1x2x2 cases' 128-tap controllers as
+two lanes of one `loops.run_lanes` call, over this reference and a second
+one, against the same two runs made one `run_adaptive` call at a time.
+`lanes_us=` gives each geometry's microseconds per lane and sample,
+lanes then alone, the minimum over `reps`, and `lanes_sha256` the hash
+of the lanes' errors, outputs and final weights. The script exits 1 if
+any lane differs in a bit from its own call.
+
 Run it on two trees in alternation to compare them on one machine.
 """
 
@@ -45,7 +53,7 @@ import numpy as np  # noqa: E402
 
 from ancsim import loops  # noqa: E402
 from ancsim.acoustics import DEFAULT_SECONDARY, PathSpec, Plant, synthetic_plant  # noqa: E402
-from ancsim.loops import PlantSplit, loop_aligned_path, run_adaptive  # noqa: E402
+from ancsim.loops import Lane, PlantSplit, loop_aligned_path, run_adaptive, run_lanes  # noqa: E402
 from ancsim.mcanc import WEIGHT_GUARD, ChannelConfig, McAncController  # noqa: E402
 
 T = int(sys.argv[2]) if len(sys.argv) > 2 else 16_000
@@ -98,8 +106,39 @@ for J, K, L, suffix in CASES:
         digest.update(np.ascontiguousarray(a).tobytes())
     figures.append(f"1x{J}x{K}{suffix}_us={best:.2f}")
     widths.append(f"1x{J}x{K}{suffix}:{width}")
+# two lanes of one geometry, against the same runs one call at a time
+lane_refs = [x, np.random.default_rng(1).standard_normal(T)]
+lanes_digest, lane_figures, lanes_differ = hashlib.sha256(), [], []
+for J, K in ((1, 1), (2, 2)):
+    plant = synthetic_plant(n_sources=J, n_mics=K, seed=77, measurement_noise_std=0.01)
+    est = loop_aligned_path(plant.secondaries)
+    chan = ChannelConfig(1, J, K, 128, est.shape[2])
+    best = {"lanes": None, "alone": None}
+    for _ in range(REPS):
+        for how in best:
+            ctls = [McAncController(chan, MU, est) for _ in lane_refs]
+            t0 = time.perf_counter()
+            if how == "lanes":
+                got = run_lanes([Lane(plant, ctl, ref) for ctl, ref in zip(ctls, lane_refs)])
+            else:
+                want = [run_adaptive(plant, ctl, ref) for ctl, ref in zip(ctls, lane_refs)]
+            us = (time.perf_counter() - t0) / (2 * T) * 1e6
+            best[how] = us if best[how] is None else min(best[how], us)
+    for a, b in zip(got, want):
+        pairs = [(a.error, b.error), (a.output, b.output), (a.final_weights, b.final_weights)]
+        if a.diverged_at is not None or any(
+                p.shape != q.shape or not np.array_equal(
+                    np.ascontiguousarray(p).view(np.uint64), np.ascontiguousarray(q).view(np.uint64))
+                for p, q in pairs):
+            lanes_differ.append(f"1x{J}x{K}")
+        for p, _ in pairs:
+            lanes_digest.update(np.ascontiguousarray(p).tobytes())
+    lane_figures.append(f"1x{J}x{K}:{best['lanes']:.2f}/{best['alone']:.2f}")
 print(" ".join(figures), f"sha256={digests[''].hexdigest()[:16]}",
       f"parked_sha256={digests['P'].hexdigest()[:16]}",
       f"grid_parked_sha256={digests['GP'].hexdigest()[:16]}",
       f"undelayed_sha256={digests['D0'].hexdigest()[:16]}",
-      f"ragged_sha256={digests['R'].hexdigest()[:16]}", "widths=" + ",".join(widths))
+      f"ragged_sha256={digests['R'].hexdigest()[:16]}", "widths=" + ",".join(widths),
+      "lanes_us=" + ",".join(lane_figures), f"lanes_sha256={lanes_digest.hexdigest()[:16]}")
+if lanes_differ:
+    raise SystemExit(f"a lane differs from its own run_adaptive call: {', '.join(lanes_differ)}")

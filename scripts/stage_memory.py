@@ -7,9 +7,10 @@ Runs the benchmark workload (`combined`, `mixed` or `mc-2x2`, from
 `perfbench/workloads/`) at SECONDS of reference, the switch time at half
 of it, and exports it to a temporary directory, twice in one process.
 A stage ends where `scenario_stages` yields it and starts where the one
-before it ended, so pre-training's `run_adaptive` calls count toward
-`pretrain` and the adaptive arm's toward `adaptive`; `export` is
-`export_report` on the run's result.
+before it ended, so pre-training's adaptive calls, and the adaptive
+arm's seconds that run beside them, count toward `pretrain`, and what
+is left of the arm toward `adaptive`; `export` is `export_report` on the
+run's result.
 
 The first run is untraced and gives each stage's wall seconds and the
 `ru_maxrss` high-water mark at its end, in MB; the first row, `imports`,

@@ -25,6 +25,7 @@ from .scenario import (
     build_reference,
     identify_estimates,
     installed_estimate_taps,
+    pretrain_fixed_filter,
     run_scenario,
     scenario_stages,
 )
@@ -80,14 +81,16 @@ def cmd_identify(args) -> int:
 
 def cmd_pretrain(args) -> int:
     cfg = _load(args)
-    # the scenario's stages up to pre-training, so these weights are the
-    # ones `run` exports
+    # the scenario's stages up to the training signal, then pre-training
+    # alone: these are the weights `run` exports, with no adaptive arm
     for stage, product in scenario_stages(cfg):
         if stage == "identification":
             aligned, _ = product
-        elif stage == "pretrain":
-            weights, info = product
+        elif stage == "mu":
+            mu = product
+        elif stage == "training":
             break
+    weights, info = pretrain_fixed_filter(cfg, aligned, mu, product)
     os.makedirs(args.out, exist_ok=True)
     snap = weight_snapshot(cfg.controller.kind, weights, aligned)
     save_weights_binary(os.path.join(args.out, "fixed_weights.anw"), snap)

@@ -34,6 +34,12 @@ from .synth import BandNoiseSpec, ToneSpec, WavFileSpec
 
 SCHEMA_VERSION = 1
 
+# The most float64 values one array of a run may hold, 2 GiB of them:
+# `validate` rejects a config past it, naming the field that grew the
+# largest array most over its default. Ten times the default duration
+# with a 10x10 grid of paths stays below it.
+ARRAY_LIMIT = 2**28
+
 
 @dataclass
 class SourceConfig:
@@ -258,7 +264,50 @@ class ExperimentConfig:
             raise ConfigError(
                 f"fixed_filter.train_source {self.fixed_filter.train_source} does not "
                 f"index noise_sources")
+        self._check_array_limit()
         return self
+
+    def _check_array_limit(self) -> None:
+        """The largest array each stage allocates, in float64 values, against
+        ARRAY_LIMIT: each with the fields that size it."""
+        rate, p, m = self.sample_rate_hz, self.plant, self.metrics
+        grid, T = p.n_sources * p.n_mics, round(self.duration_s * rate)
+        run = ("duration_s", "sample_rate_hz")
+        grid_fields = ("plant.n_sources", "plant.n_mics")
+        arrays = [
+            # `resolve_mu`'s and the adaptive arm's filtered references, (J, K, L + T)
+            (grid * (self.controller.taps + T), run + grid_fields + ("controller.taps",)),
+            # the plant's paths, (J, K, taps)
+            (grid * max(p.primary.taps, p.secondary.taps),
+             grid_fields + ("plant.primary.taps", "plant.secondary.taps")),
+            # the training signal
+            (round(self.fixed_filter.max_train_s * rate), ("fixed_filter.max_train_s",
+                                                           "sample_rate_hz")),
+            # an arm's spectrogram at one mic, frames x bins
+            (((T - m.segment_len) // m.hop + 1) * (m.segment_len // 2 + 1),
+             run + ("metrics.hop", "metrics.segment_len")),
+        ]
+        if self.sysid.mode == "identify":
+            # identification's excitation history, a row a path
+            arrays.append((grid * (self.sysid.taps - 1 + self.sysid.n_samples),
+                           ("sysid.n_samples", "sysid.taps") + grid_fields))
+        size, names = max(arrays)
+        if size <= ARRAY_LIMIT:
+            return
+        default = ExperimentConfig()
+
+        def growth(name):
+            value, base = (functools.reduce(getattr, name.split("."), c)
+                           for c in (self, default))
+            # a shorter hop makes more frames
+            return base / value if name == "metrics.hop" else value / base
+
+        name = max(names, key=growth)
+        value = functools.reduce(getattr, name.split("."), self)
+        raise ConfigError(
+            f"{name} {value}: one array of the run would hold {size:.3g} float64 values "
+            f"({8 * size / 2**30:.3g} GiB), past the limit of {ARRAY_LIMIT} "
+            f"({8 * ARRAY_LIMIT // 2**30} GiB)")
 
 
 # libyaml's parser where PyYAML was built with it: the same documents as the

@@ -54,30 +54,33 @@ def row_reduction(n: int):
     return vecdot, ...
 
 
-def fir(weights, x, history=None) -> np.ndarray:
+def fir(weights, x, history=None, out=None) -> np.ndarray:
     """y(n) = sum_i w_i x(n-i) for every sample of x, through each path of
     `weights`: (N,) taps give (T,) outputs, a (..., N) stack (..., T).
 
     `history` holds the samples before x, oldest first; the window reads
     zeros beyond it. Each output is the dot `FirFilter.process_sample`
-    forms over its window; `rowdots` forms all of them in one call.
+    forms over its window; `rowdots` forms all of them in one call, into
+    `out` when it is given.
     """
     w = np.atleast_1d(np.asarray(weights, dtype=np.float64))
     # each path checked by `as_taps`, reversed into a row of its own
     w_rev = as_taps(w[..., ::-1].ravel()).reshape(w.shape[:-1] + (1, -1))
     x = np.asarray(x, dtype=np.float64)
     if not x.size:
-        return np.empty(w.shape[:-1] + (0,))
+        return np.empty(w.shape[:-1] + (0,)) if out is None else out
     past = () if history is None else history
     h = np.concatenate([np.zeros(w.shape[-1] - 1), past, x])[len(past):]
-    return rowdots(sliding_window_view(h, w.shape[-1]), w_rev)
+    return rowdots(sliding_window_view(h, w.shape[-1]), w_rev, out)
 
 
-def rowdots(a, b) -> np.ndarray:
+def rowdots(a, b, out=None) -> np.ndarray:
     """The dot of every pair of rows of a and b (broadcast), along the
-    last axis, in one call of `row_reduction`'s reduction."""
+    last axis, in one call of `row_reduction`'s reduction, into `out`
+    when it is given."""
     reduction, index = row_reduction(a.shape[-1])
-    out = np.empty(np.broadcast_shapes(a.shape[:-1], b.shape[:-1]))
+    if out is None:
+        out = np.empty(np.broadcast_shapes(a.shape[:-1], b.shape[:-1]))
     reduction(a, b, out[index])
     return out
 

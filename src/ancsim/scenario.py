@@ -3,12 +3,21 @@
 A scenario runs nine stages: `reference` composes the reference from the
 noise sources; `identification` resolves the secondary-path estimates
 (offline identification or the true paths); `mu` the step size (below);
-`training` renders the training source, on which `pretrain` trains and
-freezes the fixed filter; then three arms over one disturbance
-realization, `uncontrolled`, `adaptive` from zero weights and `fixed`;
+`training` renders the training source; `uncontrolled` computes the
+disturbance, the first of three arms over one disturbance realization;
+`pretrain` trains and freezes the fixed filter on the training source;
+`adaptive` adapts from zero weights; `fixed` runs the frozen filter;
 last, `reports`. The disturbance and the measurement noise do not depend
 on the control, so the uncontrolled run computes them once and both
 controlled arms reuse it, each from silent paths and fresh state.
+
+Pre-training and the adaptive arm are two FxLMS recursions on one plant
+geometry that never read each other. So `pretrain` runs each training
+second as a lane beside the adaptive arm's matching second, in one
+`loops.run_lanes` call, while the arm has a second left, and `adaptive`
+runs the rest of the arm alone (`loops.SeamlessRun`). The arm's bits
+are one `run_adaptive` call's, and each training second still starts
+from a silent loudspeaker. `ancsim pretrain` runs pre-training alone.
 
 Step sizes: `auto` resolves to `mu_scale` times the stability limit of
 the update actually applied (which carries a factor 2 in front of mu),
@@ -27,7 +36,9 @@ from .config import ExperimentConfig, config_hash
 from .errors import ConfigError, DataError
 from .filters import fir, rowdots
 from .loops import (
+    Lane,
     PlantSplit,
+    SeamlessRun,
     loop_aligned_path,
     run_adaptive,
     run_fixed,
@@ -182,13 +193,18 @@ class PretrainInfo:
 
 
 def pretrain_fixed_filter(cfg: ExperimentConfig, aligned_est: np.ndarray,
-                          mu: float, training: Signal):
+                          mu: float, training: Signal, arm: SeamlessRun | None = None):
     """Adapt on the training source until the per-second noise reduction
     stops improving, then freeze.
 
     Improvement below `min_improvement_db` between consecutive seconds
     ends training; the training signal's length caps it regardless.
     Returns (frozen (1, J, taps) weights, PretrainInfo).
+
+    `arm`, when given, is another recursion on the same geometry (the
+    adaptive arm): each block runs beside the arm's next second, in one
+    `SeamlessRun.beside` call, while the arm has a second left. The arm
+    reads nothing of pre-training, nor pre-training of it.
     """
     block = int(round(cfg.sample_rate_hz))
     n_blocks = len(training) // block
@@ -204,15 +220,11 @@ def pretrain_fixed_filter(cfg: ExperimentConfig, aligned_est: np.ndarray,
     plateau = False
     diverged_at = None
     for b in range(n_blocks):
-        seg = training.samples[b * block:(b + 1) * block]
-        dist = split.disturbance(seg)
-        res = run_adaptive(split, controller, seg, disturbance=dist)
-        if res.diverged_at is not None:
-            diverged_at = b * block + res.diverged_at
+        at, nr = _train_block(split, controller, training.samples[b * block:(b + 1) * block],
+                              arm)
+        if at is not None:
+            diverged_at = b * block + at
             break
-        e_power = float(np.sum(res.error**2))
-        d_power = float(np.sum(dist.uncontrolled()**2))
-        nr = _power_ratio_db(d_power, e_power)
         nr_history.append(nr)
         # a NaN step (silent seconds, 0/0) is no improvement either
         if b >= 1 and not nr - nr_history[-2] >= cfg.fixed_filter.min_improvement_db:
@@ -228,6 +240,21 @@ def pretrain_fixed_filter(cfg: ExperimentConfig, aligned_est: np.ndarray,
                         nr_per_second_db=nr_history,
                         plateau_reached=plateau, mu=mu, diverged_at=diverged_at)
     return weights, info
+
+
+def _train_block(split, controller, seg, arm):
+    """One pre-training block, beside the arm's next stretch while it has
+    as many samples left: (diverged_at, the block's noise reduction)."""
+    dist = split.disturbance(seg)
+    if arm is not None and arm.left >= seg.size:
+        res = arm.beside(Lane(split, controller, seg, dist))
+    else:
+        res = run_adaptive(split, controller, seg, disturbance=dist)
+    if res.diverged_at is not None:
+        return res.diverged_at, None
+    e_power = float(np.sum(res.error**2))
+    d_power = float(np.sum(dist.uncontrolled()**2))
+    return None, _power_ratio_db(d_power, e_power)
 
 
 @dataclass
@@ -279,8 +306,10 @@ def _reports_for(d: np.ndarray, e: np.ndarray, cfg: ExperimentConfig) -> list:
 def scenario_stages(cfg: ExperimentConfig):
     """`run_scenario` a stage at a time: yields (stage, product) after each
     stage. The products, in order: the reference, `resolve_estimates`'
-    pair, mu, the training signal, (frozen weights, PretrainInfo), the
-    disturbance, the adaptive LoopResult, the fixed error, the result."""
+    pair, mu, the training signal, the disturbance, (frozen weights,
+    PretrainInfo), the adaptive LoopResult, the fixed error, the result.
+    `pretrain` runs the adaptive arm's first seconds beside its own
+    (module docstring), and `adaptive` what is left of the arm."""
     cfg.validate()
     reference = build_reference(cfg)
     if cfg.noise_sources[cfg.fixed_filter.train_source].kind == "wav-file":
@@ -292,22 +321,24 @@ def scenario_stages(cfg: ExperimentConfig):
     yield "mu", mu
     training = build_training_signal(cfg)
     yield "training", training
-    fixed_weights, pretrain = pretrain_fixed_filter(cfg, aligned, mu, training)
-    del training        # released as soon as pre-training returns
-    yield "pretrain", (fixed_weights, pretrain)
 
     plant = build_plant(cfg)
     dist = run_uncontrolled_signal(plant, reference.samples)
     yield "uncontrolled", dist
-    d = dist.uncontrolled()
-    res = run_adaptive(plant, build_controller(cfg, aligned, mu), reference.samples,
-                       disturbance=dist)
+    arm = SeamlessRun(plant, build_controller(cfg, aligned, mu), reference.samples,
+                      disturbance=dist)
+    fixed_weights, pretrain = pretrain_fixed_filter(cfg, aligned, mu, training, arm)
+    del training        # released as soon as pre-training returns
+    yield "pretrain", (fixed_weights, pretrain)
+    res = arm.finish()
+    del arm
     yield "adaptive", res
     fixed_error = run_fixed(plant, fixed_weights, reference.samples,
                             disturbance=dist).error
     yield "fixed", fixed_error
     # every arm holds only its errors: the reference, the primary-path
     # outputs and both loudspeaker buffers go before the reports
+    d = dist.uncontrolled()
     res.output = None
     del reference, dist
 

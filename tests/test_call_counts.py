@@ -37,7 +37,7 @@ from ancsim import adaptation, filters, floatfmt, loops
 from ancsim.acoustics import DEFAULT_SECONDARY, PathSpec, Plant, synthetic_plant
 from ancsim.adaptation import lms_fit
 from ancsim.floatfmt import CHUNK
-from ancsim.loops import loop_aligned_path, run_adaptive
+from ancsim.loops import Lane, loop_aligned_path, run_adaptive
 from ancsim.mcanc import ChannelConfig, McAncController
 
 
@@ -192,6 +192,37 @@ def test_block_body_runs_a_fixed_handful_of_operations_a_pass(plant, taps, width
     want["vecdot" if taps > 1 else "multiply"] += 1
     assert per == dict(want)
     assert sum(per.values()) + 1 == 9 + width * K
+
+
+def lanes_run(plant, taps, G):
+    """`run_lanes(T)` of G fresh McAncControllers, each with its own
+    reference and step size, on the plant's geometry."""
+    J, K = plant.n_sources, plant.n_mics
+    est = loop_aligned_path(plant.secondaries)
+
+    def run(T):
+        rng = np.random.default_rng(1)
+        lanes = [Lane(plant, McAncController(ChannelConfig(1, J, K, taps, est.shape[2]),
+                                             1e-4 * (g + 1), est), rng.standard_normal(T))
+                 for g in range(G)]
+        assert all(res.diverged_at is None for res in loops.run_lanes(lanes))
+
+    return run
+
+
+@pytest.mark.parametrize("G", [2, 3])
+@pytest.mark.parametrize("plant, taps, width", [
+    (grid_plant(1, 1, DEFAULT_SECONDARY), 16, 5),
+    (grid_plant(2, 2, DEFAULT_SECONDARY), 16, 5),
+    (grid_plant(2, 2), 16, 1),
+    (grid_plant(2, 2), 1, 1),
+], ids=["1x1x1", "1x2x2", "undelayed_1x2x2", "undelayed_1x2x2L1"])
+def test_lanes_make_each_operation_of_a_pass_once_for_all_of_them(plant, taps, width, G):
+    # G lanes of one geometry make the one lane's 9 + width * K operations
+    # a pass, whatever G is: every array of a pass has a lane axis
+    one = per_block(loops, lanes_run(plant, taps, 1), width)
+    assert sum(one.values()) + 1 == 9 + width * plant.n_mics
+    assert per_block(loops, lanes_run(plant, taps, G), width) == one
 
 
 def vecdots_in_fir(run):

@@ -18,7 +18,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from test_config import _VALUES, _leaves
 
-from ancsim import scenario
+from ancsim import loops, scenario
 from ancsim.cli import main
 from ancsim.config import config_from_dict, config_to_dict, default_config, save_config
 from ancsim.errors import ConfigError
@@ -183,6 +183,25 @@ class TestInProcess:
         assert main(["run", "--config", str(cfg_path), "--out", str(run_out)]) == 0
         for name in ("fixed_weights.anw", "fixed_weights.json"):
             assert (out / name).read_bytes() == (run_out / name).read_bytes(), name
+
+    def test_pretrain_runs_no_adaptive_arm(self, tmp_path, monkeypatch):
+        # `run` trains beside the adaptive arm; `pretrain` trains alone,
+        # one lane a block, and computes no disturbance of the reference
+        cfg_path = tmp_path / "c.yaml"
+        write_small_config(cfg_path)
+        run_lanes, lanes = loops.run_lanes, []
+
+        def counted(calls):
+            lanes.append(len(calls))
+            return run_lanes(calls)
+
+        def uncontrolled(plant, x):
+            raise AssertionError("the uncontrolled arm ran")
+
+        monkeypatch.setattr(loops, "run_lanes", counted)
+        monkeypatch.setattr(scenario, "run_uncontrolled_signal", uncontrolled)
+        assert main(["pretrain", "--config", str(cfg_path), "--out", str(tmp_path / "pre")]) == 0
+        assert lanes and set(lanes) == {1}
 
     def test_init_config_round_trips(self, tmp_path):
         path = tmp_path / "generated.yaml"
@@ -375,11 +394,23 @@ class TestExitCodes:
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
         assert summary["arms"]["adaptive"]["diverged"] is True
 
-    @pytest.mark.parametrize("fields", [
-        {"duration_s": 1e12, "composition.switch_times_s": [5e11]},
-        {"sysid.n_samples": 10**15},
-    ], ids=["reference_28_PiB", "identification_7_PiB"])
-    def test_an_allocation_past_any_memory_is_two_without_a_traceback(self, tmp_path, fields):
+    @pytest.mark.parametrize("fields, named", [
+        ({"duration_s": 1e12, "composition.switch_times_s": [5e11]}, "duration_s"),
+        ({"sysid.n_samples": 10**15}, "sysid.n_samples"),
+        ({"sample_rate_hz": 1e15}, "sample_rate_hz"),
+        ({"fixed_filter.max_train_s": 1e15}, "fixed_filter.max_train_s"),
+        ({"controller.taps": 10**12}, "controller.taps"),
+        ({"plant.n_sources": 10**5, "plant.n_mics": 10**4, "controller.kind": "multichannel"},
+         "plant.n_sources"),
+    ], ids=["reference_28_PiB", "identification_7_PiB", "rate", "training", "taps", "grid"])
+    def test_an_allocation_past_any_memory_is_two_without_a_traceback(
+            self, tmp_path, capsys, monkeypatch, fields, named):
+        # `validate` sizes the run's largest array and names the field that
+        # grew it, before any stage allocates one
+        def identification(cfg):
+            raise AssertionError("identification ran")
+
+        monkeypatch.setattr(scenario, "resolve_estimates", identification)
         doc = config_to_dict(default_config("combined"))
         for key, value in fields.items():
             *parents, leaf = key.split(".")
@@ -389,10 +420,13 @@ class TestExitCodes:
             node[leaf] = value
         cfg_path = tmp_path / "c.yaml"
         cfg_path.write_text(yaml.safe_dump(doc))
-        proc = run_cli("run", "--config", str(cfg_path), "--out", str(tmp_path / "o"))
-        assert proc.returncode == 2
-        assert re.fullmatch(r"config error: Unable to allocate .*PiB.*\n", proc.stderr)
-        assert "Traceback" not in proc.stderr
+        assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert re.fullmatch(rf"config error: {re.escape(named)} \S+: one array of the run "
+                            r"would hold .* float64 values .*, past the limit of 268435456 "
+                            r"\(2 GiB\)\n", err)
+        assert "Traceback" not in err
+        assert not (tmp_path / "o").exists()
 
     def test_pretrain_divergence_is_three_with_silent_weights(self, tmp_path, capsys):
         cfg_path = tmp_path / "c.yaml"

@@ -491,3 +491,13 @@ class TestDefaults:
         doc = yaml.safe_load(path.read_text())
         assert isinstance(doc["sample_rate_hz"], float)
         assert doc["schema_version"] == 1
+
+
+@pytest.mark.parametrize("scenario", ["combined", "mixed"])
+def test_ten_times_the_default_duration_and_grid_are_within_the_array_limit(scenario):
+    cfg = default_config(scenario)
+    assert cfg.validate() is cfg
+    cfg = default_config(scenario, duration_s=10 * cfg.duration_s)
+    cfg.plant.n_sources = cfg.plant.n_mics = 10
+    cfg.controller.kind = "multichannel"
+    assert cfg.validate() is cfg

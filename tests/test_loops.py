@@ -19,10 +19,14 @@ from ancsim.config import PlantConfig, default_config, load_config
 from ancsim.errors import DataError, DivergenceError
 from ancsim.filters import FirFilter
 from ancsim.loops import (
+    Lane,
     PlantSplit,
+    SeamlessRun,
     _block_width,
+    loop_aligned_path,
     run_adaptive,
     run_fixed,
+    run_lanes,
     run_uncontrolled_signal,
 )
 from ancsim.mcanc import GUARD_SCREEN, WEIGHT_GUARD, ChannelConfig, McAncController
@@ -997,3 +1001,226 @@ def test_every_workload_runs_five_samples_a_pass(path):
     ctl = build_controller(cfg, np.zeros((J, K, 2)), 0.01)
     x_buf = np.concatenate([ctl._x[0], build_reference(cfg).samples])
     assert _block_width(PlantSplit(build_plant(cfg)), ctl, x_buf) == 5
+
+
+def assert_same_words(got, want):
+    """Equal 64-bit words, every bit of every float (a zero's sign and a
+    NaN's payload included), and equal sign bits."""
+    got, want = np.asarray(got, dtype=np.float64), np.asarray(want, dtype=np.float64)
+    assert got.shape == want.shape
+    assert np.array_equal(np.ascontiguousarray(got).view(np.uint64),
+                          np.ascontiguousarray(want).view(np.uint64))
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def lane_pair_case(seed, J, K, L, noisy, mus):
+    """Two 1xJxK loops on one geometry, each with its own plant (secondary
+    paths of H taps after 0 to H - 1 leading zeros, some -0.0), noise,
+    estimates, starting weights with signed zeros, step size and reference
+    with silent stretches, T samples each. One loop in three starts with
+    its weights past the squared-norm screen: a norm of 0.9 of the guard
+    over every tap, or one tap a step below the guard. Returns the two
+    (plant factory, controller factory, reference) triples and two cut
+    points in [0, T]."""
+    rng = np.random.default_rng(seed)
+    H, M, T = int(rng.integers(1, 7)), int(rng.integers(1, 6)), int(rng.integers(0, 80))
+
+    def path():
+        p = rng.standard_normal(H) * 0.5
+        d = int(rng.integers(0, H))
+        p[:d] = np.where(rng.random(d) < 0.5, -0.0, 0.0)
+        return p
+
+    def lane(g):
+        primaries = [rng.standard_normal(int(rng.integers(1, 6))) * 0.5 for _ in range(K)]
+        secondaries = [[path() for _ in range(K)] for _ in range(J)]
+        est = rng.standard_normal((J, K, M)) * 0.4
+        w0 = rng.standard_normal((1, J, L)) * 0.05
+        near = rng.random()
+        if near < 1 / 6:
+            w0 = rng.choice([-1.0, 1.0], (1, J, L)) * 0.9 * WEIGHT_GUARD / np.sqrt(J * L)
+        elif near < 1 / 3:
+            w0[0, rng.integers(J), rng.integers(L)] = rng.choice([-1.0, 1.0]) * 0.999 * WEIGHT_GUARD
+        w0[rng.random(w0.shape) < 0.3] = -0.0
+        x = rng.standard_normal(T)
+        x[rng.random(T) < 0.2] = 0.0
+
+        def make_plant():
+            return Plant(primaries, secondaries, measurement_noise_std=0.05 * noisy[g],
+                         seed=seed + g)
+
+        def make_ctl():
+            ctl = McAncController(ChannelConfig(1, J, K, L, M), mus[g], est)
+            ctl.weights = w0
+            return ctl
+
+        return make_plant, make_ctl, x
+
+    return [lane(0), lane(1)], sorted(int(c) for c in rng.integers(0, T + 1, 2))
+
+
+def assert_same_result(got, want):
+    assert (got.diverged_at, got.diverged_coords) == (want.diverged_at, want.diverged_coords)
+    for a, b in ((got.error, want.error), (got.output, want.output),
+                 (got.final_weights, want.final_weights)):
+        assert_same_words(a, b)
+
+
+def lane_strategies(f):
+    return settings(max_examples=80, deadline=None)(given(
+        st.integers(0, 2**32 - 1), st.sampled_from([(1, 1), (1, 2), (2, 2)]),
+        st.sampled_from([1, 3, 8]), st.tuples(st.booleans(), st.booleans()),
+        st.tuples(*[st.sampled_from([0.0, 0.02, 20.0])] * 2), st.booleans())(f))
+
+
+@lane_strategies
+@example(3, (2, 2), 8, (True, False), (20.0, 0.02), False)    # lane 1 trips inside a pass
+@example(3, (2, 2), 8, (False, True), (0.02, 20.0), True)     # lane 2 trips, lanes swapped
+@example(7, (1, 1), 3, (True, True), (0.0, 0.02), False)      # one lane does not adapt
+@example(12, (1, 2), 1, (False, False), (0.02, 0.02), True)
+@example(3, (1, 1), 1, (True, False), (0.02, 0.02), False)    # one lane a step below the guard
+def test_two_lanes_are_each_their_own_run(seed, geometry, L, noisy, mus, swap):
+    # lane "run" takes its reference in three calls with no seam: each
+    # call's first sample hears the outputs that ended the call before,
+    # so together they are one `run_adaptive` call. Lane "blocks" starts
+    # each of two calls from silent loudspeakers, as pre-training's
+    # seconds do, and leaves after the second. Each lane equals its own
+    # `run_adaptive` calls and the per-sample loop, to the bit; a lane
+    # that trips the guard leaves where it tripped, the other runs on.
+    (run_case, block_case), cuts = lane_pair_case(seed, *geometry, L, noisy, mus)
+    T = len(run_case[2])
+    bounds = [0, *cuts, T]
+    splits = {"run": PlantSplit(run_case[0]()), "blocks": PlantSplit(block_case[0]())}
+    ctls = {"run": run_case[1](), "blocks": block_case[1]()}
+    refs = {"run": run_case[2], "blocks": block_case[2]}
+    got = {"run": [], "blocks": []}
+    u_prev = None
+    for c, (a, b) in enumerate(zip(bounds, bounds[1:])):
+        names = [name for name in ("run", "blocks")
+                 if all(res.diverged_at is None for res in got[name])
+                 and (name == "run" or c < 2)]
+        if swap:
+            names.reverse()
+        lanes = [Lane(splits[n], ctls[n], refs[n][a:b], u_prev=u_prev if n == "run" else None)
+                 for n in names]
+        for name, res in zip(names, run_lanes(lanes) if lanes else []):
+            got[name].append(res)
+            if name == "run" and len(res.output):
+                u_prev = res.output[-1].copy()
+
+    # lane "run": one call over the whole reference
+    runs = got["run"]
+    offsets = np.cumsum([0] + [len(res.error) for res in runs])
+    at = next((o + res.diverged_at for o, res in zip(offsets, runs)
+               if res.diverged_at is not None), None)
+    whole = run_adaptive(run_case[0](), run_case[1](), refs["run"])
+    ref = run_case[1]()
+    ((err, out, want_at, coords),) = stepped_calls(run_case[0](), ref, [refs["run"]])
+    assert (at, runs[-1].diverged_coords) == (whole.diverged_at, whole.diverged_coords) \
+        == (want_at, coords)
+    for a, b in ((np.concatenate([res.error for res in runs]), whole.error),
+                 (np.concatenate([res.output for res in runs]), whole.output),
+                 (whole.error, err), (whole.output, out),
+                 (ctls["run"].weights, whole.final_weights),
+                 (whole.final_weights, ref.weights)):
+        assert_same_words(a, b)
+    assert_same_state(ctls["run"], ref)
+
+    # lane "blocks": two calls, each from silence
+    calls = [refs["blocks"][:cuts[0]], refs["blocks"][cuts[0]:cuts[1]]]
+    split, own_ctl, ref = PlantSplit(block_case[0]()), block_case[1](), block_case[1]()
+    stepped = list(stepped_calls(block_case[0](), ref, calls))
+    assert len(got["blocks"]) == len(stepped)
+    for res, x, (err, out, want_at, coords) in zip(got["blocks"], calls, stepped):
+        assert_same_result(res, run_adaptive(split, own_ctl, x))
+        assert (res.diverged_at, res.diverged_coords) == (want_at, coords)
+        assert_same_words(res.error, err)
+        assert_same_words(res.output, out)
+    assert_same_words(ctls["blocks"].weights, ref.weights)
+    assert_same_state(ctls["blocks"], ref)
+
+
+@lane_strategies
+@example(3, (2, 2), 8, (True, False), (20.0, 0.02), False)
+@example(3, (2, 2), 8, (False, True), (0.02, 20.0), True)
+@example(7807, (2, 2), 3, (False, False), (20.0, 0.0), False)     # an empty block beside a diverged arm
+def test_a_seamless_run_beside_another_lane_is_one_call(seed, geometry, L, noisy, mus,
+                                                        blocks_first):
+    # the adaptive arm's `SeamlessRun` beside pre-training-like blocks for
+    # up to two stretches, the rest alone: its result is one
+    # `run_adaptive` call's, and each block its own call's
+    (run_case, block_case), cuts = lane_pair_case(seed, *geometry, L, noisy, mus)
+    x, xb = run_case[2], block_case[2]
+    arm = SeamlessRun(run_case[0](), run_case[1](), x)
+    split, ctl = PlantSplit(block_case[0]()), block_case[1]()
+    own_split, own_ctl = PlantSplit(block_case[0]()), block_case[1]()
+    stretches = [xb[:cuts[0]], xb[cuts[0]:cuts[1]]]
+    if blocks_first:
+        # the blocks' first call runs alone, the arm then rides beside the second
+        stretches[0] = xb[:0]
+    for seg in stretches:
+        want = run_adaptive(own_split, own_ctl, seg)
+        if arm.left >= seg.size:
+            res = arm.beside(Lane(split, ctl, seg))
+        else:
+            res = run_adaptive(split, ctl, seg)
+        assert_same_result(res, want)
+        if res.diverged_at is not None:
+            break
+    assert_same_result(arm.finish(), run_adaptive(run_case[0](), run_case[1](), x))
+
+
+@pytest.mark.parametrize("lengths, taps", [((10, 11), (8, 8)), ((10, 10), (8, 4))],
+                         ids=["samples", "control_taps"])
+def test_lanes_of_two_geometries_advance_no_split(lengths, taps):
+    # the geometry check comes before any lane takes its disturbance, so
+    # the split that the refused call was given runs on as if it had not
+    plant = Plant([np.array([0.5, 0.25])], [[np.array([0.0, 0.0, 0.7, -0.3])]])
+    est = loop_aligned_path(plant.secondaries)
+    split = PlantSplit(plant)
+    x = np.random.default_rng(3).standard_normal(12)
+    lanes = [Lane(split if g == 0 else plant,
+                  McAncController(ChannelConfig(1, 1, 1, L, est.shape[2]), 1e-3, est), x[:T])
+             for g, (T, L) in enumerate(zip(lengths, taps))]
+    with pytest.raises(DataError, match="lanes need one geometry"):
+        run_lanes(lanes)
+    ctl = McAncController(ChannelConfig(1, 1, 1, 8, est.shape[2]), 1e-3, est)
+    fresh = McAncController(ChannelConfig(1, 1, 1, 8, est.shape[2]), 1e-3, est)
+    assert_same_result(run_adaptive(split, ctl, x), run_adaptive(plant, fresh, x))
+
+
+@pytest.mark.parametrize("kind", ["1x1", "1x2x2"])
+@pytest.mark.parametrize("seconds", [1.5, 3.0])
+def test_pre_training_beside_the_adaptive_arm_matches_plant_step(kind, seconds):
+    # 2 s of pre-training beside the adaptive arm's first seconds: at 1.5 s
+    # the arm's last half second and the second training second run alone,
+    # at 3 s both seconds ride with the arm and its third runs alone.
+    # Pre-training equals its per-sample oracle, every block from silence;
+    # the arm equals one `run_adaptive` call and the per-sample loop.
+    cfg = split_config(kind)
+    cfg.duration_s = seconds
+    cfg.composition.switch_times_s = [seconds / 2]
+    cfg.fixed_filter.max_train_s = 2.0
+    cfg.fixed_filter.min_improvement_db = -1e9     # no plateau: both seconds train
+    result = run_scenario(cfg.validate())
+    assert not result.any_diverged
+    assert result.pretrain.seconds_trained == 2
+    aligned, mu = result.installed_estimates, result.mu
+
+    fixed_weights, nr = oracle_pretrain(cfg, aligned, mu)
+    assert result.pretrain.nr_per_second_db == nr
+    assert_same_words(result.fixed_weights, fixed_weights)
+
+    x = build_reference(cfg).samples
+    alone = run_adaptive(build_plant(cfg), build_controller(cfg, aligned, mu), x)
+    assert_same_words(result.arms["adaptive"].error, alone.error)
+    assert_same_words(result.adaptive_weights, alone.final_weights)
+    if kind == "1x1":
+        controller = FxlmsFilter(cfg.controller.taps, mu, aligned[0, 0])
+        err, _ = plant_loop(build_plant(cfg), single_control(controller), x)
+    else:
+        controller = McAncController(
+            ChannelConfig(1, 2, 2, cfg.controller.taps, aligned.shape[2]), mu, aligned)
+        err, _ = plant_loop(build_plant(cfg), multi_control(controller), x)
+    assert_same_words(alone.error, err)
+    assert_same_words(alone.final_weights, grid_of(controller).weights)

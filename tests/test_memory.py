@@ -26,17 +26,22 @@ are not counted. The budgets:
   most `BLOCK_ROW` bytes for each of `reporting._CSV_BLOCK_ROWS` rows: the
   formatter's integer lanes, about 30 of 8 bytes a value, and the block's
   text (a fixed size, whatever T is).
-- `run_adaptive`, above what is traced when it is called: the error and
-  the loudspeaker buffer that holds its outputs, which it returns, and the
-  reference and filtered-reference histories its windows read: 4 U at
-  one filter and one mic, with `SMALL_U` for the controller's windows.
+- Each `loops.run_lanes` call (every adaptive recursion runs through
+  one: a pre-training block, alone or beside the adaptive arm's matching
+  second, and what is left of the arm), above what is traced when it is
+  called, per lane: the error and the loudspeaker buffer that holds its
+  outputs, which it returns, and the reference and filtered-reference
+  histories its windows read, 4 arrays of the call's samples at one
+  filter and one mic, with `SMALL_U` (of the run's U, as ever) for the
+  controller's windows and the pass's stacks, which do not grow with the
+  call.
 """
 
 import tracemalloc
 
 import pytest
 
-from ancsim import reporting, scenario
+from ancsim import loops, reporting, scenario
 from ancsim.config import default_config
 from ancsim.reporting import export_report
 
@@ -54,12 +59,13 @@ def memory_config(seconds):
 
 
 class Traced:
-    """One traced run: what the result holds, the peak over the run and
-    each `run_adaptive` call's peak above its entry, in bytes."""
+    """One traced run: what the result holds, the peak over the run and,
+    for each `run_lanes` call, its peak above its entry in bytes, its
+    lanes and its samples."""
 
     def __init__(self, cfg, out_dir, patch):
-        self.run_peak, self.adaptive = 0, []
-        patch.setattr(scenario, "run_adaptive", self.watch(scenario.run_adaptive))
+        self.run_peak, self.lane_calls = 0, []
+        patch.setattr(loops, "run_lanes", self.watch(loops.run_lanes))
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
@@ -76,15 +82,16 @@ class Traced:
         """Fold the peak since the last reset into the run's."""
         self.run_peak = max(self.run_peak, tracemalloc.get_traced_memory()[1])
 
-    def watch(self, run_adaptive):
-        def watched(*args, **kwargs):
+    def watch(self, run_lanes):
+        def watched(lanes):
             self.fold()
             tracemalloc.reset_peak()
             entry = tracemalloc.get_traced_memory()[0]
             try:
-                return run_adaptive(*args, **kwargs)
+                return run_lanes(lanes)
             finally:
-                self.adaptive.append(tracemalloc.get_traced_memory()[1] - entry)
+                self.lane_calls.append((tracemalloc.get_traced_memory()[1] - entry,
+                                        len(lanes), len(lanes[0].x)))
                 self.fold()
         return watched
 
@@ -122,6 +129,9 @@ def test_run_peak_is_the_result_plus_the_export_transients(traced):
 
 
 def test_run_adaptive_holds_its_buffers_only(traced):
-    # every call, the pre-training blocks' and the adaptive arm's
-    assert len(traced.adaptive) > 1
-    assert max(traced.adaptive) / unit(traced.result.config) <= 4 + SMALL_U
+    # every call, the pre-training blocks' beside the adaptive arm's
+    # seconds and alone; each lane's own 4 arrays of the call's samples
+    assert 2 in {lanes for _, lanes, _ in traced.lane_calls}
+    small = SMALL_U * unit(traced.result.config)
+    for peak, lanes, samples in traced.lane_calls:
+        assert peak <= lanes * (4 * 8 * samples + small)

@@ -7,7 +7,7 @@ import re
 import numpy as np
 import pytest
 
-from ancsim import scenario
+from ancsim import loops, scenario
 from ancsim.acoustics import PathSpec
 from ancsim.config import (
     CompositionConfig,
@@ -76,27 +76,33 @@ class TestArms:
 
 class TestStages:
     def test_nine_stages_in_order_each_owning_its_adaptive_calls(self, monkeypatch):
-        # pre-training's one-second blocks all run inside `pretrain`, and
-        # the adaptive arm is the one call inside `adaptive`
+        # the uncontrolled stage's disturbance comes first; then each
+        # pre-training second is one `run_lanes` call inside `pretrain`,
+        # two lanes while the adaptive arm has a second left, and the arm
+        # runs what is left of it alone inside `adaptive`
         calls = []
-        run_adaptive = scenario.run_adaptive
+        run_lanes = loops.run_lanes
 
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return run_adaptive(*args, **kwargs)
+        def counted(lanes):
+            calls.append(len(lanes))
+            return run_lanes(lanes)
 
-        monkeypatch.setattr(scenario, "run_adaptive", counted)
+        monkeypatch.setattr(loops, "run_lanes", counted)
+        # three seconds of reference, two of training
+        cfg = small_config(duration_s=3.0)
+        cfg.composition.switch_times_s = [1.5]
+        cfg.fixed_filter.max_train_s = 2.0
         per_stage = {}
-        for stage, product in scenario.scenario_stages(small_config()):
-            per_stage[stage] = len(calls) - sum(per_stage.values())
+        for stage, product in scenario.scenario_stages(cfg):
+            per_stage[stage] = calls[sum(map(len, per_stage.values())):]
             if stage == "pretrain":
                 seconds_trained = product[1].seconds_trained
         assert list(per_stage) == ["reference", "identification", "mu", "training",
-                                   "pretrain", "uncontrolled", "adaptive", "fixed",
+                                   "uncontrolled", "pretrain", "adaptive", "fixed",
                                    "reports"]
-        assert seconds_trained >= 2
-        assert per_stage == {**dict.fromkeys(per_stage, 0),
-                             "pretrain": seconds_trained, "adaptive": 1}
+        assert seconds_trained == 2
+        assert per_stage == {**dict.fromkeys(per_stage, []),
+                             "pretrain": [2, 2], "adaptive": [1]}
         assert isinstance(product, scenario.ScenarioResult)
 
 

@@ -91,7 +91,7 @@ for J, K, L, suffix in CASES:
             ctl.weights = np.full((1, J, L), 0.9 * WEIGHT_GUARD / np.sqrt(J * L))
         else:
             ctl = McAncController(chan, MU, est)
-        width = loops._block_width(PlantSplit(plant), ctl, np.concatenate([ctl._x[0], x]))
+        width = loops._block_width(PlantSplit(plant), ctl, np.concatenate([ctl.state.x[0], x]))
         t0 = time.perf_counter()
         res = run_adaptive(plant, ctl, x)
         us = (time.perf_counter() - t0) / T * 1e6

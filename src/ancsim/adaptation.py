@@ -270,7 +270,7 @@ def _fit_row(v, x, d, y, step, start):
         y_n = ys[n] = v_dot(x_n)
         if step != 0.0:
             c = step * (d_n - y_n)
-            add(v, multiply(x_n, c, out=term), out=v)
+            add(v, multiply(x_n, c, term), v)
             bound = (bound + fabs(c) * norm) * BOUND_GROWTH
             if not (bound <= BOUND_LIMIT):
                 try:

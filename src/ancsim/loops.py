@@ -23,11 +23,12 @@ There is one adaptive loop, `run_lanes`, for every 1xJxK
 `McAncController`, the single-channel FxLMS being its 1x1x1 case; every
 loop gives (T, K) errors and (T, J) outputs. `run_adaptive` is its
 one-lane call. It inlines `McAncController.step` over flat histories in
-its operand order. The filtered references do not depend on the control
-either, so one `fir` call a lane forms them over the J x K estimates,
-into the buffer the windows read; only the secondary paths, the controller
-outputs and the weight updates depend on the recursion. The weight
-guard follows `mcanc`'s guard rule, as `adaptation.lms_fit` does.
+its operand order, on the public record `step` advances too (`state`).
+The filtered references do not depend on the control either, so one
+`fir` call a lane forms them over the J x K estimates, into the buffer
+the windows read; only the secondary paths, the outputs and the weight
+updates depend on the recursion. The weight guard follows `mcanc`'s
+guard rule, as `adaptation.lms_fit` does.
 
 `run_lanes` runs G recursions that never read each other (pre-training
 and the adaptive arm are two) on one geometry: the same J, K, path
@@ -37,12 +38,13 @@ only the Python float arithmetic of the errors and the guard runs lane
 by lane, each lane with its own step size, running bound, norm, step
 count and trip. A lane's first sample hears silence, as every
 `run_adaptive` call's does, or the outputs that ended its previous call
-(`Lane.u_prev`); `SeamlessRun` so takes one `run_adaptive` call a
-stretch at a time, each stretch beside another lane. A lane leaves a
-call where its update trips the guard: its result ends there, as
-`run_adaptive`'s would, and it rides out the call parked at zero
-weights while the others run on. A lane leaves a run between calls by
-not being passed to the next one.
+(`Lane.u_prev`). A `SeamlessRun` takes one recursion a stretch at a
+time, each stretch a lane that its caller packs beside others: seamed,
+each stretch is its own `run_adaptive` call from silence; seamless, the
+stretches are one call. A lane leaves a call where its update trips the
+guard: its result ends there, as `run_adaptive`'s would, and it rides
+out the call parked at zero weights while the others run on. A lane
+leaves a run between calls by not being passed to the next one.
 
 The plant's own delay sets how many samples the loop runs a pass. When
 every true secondary path starts with d zero taps, u(n) reaches no mic
@@ -298,10 +300,10 @@ class _LaneRun:
                 f"plant has {split.n_sources} sources and {split.n_mics} mics, "
                 f"controller drives {ctl.n_sources} and listens to {ctl.n_mics}")
         self.xs, self.ctl, self.split, self.u_prev = xs, ctl, split, lane.u_prev
-        self.disturbance = lane.disturbance
+        self.state, self.disturbance = ctl.state, lane.disturbance
         self.geometry = (xs.size, split.n_sources, split.n_mics, split.hist,
-                         ctl._v.shape[2], ctl._est.shape[2])
-        self.step0 = ctl._step_count
+                         ctl.state.v.shape[2], ctl.state.est.shape[2])
+        self.step0 = ctl.state.steps
         self.neg_mu = -ctl.mu
         self.trip = None
 
@@ -318,9 +320,9 @@ class _LaneRun:
 
     def result(self, g, x_buf, fx_buf, u_buf) -> LoopResult:
         """Store lane g's state back and return its result."""
-        split, ctl = self.split, self.ctl
+        split, ctl, state = self.split, self.ctl, self.state
         T, H = self.xs.size, split.hist
-        L, hx = ctl._v.shape[2], ctl._x.shape[1]
+        L, hx = state.v.shape[2], state.x.shape[1]
         diverged_at, coords = self.trip or (None, None)
         if diverged_at is not None:
             split._spent_at = diverged_at
@@ -328,10 +330,10 @@ class _LaneRun:
         done = T if diverged_at is None else steps + 1
         error = self.error[:done]
         split.u_hist[:] = u_buf[g, :, done:done + H]
-        ctl._x[0] = x_buf[g, done:done + hx]
-        ctl._fx[0] = fx_buf[g, :, :, done:done + L]
+        state.x[0] = x_buf[g, done:done + hx]
+        state.fx[0] = fx_buf[g, :, :, done:done + L]
         # a step that trips the guard does not count, as in McAncController.step
-        ctl._step_count = self.step0 + steps
+        state.steps = self.step0 + steps
         if steps:
             ctl.last_cost = float(dot(error[steps - 1], error[steps - 1]))
         return LoopResult(error=error, output=u_buf[g, :, H + 1:H + 1 + steps].T,
@@ -362,19 +364,19 @@ def run_lanes(lanes) -> list[LoopResult]:
         run.start()
     G = len(runs)
     T, J, K, H, L, _ = geometry
-    hx = runs[0].ctl._x.shape[1]
+    hx = runs[0].state.x.shape[1]
     # flat histories, lane by lane: the controller's stored windows, then
     # this call's samples; x(n) sits at index hx+n and x_f(n) at L+n
     x_buf = np.empty((G, hx + T))
     fx_buf = np.empty((G, J, K, L + T))
     for g, run in enumerate(runs):
-        ctl = run.ctl
-        x_buf[g, :hx] = ctl._x[0]
+        state = run.state
+        x_buf[g, :hx] = state.x[0]
         x_buf[g, hx:] = run.xs
-        fx_buf[g, :, :, :L] = ctl._fx[0]
+        fx_buf[g, :, :, :L] = state.fx[0]
         # the filtered references do not depend on the control: `fir` forms
         # the dot `step` forms, over the same window of the stored history
-        fir(ctl._est, run.xs, ctl._x[0], fx_buf[g, :, :, L:])
+        fir(state.est, run.xs, state.x[0], fx_buf[g, :, :, L:])
     # loudspeaker history, then u_j(n-1) at column H+n; the first sample
     # hears u_prev there, silence unless the lane continues a call
     u_buf = np.zeros((G, J, H + 1 + T))
@@ -388,21 +390,29 @@ def run_lanes(lanes) -> list[LoopResult]:
 
 
 class SeamlessRun:
-    """One `run_adaptive(plant, controller, x, disturbance)` call taken a
-    stretch at a time, each stretch a lane of its own `run_lanes` call,
-    alone or beside another recursion. A stretch's first sample hears the
-    outputs that ended the stretch before it, so the stretches give that
-    one call's bits; each stretch's guard bound starts afresh, which
-    changes when the guard computes a norm, never a trip."""
+    """A recursion over x a stretch at a time: `stretch(n)` is the `Lane`
+    of its next n samples, to pack into a `run_lanes` call; `take` records
+    its result. With `seam`, each stretch starts from a silent loudspeaker
+    and is its own `run_adaptive` call on the split and controller they
+    carry; the run keeps none of their results. Without it, together they
+    give one call's bits, which `finish` returns (each stretch's fresh
+    guard bound moves when the guard takes a norm, never a trip). With no
+    `disturbance` over x, each stretch takes its own from the split."""
+
+    __slots__ = ("_xs", "_split", "_dist", "controller", "seam", "_error", "_output",
+                 "_done", "_trip")
 
     def __init__(self, plant, controller: McAncController, x,
-                 disturbance: Disturbance | None = None):
+                 disturbance: Disturbance | None = None, seam: bool = False):
         self._xs = as_samples(x)
-        self._split, self._dist = _split_and_disturbance(plant, self._xs, disturbance)
-        self._ctl = controller
-        T = self._xs.size
-        self._error = np.empty((T, self._split.n_mics))
-        self._output = np.empty((T, self._split.n_sources))
+        self._split = _as_split(plant)
+        if disturbance is not None:
+            _split_and_disturbance(self._split, self._xs, disturbance)
+        self._dist, self.controller, self.seam = disturbance, controller, seam
+        if not seam:
+            T = self._xs.size
+            self._error = np.empty((T, self._split.n_mics))
+            self._output = np.empty((T, self._split.n_sources))
         self._done = 0          # samples whose errors are in
         self._trip = None       # (diverged_at, coords)
 
@@ -411,43 +421,37 @@ class SeamlessRun:
         """Samples still to run: none once the run has diverged."""
         return 0 if self._trip else self._xs.size - self._done
 
-    def _stretch(self, n: int) -> Lane:
+    def stretch(self, n: int) -> Lane:
+        """The lane of the next n samples, at most `left`."""
         a, b, d = self._done, self._done + n, self._dist
-        dist = Disturbance(d.primary[a:b], d.silent, None if d.noise is None else d.noise[a:b])
-        return Lane(self._split, self._ctl, self._xs[a:b], dist,
-                    self._output[a - 1] if a else None)
+        xs = self._xs[a:b]
+        if d is None:
+            dist = self._split.disturbance(xs)
+        else:
+            dist = Disturbance(d.primary[a:b], d.silent,
+                               None if d.noise is None else d.noise[a:b])
+        return Lane(self._split, self.controller, xs, dist,
+                    None if self.seam or not a else self._output[a - 1])
 
-    def _take(self, res: LoopResult) -> None:
+    def take(self, res: LoopResult) -> None:
+        """Record the result of the lane `stretch` last gave."""
         a, n, steps = self._done, len(res.error), len(res.output)
-        self._error[a:a + n] = res.error
-        self._output[a:a + steps] = res.output
+        if not self.seam:
+            self._error[a:a + n] = res.error
+            self._output[a:a + steps] = res.output
         self._done = a + n
         if res.diverged_at is not None:
             self._trip = (a + res.diverged_at, res.diverged_coords)
             self._split._spent_at = a + res.diverged_at
 
-    def beside(self, lane: Lane) -> LoopResult:
-        """`lane`'s result, from one `run_lanes` call with this run's next
-        stretch of as many samples; at least that many must be `left`. A
-        lane of no samples runs alone: beside a diverged run, whose spent
-        split takes no further call, there is no stretch to give it."""
-        n = as_samples(lane.x).size
-        if n > self.left:
-            raise DataError(f"{n} samples beside a run with {self.left} left")
-        if not n:
-            return run_lanes([lane])[0]
-        mine, theirs = run_lanes([self._stretch(n), lane])
-        self._take(mine)
-        return theirs
-
     def finish(self) -> LoopResult:
-        """Run what is left alone; the whole call's result."""
+        """A seamless run's result, its rest run in one call of its own."""
         if self.left:
-            self._take(run_lanes([self._stretch(self.left)])[0])
+            self.take(run_lanes([self.stretch(self.left)])[0])
         at, coords = self._trip or (None, None)
         steps = self._done if at is None else at
         return LoopResult(error=self._error[:self._done], output=self._output[:steps],
-                          final_weights=self._ctl.weights, diverged_at=at,
+                          final_weights=self.controller.weights, diverged_at=at,
                           diverged_coords=coords)
 
 
@@ -462,7 +466,7 @@ def _block_width(split, ctl, x_buf) -> int:
     `filters.row_reduction`: a plain product keeps a zero's sign), or where
     the reference could make an output overflow, from weights within the
     guard or from the starting weights."""
-    H, v = split.hist, ctl._v[0]
+    H, v = split.hist, ctl.state.v[0]
     # |u| <= L max|w| max|x|; NaN fails the compare
     top = v.shape[1] * (WEIGHT_GUARD + float(np.abs(v).max())) * max(
         float(x_buf.max()), -float(x_buf.min()))
@@ -508,7 +512,7 @@ def _block_body(runs, x_buf, fx_buf, u_buf, width):
     norms = [window_norm_bound(fx[g], J * L) for g in range(G)]
     # infinite until the first step resets it from the weights' norm
     bounds = [math.inf] * G
-    w = np.stack([run.ctl._v[0] for run in runs])
+    w = np.stack([run.state.v[0] for run in runs])
     full = T - T % width
     for start, stop, B in ((0, full, width), (full, T, T - full)):
         if stop == start:
@@ -616,7 +620,7 @@ def _block_body(runs, x_buf, fx_buf, u_buf, width):
         w = cur[0][0]
     for g, run in enumerate(runs):
         if run.trip is None:
-            run.ctl._v[0] = w[g]
+            run.state.v[0] = w[g]
 
 
 def _park(run, g, exc, n0, weights, after, u_buf):
@@ -624,7 +628,7 @@ def _park(run, g, exc, n0, weights, after, u_buf):
     tripped hold their update, as in `step`; then the lane's next weights
     and its outputs from that step on go to zero."""
     n, j = exc.index - run.step0, exc.coords[1]
-    v = run.ctl._v[0]
+    v = run.state.v[0]
     v[:] = after[n - n0][g]
     v[j + 1:] = weights[n - n0][g][j + 1:]
     run.trip = (n, exc.coords)

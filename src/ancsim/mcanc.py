@@ -178,16 +178,29 @@ class MacCounter:
         return self.output + self.filtered_x + self.update
 
 
+@dataclass(slots=True)
+class RecursionState:
+    """What an FxLMS recursion carries from one sample to the next, shared
+    by `McAncController.step` and `loops.run_lanes`: weights `v` (I, J, L),
+    each filter reversed to align with its window; windows, newest sample
+    last, of the references `x` (I, max(L, M)), long enough for the
+    control filters and the estimates, and of the filtered references `fx`
+    (I, J, K, L); the path estimates `est` (J, K, M); the steps taken."""
+
+    v: np.ndarray
+    x: np.ndarray
+    fx: np.ndarray
+    est: np.ndarray
+    steps: int = 0
+
+
 class McAncController:
     """Multichannel FxLMS state machine.
 
     `step(x, e)` consumes one sample from every reference sensor plus the
     current error-microphone vector, returns the J source outputs, and
-    updates every adaptive filter. The state is three stacked arrays of
-    chronological windows, newest sample last: the weights (I, J, L), the
-    reference histories (I, max(L, M)), long enough for both the control
-    filters and the filtered-reference generation, and the filtered
-    references (I, J, K, L).
+    updates every adaptive filter. Its recursion state is `state`, the
+    record `loops.run_lanes` advances too.
     """
 
     def __init__(self, cfg: ChannelConfig, mu: float, sec_estimates):
@@ -203,13 +216,10 @@ class McAncController:
                 f"secondary estimates must have shape ({J}, {K}, {M}), got {est.shape}")
         if not np.all(np.isfinite(est)):
             raise DataError("secondary estimates must be finite")
-        self._est = est.copy()
         self._est_rev = est[:, :, ::-1].copy()
-        self._v = np.zeros((I, J, L))
-        self._x = np.zeros((I, max(L, M)))
-        self._fx = np.zeros((I, J, K, L))
+        self.state = RecursionState(np.zeros((I, J, L)), np.zeros((I, max(L, M))),
+                                    np.zeros((I, J, K, L)), est.copy())
         self.last_cost = 0.0
-        self._step_count = 0
 
     @property
     def n_refs(self) -> int:
@@ -226,18 +236,18 @@ class McAncController:
     @property
     def weights(self) -> np.ndarray:
         """Weight grid with shape (I, J, L) in [w_0, ..., w_{L-1}] order."""
-        return self._v[:, :, ::-1].copy()
+        return self.state.v[:, :, ::-1].copy()
 
     @weights.setter
     def weights(self, w) -> None:
         w = np.asarray(w, dtype=np.float64)
-        if w.shape != self._v.shape:
-            raise DataError(f"expected weight shape {self._v.shape}, got {w.shape}")
-        self._v = w[:, :, ::-1].copy()
+        if w.shape != self.state.v.shape:
+            raise DataError(f"expected weight shape {self.state.v.shape}, got {w.shape}")
+        self.state.v = w[:, :, ::-1].copy()
 
     @property
     def sec_estimates(self) -> np.ndarray:
-        return self._est.copy()
+        return self.state.est.copy()
 
     def step(self, x_samples, e_samples, counter: MacCounter | None = None) -> np.ndarray:
         I, K = self.cfg.n_refs, self.cfg.n_mics
@@ -256,7 +266,8 @@ class McAncController:
         cfg = self.cfg
         I, J, K = cfg.n_refs, cfg.n_sources, cfg.n_mics
         L, M = cfg.control_taps, cfg.estimate_taps
-        v, xh, fx, est_rev = self._v, self._x, self._fx, self._est_rev
+        state, est_rev = self.state, self._est_rev
+        v, xh, fx = state.v, state.x, state.fx
         xh[:, :-1] = xh[:, 1:]
         xh[:, -1] = x
         fx[..., :-1] = fx[..., 1:]
@@ -288,22 +299,21 @@ class McAncController:
                         fx_ijk = fx[i, j, k]
                         v_ij += (-mu * e[k]) * fx_ijk
                         n_update += fx_ijk.size
-                    check_weights(v_ij, self._step_count, coords=(i, j))
+                    check_weights(v_ij, state.steps, coords=(i, j))
         self.last_cost = float(dot(e, e))
         n_update += len(e)
         if counter is not None:
             counter.output += n_output
             counter.filtered_x += n_filtered_x
             counter.update += n_update
-        self._step_count += 1
+        state.steps += 1
         return u
 
     def reset(self) -> None:
-        self._v[:] = 0.0
-        self._x[:] = 0.0
-        self._fx[:] = 0.0
+        s = self.state
+        self.state = RecursionState(np.zeros_like(s.v), np.zeros_like(s.x), np.zeros_like(s.fx),
+                                    s.est)
         self.last_cost = 0.0
-        self._step_count = 0
 
 
 def mac_measure(cfg: ChannelConfig, n_samples: int, seed: int = 0) -> int:

@@ -12,12 +12,13 @@ on the control, so the uncontrolled run computes them once and both
 controlled arms reuse it, each from silent paths and fresh state.
 
 Pre-training and the adaptive arm are two FxLMS recursions on one plant
-geometry that never read each other. So `pretrain` runs each training
-second as a lane beside the adaptive arm's matching second, in one
-`loops.run_lanes` call, while the arm has a second left, and `adaptive`
-runs the rest of the arm alone (`loops.SeamlessRun`). The arm's bits
-are one `run_adaptive` call's, and each training second still starts
-from a silent loudspeaker. `ancsim pretrain` runs pre-training alone.
+geometry that never read each other, each a `loops.SeamlessRun`:
+pre-training's is seamed, each second starting from a silent
+loudspeaker, and the arm's is seamless, one `run_adaptive` call's bits.
+One loop (`_pretrain`) packs each training second and the arm's next
+second, while it has one, into one `loops.run_lanes` call, and asks the
+plateau rule after each; `adaptive` runs the rest of the arm in one
+call. `ancsim pretrain` runs pre-training alone.
 
 Step sizes: `auto` resolves to `mu_scale` times the stability limit of
 the update actually applied (which carries a factor 2 in front of mu),
@@ -35,15 +36,8 @@ from .acoustics import Plant, synthetic_plant
 from .config import ExperimentConfig, config_hash
 from .errors import ConfigError, DataError
 from .filters import fir, rowdots
-from .loops import (
-    Lane,
-    PlantSplit,
-    SeamlessRun,
-    loop_aligned_path,
-    run_adaptive,
-    run_fixed,
-    run_uncontrolled_signal,
-)
+from . import loops
+from .loops import SeamlessRun, loop_aligned_path, run_fixed, run_uncontrolled_signal
 from .mcanc import ChannelConfig, McAncController
 from .metrics import _power_ratio_db, build_run_report
 from .signals import Signal
@@ -193,68 +187,59 @@ class PretrainInfo:
 
 
 def pretrain_fixed_filter(cfg: ExperimentConfig, aligned_est: np.ndarray,
-                          mu: float, training: Signal, arm: SeamlessRun | None = None):
+                          mu: float, training: Signal):
     """Adapt on the training source until the per-second noise reduction
     stops improving, then freeze.
 
     Improvement below `min_improvement_db` between consecutive seconds
     ends training; the training signal's length caps it regardless.
     Returns (frozen (1, J, taps) weights, PretrainInfo).
-
-    `arm`, when given, is another recursion on the same geometry (the
-    adaptive arm): each block runs beside the arm's next second, in one
-    `SeamlessRun.beside` call, while the arm has a second left. The arm
-    reads nothing of pre-training, nor pre-training of it.
     """
+    return _pretrain(cfg, aligned_est, mu, training, [])
+
+
+def _pretrain(cfg: ExperimentConfig, aligned_est: np.ndarray, mu: float, training: Signal,
+              others: list):
+    """The scenario's one recursion loop, `pretrain_fixed_filter`'s result.
+    Pre-training is a seamed `SeamlessRun`: each block's first sample
+    hears a silent loudspeaker, not the last block's last output, and the
+    recorded exports depend on that. Each whole second of training is one
+    `loops.run_lanes` call that packs the next second of each of `others`
+    with one left; the plateau rule follows each call. No run reads
+    another's numbers, so each gives its own bits."""
     block = int(round(cfg.sample_rate_hz))
-    n_blocks = len(training) // block
-    if n_blocks < 1:
+    if len(training) < block:
         raise ConfigError("training signal shorter than one second")
-    # The disturbance is computed block by block, only for the blocks that
-    # train. Each block's loop starts from a silent loudspeaker, so the
-    # block's first sample does not hear the previous block's last output;
-    # the recorded exports depend on that.
-    split = PlantSplit(build_plant(cfg))
-    controller = build_controller(cfg, aligned_est, mu)
+    pretraining = SeamlessRun(build_plant(cfg), build_controller(cfg, aligned_est, mu),
+                              training, seam=True)
     nr_history: list[float] = []
     plateau = False
     diverged_at = None
-    for b in range(n_blocks):
-        at, nr = _train_block(split, controller, training.samples[b * block:(b + 1) * block],
-                              arm)
-        if at is not None:
-            diverged_at = b * block + at
+    while pretraining.left >= block and not plateau:
+        packed = [pretraining] + [run for run in others if run.left >= block]
+        lanes = [run.stretch(block) for run in packed]
+        results = loops.run_lanes(lanes)
+        for g, run in enumerate(packed):
+            run.take(results[g])
+        if results[0].diverged_at is not None:
+            diverged_at = len(nr_history) * block + results[0].diverged_at
             break
+        nr = _power_ratio_db(float(np.sum(lanes[0].disturbance.uncontrolled()**2)),
+                             float(np.sum(results[0].error**2)))
+        del lanes, results      # one block's buffers at a time
         nr_history.append(nr)
         # a NaN step (silent seconds, 0/0) is no improvement either
-        if b >= 1 and not nr - nr_history[-2] >= cfg.fixed_filter.min_improvement_db:
-            plateau = True
-            break
+        plateau = len(nr_history) > 1 and not (
+            nr - nr_history[-2] >= cfg.fixed_filter.min_improvement_db)
+    weights = pretraining.controller.weights
     if diverged_at is not None:
         # weights past the guard are useless; freeze a silent filter and
         # carry the diagnostic so the run reports the divergence
-        weights = np.zeros_like(controller.weights)
-    else:
-        weights = controller.weights
+        weights = np.zeros_like(weights)
     info = PretrainInfo(seconds_trained=len(nr_history),
                         nr_per_second_db=nr_history,
                         plateau_reached=plateau, mu=mu, diverged_at=diverged_at)
     return weights, info
-
-
-def _train_block(split, controller, seg, arm):
-    """One pre-training block, beside the arm's next stretch while it has
-    as many samples left: (diverged_at, the block's noise reduction)."""
-    dist = split.disturbance(seg)
-    if arm is not None and arm.left >= seg.size:
-        res = arm.beside(Lane(split, controller, seg, dist))
-    else:
-        res = run_adaptive(split, controller, seg, disturbance=dist)
-    if res.diverged_at is not None:
-        return res.diverged_at, None
-    e_power = float(np.sum(res.error**2))
-    d_power = float(np.sum(dist.uncontrolled()**2))
-    return None, _power_ratio_db(d_power, e_power)
 
 
 @dataclass
@@ -308,8 +293,8 @@ def scenario_stages(cfg: ExperimentConfig):
     stage. The products, in order: the reference, `resolve_estimates`'
     pair, mu, the training signal, the disturbance, (frozen weights,
     PretrainInfo), the adaptive LoopResult, the fixed error, the result.
-    `pretrain` runs the adaptive arm's first seconds beside its own
-    (module docstring), and `adaptive` what is left of the arm."""
+    `pretrain` runs the adaptive arm's first seconds in pre-training's
+    calls (module docstring), and `adaptive` what is left of the arm."""
     cfg.validate()
     reference = build_reference(cfg)
     if cfg.noise_sources[cfg.fixed_filter.train_source].kind == "wav-file":
@@ -327,7 +312,7 @@ def scenario_stages(cfg: ExperimentConfig):
     yield "uncontrolled", dist
     arm = SeamlessRun(plant, build_controller(cfg, aligned, mu), reference.samples,
                       disturbance=dist)
-    fixed_weights, pretrain = pretrain_fixed_filter(cfg, aligned, mu, training, arm)
+    fixed_weights, pretrain = _pretrain(cfg, aligned, mu, training, [arm])
     del training        # released as soon as pre-training returns
     yield "pretrain", (fixed_weights, pretrain)
     res = arm.finish()

@@ -548,7 +548,7 @@ class TestFxlmsStep:
             # weights, so e = d + u is computable before the step; build the
             # dot product in the same chronological orientation the filter
             # uses internally so the comparison is bit-exact
-            chrono = np.concatenate([fx.controller._x[0, 1 - n_taps:], [x]])
+            chrono = np.concatenate([fx.controller.state.x[0, 1 - n_taps:], [x]])
             u_pred = float(np.dot(fx.weights[::-1], chrono))
             e_plant = d + u_pred
             u = fx.step(x, e_plant)
@@ -564,7 +564,7 @@ class TestFxlmsStep:
         for x in xs:
             fx.step(x, rng.standard_normal() * 0.1)
         replay = FirFilter(s_hat).process(xs)
-        np.testing.assert_array_equal(fx.controller._fx[0, 0, 0], replay[-4:])
+        np.testing.assert_array_equal(fx.controller.state.fx[0, 0, 0], replay[-4:])
 
     def test_update_sign_and_magnitude(self):
         # single tap, known values: W(n+1) = W(n) - 2 mu e x_f
@@ -694,7 +694,7 @@ def test_fxlms_state_window_matches_gradient_construction():
     for x in xs:
         fx.step(x, 0.0)
     xf_direct = FirFilter(s).process(xs)
-    np.testing.assert_array_equal(fx.controller._fx[0, 0, 0], xf_direct[-6:])
+    np.testing.assert_array_equal(fx.controller.state.fx[0, 0, 0], xf_direct[-6:])
 
 
 class TestDeterminism:

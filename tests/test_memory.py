@@ -27,8 +27,9 @@ are not counted. The budgets:
   formatter's integer lanes, about 30 of 8 bytes a value, and the block's
   text (a fixed size, whatever T is).
 - Each `loops.run_lanes` call (every adaptive recursion runs through
-  one: a pre-training block, alone or beside the adaptive arm's matching
-  second, and what is left of the arm), above what is traced when it is
+  them: one a pre-training second, the adaptive arm's matching second
+  packed in while the arm has one left, then one for what is left of the
+  arm, if anything is), above what is traced when it is
   called, per lane: the error and the loudspeaker buffer that holds its
   outputs, which it returns, and the reference and filtered-reference
   histories its windows read, 4 arrays of the call's samples at one

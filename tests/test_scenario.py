@@ -75,11 +75,18 @@ class TestArms:
 
 
 class TestStages:
-    def test_nine_stages_in_order_each_owning_its_adaptive_calls(self, monkeypatch):
+    @pytest.mark.parametrize("duration_s, max_train_s, packing", [
+        (3.0, 2.0, {"pretrain": [2, 2], "adaptive": [1]}),
+        (1.5, 2.0, {"pretrain": [2, 1], "adaptive": [1]}),
+        (2.0, 3.0, {"pretrain": [2, 2, 1]}),
+    ], ids=["1s_rest", "half_rest", "no_rest"])
+    def test_nine_stages_in_order_each_owning_its_adaptive_calls(self, monkeypatch, duration_s,
+                                                                 max_train_s, packing):
         # the uncontrolled stage's disturbance comes first; then each
         # pre-training second is one `run_lanes` call inside `pretrain`,
         # two lanes while the adaptive arm has a second left, and the arm
-        # runs what is left of it alone inside `adaptive`
+        # runs what is left of it alone inside `adaptive`, which makes no
+        # call when nothing is left
         calls = []
         run_lanes = loops.run_lanes
 
@@ -88,10 +95,9 @@ class TestStages:
             return run_lanes(lanes)
 
         monkeypatch.setattr(loops, "run_lanes", counted)
-        # three seconds of reference, two of training
-        cfg = small_config(duration_s=3.0)
-        cfg.composition.switch_times_s = [1.5]
-        cfg.fixed_filter.max_train_s = 2.0
+        cfg = small_config(duration_s=duration_s)
+        cfg.composition.switch_times_s = [duration_s / 2]
+        cfg.fixed_filter.max_train_s = max_train_s
         per_stage = {}
         for stage, product in scenario.scenario_stages(cfg):
             per_stage[stage] = calls[sum(map(len, per_stage.values())):]
@@ -100,9 +106,8 @@ class TestStages:
         assert list(per_stage) == ["reference", "identification", "mu", "training",
                                    "uncontrolled", "pretrain", "adaptive", "fixed",
                                    "reports"]
-        assert seconds_trained == 2
-        assert per_stage == {**dict.fromkeys(per_stage, []),
-                             "pretrain": [2, 2], "adaptive": [1]}
+        assert seconds_trained == len(packing["pretrain"])
+        assert per_stage == {**dict.fromkeys(per_stage, []), **packing}
         assert isinstance(product, scenario.ScenarioResult)
 
 

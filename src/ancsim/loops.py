@@ -406,7 +406,7 @@ class SeamlessRun:
                  disturbance: Disturbance | None = None, seam: bool = False):
         self._xs = as_samples(x)
         self._split = _as_split(plant)
-        if disturbance is not None:
+        if disturbance is not None:     # its length, checked as every loop checks it
             _split_and_disturbance(self._split, self._xs, disturbance)
         self._dist, self.controller, self.seam = disturbance, controller, seam
         if not seam:

@@ -96,9 +96,9 @@ print(f"{WORKLOAD} at {SECONDS:g} s: U = {unit / 1e6:.3f} MB")
 print(f"{'stage':>14} {'peak_U':>8} {'held_U':>8} {'seconds':>8} {'maxrss_MB':>10}")
 print(f"{'imports':>14} {'-':>8} {'-':>8} {'-':>8} {IMPORT_RSS_MB:>10.1f}")
 for stage, row in traced_rows.items():
-    print(f"{stage:>14} {row['peak'] / unit:>8.2f} {row['held'] / unit:>8.2f} "
+    print(f"{stage:>14} {row['peak'] / unit:>8.4f} {row['held'] / unit:>8.4f} "
           f"{rss_rows[stage]['seconds']:>8.3f} {rss_rows[stage]['rss_mb']:>10.1f}")
-print(f"{'run':>14} {max(r['peak'] for r in traced_rows.values()) / unit:>8.2f} {'-':>8} "
+print(f"{'run':>14} {max(r['peak'] for r in traced_rows.values()) / unit:>8.4f} {'-':>8} "
       f"{sum(r['seconds'] for r in rss_rows.values()):>8.3f} "
       f"{max(r['rss_mb'] for r in rss_rows.values()):>10.1f}")
 print(f"sha256={rss_digest}")

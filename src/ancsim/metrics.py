@@ -7,9 +7,10 @@ means attenuation. An interval with zero error power but nonzero
 disturbance power yields +inf (unbounded attenuation); zero power on both
 sides yields NaN (undefined). Spectral estimates use Hann-windowed,
 overlap-averaged periodograms normalized so the one-sided bins sum to the
-signal's mean square value (dB re unit variance). One loop frames and
-transforms a signal: a report's PSD is the mean of its spectrogram's
-frames whenever the two hops agree, so each frame is transformed once.
+signal's mean square value (dB re unit variance). One routine frames a
+signal into a (frames, bins) matrix of periodograms; the spectrogram is
+that matrix in dB and the PSD its row mean, so a report whose two hops
+agree transforms each frame once.
 """
 
 from __future__ import annotations
@@ -40,17 +41,15 @@ def interval_length(sample_rate_hz: float, interval_s: float) -> int:
 
 
 def noise_reduction_per_interval(d: Signal, e: Signal, interval_s: float) -> np.ndarray:
-    """dB reduction per analysis interval; trailing partial interval dropped."""
+    """dB reduction per analysis interval; trailing partial interval dropped.
+    Each interval's power is its row's sum, as `np.sum` sums it alone."""
     require_same_rate(d, e)
     n_total = require_same_length(d, e)
     step = interval_length(d.sample_rate_hz, interval_s)
-    n_intervals = n_total // step
-    out = np.empty(n_intervals)
-    for i in range(n_intervals):
-        sl = slice(i * step, (i + 1) * step)
-        out[i] = _power_ratio_db(float(np.sum(d.samples[sl] ** 2)),
-                                 float(np.sum(e.samples[sl] ** 2)))
-    return out
+    n = n_total // step
+    p_d, p_e = (np.sum(np.square(s.samples[:n * step]).reshape(n, step), axis=1).tolist()
+                for s in (d, e))
+    return np.array([_power_ratio_db(a, b) for a, b in zip(p_d, p_e)], dtype=float)
 
 
 def snr_overall(d: Signal, e: Signal) -> float:
@@ -102,35 +101,33 @@ def _welch_hop(segment_len: int, overlap: float) -> int:
     return max(int(round(segment_len * (1.0 - overlap))), 1)
 
 
-def _periodograms(x: Signal, frame_len: int, hop: int, keep: bool):
-    """The one per-frame loop: the Hann-windowed one-sided periodograms of
-    the frames starting every `hop` samples (`frame_len` a power of two).
-    Returns the frame starts, the bin frequencies, the periodograms' mean
-    (summed frame by frame, in order) and, if `keep`, their matrix."""
+def _periodograms(x: Signal, frame_len: int, hop: int):
+    """The one framing routine: the Hann-windowed one-sided periodograms of
+    the frames starting every `hop` samples (`frame_len` a power of two),
+    one `rfft` a frame. Returns the frame starts, the bin frequencies, the
+    (frames, bins) matrix of linear powers and its mean, rows added in order."""
     if not (0 < hop <= frame_len):
         raise DomainError(f"hop must be in (0, frame_len], got {hop}")
     window = np.hanning(frame_len)
     win_norm = frame_len * float(np.sum(window**2))
     starts = np.arange(0, len(x) - frame_len + 1, hop)
-    acc = np.zeros(frame_len // 2 + 1)
-    linear = np.empty((starts.size, acc.size)) if keep else None
-    for fi, start in enumerate(starts):
+    linear = np.empty((starts.size, frame_len // 2 + 1))
+    for row, start in zip(linear, starts):
         spec = np.fft.rfft(x.samples[start:start + frame_len] * window)
-        power = (spec.real**2 + spec.imag**2) / win_norm
-        power[1:] *= 2.0
-        power[-1] /= 2.0  # Nyquist bin is not mirrored
-        acc += power
-        if keep:
-            linear[fi] = power
+        row[:] = spec.real**2 + spec.imag**2
+    linear /= win_norm
+    # bins 1.. doubled; `linear[:, 1:] *= 2.0` iterates that strided view
+    # through two 64 KB buffers, more than a frame's temporaries
+    np.multiply(linear, 2.0, out=linear, where=np.arange(linear.shape[1]) > 0)
+    linear[:, -1] /= 2.0  # Nyquist bin is not mirrored
     freq = np.fft.rfftfreq(frame_len, d=1.0 / x.sample_rate_hz)
-    return starts, freq, acc / starts.size, linear
+    return starts, freq, linear, np.add.reduce(linear, axis=0) / starts.size
 
 
 def power_spectrum(x: Signal, segment_len: int = 1024, overlap: float = 0.5) -> PowerSpectrum:
     """Averaged one-sided periodogram (Hann window, fractional overlap)."""
     _check_frame_len(x, segment_len, "segment")
-    _, freq, mean, _ = _periodograms(x, segment_len, _welch_hop(segment_len, overlap),
-                                     keep=False)
+    _, freq, _, mean = _periodograms(x, segment_len, _welch_hop(segment_len, overlap))
     return PowerSpectrum(freq_hz=freq, power_db=_to_db(mean), power_linear=mean)
 
 
@@ -138,7 +135,7 @@ def spectrogram(x: Signal, frame_len: int = 1024, hop: int = 512) -> Spectrogram
     """Hann-windowed STFT power in dB, frames x one-sided bins. The linear
     powers are converted in place and not kept."""
     _check_frame_len(x, frame_len, "frame")
-    starts, freq, _, linear = _periodograms(x, frame_len, hop, keep=True)
+    starts, freq, linear, _ = _periodograms(x, frame_len, hop)
     return Spectrogram(times_s=starts / x.sample_rate_hz, freq_hz=freq,
                        power_db=_to_db(linear, out=linear))
 
@@ -164,23 +161,21 @@ def build_run_report(d: Signal, e: Signal, interval_s: float = 1.0,
                      hop: int = 512) -> RunReport:
     """Full metrics for one arm. Spectral estimates are skipped (None) when
     the error record is shorter than one segment, e.g. after an early
-    divergence. The error is framed once at `hop`; the PSD is the mean of
-    those frames, unless its own hop (`_welch_hop`) differs."""
+    divergence. The powers come first, so their squared signals are gone
+    before the error is framed: once at `hop`, the PSD the mean of those
+    frames, unless its own hop (`_welch_hop`) differs."""
     require_same_rate(d, e)
     require_same_length(d, e)
+    nr, snr = noise_reduction_per_interval(d, e, interval_s), snr_overall(d, e)
     psd = spectro = None
     if len(e) >= segment_len:
         _check_frame_len(e, segment_len, "segment")
         psd_hop = _welch_hop(segment_len, overlap)
-        starts, freq, mean, linear = _periodograms(e, segment_len, hop, keep=True)
+        starts, freq, linear, mean = _periodograms(e, segment_len, hop)
         if psd_hop != hop:
-            mean = _periodograms(e, segment_len, psd_hop, keep=False)[2]
+            mean = _periodograms(e, segment_len, psd_hop)[3]
         psd = PowerSpectrum(freq_hz=freq, power_db=_to_db(mean), power_linear=mean)
         spectro = Spectrogram(times_s=starts / e.sample_rate_hz, freq_hz=freq,
                               power_db=_to_db(linear, out=linear))
-    return RunReport(
-        interval_s=interval_s,
-        nr_per_interval_db=noise_reduction_per_interval(d, e, interval_s),
-        snr_db=snr_overall(d, e),
-        psd=psd, spectro=spectro,
-    )
+    return RunReport(interval_s=interval_s, nr_per_interval_db=nr, snr_db=snr,
+                     psd=psd, spectro=spectro)

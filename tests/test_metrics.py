@@ -1,5 +1,7 @@
 """Metric arithmetic against constructions and independent estimators."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from scipy import signal as sp_signal
 from ancsim.errors import DataError, DomainError
 from ancsim.metrics import (
     DB_FLOOR,
+    _power_ratio_db,
     build_run_report,
     noise_reduction_per_interval,
     power_spectrum,
@@ -62,6 +65,33 @@ class TestNoiseReduction:
     def test_length_mismatch_rejected(self):
         with pytest.raises(DataError):
             noise_reduction_per_interval(sig(np.ones(16)), sig(np.ones(8)), 1.0)
+
+    @settings(max_examples=200)
+    @given(st.data())
+    def test_bits_of_one_sum_per_interval(self, data):
+        # the powers are one row sum per interval of the squared signal; each
+        # row must give the bits of `np.sum` over its slice alone, beyond
+        # numpy's 128-sample pairwise blocks too, and every outcome of
+        # _power_ratio_db must come through: NaN, +inf, -inf and finite dB
+        step = data.draw(st.integers(1, 600), label="step")
+        n_intervals = data.draw(st.integers(0, 5), label="intervals")
+        n = n_intervals * step + data.draw(st.integers(0, step - 1), label="partial")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        signals = []
+        for label in ("d", "e"):
+            x = rng.standard_normal(n)
+            for start in range(0, n, step):
+                silent = data.draw(st.booleans(), label=f"{label} silent")
+                scale = 10.0 ** data.draw(st.floats(-150.0, 150.0), label=f"{label} log10 amp")
+                x[start:start + step] *= 0.0 if silent else scale
+            signals.append(x)
+        d, e = signals
+        with np.errstate(divide="ignore"):  # a ratio that underflows to 0 is -inf dB
+            got = noise_reduction_per_interval(sig(d), sig(e), step / RATE)
+            want = np.array([_power_ratio_db(float(np.sum(d[i * step:(i + 1) * step] ** 2)),
+                                             float(np.sum(e[i * step:(i + 1) * step] ** 2)))
+                             for i in range(n_intervals)], dtype=float)
+        assert_same_bits(got, want)
 
 
 class TestSnr:
@@ -195,6 +225,25 @@ class TestSpectrogram:
             spectrogram(sig(np.zeros(4096)), 1024, 0)
         with pytest.raises(DomainError):
             spectrogram(sig(np.zeros(4096)), 1024, 2048)
+
+
+class TestFramingMemory:
+    def test_spectrogram_holds_its_matrix_and_one_frame(self):
+        # frames are transformed one at a time into the matrix's rows, so
+        # the traced peak is that matrix plus a few frames' temporaries; a
+        # gather of all frames, or one rfft over them, is frames-sized
+        frame_len, hop = 1024, 512
+        x = sig(np.random.default_rng(12).standard_normal(int(20 * RATE)))
+        spectrogram(x, frame_len, hop)
+        tracemalloc.start()
+        try:
+            entry = tracemalloc.get_traced_memory()[0]
+            sp = spectrogram(x, frame_len, hop)
+            peak = tracemalloc.get_traced_memory()[1] - entry
+        finally:
+            tracemalloc.stop()
+        assert sp.power_db.shape == ((len(x) - frame_len) // hop + 1, frame_len // 2 + 1)
+        assert peak <= sp.power_db.nbytes + 16 * frame_len * 8
 
 
 class TestRunReport:

@@ -7,10 +7,10 @@ means attenuation. An interval with zero error power but nonzero
 disturbance power yields +inf (unbounded attenuation); zero power on both
 sides yields NaN (undefined). Spectral estimates use Hann-windowed,
 overlap-averaged periodograms normalized so the one-sided bins sum to the
-signal's mean square value (dB re unit variance). One routine frames a
-signal into a (frames, bins) matrix of periodograms; the spectrogram is
-that matrix in dB and the PSD its row mean, so a report whose two hops
-agree transforms each frame once.
+signal's mean square value (dB re unit variance). One routine draws the
+periodograms one frame at a time: the spectrogram writes them into the rows
+of a (frames, bins) matrix, the PSD is their mean, summed in order as they
+are drawn, and a report whose two hops agree takes it from the matrix.
 """
 
 from __future__ import annotations
@@ -102,42 +102,45 @@ def _welch_hop(segment_len: int, overlap: float) -> int:
 
 
 def _periodograms(x: Signal, frame_len: int, hop: int):
-    """The one framing routine: the Hann-windowed one-sided periodograms of
-    the frames starting every `hop` samples (`frame_len` a power of two),
-    one `rfft` a frame. Returns the frame starts, the bin frequencies, the
-    (frames, bins) matrix of linear powers and its mean, rows added in order."""
+    """The one framing routine: the starts of the frames every `hop` samples
+    (`frame_len` a power of two), the bin frequencies and, one `rfft` a
+    frame as it is drawn, each Hann-windowed frame's one-sided periodogram."""
     if not (0 < hop <= frame_len):
         raise DomainError(f"hop must be in (0, frame_len], got {hop}")
     window = np.hanning(frame_len)
     win_norm = frame_len * float(np.sum(window**2))
     starts = np.arange(0, len(x) - frame_len + 1, hop)
-    linear = np.empty((starts.size, frame_len // 2 + 1))
-    for row, start in zip(linear, starts):
-        spec = np.fft.rfft(x.samples[start:start + frame_len] * window)
-        row[:] = spec.real**2 + spec.imag**2
-    linear /= win_norm
-    # bins 1.. doubled; `linear[:, 1:] *= 2.0` iterates that strided view
-    # through two 64 KB buffers, more than a frame's temporaries
-    np.multiply(linear, 2.0, out=linear, where=np.arange(linear.shape[1]) > 0)
-    linear[:, -1] /= 2.0  # Nyquist bin is not mirrored
-    freq = np.fft.rfftfreq(frame_len, d=1.0 / x.sample_rate_hz)
-    return starts, freq, linear, np.add.reduce(linear, axis=0) / starts.size
+
+    def rows():
+        for start in starts:
+            spec = np.fft.rfft(x.samples[start:start + frame_len] * window)
+            power = (spec.real**2 + spec.imag**2) / win_norm
+            power[1:] *= 2.0
+            power[-1] /= 2.0  # Nyquist bin is not mirrored
+            yield power
+    return starts, np.fft.rfftfreq(frame_len, d=1.0 / x.sample_rate_hz), rows()
+
+
+def _spectrogram(x: Signal, starts: np.ndarray, freq: np.ndarray, linear: np.ndarray):
+    return Spectrogram(times_s=starts / x.sample_rate_hz, freq_hz=freq,
+                       power_db=_to_db(linear, out=linear))
 
 
 def power_spectrum(x: Signal, segment_len: int = 1024, overlap: float = 0.5) -> PowerSpectrum:
-    """Averaged one-sided periodogram (Hann window, fractional overlap)."""
+    """Averaged one-sided periodogram (Hann window, fractional overlap), the
+    frames summed in order as they are drawn, in one row's memory."""
     _check_frame_len(x, segment_len, "segment")
-    _, freq, _, mean = _periodograms(x, segment_len, _welch_hop(segment_len, overlap))
+    starts, freq, rows = _periodograms(x, segment_len, _welch_hop(segment_len, overlap))
+    mean = sum(rows, np.zeros(freq.size)) / starts.size
     return PowerSpectrum(freq_hz=freq, power_db=_to_db(mean), power_linear=mean)
 
 
 def spectrogram(x: Signal, frame_len: int = 1024, hop: int = 512) -> Spectrogram:
-    """Hann-windowed STFT power in dB, frames x one-sided bins. The linear
-    powers are converted in place and not kept."""
+    """Hann-windowed STFT power in dB, frames x one-sided bins, each frame
+    written into its row; the linear powers are converted in place."""
     _check_frame_len(x, frame_len, "frame")
-    starts, freq, linear, _ = _periodograms(x, frame_len, hop)
-    return Spectrogram(times_s=starts / x.sample_rate_hz, freq_hz=freq,
-                       power_db=_to_db(linear, out=linear))
+    starts, freq, rows = _periodograms(x, frame_len, hop)
+    return _spectrogram(x, starts, freq, np.fromiter(rows, (float, freq.size), starts.size))
 
 
 @dataclass
@@ -162,20 +165,21 @@ def build_run_report(d: Signal, e: Signal, interval_s: float = 1.0,
     """Full metrics for one arm. Spectral estimates are skipped (None) when
     the error record is shorter than one segment, e.g. after an early
     divergence. The powers come first, so their squared signals are gone
-    before the error is framed: once at `hop`, the PSD the mean of those
-    frames, unless its own hop (`_welch_hop`) differs."""
+    before the error is framed into a matrix at `hop`; the PSD is its row
+    mean, or `power_spectrum`'s if its own hop (`_welch_hop`) differs."""
     require_same_rate(d, e)
     require_same_length(d, e)
     nr, snr = noise_reduction_per_interval(d, e, interval_s), snr_overall(d, e)
     psd = spectro = None
     if len(e) >= segment_len:
         _check_frame_len(e, segment_len, "segment")
-        psd_hop = _welch_hop(segment_len, overlap)
-        starts, freq, linear, mean = _periodograms(e, segment_len, hop)
-        if psd_hop != hop:
-            mean = _periodograms(e, segment_len, psd_hop)[3]
-        psd = PowerSpectrum(freq_hz=freq, power_db=_to_db(mean), power_linear=mean)
-        spectro = Spectrogram(times_s=starts / e.sample_rate_hz, freq_hz=freq,
-                              power_db=_to_db(linear, out=linear))
+        starts, freq, rows = _periodograms(e, segment_len, hop)
+        linear = np.fromiter(rows, (float, freq.size), starts.size)
+        if _welch_hop(segment_len, overlap) == hop:  # rows added in order, as in power_spectrum
+            mean = np.add.reduce(linear, axis=0) / starts.size
+            psd = PowerSpectrum(freq_hz=freq, power_db=_to_db(mean), power_linear=mean)
+        else:
+            psd = power_spectrum(e, segment_len, overlap)
+        spectro = _spectrogram(e, starts, psd.freq_hz, linear)  # both share one bins array
     return RunReport(interval_s=interval_s, nr_per_interval_db=nr, snr_db=snr,
                      psd=psd, spectro=spectro)

@@ -227,23 +227,42 @@ class TestSpectrogram:
             spectrogram(sig(np.zeros(4096)), 1024, 2048)
 
 
+def traced_peak(call):
+    """`call()`'s result and its tracemalloc peak above what was traced before it."""
+    call()  # numpy's caches, e.g. the rfft plan, are made outside the trace
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1] - entry
+    finally:
+        tracemalloc.stop()
+
+
 class TestFramingMemory:
+    # frames are transformed one at a time, so each peak is what the result
+    # holds plus a few frames' temporaries; a gather of all frames, one rfft
+    # over them, or a matrix kept only for its mean is frames-sized
+    FRAME_LEN, SLACK = 1024, 16 * 1024 * 8
+    x = sig(np.random.default_rng(12).standard_normal(int(20 * RATE)))
+
     def test_spectrogram_holds_its_matrix_and_one_frame(self):
-        # frames are transformed one at a time into the matrix's rows, so
-        # the traced peak is that matrix plus a few frames' temporaries; a
-        # gather of all frames, or one rfft over them, is frames-sized
-        frame_len, hop = 1024, 512
-        x = sig(np.random.default_rng(12).standard_normal(int(20 * RATE)))
-        spectrogram(x, frame_len, hop)
-        tracemalloc.start()
-        try:
-            entry = tracemalloc.get_traced_memory()[0]
-            sp = spectrogram(x, frame_len, hop)
-            peak = tracemalloc.get_traced_memory()[1] - entry
-        finally:
-            tracemalloc.stop()
-        assert sp.power_db.shape == ((len(x) - frame_len) // hop + 1, frame_len // 2 + 1)
-        assert peak <= sp.power_db.nbytes + 16 * frame_len * 8
+        frame_len, hop = self.FRAME_LEN, 512
+        sp, peak = traced_peak(lambda: spectrogram(self.x, frame_len, hop))
+        assert sp.power_db.shape == ((len(self.x) - frame_len) // hop + 1, frame_len // 2 + 1)
+        assert peak <= sp.power_db.nbytes + self.SLACK
+
+    def test_power_spectrum_holds_one_row(self):
+        _, peak = traced_peak(lambda: power_spectrum(self.x, self.FRAME_LEN, 0.5))
+        assert peak <= self.SLACK
+
+    @pytest.mark.parametrize("overlap", [0.5, 0.75])  # the PSD's hop 512, as the matrix's, or 256
+    def test_report_holds_a_signal_or_its_matrix(self, overlap):
+        # the interval and overall powers square a whole signal; the PSD
+        # frames at its own hop only in one row's memory beside the matrix
+        report, peak = traced_peak(lambda: build_run_report(
+            self.x, self.x, segment_len=self.FRAME_LEN, overlap=overlap, hop=512))
+        assert peak <= max(self.x.samples.nbytes, report.spectro.power_db.nbytes) + self.SLACK
 
 
 class TestRunReport:
